@@ -9,10 +9,11 @@ Submodules:
   orthoscheme  orthoscheme volumes in edge and angle parameters
   tetrahedra   ideal/general tetrahedra, Lambert cube, ideal octahedron
   mc_oracle    seeded Monte-Carlo volume oracle in the projective ball
+  shapes       the shape table and ``compute_volume``, its dispatcher
   cli          the ``hypervol`` command-line interface
 """
 
-from . import models, mc_oracle, orthoscheme, quadrature, solids, specfun, tetrahedra
+from . import models, mc_oracle, orthoscheme, quadrature, shapes, solids, specfun, tetrahedra
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -29,6 +30,7 @@ __all__ = [
     "mc_oracle",
     "orthoscheme",
     "quadrature",
+    "shapes",
     "solids",
     "specfun",
     "tetrahedra",

@@ -16,25 +16,27 @@ per line, or RFC-4180 CSV with --format csv.  Exit codes: 0 success,
 parameters, 3 not realizable, 4 quadrature convergence failure, 5 I/O
 failure.
 
-Every volume is computed at curvature 1 with the length/area parameters
-rescaled, then multiplied by k**dim (dim = 3 for volumes, 2 for the plane
-area, n for ndim-orthoscheme); for the closed forms this reproduces their
-native k dependence exactly.
+Shapes, their parameters and their volume routes come from the table in
+``hypervol.shapes``; every volume is computed at curvature 1 with the
+length/area parameters rescaled, then multiplied by k**dim.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import random
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
-from . import mc_oracle, orthoscheme, solids, tetrahedra
+from . import mc_oracle, orthoscheme, tetrahedra
 from .errors import ConvergenceError, DomainError, NotRealizableError
 from .quadrature import Tolerance
+from .shapes import MC_SHAPES, SHAPES, collect_params, compute_volume, parse_job
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -43,205 +45,40 @@ EXIT_NOT_REALIZABLE = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_IO = 5
 
-# parameter kinds: L = length (scales 1/k), A = area (1/k^2), R = angle, N = list of lengths
-SHAPES: dict[str, dict] = {
-    "sphere": {"params": [("x", "L")], "dim": 3},
-    "barrel": {"params": [("p", "L"), ("q", "L")], "dim": 3},
-    "barrel-wedge": {"params": [("p", "L"), ("T", "A")], "dim": 3},
-    "equidistant": {"params": [("p", "A"), ("q", "L")], "dim": 3},
-    "sector": {"params": [("p", "A")], "dim": 3},
-    "cone": {"params": [("b", "L"), ("beta", "R")], "dim": 3},
-    "asymptotic-cone": {"params": [("b", "L")], "dim": 3},
-    "orthoscheme-edges": {"params": [("a", "L"), ("b", "L"), ("c", "L")], "dim": 3},
-    "orthoscheme-angles": {
-        "params": [("alpha", "R"), ("beta", "R"), ("gamma", "R")], "dim": 3
-    },
-    "orthoscheme-one-ideal": {"params": [("b", "L"), ("c", "L")], "dim": 3},
-    "orthoscheme-two-ideal": {"params": [("b", "L")], "dim": 3},
-    "ideal-tetra-b": {"params": [("b", "L")], "dim": 3},
-    "bolyai-1": {"params": [("a", "L"), ("b", "L"), ("c", "L")], "dim": 3},
-    "bolyai-asym-1": {"params": [("alpha", "R"), ("c", "L")], "dim": 3},
-    "bolyai-asym-2": {"params": [("amax", "R"), ("b", "L")], "dim": 3},
-    "ndim-orthoscheme": {"params": [("edges", "N")], "dim": None},
-    "milnor": {"params": [("A", "R"), ("B", "R"), ("C", "R")], "dim": 3},
-    "derevnin-mednykh": {
-        "params": [(x, "R") for x in "ABCDEF"], "dim": 3
-    },
-    "murakami-yano": {
-        "params": [(x, "R") for x in "ABCDEF"], "dim": 3
-    },
-    "lambert-cube": {
-        "params": [("w0", "R"), ("w1", "R"), ("w2", "R"), ("theta", "R")], "dim": 3
-    },
-    "mohanty": {"params": [("A", "R"), ("B", "R"), ("E", "R")], "dim": 3},
-    "triangle-2d": {"params": [("a", "L"), ("b", "L")], "dim": 2},
-}
 
-MC_SHAPES = ("sphere", "barrel", "cone", "equidistant", "orthoscheme-edges")
-
-
-def _tol(reltol: float) -> Tolerance:
-    return Tolerance(rel=reltol, abs=min(1e-14, reltol))
-
-
-def _evaluate(shape: str, p: dict, reltol: float):
-    """Volume at curvature 1 for rescaled parameters. Returns (value, method, err)."""
-    tol = _tol(reltol)
-    bound = lambda v: max(tol.abs, tol.rel * abs(v))
-    if shape == "sphere":
-        return solids.sphere_volume(p["x"]), "closed-form", 0.0
-    if shape == "barrel":
-        return solids.barrel(p["p"], p["q"]), "closed-form", 0.0
-    if shape == "barrel-wedge":
-        return solids.barrel_wedge(p["p"], p["T"]), "closed-form", 0.0
-    if shape == "equidistant":
-        return solids.equidistant_body(p["p"], p["q"]), "closed-form", 0.0
-    if shape == "sector":
-        return solids.paraspherical_sector(p["p"]), "closed-form", 0.0
-    if shape == "cone":
-        v = solids.circular_cone(p["b"], p["beta"], tol)
-        return v, "quadrature", bound(v)
-    if shape == "asymptotic-cone":
-        return solids.asymptotic_cone(p["b"]), "closed-form", 0.0
-    if shape == "orthoscheme-edges":
-        v = orthoscheme.volume_edges((p["a"], p["b"], p["c"]), tol)
-        return v, "quadrature", bound(v)
-    if shape == "orthoscheme-angles":
-        v = orthoscheme.volume_angles((p["alpha"], p["beta"], p["gamma"]))
-        return v, "lobachevsky-series", 0.0
-    if shape == "orthoscheme-one-ideal":
-        v = orthoscheme.volume_one_ideal(p["b"], p["c"], tol)
-        return v, "quadrature", bound(v)
-    if shape == "orthoscheme-two-ideal":
-        v = orthoscheme.volume_two_ideal(p["b"], tol)
-        return v, "quadrature", bound(v)
-    if shape == "ideal-tetra-b":
-        v = orthoscheme.volume_ideal_tetrahedron_b(p["b"], tol)
-        return v, "quadrature", bound(v)
-    if shape == "bolyai-1":
-        v = orthoscheme.bolyai_integral_1((p["a"], p["b"], p["c"]), tol)
-        return v, "quadrature", bound(v)
-    if shape == "bolyai-asym-1":
-        v = orthoscheme.bolyai_asymptotic_1(p["alpha"], p["c"], tol)
-        return v, "quadrature", bound(v)
-    if shape == "bolyai-asym-2":
-        v = orthoscheme.bolyai_asymptotic_2(p["amax"], p["b"], tol)
-        return v, "quadrature", bound(v)
-    if shape == "ndim-orthoscheme":
-        v = orthoscheme.volume_ndim(p["edges"], Tolerance(rel=max(reltol, 1e-9), abs=1e-13))
-        return v, "nested-quadrature", bound(v)
-    if shape == "milnor":
-        return tetrahedra.milnor_ideal(p["A"], p["B"], p["C"]), "lobachevsky-series", 0.0
-    if shape == "derevnin-mednykh":
-        v = tetrahedra.derevnin_mednykh(
-            (p["A"], p["B"], p["C"], p["D"], p["E"], p["F"]), tol
-        )
-        return v, "quadrature", bound(v)
-    if shape == "murakami-yano":
-        v = tetrahedra.murakami_yano((p["A"], p["B"], p["C"], p["D"], p["E"], p["F"]))
-        return v, "clausen-series", 0.0
-    if shape == "lambert-cube":
-        v = tetrahedra.lambert_cube(p["w0"], p["w1"], p["w2"], p["theta"])
-        return v, "lobachevsky-series", 0.0
-    if shape == "mohanty":
-        v = tetrahedra.mohanty_octahedron(p["A"], p["B"], p["E"])
-        return v, "lobachevsky-series", 0.0
-    if shape == "triangle-2d":
-        v = orthoscheme.area_right_triangle(p["a"], p["b"], tol)
-        return v, "nested-quadrature", bound(v)
-    raise DomainError(f"unknown shape {shape!r}")
-
-
-def _scaled_params(shape: str, p: dict, k: float) -> dict:
-    out = {}
-    for name, kind in SHAPES[shape]["params"]:
-        v = p[name]
-        if kind == "L":
-            out[name] = v / k
-        elif kind == "A":
-            out[name] = v / (k * k)
-        elif kind == "N":
-            out[name] = tuple(x / k for x in v)
-        else:
-            out[name] = v
-    return out
-
-
-def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-10):
-    """Dispatch a shape volume with curvature scaling. Returns (value, method, err)."""
-    if shape not in SHAPES:
-        raise DomainError(f"unknown shape {shape!r}")
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"k must be positive, got {k!r}")
-    p1 = _scaled_params(shape, params, k)
-    v1, method, err1 = _evaluate(shape, p1, reltol)
-    if shape == "ndim-orthoscheme":
-        d = len(params["edges"])
-    else:
-        d = SHAPES[shape]["dim"]
-    scale = k ** d
-    return v1 * scale, method, err1 * scale
-
-
-def _mc_region(shape: str, params: dict, k: float):
-    if shape == "sphere":
-        return mc_oracle.region_ball(params["x"], k)
-    if shape == "barrel":
-        return mc_oracle.region_barrel(params["p"], params["q"], k)
-    if shape == "cone":
-        return mc_oracle.region_cone(params["b"], params["beta"], k)
-    if shape == "orthoscheme-edges":
-        verts = mc_oracle.orthoscheme_vertices(params["a"], params["b"], params["c"], k)
-        return mc_oracle.region_simplex(verts, k)
-    if shape == "equidistant":
-        # base box with the requested area: w2 fixed at 0.5 k, w1 from p
-        p = params["p"]
-        w2 = 0.5 * k
-        w1 = k * math.asinh(p / (4.0 * k * w2))
-        return mc_oracle.region_slab((w1, w2), params["q"], k)
-    raise DomainError(f"shape {shape!r} has no Monte-Carlo region builder")
+def _failure(exc: Exception) -> tuple[int, str]:
+    """Exit code and message label of a DomainError or ConvergenceError."""
+    if isinstance(exc, NotRealizableError):
+        return EXIT_NOT_REALIZABLE, "not realizable"
+    if isinstance(exc, ConvergenceError):
+        return EXIT_NO_CONVERGENCE, "no convergence"
+    return EXIT_INVALID, "invalid parameters"
 
 
 # ---------------------------------------------------------------------------
 # record output
 # ---------------------------------------------------------------------------
 
-class _Sink:
-    """Writes one record per line, JSON or CSV, to stdout or a file."""
-
-    def __init__(self, fmt: str, path: str | None):
-        self.fmt = fmt
-        self.path = path
-        self.rows: list[dict] = []
-
-    def add(self, record: dict):
-        self.rows.append(record)
-
-    def flush(self):
-        try:
-            out = open(self.path, "w", newline="") if self.path else sys.stdout
-            try:
-                if self.fmt == "json":
-                    for r in self.rows:
-                        out.write(json.dumps(r) + "\n")
-                else:
-                    if self.rows:
-                        fields = list(self.rows[0].keys())
-                        w = csv.DictWriter(out, fieldnames=fields)
-                        w.writeheader()
-                        for r in self.rows:
-                            w.writerow(
-                                {
-                                    k: json.dumps(v) if isinstance(v, (dict, list, tuple)) else v
-                                    for k, v in r.items()
-                                }
-                            )
-            finally:
-                if self.path:
-                    out.close()
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            raise
+def _write(args, rows: list[dict]) -> None:
+    """Write records as JSON lines or CSV to stdout or ``args.out``; the CSV header
+    is the union of the record keys in first-seen order (missing cells stay empty)."""
+    try:
+        with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as out:
+            if args.format == "json":
+                for r in rows:
+                    out.write(json.dumps(r) + "\n")
+            elif rows:
+                fields = list(dict.fromkeys(k for r in rows for k in r))
+                w = csv.DictWriter(out, fieldnames=fields)
+                w.writeheader()
+                w.writerows(
+                    {k: json.dumps(v) if isinstance(v, (dict, list, tuple)) else v
+                     for k, v in r.items()}
+                    for r in rows
+                )
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -249,92 +86,61 @@ class _Sink:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--k", type=float, default=1.0, help="curvature constant (default 1)")
+    common.add_argument("--reltol", type=float, default=1e-10,
+                        help="relative tolerance for quadrature-backed shapes")
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--out", default=None, help="write records to this file")
+    common.add_argument("--degrees", action="store_true",
+                        help="interpret angle parameters as degrees")
+
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("shape", choices=sorted(SHAPES))
+    kinds = {name: kind for s in SHAPES.values() for name, kind in s.params.items()}
+    for name, kind in kinds.items():
+        if kind == "N":
+            shape.add_argument(f"--{name}", type=str, default=None,
+                               help="comma-separated edge list for ndim-orthoscheme")
+        else:
+            shape.add_argument(f"--{name}", type=float, default=None)
+
     ap = argparse.ArgumentParser(prog="hypervol", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
+    sub.add_parser("vol", parents=[shape, common], help="volume of one shape")
 
-    def common(p):
-        p.add_argument("--k", type=float, default=1.0, help="curvature constant (default 1)")
-        p.add_argument("--reltol", type=float, default=None,
-                       help="relative tolerance for quadrature-backed shapes")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, help="write records to this file")
-        p.add_argument("--degrees", action="store_true",
-                       help="interpret angle parameters as degrees")
-
-    def shape_flags(p):
-        for flag in ("x", "p", "q", "T", "b", "c", "a", "beta", "alpha", "gamma",
-                     "amax", "theta", "w0", "w1", "w2", "A", "B", "C", "D", "E", "F"):
-            p.add_argument(f"--{flag}", type=float, default=None)
-        p.add_argument("--edges", type=str, default=None,
-                       help="comma-separated edge list for ndim-orthoscheme")
-
-    pv = sub.add_parser("vol", help="volume of one shape")
-    pv.add_argument("shape", choices=sorted(SHAPES))
-    shape_flags(pv)
-    common(pv)
-
-    pc = sub.add_parser("convert", help="orthoscheme parameter conversion")
+    pc = sub.add_parser("convert", parents=[common], help="orthoscheme parameter conversion")
     pc.add_argument("direction", choices=("edges-to-angles", "angles-to-edges"))
     for flag in ("a", "b", "c", "alpha", "beta", "gamma", "delta"):
         pc.add_argument(f"--{flag}", type=float, default=None)
-    common(pc)
 
-    px = sub.add_parser("crosscheck", help="cross-validation grids")
+    px = sub.add_parser("crosscheck", parents=[common], help="cross-validation grids")
     px.add_argument("suite", choices=("orthoscheme", "tetrahedra", "solids", "all"))
     px.add_argument("--grid", choices=("coarse", "fine"), default="coarse")
     px.add_argument("--seed", type=int, default=20121023)
-    common(px)
 
-    pm = sub.add_parser("mc", help="Monte-Carlo check of one shape")
-    pm.add_argument("shape", choices=sorted(SHAPES))
-    shape_flags(pm)
+    pm = sub.add_parser("mc", parents=[shape, common], help="Monte-Carlo check of one shape")
     pm.add_argument("--samples", type=int, default=1_000_000)
     pm.add_argument("--seed", type=int, default=0)
-    common(pm)
 
-    pb = sub.add_parser("batch", help="run an array of job objects from a JSON file")
+    pb = sub.add_parser("batch", parents=[common],
+                        help="run an array of job objects from a JSON file")
     pb.add_argument("jobs", help="path to jobs.json")
-    common(pb)
     return ap
 
 
-def _collect_params(shape: str, src: dict, degrees: bool) -> dict:
-    spec = SHAPES[shape]["params"]
-    wanted = {name for name, _ in spec}
-    params = {}
-    for name, kind in spec:
-        v = src.get(name)
-        if v is None:
-            raise DomainError(f"shape {shape!r} requires parameter --{name}")
-        if kind == "N":
-            if isinstance(v, str):
-                try:
-                    v = tuple(float(t) for t in v.split(",") if t.strip())
-                except ValueError as exc:
-                    raise DomainError(f"cannot parse edge list {v!r}") from exc
-            else:
-                v = tuple(float(t) for t in v)
-            if len(v) < 2:
-                raise DomainError("ndim-orthoscheme needs at least 2 edges")
-        else:
-            v = float(v)
-            if kind == "R" and degrees:
-                v = math.radians(v)
-        params[name] = v
-    extras = {
-        k for k, v in src.items()
-        if v is not None and k not in wanted
-        and k in {f for f, _ in sum((s["params"] for s in SHAPES.values()), [])}
-    }
-    if extras:
-        raise DomainError(
-            f"parameters {sorted(extras)} do not apply to shape {shape!r}"
-        )
-    return params
+def _volume_record(shape: str, params: dict, k: float, reltol: float) -> dict:
+    v, method, err = compute_volume(shape, params, k, reltol)
+    return {"shape": shape, "params": params, "k": k,
+            "volume": v, "method": method, "error_estimate": err}
 
 
-def _record_params(params: dict) -> dict:
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}
+def _mc_fields(shape: str, params: dict, k: float, analytic: float, samples, seed) -> dict:
+    """Monte-Carlo estimate of the shape's volume and its z-score against ``analytic``."""
+    est = mc_oracle.estimate(SHAPES[shape].mc_region(*params.values(), k=k), samples, seed)
+    z = (est.mean - analytic) / est.stderr if est.stderr > 0 else 0.0
+    return {"mc_mean": est.mean, "mc_stderr": est.stderr, "z_score": z,
+            "samples": est.samples, "seed": est.seed}
 
 
 # ---------------------------------------------------------------------------
@@ -342,88 +148,52 @@ def _record_params(params: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_vol(args) -> int:
-    src = {name: getattr(args, name, None) for name in vars(args)}
-    params = _collect_params(args.shape, src, args.degrees)
-    reltol = args.reltol if args.reltol is not None else 1e-10
-    v, method, err = compute_volume(args.shape, params, args.k, reltol)
-    sink = _Sink(args.format, args.out)
-    sink.add(
-        {
-            "shape": args.shape,
-            "params": _record_params(params),
-            "k": args.k,
-            "volume": v,
-            "method": method,
-            "error_estimate": err,
-        }
-    )
-    sink.flush()
+    params = collect_params(args.shape, vars(args), args.degrees)
+    _write(args, [_volume_record(args.shape, params, args.k, args.reltol)])
     return EXIT_OK
 
 
 def _cmd_convert(args) -> int:
-    deg = args.degrees
-    if args.direction == "edges-to-angles":
-        for f in ("a", "b", "c"):
-            if getattr(args, f) is None:
-                raise DomainError(f"edges-to-angles requires --{f}")
+    to_angles = args.direction == "edges-to-angles"
+    for f in ("a", "b", "c") if to_angles else ("alpha", "beta", "gamma"):
+        if getattr(args, f) is None:
+            raise DomainError(f"{args.direction} requires --{f}")
+    if to_angles:
         e = orthoscheme.OrthoschemeEdges(args.a / args.k, args.b / args.k, args.c / args.k)
         ang = orthoscheme.edges_to_angles(e)
     else:
-        for f in ("alpha", "beta", "gamma"):
-            if getattr(args, f) is None:
-                raise DomainError(f"angles-to-edges requires --{f}")
-        conv = math.radians if deg else float
+        conv = math.radians if args.degrees else float
         ang = orthoscheme.OrthoschemeAngles(
             conv(args.alpha), conv(args.beta), conv(args.gamma),
             conv(args.delta) if args.delta is not None else None,
         )
         e = orthoscheme.angles_to_edges(ang)
     z = math.atanh(math.tan(ang.delta) * math.tan(ang.beta))
-    rec = {
-        "a": e.a * args.k,
-        "b": e.b * args.k,
-        "c": e.c * args.k,
-        "z": z * args.k,
-        "alpha": ang.alpha,
-        "beta": ang.beta,
-        "gamma": ang.gamma,
-        "delta": ang.delta,
-    }
-    sink = _Sink(args.format, args.out)
-    sink.add(rec)
-    sink.flush()
+    rec = {"a": e.a * args.k, "b": e.b * args.k, "c": e.c * args.k, "z": z * args.k,
+           "alpha": ang.alpha, "beta": ang.beta, "gamma": ang.gamma, "delta": ang.delta}
+    _write(args, [rec])
     return EXIT_OK
 
 
 def _cmd_mc(args) -> int:
-    src = {name: getattr(args, name, None) for name in vars(args)}
     if args.shape not in MC_SHAPES:
         raise DomainError(
             f"shape {args.shape!r} has no Monte-Carlo region; choose from {MC_SHAPES}"
         )
-    params = _collect_params(args.shape, src, args.degrees)
-    reltol = args.reltol if args.reltol is not None else 1e-10
-    analytic, _, _ = compute_volume(args.shape, params, args.k, reltol)
-    region = _mc_region(args.shape, params, args.k)
-    est = mc_oracle.estimate(region, args.samples, args.seed)
-    zscore = (est.mean - analytic) / est.stderr if est.stderr > 0 else 0.0
-    sink = _Sink(args.format, args.out)
-    sink.add(
-        {
-            "shape": args.shape,
-            "params": _record_params(params),
-            "k": args.k,
-            "analytic": analytic,
-            "mc_mean": est.mean,
-            "mc_stderr": est.stderr,
-            "z_score": zscore,
-            "samples": est.samples,
-            "seed": est.seed,
-        }
-    )
-    sink.flush()
-    return EXIT_OK if abs(zscore) <= 4.0 else EXIT_CHECK_FAILED
+    params = collect_params(args.shape, vars(args), args.degrees)
+    analytic, _, _ = compute_volume(args.shape, params, args.k, args.reltol)
+    rec = {"shape": args.shape, "params": params, "k": args.k,
+           "analytic": analytic,
+           **_mc_fields(args.shape, params, args.k, analytic, args.samples, args.seed)}
+    _write(args, [rec])
+    return EXIT_OK if abs(rec["z_score"]) <= 4.0 else EXIT_CHECK_FAILED
+
+
+def _row(suite: str, case: int, inputs: dict, values: dict, threshold: float) -> dict:
+    """One crosscheck record; max_delta is the largest difference between the routes."""
+    delta = max(values.values()) - min(values.values())
+    return {"suite": suite, "case": case, "inputs": inputs, "values": values,
+            "max_delta": delta, "threshold": threshold, "pass": delta <= threshold}
 
 
 def _crosscheck_orthoscheme(rows, grid: str, seed: int, reltol: float):
@@ -434,28 +204,17 @@ def _crosscheck_orthoscheme(rows, grid: str, seed: int, reltol: float):
         va = orthoscheme.volume_angles(ang)
         ve = orthoscheme.volume_edges(e, tol)
         vb = orthoscheme.bolyai_integral_1(e, tol)
-        delta = max(abs(va - ve), abs(va - vb), abs(ve - vb))
-        thr = 1e-6 * max(1.0, va)
-        rows.append(
-            {
-                "suite": "orthoscheme",
-                "case": i,
-                "inputs": {"alpha": ang.alpha, "beta": ang.beta, "gamma": ang.gamma},
-                "values": {"angles": va, "edges": ve, "bolyai1": vb},
-                "max_delta": delta,
-                "threshold": thr,
-                "pass": delta <= thr,
-            }
-        )
+        rows.append(_row(
+            "orthoscheme", i, {"alpha": ang.alpha, "beta": ang.beta, "gamma": ang.gamma},
+            {"angles": va, "edges": ve, "bolyai1": vb}, 1e-6 * max(1.0, va)))
 
 
 def _crosscheck_tetrahedra(rows, grid: str, seed: int, reltol: float):
     count = 10 if grid == "coarse" else 25
     rng = random.Random(seed)
     tol = Tolerance(rel=min(reltol, 1e-10), abs=1e-14)
-    made = 0
     case = 0
-    while made < count:
+    while case < count:
         A = rng.uniform(0.7, 1.2)
         B = rng.uniform(0.7, 1.2)
         C = math.pi - A - B
@@ -468,77 +227,44 @@ def _crosscheck_tetrahedra(rows, grid: str, seed: int, reltol: float):
             my = tetrahedra.murakami_yano(tuple(pert))
         except NotRealizableError:
             continue
-        delta = abs(dm - my)
-        rows.append(
-            {
-                "suite": "tetrahedra",
-                "case": case,
-                "inputs": dict(zip("ABCDEF", pert)),
-                "values": {"derevnin-mednykh": dm, "murakami-yano": my},
-                "max_delta": delta,
-                "threshold": 1e-6,
-                "pass": delta <= 1e-6,
-            }
-        )
-        made += 1
+        rows.append(_row("tetrahedra", case, dict(zip("ABCDEF", pert)),
+                         {"derevnin-mednykh": dm, "murakami-yano": my}, 1e-6))
         case += 1
+
+
+# closed forms with a quadrature twin, and their inputs at one grid point:
+# the sphere grid runs over the radius, the others over q at p = 1
+_SOLID_GRIDS = (
+    ("sphere", lambda x: {"x": x}),
+    ("equidistant", lambda q: {"p": 1.0, "q": q}),
+    ("barrel", lambda q: {"p": 1.0, "q": q}),
+)
 
 
 def _crosscheck_solids(rows, grid: str, seed: int, reltol: float):
     pts = [0.25, 0.5, 1.0, 1.5, 2.0] if grid == "coarse" else [0.2 * i for i in range(1, 13)]
     tol = Tolerance(rel=1e-12, abs=1e-15)
-    case = 0
-    for x in pts:
-        a, b = solids.sphere_volume(x), solids.sphere_volume_by_quadrature(x, tol=tol)
-        rows.append(
-            {
-                "suite": "solids", "case": case,
-                "inputs": {"shape": "sphere", "x": x},
-                "values": {"closed": a, "quadrature": b},
-                "max_delta": abs(a - b), "threshold": 1e-8, "pass": abs(a - b) <= 1e-8,
-            }
-        )
-        case += 1
-    for q in pts:
-        a = solids.equidistant_body(1.0, q)
-        b = solids.equidistant_body_by_quadrature(1.0, q, tol=tol)
-        rows.append(
-            {
-                "suite": "solids", "case": case,
-                "inputs": {"shape": "equidistant", "p": 1.0, "q": q},
-                "values": {"closed": a, "quadrature": b},
-                "max_delta": abs(a - b), "threshold": 1e-8, "pass": abs(a - b) <= 1e-8,
-            }
-        )
-        case += 1
-    for q in pts:
-        a = solids.barrel(1.0, q)
-        b = solids.barrel_by_quadrature(1.0, q, tol=tol)
-        rows.append(
-            {
-                "suite": "solids", "case": case,
-                "inputs": {"shape": "barrel", "p": 1.0, "q": q},
-                "values": {"closed": a, "quadrature": b},
-                "max_delta": abs(a - b), "threshold": 1e-8, "pass": abs(a - b) <= 1e-8,
-            }
-        )
-        case += 1
+    for case, ((shape, inputs), x) in enumerate(itertools.product(_SOLID_GRIDS, pts)):
+        p = inputs(x)
+        entry = SHAPES[shape]
+        values = {"closed": entry.evaluate(*p.values(), tol=tol),
+                  "quadrature": entry.twin(*p.values(), tol=tol)}
+        rows.append(_row("solids", case, {"shape": shape, **p}, values, 1e-8))
+
+
+_SUITES = {
+    "orthoscheme": _crosscheck_orthoscheme,
+    "tetrahedra": _crosscheck_tetrahedra,
+    "solids": _crosscheck_solids,
+}
 
 
 def _cmd_crosscheck(args) -> int:
     rows: list[dict] = []
-    reltol = args.reltol if args.reltol is not None else 1e-10
-    suites = ("orthoscheme", "tetrahedra", "solids") if args.suite == "all" else (args.suite,)
-    if "orthoscheme" in suites:
-        _crosscheck_orthoscheme(rows, args.grid, args.seed, reltol)
-    if "tetrahedra" in suites:
-        _crosscheck_tetrahedra(rows, args.grid, args.seed, reltol)
-    if "solids" in suites:
-        _crosscheck_solids(rows, args.grid, args.seed, reltol)
-    sink = _Sink(args.format, args.out)
-    for r in rows:
-        sink.add(r)
-    sink.flush()
+    for name, suite in _SUITES.items():
+        if args.suite in ("all", name):
+            suite(rows, args.grid, args.seed, args.reltol)
+    _write(args, rows)
     return EXIT_OK if all(r["pass"] for r in rows) else EXIT_CHECK_FAILED
 
 
@@ -562,56 +288,36 @@ def _cmd_batch(args) -> int:
         if not isinstance(job, dict) or "shape" not in job:
             print(f"error: job {i} is not an object with a 'shape'", file=sys.stderr)
             return EXIT_INVALID
-        shape = job["shape"]
-        if shape not in SHAPES:
-            print(f"error: job {i}: unknown shape {shape!r}", file=sys.stderr)
-            return EXIT_INVALID
-        degrees = bool(job.get("degrees", False))
         try:
-            params = _collect_params(shape, job, degrees)
+            prepared.append(parse_job(job))
         except DomainError as exc:
             print(f"error: job {i}: {exc}", file=sys.stderr)
             return EXIT_INVALID
-        mc = job.get("mc")
-        if mc is not None and shape not in MC_SHAPES:
-            print(f"error: job {i}: shape {shape!r} has no Monte-Carlo region", file=sys.stderr)
-            return EXIT_INVALID
-        prepared.append(
-            (shape, params, float(job.get("k", 1.0)), float(job.get("reltol", 1e-10)), mc)
-        )
 
-    sink = _Sink(args.format, args.out)
+    rows: list[dict] = []
     code = EXIT_OK
     for shape, params, k, reltol, mc in prepared:
         try:
-            v, method, err = compute_volume(shape, params, k, reltol)
-            rec = {
-                "shape": shape, "params": _record_params(params), "k": k,
-                "volume": v, "method": method, "error_estimate": err,
-            }
+            rec = _volume_record(shape, params, k, reltol)
             if mc:
-                region = _mc_region(shape, params, k)
-                est = mc_oracle.estimate(region, int(mc.get("samples", 10 ** 6)),
-                                         int(mc.get("seed", 0)))
-                z = (est.mean - v) / est.stderr if est.stderr > 0 else 0.0
-                rec.update(
-                    mc_mean=est.mean, mc_stderr=est.stderr, z_score=z,
-                    samples=est.samples, seed=est.seed,
-                )
-                if abs(z) > 4.0 and code == EXIT_OK:
+                rec.update(_mc_fields(shape, params, k, rec["volume"], *mc))
+                if abs(rec["z_score"]) > 4.0 and code == EXIT_OK:
                     code = EXIT_CHECK_FAILED
-            sink.add(rec)
-        except NotRealizableError as exc:
+            rows.append(rec)
+        except (DomainError, ConvergenceError) as exc:
             print(f"error: {shape}: {exc}", file=sys.stderr)
-            code = code or EXIT_NOT_REALIZABLE
-        except ConvergenceError as exc:
-            print(f"error: {shape}: {exc}", file=sys.stderr)
-            code = code or EXIT_NO_CONVERGENCE
-        except DomainError as exc:
-            print(f"error: {shape}: {exc}", file=sys.stderr)
-            code = code or EXIT_INVALID
-    sink.flush()
+            code = code or _failure(exc)[0]
+    _write(args, rows)
     return code
+
+
+_COMMANDS = {
+    "vol": _cmd_vol,
+    "convert": _cmd_convert,
+    "crosscheck": _cmd_crosscheck,
+    "mc": _cmd_mc,
+    "batch": _cmd_batch,
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -621,26 +327,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     try:
-        if args.command == "vol":
-            return _cmd_vol(args)
-        if args.command == "convert":
-            return _cmd_convert(args)
-        if args.command == "crosscheck":
-            return _cmd_crosscheck(args)
-        if args.command == "mc":
-            return _cmd_mc(args)
-        if args.command == "batch":
-            return _cmd_batch(args)
-        return EXIT_INVALID
-    except NotRealizableError as exc:
-        print(f"error: not realizable: {exc}", file=sys.stderr)
-        return EXIT_NOT_REALIZABLE
-    except ConvergenceError as exc:
-        print(f"error: no convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except DomainError as exc:
-        print(f"error: invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _COMMANDS[args.command](args)
+    except (DomainError, ConvergenceError) as exc:
+        code, label = _failure(exc)
+        print(f"error: {label}: {exc}", file=sys.stderr)
+        return code
     except OSError:
         return EXIT_IO
 

@@ -1,0 +1,208 @@
+"""The shape table: every shape the ``hypervol`` CLI and batch jobs accept.
+
+One ``Shape`` entry per name holds the shape's parameters with their kinds
+(L = length, scales 1/k; A = area, 1/k^2; R = angle; N = list of lengths),
+its dimension, the method label of its volume route, the evaluator at
+curvature 1, and, where they exist, the Monte-Carlo region builder and the
+quadrature twin that ``crosscheck`` compares the closed form against.
+
+Evaluators and builders look their library functions up when called, not
+when this module is imported, so wrappers installed on those module
+attributes see every call.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+from . import mc_oracle, orthoscheme, solids, tetrahedra
+from .errors import DomainError
+from .quadrature import Tolerance
+
+__all__ = ["Shape", "SHAPES", "MC_SHAPES", "compute_volume", "collect_params", "parse_job"]
+
+# methods whose value carries no truncation error: their error estimate is 0
+EXACT_METHODS = ("closed-form", "lobachevsky-series", "clausen-series")
+
+
+@dataclass(frozen=True)
+class Shape:
+    """One shape of the table.
+
+    ``params`` maps names to kinds in call and record order; ``dim`` is None
+    when the dimension is the number of edges.  The routes take the
+    parameter values positionally: ``evaluate(*values, tol=tol)`` is the
+    volume at curvature 1, ``mc_region(*values, k=k)`` builds the Monte-Carlo
+    region from unscaled values, and ``twin(*values, tol=tol)`` is the
+    quadrature route of a closed form at curvature 1.
+    """
+
+    params: dict[str, str]
+    dim: int | None
+    method: str
+    evaluate: Callable[..., float]
+    mc_region: Callable[..., mc_oracle.Region] | None = None
+    twin: Callable[..., float] | None = None
+
+
+def _equidistant_slab(p: float, q: float, k: float) -> mc_oracle.Region:
+    # base box with the requested area: w2 fixed at 0.5 k, w1 from p
+    w2 = 0.5 * k
+    w1 = k * math.asinh(p / (4.0 * k * w2))
+    return mc_oracle.region_slab((w1, w2), q, k)
+
+
+def _ndim(edges: tuple, tol: Tolerance) -> float:
+    # integrates at rel >= 1e-9; the reported bound still uses the requested rel
+    return orthoscheme.volume_ndim(edges, Tolerance(rel=max(tol.rel, 1e-9), abs=1e-13))
+
+
+_SIX = dict.fromkeys("ABCDEF", "R")
+
+SHAPES: dict[str, Shape] = {
+    "sphere": Shape({"x": "L"}, 3, "closed-form", lambda x, tol: solids.sphere_volume(x),
+                    mc_region=lambda x, k: mc_oracle.region_ball(x, k),
+                    twin=lambda x, tol: solids.sphere_volume_by_quadrature(x, tol=tol)),
+    "barrel": Shape({"p": "L", "q": "L"}, 3, "closed-form",
+                    lambda p, q, tol: solids.barrel(p, q),
+                    mc_region=lambda p, q, k: mc_oracle.region_barrel(p, q, k),
+                    twin=lambda p, q, tol: solids.barrel_by_quadrature(p, q, tol=tol)),
+    "barrel-wedge": Shape({"p": "L", "T": "A"}, 3, "closed-form",
+                          lambda p, T, tol: solids.barrel_wedge(p, T)),
+    "cone": Shape({"b": "L", "beta": "R"}, 3, "quadrature",
+                  lambda b, beta, tol: solids.circular_cone(b, beta, tol),
+                  mc_region=lambda b, beta, k: mc_oracle.region_cone(b, beta, k)),
+    "equidistant": Shape({"p": "A", "q": "L"}, 3, "closed-form",
+                         lambda p, q, tol: solids.equidistant_body(p, q),
+                         mc_region=_equidistant_slab,
+                         twin=lambda p, q, tol: solids.equidistant_body_by_quadrature(
+                             p, q, tol=tol)),
+    "sector": Shape({"p": "A"}, 3, "closed-form", lambda p, tol: solids.paraspherical_sector(p)),
+    "asymptotic-cone": Shape({"b": "L"}, 3, "closed-form",
+                             lambda b, tol: solids.asymptotic_cone(b)),
+    "orthoscheme-edges": Shape({"a": "L", "b": "L", "c": "L"}, 3, "quadrature",
+                               lambda *e, tol: orthoscheme.volume_edges(e, tol),
+                               mc_region=lambda a, b, c, k: mc_oracle.region_simplex(
+                                   mc_oracle.orthoscheme_vertices(a, b, c, k), k)),
+    "orthoscheme-angles": Shape({"alpha": "R", "beta": "R", "gamma": "R"}, 3, "lobachevsky-series",
+                                lambda *a, tol: orthoscheme.volume_angles(a)),
+    "orthoscheme-one-ideal": Shape({"b": "L", "c": "L"}, 3, "quadrature",
+                                   lambda b, c, tol: orthoscheme.volume_one_ideal(b, c, tol)),
+    "orthoscheme-two-ideal": Shape({"b": "L"}, 3, "quadrature",
+                                   lambda b, tol: orthoscheme.volume_two_ideal(b, tol)),
+    "ideal-tetra-b": Shape({"b": "L"}, 3, "quadrature",
+                           lambda b, tol: orthoscheme.volume_ideal_tetrahedron_b(b, tol)),
+    "bolyai-1": Shape({"a": "L", "b": "L", "c": "L"}, 3, "quadrature",
+                      lambda *e, tol: orthoscheme.bolyai_integral_1(e, tol)),
+    "bolyai-asym-1": Shape({"alpha": "R", "c": "L"}, 3, "quadrature",
+                           lambda alpha, c, tol: orthoscheme.bolyai_asymptotic_1(alpha, c, tol)),
+    "bolyai-asym-2": Shape({"amax": "R", "b": "L"}, 3, "quadrature",
+                           lambda amax, b, tol: orthoscheme.bolyai_asymptotic_2(amax, b, tol)),
+    "ndim-orthoscheme": Shape({"edges": "N"}, None, "nested-quadrature", _ndim),
+    "milnor": Shape({"A": "R", "B": "R", "C": "R"}, 3, "lobachevsky-series",
+                    lambda A, B, C, tol: tetrahedra.milnor_ideal(A, B, C)),
+    "derevnin-mednykh": Shape(_SIX, 3, "quadrature",
+                              lambda *t, tol: tetrahedra.derevnin_mednykh(t, tol)),
+    "murakami-yano": Shape(_SIX, 3, "clausen-series", lambda *t, tol: tetrahedra.murakami_yano(t)),
+    "lambert-cube": Shape({"w0": "R", "w1": "R", "w2": "R", "theta": "R"}, 3, "lobachevsky-series",
+                          lambda *w, tol: tetrahedra.lambert_cube(*w)),
+    "mohanty": Shape({"A": "R", "B": "R", "E": "R"}, 3, "lobachevsky-series",
+                     lambda A, B, E, tol: tetrahedra.mohanty_octahedron(A, B, E)),
+    "triangle-2d": Shape({"a": "L", "b": "L"}, 2, "nested-quadrature",
+                         lambda a, b, tol: orthoscheme.area_right_triangle(a, b, tol)),
+}
+
+MC_SHAPES = tuple(name for name, s in SHAPES.items() if s.mc_region is not None)
+PARAM_NAMES = frozenset(name for s in SHAPES.values() for name in s.params)
+
+_SCALE = {
+    "L": lambda v, k: v / k,
+    "A": lambda v, k: v / (k * k),
+    "R": lambda v, k: v,
+    "N": lambda v, k: tuple(x / k for x in v),
+}
+
+
+def _lookup(shape) -> Shape:
+    if not isinstance(shape, str) or shape not in SHAPES:
+        raise DomainError(f"unknown shape {shape!r}")
+    return SHAPES[shape]
+
+
+def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-10):
+    """Volume of ``shape`` at curvature k. Returns (value, method, error estimate).
+
+    The evaluator runs at curvature 1 on the parameters rescaled by kind, and
+    value and error are multiplied by k**dim, which reproduces the native k
+    dependence of the closed forms exactly.  The error estimate is 0 for
+    ``EXACT_METHODS`` and the requested bound max(abs, rel |v|) otherwise.
+    """
+    entry = _lookup(shape)
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError(f"k must be positive, got {k!r}")
+    p1 = {name: _SCALE[kind](params[name], k) for name, kind in entry.params.items()}
+    tol = Tolerance(rel=reltol, abs=min(1e-14, reltol))
+    v1 = entry.evaluate(*p1.values(), tol=tol)
+    err1 = 0.0 if entry.method in EXACT_METHODS else max(tol.abs, tol.rel * abs(v1))
+    scale = k ** (len(params["edges"]) if entry.dim is None else entry.dim)
+    return v1 * scale, entry.method, err1 * scale
+
+
+def _number(name: str, v, cast=float):
+    """``cast(v)``, or a DomainError naming ``name`` when v is not a number."""
+    try:
+        return cast(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be a number, got {v!r}") from exc
+
+
+def collect_params(shape: str, src: dict, degrees: bool) -> dict:
+    """The parameters of ``shape`` read from ``src`` (CLI flags or a batch job),
+    angles converted from degrees when ``degrees`` is set.  DomainError for an
+    unknown shape, a missing or malformed parameter, or one of another shape."""
+    entry = _lookup(shape)
+    params = {}
+    for name, kind in entry.params.items():
+        v = src.get(name)
+        if v is None:
+            raise DomainError(f"shape {shape!r} requires parameter --{name}")
+        if kind == "N":
+            try:
+                if isinstance(v, str):
+                    v = tuple(float(t) for t in v.split(",") if t.strip())
+                else:
+                    v = tuple(float(t) for t in v)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"cannot parse edge list {v!r}") from exc
+            if len(v) < 2:
+                raise DomainError("ndim-orthoscheme needs at least 2 edges")
+        else:
+            v = _number(f"parameter {name!r}", v)
+            if kind == "R" and degrees:
+                v = math.radians(v)
+        params[name] = v
+    extras = sorted(k for k, v in src.items()
+                    if v is not None and k in PARAM_NAMES and k not in params)
+    if extras:
+        raise DomainError(f"parameters {extras} do not apply to shape {shape!r}")
+    return params
+
+
+def parse_job(job: dict) -> tuple:
+    """(shape, params, k, reltol, (mc samples, mc seed) or None) of one batch job;
+    DomainError for any missing or malformed field."""
+    shape = job["shape"]
+    params = collect_params(shape, job, bool(job.get("degrees", False)))
+    mc = job.get("mc")
+    if mc is not None and shape not in MC_SHAPES:
+        raise DomainError(f"shape {shape!r} has no Monte-Carlo region")
+    k = _number("k", job.get("k", 1.0))
+    reltol = _number("reltol", job.get("reltol", 1e-10))
+    if mc:
+        if not isinstance(mc, dict):
+            raise DomainError(f"mc must be an object, got {mc!r}")
+        mc = (_number("mc samples", mc.get("samples", 10 ** 6), int),
+              _number("mc seed", mc.get("seed", 0), int))
+    return shape, params, k, reltol, mc or None

@@ -7,6 +7,9 @@ oracle.
 
 Lengths scale with the curvature constant k; three-dimensional volumes obey
 v_k(params) = k^3 * v_1(params / k) for the length parameters.
+
+A closed form whose value lies beyond the float range (about 1.8e308)
+raises DomainError; each docstring states where that happens.
 """
 
 from __future__ import annotations
@@ -45,15 +48,28 @@ def _check_k(k: float) -> float:
     return k
 
 
+def _in_range(name: str, volume) -> float:
+    """``volume()``, or DomainError when its value lies beyond the float range."""
+    try:
+        v = volume()
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise DomainError(f"{name} volume exceeds the float range")
+    return v
+
+
 def equidistant_body(p: float, q: float, k: float = 1.0) -> float:
     """Body of one-sided perpendicular segments of length q over a base of area p.
 
-    Closed form p k sinh(2q/k) / 4 + p q / 2.
+    Closed form p k sinh(2q/k) / 4 + p q / 2.  DomainError beyond the float
+    range: at p = k = 1, for q above about 355.24.
     """
     p = _check_nonneg("base area p", p)
     q = _check_nonneg("height q", q)
     k = _check_k(k)
-    return 0.25 * p * k * math.sinh(2.0 * q / k) + 0.5 * p * q
+    return _in_range("equidistant body",
+                     lambda: 0.25 * p * k * math.sinh(2.0 * q / k) + 0.5 * p * q)
 
 
 def equidistant_body_by_quadrature(p, q, k=1.0, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -66,16 +82,24 @@ def equidistant_body_by_quadrature(p, q, k=1.0, tol: Tolerance = DEFAULT_TOL) ->
 
 
 def paraspherical_sector(p: float, k: float = 1.0) -> float:
-    """Sector of parallel half-lines over a horospherical base of area p: p k / 2."""
+    """Sector of parallel half-lines over a horospherical base of area p: p k / 2.
+
+    DomainError when p k / 2 lies beyond the float range.
+    """
     p = _check_nonneg("base area p", p)
-    return 0.5 * p * _check_k(k)
+    k = _check_k(k)
+    return _in_range("sector", lambda: 0.5 * p * k)
 
 
 def sphere_volume(x: float, k: float = 1.0) -> float:
-    """Ball of hyperbolic radius x: pi k^3 sinh(2x/k) - 2 pi k^2 x."""
+    """Ball of hyperbolic radius x: pi k^3 sinh(2x/k) - 2 pi k^2 x.
+
+    DomainError beyond the float range: at k = 1, for x above about 354.67.
+    """
     x = _check_nonneg("radius x", x)
     k = _check_k(k)
-    return math.pi * k ** 3 * math.sinh(2.0 * x / k) - 2.0 * math.pi * k ** 2 * x
+    return _in_range(
+        "ball", lambda: math.pi * k ** 3 * math.sinh(2.0 * x / k) - 2.0 * math.pi * k ** 2 * x)
 
 
 def sphere_volume_by_quadrature(x, k=1.0, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -90,12 +114,13 @@ def barrel(p: float, q: float, k: float = 1.0) -> float:
     """Tube of radius q around a segment of length p: pi k^2 p sinh^2(q/k).
 
     The body is the union of perpendicular disks along the segment (the
-    spherical caps beyond the segment ends are not part of it).
+    spherical caps beyond the segment ends are not part of it).  DomainError
+    beyond the float range: at p = k = 1, for q above about 355.01.
     """
     p = _check_nonneg("segment length p", p)
     q = _check_nonneg("tube radius q", q)
     k = _check_k(k)
-    return math.pi * k ** 2 * p * math.sinh(q / k) ** 2
+    return _in_range("barrel", lambda: math.pi * k ** 2 * p * math.sinh(q / k) ** 2)
 
 
 def barrel_by_quadrature(p, q, k=1.0, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -114,11 +139,11 @@ def barrel_wedge(p: float, T: float) -> float:
 
     p is the length of the outer circular arc, T the meridian cross-section
     area.  Pure product formula; no attempt is made to derive p and T from
-    the tube parameters.
+    the tube parameters.  DomainError when p T / 2 lies beyond the float range.
     """
     p = _check_nonneg("arc length p", p)
     T = _check_nonneg("meridian area T", T)
-    return 0.5 * p * T
+    return _in_range("barrel wedge", lambda: 0.5 * p * T)
 
 
 def circular_cone(b: float, beta: float, tol: Tolerance = DEFAULT_TOL, k: float = 1.0) -> float:
@@ -149,8 +174,15 @@ def circular_cone(b: float, beta: float, tol: Tolerance = DEFAULT_TOL, k: float 
 def asymptotic_cone(b: float, k: float = 1.0) -> float:
     """Cone over a circle of radius b whose apex is an ideal point: pi ln cosh b.
 
-    Stated at curvature 1; general k by v_k(b) = k^3 v_1(b/k).
+    Stated at curvature 1; general k by v_k(b) = k^3 v_1(b/k).  Where cosh b/k
+    overflows (b/k above about 710.48), ln cosh b/k = b/k - ln 2 to rounding,
+    so the value stays finite; DomainError only when it lies beyond the float
+    range, that is when pi k^2 b exceeds about 1.8e308.
     """
     b = _check_nonneg("base radius b", b)
     k = _check_k(k)
-    return k ** 3 * math.pi * math.log(math.cosh(b / k))
+    try:
+        log_cosh = math.log(math.cosh(b / k))
+    except OverflowError:
+        log_cosh = b / k - math.log(2.0)
+    return _in_range("asymptotic cone", lambda: k ** 3 * math.pi * log_cosh)

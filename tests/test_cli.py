@@ -4,15 +4,19 @@ import csv
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from hypervol import orthoscheme, solids, tetrahedra
 from hypervol.cli import (
     EXIT_INVALID,
     EXIT_NOT_REALIZABLE,
     EXIT_OK,
     main,
 )
+from hypervol.shapes import MC_SHAPES, SHAPES
 
 SPHERE_11 = 5.11093270570828898
 REGULAR_IDEAL = 1.01494160640965363
@@ -176,3 +180,171 @@ def test_batch_validation_blocks_all_output(tmp_path, capsys):
 def test_batch_missing_file(capsys):
     assert main(["batch", "/nonexistent/jobs.json"]) == 5
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the shape table, end to end
+# ---------------------------------------------------------------------------
+
+K = 1.3
+PI_MINUS_2 = math.pi - 2.0
+SIX = dict.fromkeys("ABCDEF", 1.1)
+
+# shape: (CLI parameters, method label, dimension, library volume at curvature 1
+# of the parameters rescaled by K: lengths / K, areas / K^2, angles unchanged)
+VOL_CASES = {
+    "sphere": ({"x": 1.0}, "closed-form", 3, lambda: solids.sphere_volume(1.0 / K)),
+    "barrel": ({"p": 1.0, "q": 0.7}, "closed-form", 3,
+               lambda: solids.barrel(1.0 / K, 0.7 / K)),
+    "barrel-wedge": ({"p": 1.2, "T": 0.8}, "closed-form", 3,
+                     lambda: solids.barrel_wedge(1.2 / K, 0.8 / K**2)),
+    "cone": ({"b": 1.0, "beta": 0.7}, "quadrature", 3,
+             lambda: solids.circular_cone(1.0 / K, 0.7)),
+    "equidistant": ({"p": 0.9, "q": 0.6}, "closed-form", 3,
+                    lambda: solids.equidistant_body(0.9 / K**2, 0.6 / K)),
+    "sector": ({"p": 1.5}, "closed-form", 3, lambda: solids.paraspherical_sector(1.5 / K**2)),
+    "asymptotic-cone": ({"b": 1.1}, "closed-form", 3, lambda: solids.asymptotic_cone(1.1 / K)),
+    "orthoscheme-edges": ({"a": 1.0, "b": 0.8, "c": 0.6}, "quadrature", 3,
+                          lambda: orthoscheme.volume_edges((1.0 / K, 0.8 / K, 0.6 / K))),
+    "orthoscheme-angles": ({"alpha": 0.54, "beta": 1.1, "gamma": 0.71}, "lobachevsky-series", 3,
+                           lambda: orthoscheme.volume_angles((0.54, 1.1, 0.71))),
+    "orthoscheme-one-ideal": ({"b": 1.0, "c": 0.8}, "quadrature", 3,
+                              lambda: orthoscheme.volume_one_ideal(1.0 / K, 0.8 / K)),
+    "orthoscheme-two-ideal": ({"b": 1.0}, "quadrature", 3,
+                              lambda: orthoscheme.volume_two_ideal(1.0 / K)),
+    "ideal-tetra-b": ({"b": 1.0}, "quadrature", 3,
+                      lambda: orthoscheme.volume_ideal_tetrahedron_b(1.0 / K)),
+    "bolyai-1": ({"a": 1.0, "b": 0.8, "c": 0.6}, "quadrature", 3,
+                 lambda: orthoscheme.bolyai_integral_1((1.0 / K, 0.8 / K, 0.6 / K))),
+    "bolyai-asym-1": ({"alpha": 0.7, "c": 1.0}, "quadrature", 3,
+                      lambda: orthoscheme.bolyai_asymptotic_1(0.7, 1.0 / K)),
+    "bolyai-asym-2": ({"amax": 0.5, "b": 1.0}, "quadrature", 3,
+                      lambda: orthoscheme.bolyai_asymptotic_2(0.5, 1.0 / K)),
+    "ndim-orthoscheme": ({"edges": "0.6,0.5,0.4"}, "nested-quadrature", 3,
+                         lambda: orthoscheme.volume_ndim((0.6 / K, 0.5 / K, 0.4 / K))),
+    "milnor": ({"A": 1.0, "B": 1.0, "C": PI_MINUS_2}, "lobachevsky-series", 3,
+               lambda: tetrahedra.milnor_ideal(1.0, 1.0, PI_MINUS_2)),
+    "derevnin-mednykh": (SIX, "quadrature", 3,
+                         lambda: tetrahedra.derevnin_mednykh(tuple(SIX.values()))),
+    "murakami-yano": (SIX, "clausen-series", 3,
+                      lambda: tetrahedra.murakami_yano(tuple(SIX.values()))),
+    "lambert-cube": ({"w0": 0.3, "w1": 0.6, "w2": 0.9, "theta": 1.0}, "lobachevsky-series", 3,
+                     lambda: tetrahedra.lambert_cube(0.3, 0.6, 0.9, 1.0)),
+    "mohanty": ({"A": 1.2, "B": 1.3, "E": 1.4}, "lobachevsky-series", 3,
+                lambda: tetrahedra.mohanty_octahedron(1.2, 1.3, 1.4)),
+    "triangle-2d": ({"a": 1.0, "b": 0.8}, "nested-quadrature", 2,
+                    lambda: orthoscheme.area_right_triangle(1.0 / K, 0.8 / K)),
+}
+
+# parameters of the shapes with a Monte-Carlo region
+MC_CASES = {
+    "sphere": {"x": 1.0},
+    "barrel": {"p": 1.0, "q": 0.5},
+    "cone": {"b": 1.0, "beta": 0.7},
+    "equidistant": {"p": 0.9, "q": 0.6},
+    "orthoscheme-edges": {"a": 1.0, "b": 0.8, "c": 0.6},
+}
+
+
+def flags(params):
+    return [a for name, v in params.items() for a in (f"--{name}", str(v))]
+
+
+def run_batch(tmp_path, capsys, jobs, *extra):
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps(jobs))
+    code = main(["batch", str(path), *extra])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_cases_cover_the_table():
+    assert set(VOL_CASES) == set(SHAPES)
+    assert set(MC_CASES) == set(MC_SHAPES)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_vol_every_shape_is_the_library_value_times_k_dim(shape, capsys):
+    params, method, dim, direct = VOL_CASES[shape]
+    code, recs = run(capsys, "vol", shape, *flags(params), "--k", str(K))
+    assert code == EXIT_OK
+    assert recs[0]["method"] == method
+    assert recs[0]["volume"] == pytest.approx(direct() * K**dim, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", sorted(MC_SHAPES))
+def test_mc_every_region_agrees_and_repeats(shape, capsys):
+    argv = ["mc", shape, *flags(MC_CASES[shape]), "--samples", "10000", "--seed", "5"]
+    code, recs = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert abs(recs[0]["z_score"]) <= 4.0
+    _, again = run(capsys, *argv)
+    assert again[0]["mc_mean"] == recs[0]["mc_mean"]
+
+
+def test_readme_shape_table_lists_the_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = {}
+    for line in readme.splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and "--" in cells[2]:
+            for name in re.findall(r"`([\w-]+)`", cells[1]):
+                documented[name] = set(re.findall(r"--(\w+)", cells[2]))
+    assert documented == {name: set(s.params) for name, s in SHAPES.items()}
+
+
+# ---------------------------------------------------------------------------
+# regressions
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [
+    {"shape": "sphere", "x": 1, "k": "abc"},
+    {"shape": "sphere", "x": "one"},
+    {"shape": "sphere", "x": 1, "reltol": None},
+    {"shape": "sphere", "x": 1, "mc": 5},
+    {"shape": "sphere", "x": 1, "mc": {"samples": "many"}},
+    {"shape": "sphere", "x": [1]},
+    {"shape": ["sphere"], "x": 1},
+    {"shape": "ndim-orthoscheme", "edges": 5},
+])
+def test_batch_malformed_field_exit_2_before_output(tmp_path, capsys, bad):
+    code, out, err = run_batch(tmp_path, capsys, [{"shape": "sphere", "x": 1.0}, bad])
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error: job 1: ")
+
+
+def test_batch_out_of_range_value_stays_a_job_error(tmp_path, capsys):
+    jobs = [{"shape": "sphere", "x": 1.0}, {"shape": "sphere", "x": 1.0, "k": 0}]
+    code, out, err = run_batch(tmp_path, capsys, jobs)
+    assert code == EXIT_INVALID
+    assert len(out.splitlines()) == 1
+    assert err.startswith("error: sphere: ")
+
+
+def test_batch_csv_header_is_the_union_of_record_keys(tmp_path, capsys):
+    jobs = [{"shape": "sphere", "x": 1.0},
+            {"shape": "sphere", "x": 1.0, "mc": {"samples": 10000, "seed": 1}}]
+    code, out, _ = run_batch(tmp_path, capsys, jobs, "--format", "csv")
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert list(rows[0]) == ["shape", "params", "k", "volume", "method", "error_estimate",
+                             "mc_mean", "mc_stderr", "z_score", "samples", "seed"]
+    assert rows[0]["mc_mean"] == ""
+    assert float(rows[1]["mc_mean"]) == pytest.approx(SPHERE_11, rel=0.05)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sphere", "--x", "800"],
+    ["barrel", "--p", "1", "--q", "800"],
+    ["equidistant", "--p", "1", "--q", "800"],
+])
+def test_closed_form_beyond_float_range_exit_2(capsys, argv):
+    assert main(["vol", *argv]) == EXIT_INVALID
+    assert "exceeds the float range" in capsys.readouterr().err
+
+
+def test_asymptotic_cone_stays_finite_where_cosh_overflows(capsys):
+    code, recs = run(capsys, "vol", "asymptotic-cone", "--b", "800")
+    assert code == EXIT_OK
+    assert recs[0]["volume"] == pytest.approx(math.pi * (800.0 - math.log(2.0)), rel=1e-14)
