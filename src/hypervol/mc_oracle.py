@@ -93,8 +93,10 @@ def estimate(
     """Unbiased Monte-Carlo estimate of the region's hyperbolic volume.
 
     Deterministic for fixed (seed, samples, shards).  ``k`` defaults to the
-    curvature the region was built with.
+    curvature the region was built with.  DomainError for a negative seed.
     """
+    if int(seed) < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     samples = int(samples)
     if samples < 10_000:
         raise DomainError(f"at least 10^4 samples required, got {samples}")

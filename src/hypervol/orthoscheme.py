@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from . import quadrature
@@ -58,13 +59,33 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
+# largest arguments whose sinh and cosh (710.4759), and whose squares of
+# sinh and cosh (355.5845), stay inside the float range
+_SINH_MAX = math.asinh(sys.float_info.max)
+_SINH2_MAX = math.asinh(math.sqrt(sys.float_info.max))
 
 
-def _check_positive(name: str, v: float) -> float:
+def _check_positive(name: str, v: float, limit: float = math.inf) -> float:
+    """float(v), or DomainError unless 0 < v <= limit (limit: the float-range
+    threshold of the route, _SINH_MAX or _SINH2_MAX)."""
     v = float(v)
     if not (math.isfinite(v) and v > 0.0):
         raise DomainError(f"{name} must be finite and positive, got {v!r}")
+    if v > limit:
+        raise DomainError(
+            f"{name} = {v!r} exceeds {limit:.4f}, beyond which the route leaves the float range"
+        )
     return v
+
+
+def _atanh_bound(u: float) -> float:
+    """atanh(u), or DomainError when u >= 1 (an edge so long that tanh of it
+    rounds to 1)."""
+    if u >= 1.0:
+        raise DomainError(
+            f"bound atanh(u) with u = {u!r} >= 1: an edge is too long for tanh to stay below 1"
+        )
+    return math.atanh(u)
 
 
 @dataclass(frozen=True)
@@ -164,9 +185,12 @@ def edges_to_angles(edges: OrthoschemeEdges | tuple) -> OrthoschemeAngles:
 
     alpha = atan(tanh c / sinh b), gamma = atan(tanh a / sinh b),
     tan delta = tanh a tanh c / sinh b, and beta from tan beta =
-    tanh z / tan delta with z the long diagonal.
+    tanh z / tan delta with z the long diagonal.  DomainError for an edge
+    above 710.4759, where sinh and cosh leave the float range.
     """
     e = edges if isinstance(edges, OrthoschemeEdges) else OrthoschemeEdges(*edges)
+    for name in ("a", "b", "c"):
+        _check_positive(f"edge {name}", getattr(e, name), _SINH_MAX)
     sb = math.sinh(e.b)
     alpha = math.atan(math.tanh(e.c) / sb)
     gamma = math.atan(math.tanh(e.a) / sb)
@@ -232,9 +256,13 @@ def volume_edges(edges: OrthoschemeEdges | tuple, tol: Tolerance = DEFAULT_TOL) 
 
     v = 1/4 int_0^b  tanh(l) sinh(a) / sqrt(tanh^2 b cosh^2 l + sinh^2 a sinh^2 l)
                      * ln((sinh b + tanh c sinh l)/(sinh b - tanh c sinh l)) dl
+
+    DomainError for a or b above 710.4759, where sinh leaves the float range.
     """
     e = edges if isinstance(edges, OrthoschemeEdges) else OrthoschemeEdges(*edges)
-    ratio = math.tanh(e.b) / math.sinh(e.a)  # underflows harmlessly for huge a
+    _check_positive("edge a", e.a, _SINH_MAX)
+    _check_positive("edge b", e.b, _SINH_MAX)
+    ratio = math.tanh(e.b) / math.sinh(e.a)
 
     def f(lam: float) -> float:
         T = math.tanh(lam) / math.hypot(ratio * math.cosh(lam), math.sinh(lam))
@@ -270,18 +298,30 @@ def bolyai_integral_1(edges: OrthoschemeEdges | tuple, tol: Tolerance = DEFAULT_
 
     with alpha the dihedral angle at a, b_p = atan(tanh b / sinh a) and
     g_p = atan(tanh c / sinh z) the planar angles at the origin vertex
-    (z the diagonal with cosh z = cosh a cosh b).
+    (z the diagonal with cosh z = cosh a cosh b).  Each cosh^2 t / cos^2 x - 1
+    is evaluated as (sinh^2 t + sin^2 x) / cos^2 x, which does not cancel
+    when cos^2 x rounds to 1.  DomainError for a or b above 710.4759 and for
+    c above 355.5845, where sinh and sinh^2 leave the float range, and when
+    the denominator underflows to 0 (at a = 1, c = 0.6 for b above about
+    240; at a = b = 1 for c below about 1e-110).
     """
     e = edges if isinstance(edges, OrthoschemeEdges) else OrthoschemeEdges(*edges)
+    _check_positive("edge a", e.a, _SINH_MAX)
+    _check_positive("edge b", e.b, _SINH_MAX)
+    _check_positive("edge c", e.c, _SINH2_MAX)
     alpha = math.atan(math.tanh(e.c) / math.sinh(e.b))
     beta_p = math.atan(math.tanh(e.b) / math.sinh(e.a))
     gamma_p = math.atan(math.tanh(e.c) / math.sinh(e.z))
-    ca2 = math.cos(alpha) ** 2
-    cg2 = math.cos(gamma_p) ** 2
+    sa2, ca2 = math.sin(alpha) ** 2, math.cos(alpha) ** 2
+    sg2, cg2 = math.sin(gamma_p) ** 2, math.cos(gamma_p) ** 2
 
     def f(t: float) -> float:
-        ch2 = math.cosh(t) ** 2
-        return t * math.sinh(t) / ((ch2 / ca2 - 1.0) * math.sqrt(ch2 / cg2 - 1.0))
+        sh = math.sinh(t)
+        sh2 = sh ** 2
+        den = (sh2 + sa2) / ca2 * math.sqrt((sh2 + sg2) / cg2)
+        if den == 0.0:
+            raise DomainError(f"bolyai_integral_1 denominator underflows to 0 at t = {t!r}")
+        return t * sh / den
 
     res = quadrature.integrate_1d(f, 0.0, e.c, tol)
     return 0.5 * math.tan(gamma_p) / math.tan(beta_p) * res.value
@@ -291,8 +331,10 @@ def volume_one_ideal(b: float, c: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Volume of the orthoscheme whose first edge runs to an ideal point.
 
     v = 1/4 int_0^b ln((sinh b + tanh c sinh l)/(sinh b - tanh c sinh l)) / cosh l dl
+
+    DomainError for b above 710.4759, where sinh b leaves the float range.
     """
-    b = _check_positive("edge b", b)
+    b = _check_positive("edge b", b, _SINH_MAX)
     c = _check_positive("edge c", c)
 
     def f(lam: float) -> float:
@@ -305,9 +347,10 @@ def volume_two_ideal(b: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Volume of the orthoscheme with two ideal vertices.
 
     v = 1/4 int_0^b ln((sinh b + sinh l)/(sinh b - sinh l)) / cosh l dl;
-    the integrand has an integrable log singularity at l = b.
+    the integrand has an integrable log singularity at l = b.  DomainError
+    for b above 710.4759, where sinh b leaves the float range.
     """
-    b = _check_positive("edge b", b)
+    b = _check_positive("edge b", b, _SINH_MAX)
 
     def f(lam: float) -> float:
         return _log_ratio(b, None, lam) / math.cosh(lam)
@@ -325,11 +368,13 @@ def bolyai_asymptotic_1(alpha: float, c: float, tol: Tolerance = DEFAULT_TOL) ->
     """Ideal-apex orthoscheme volume, angle form:
 
     v = sin(2 alpha)/4 * int_0^c t / (cosh^2 t - cos^2 alpha) dt
+
+    DomainError for c above 355.5845, where cosh^2 leaves the float range.
     """
     alpha = float(alpha)
     if not (0.0 < alpha < _HALF_PI):
         raise DomainError(f"alpha must lie in (0, pi/2), got {alpha!r}")
-    c = _check_positive("edge c", c)
+    c = _check_positive("edge c", c, _SINH2_MAX)
     ca2 = math.cos(alpha) ** 2
 
     def f(t: float) -> float:
@@ -376,13 +421,15 @@ def area_right_triangle(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> flo
     int_0^a int_0^{phi(x)} cosh y dy dx,  tanh phi(x) = (tanh b / sinh a) sinh x.
 
     Equals the angle defect pi/2 - alpha - beta of the same triangle.
+    DomainError for a above 710.4759, where sinh a leaves the float range,
+    and when a bound argument reaches 1 (see volume_ndim).
     """
-    a = _check_positive("leg a", a)
+    a = _check_positive("leg a", a, _SINH_MAX)
     b = _check_positive("leg b", b)
     ratio = math.tanh(b) / math.sinh(a)
 
     def bound(x: float) -> float:
-        return math.atanh(ratio * math.sinh(x))
+        return _atanh_bound(ratio * math.sinh(x))
 
     res = quadrature.integrate_nested(
         lambda x, y: math.cosh(y), (0.0, a), [bound], tol
@@ -402,36 +449,65 @@ def lemma_angle(t: float, s: float) -> float:
     return math.atan(math.tanh(t) / math.sinh(s))
 
 
+def _cosh_power_integral(m: int, u: float) -> float:
+    """int_0^{atanh u} cosh^m y dy by the reduction formula.
+
+    With c = cosh(atanh u) = 1/sqrt((1-u)(1+u)) and s = sinh(atanh u) = u c:
+    I_0 = atanh u, I_1 = s, I_m = c^(m-1) s / m + (m-1)/m I_(m-2).
+    DomainError when u >= 1.
+    """
+    t = _atanh_bound(u)
+    c = 1.0 / math.sqrt((1.0 - u) * (1.0 + u))
+    s = u * c
+    val = t if m % 2 == 0 else s
+    for j in range(2 + m % 2, m + 1, 2):
+        val = c ** (j - 1) * s / j + (j - 1) / j * val
+    return val
+
+
 def volume_ndim(o: NdimOrthoscheme | tuple, tol: Tolerance | None = None) -> float:
     """n-volume of the n-dimensional orthoscheme by nested quadrature.
 
     Integration order is x_n (outer, over [0, a_n]) then x_1 .. x_{n-1},
     each bounded by tanh(phi_{k+1}) = (tanh a_{k+1} / sinh a_k) sinh x_k
-    (x_0 read as x_n), with density prod_i cosh^i(x_i).  Supported for
-    2 <= n <= 4; for n = 3 this reproduces volume_edges, for n = 2
-    area_right_triangle.
+    (x_0 read as x_n), with density prod_i cosh^i(x_i).  The innermost level
+    has a closed form: with u = (tanh a_{n-1} / sinh a_{n-2}) sinh x_{n-2},
+    int_0^{atanh u} cosh^{n-1} y dy follows from the reduction formula
+    int cosh^m = cosh^{m-1} sinh / m + (m-1)/m int cosh^{m-2}, so only n - 1
+    levels are integrated numerically (one 1-D integral for n = 2).
+
+    Supported for 2 <= n <= 5; for n = 3 this reproduces volume_edges, for
+    n = 2 area_right_triangle.
+
+    DomainError for an edge above 710.4759, where sinh leaves the float
+    range; for an edge a_1 .. a_{n-1} above 19.0615 (curvature 1), where
+    tanh a rounds to 1 and the bounds atanh(u), u = ratio * sinh x, blow up
+    at the end of their range; and whenever rounding makes such a u reach 1.
     """
     o = o if isinstance(o, NdimOrthoscheme) else NdimOrthoscheme(o)
     n = o.n
-    if not (2 <= n <= 4):
-        raise UnsupportedDimensionError(f"volume_ndim supports 2 <= n <= 4, got {n}")
+    if not (2 <= n <= 5):
+        raise UnsupportedDimensionError(f"volume_ndim supports 2 <= n <= 5, got {n}")
     tol = tol or Tolerance(rel=1e-9, abs=1e-13)
     a = o.edges
+    for v in a:
+        _check_positive("edge", v, _SINH_MAX)
+    if any(math.tanh(v) == 1.0 for v in a[:-1]):
+        raise DomainError(f"edges {a[:-1]} include one whose tanh rounds to 1 (above 19.0615)")
     ratios = [math.tanh(a[0]) / math.sinh(a[n - 1])]
     ratios += [math.tanh(a[i + 1]) / math.sinh(a[i]) for i in range(n - 2)]
 
-    bounds = [
-        (lambda i: (lambda *vals: math.atanh(ratios[i] * math.sinh(vals[-1]))))(i)
-        for i in range(n - 1)
-    ]
+    def bound(i):
+        return lambda *vals: _atanh_bound(ratios[i] * math.sinh(vals[-1]))
 
     def integrand(*vals):
-        # vals = (x_n, x_1, .., x_{n-1})
-        d = 1.0
-        for i in range(1, n):
+        # vals = (x_n, x_1, .., x_{n-2}); x_{n-1} is integrated in closed form
+        d = _cosh_power_integral(n - 1, ratios[n - 2] * math.sinh(vals[-1]))
+        for i in range(1, n - 1):
             d *= math.cosh(vals[i]) ** i
         return d
 
+    bounds = [bound(i) for i in range(n - 2)]
     res = quadrature.integrate_nested(integrand, (0.0, a[n - 1]), bounds, tol)
     return res.value
 

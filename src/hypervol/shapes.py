@@ -54,11 +54,6 @@ def _equidistant_slab(p: float, q: float, k: float) -> mc_oracle.Region:
     return mc_oracle.region_slab((w1, w2), q, k)
 
 
-def _ndim(edges: tuple, tol: Tolerance) -> float:
-    # integrates at rel >= 1e-9; the reported bound still uses the requested rel
-    return orthoscheme.volume_ndim(edges, Tolerance(rel=max(tol.rel, 1e-9), abs=1e-13))
-
-
 _SIX = dict.fromkeys("ABCDEF", "R")
 
 SHAPES: dict[str, Shape] = {
@@ -100,7 +95,8 @@ SHAPES: dict[str, Shape] = {
                            lambda alpha, c, tol: orthoscheme.bolyai_asymptotic_1(alpha, c, tol)),
     "bolyai-asym-2": Shape({"amax": "R", "b": "L"}, 3, "quadrature",
                            lambda amax, b, tol: orthoscheme.bolyai_asymptotic_2(amax, b, tol)),
-    "ndim-orthoscheme": Shape({"edges": "N"}, None, "nested-quadrature", _ndim),
+    "ndim-orthoscheme": Shape({"edges": "N"}, None, "nested-quadrature",
+                              lambda edges, tol: orthoscheme.volume_ndim(edges, tol)),
     "milnor": Shape({"A": "R", "B": "R", "C": "R"}, 3, "lobachevsky-series",
                     lambda A, B, C, tol: tetrahedra.milnor_ideal(A, B, C)),
     "derevnin-mednykh": Shape(_SIX, 3, "quadrature",
@@ -138,6 +134,8 @@ def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-
     value and error are multiplied by k**dim, which reproduces the native k
     dependence of the closed forms exactly.  The error estimate is 0 for
     ``EXACT_METHODS`` and the requested bound max(abs, rel |v|) otherwise.
+    DomainError when k**dim or the scaled volume lies beyond the float range
+    (about 1.8e308; for dim 3, k above about 5.6e102).
     """
     entry = _lookup(shape)
     if not (math.isfinite(k) and k > 0.0):
@@ -146,7 +144,13 @@ def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-
     tol = Tolerance(rel=reltol, abs=min(1e-14, reltol))
     v1 = entry.evaluate(*p1.values(), tol=tol)
     err1 = 0.0 if entry.method in EXACT_METHODS else max(tol.abs, tol.rel * abs(v1))
-    scale = k ** (len(params["edges"]) if entry.dim is None else entry.dim)
+    dim = len(params["edges"]) if entry.dim is None else entry.dim
+    try:
+        scale = k ** dim
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(v1 * scale):
+        raise DomainError(f"volume at k = {k!r} lies beyond the float range (k**{dim} = {scale!r})")
     return v1 * scale, entry.method, err1 * scale
 
 

@@ -15,6 +15,7 @@ raises DomainError; each docstring states where that happens.
 from __future__ import annotations
 
 import math
+import sys
 
 from . import quadrature
 from .errors import DomainError
@@ -32,6 +33,9 @@ __all__ = [
     "circular_cone",
     "asymptotic_cone",
 ]
+
+# largest argument whose sinh^2 stays inside the float range (355.5845)
+_SINH2_MAX = math.asinh(math.sqrt(sys.float_info.max))
 
 
 def _check_nonneg(name: str, v: float) -> float:
@@ -154,6 +158,7 @@ def circular_cone(b: float, beta: float, tol: Tolerance = DEFAULT_TOL, k: float 
         v = pi int_0^b sinh^2 y / (cosh y sqrt(cosh^2 y / cos^2 beta - 1)) dy
 
     General k is handled by the scaling identity v_k(b, beta) = k^3 v_1(b/k, beta).
+    DomainError for b/k above 355.5845, where sinh^2 y leaves the float range.
     """
     b = _check_nonneg("base radius b", b)
     beta = float(beta)
@@ -161,6 +166,10 @@ def circular_cone(b: float, beta: float, tol: Tolerance = DEFAULT_TOL, k: float 
         raise DomainError(f"half-angle beta must lie in (0, pi/2), got {beta!r}")
     k = _check_k(k)
     b1 = b / k
+    if b1 > _SINH2_MAX:
+        raise DomainError(
+            f"cone radius b/k = {b1!r} exceeds {_SINH2_MAX:.4f}, where sinh^2 leaves the float range"
+        )
     cos2 = math.cos(beta) ** 2
 
     def f(y: float) -> float:

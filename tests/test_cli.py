@@ -16,6 +16,7 @@ from hypervol.cli import (
     EXIT_OK,
     main,
 )
+from hypervol.quadrature import Tolerance
 from hypervol.shapes import MC_SHAPES, SHAPES
 
 SPHERE_11 = 5.11093270570828898
@@ -348,3 +349,35 @@ def test_asymptotic_cone_stays_finite_where_cosh_overflows(capsys):
     code, recs = run(capsys, "vol", "asymptotic-cone", "--b", "800")
     assert code == EXIT_OK
     assert recs[0]["volume"] == pytest.approx(math.pi * (800.0 - math.log(2.0)), rel=1e-14)
+
+
+@pytest.mark.parametrize("argv", [
+    ["vol", "cone", "--b", "800", "--beta", "0.7"],
+    ["vol", "orthoscheme-one-ideal", "--b", "800", "--c", "1"],
+    ["vol", "triangle-2d", "--a", "800", "--b", "800"],
+    ["vol", "sphere", "--x", "1", "--k", "1e200"],
+    ["vol", "ndim-orthoscheme", "--edges", "20,0.5,0.5"],
+    ["mc", "sphere", "--x", "1", "--samples", "10000", "--seed", "-1"],
+])
+def test_leaked_python_errors_exit_2(capsys, argv):
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_ndim_integrates_at_the_requested_tolerance(capsys, monkeypatch):
+    seen = []
+    route = orthoscheme.volume_ndim
+
+    def spy(edges, tol):
+        seen.append(tol)
+        return route(edges, tol)
+
+    monkeypatch.setattr(orthoscheme, "volume_ndim", spy)
+    code, recs = run(capsys, "vol", "ndim-orthoscheme", "--edges", "0.6,0.5,0.4",
+                     "--reltol", "1e-12")
+    assert code == EXIT_OK
+    assert [t.rel for t in seen] == [1e-12]
+    v = recs[0]["volume"]
+    assert recs[0]["error_estimate"] == max(1e-14, 1e-12 * abs(v))
+    reference = orthoscheme.volume_edges((0.4, 0.6, 0.5), Tolerance(rel=1e-14, abs=0.0))
+    assert v == pytest.approx(reference, abs=recs[0]["error_estimate"])

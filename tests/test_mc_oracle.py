@@ -159,3 +159,8 @@ def test_region_curvature_respected():
     r = mc.region_ball(1.0, k=2.0)
     e = mc.estimate(r, 200_000, seed=19)
     assert abs(e.mean - solids.sphere_volume(1.0, k=2.0)) <= 4.0 * e.stderr
+
+
+def test_negative_seed_is_a_domain_error():
+    with pytest.raises(DomainError):
+        mc.estimate(mc.region_ball(1.0), 10_000, seed=-1)

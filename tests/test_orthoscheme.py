@@ -7,11 +7,14 @@ independent adaptive quadrature (scipy QUADPACK at 1e-13 tolerances).
 import math
 import random
 
+import mpmath
+import numpy as np
 import pytest
 
 from hypervol.errors import DomainError, NotRealizableError, UnsupportedDimensionError
 from hypervol.orthoscheme import (
     NdimOrthoscheme,
+    _cosh_power_integral,
     OrthoschemeAngles,
     OrthoschemeEdges,
     angles_to_edges,
@@ -255,7 +258,7 @@ def test_ndim_euclidean_limits():
 
 def test_ndim_dimension_guard():
     with pytest.raises(UnsupportedDimensionError):
-        volume_ndim((0.5, 0.5, 0.5, 0.5, 0.5))
+        volume_ndim((0.5, 0.5, 0.5, 0.5, 0.5, 0.5))
     with pytest.raises(DomainError):
         NdimOrthoscheme((1.0,))
 
@@ -292,3 +295,82 @@ def test_sampler_is_deterministic_and_valid():
     for ang in s1:
         assert ang.delta < min(ang.alpha, ang.gamma, math.pi / 2 - ang.beta)
         angles_to_edges(ang)  # must not raise
+
+
+def _tensor_gauss_legendre(edges, m=24):
+    """n-orthoscheme volume by an m-point Gauss-Legendre rule on every level
+    (bounds and density as in volume_ndim, no closed-form level); the outer
+    level is a Python loop so each step holds m^(n-1) points."""
+    t, w = np.polynomial.legendre.leggauss(m)
+    t, w = (t + 1.0) / 2.0, w / 2.0
+    n = len(edges)
+    ratios = [math.tanh(edges[0]) / math.sinh(edges[-1])]
+    ratios += [math.tanh(edges[i + 1]) / math.sinh(edges[i]) for i in range(n - 2)]
+    total = 0.0
+    for x_out, w_out in zip(edges[-1] * t, edges[-1] * w):
+        x, weight = np.array(x_out), np.array(w_out)
+        for i in range(n - 1):
+            top = np.arctanh(ratios[i] * np.sinh(x))[..., None]
+            x = top * t
+            weight = weight[..., None] * top * w * np.cosh(x) ** (i + 1)
+        total += weight.sum()
+    return float(total)
+
+
+@pytest.mark.parametrize("edges", [
+    (0.6, 0.5, 0.4), (1.0, 0.7, 1.2), (0.3, 1.1, 0.8),
+    (0.4, 0.4, 0.4, 0.4), (0.5, 0.3, 0.45, 0.35), (0.7, 0.6, 0.5, 0.8),
+    (0.3, 0.3, 0.3, 0.3, 0.3), (0.35, 0.25, 0.4, 0.3, 0.2),
+])
+def test_ndim_matches_tensor_gauss_legendre(edges):
+    v = volume_ndim(edges, Tolerance(rel=1e-13, abs=0.0))
+    assert v == pytest.approx(_tensor_gauss_legendre(edges), rel=1e-12)
+
+
+def test_ndim_euclidean_limit_n5():
+    eps = 0.01
+    v5 = volume_ndim((eps,) * 5, Tolerance(rel=1e-7, abs=1e-22))
+    assert v5 == pytest.approx(eps ** 5 / 120.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_cosh_power_integral_matches_mpmath(m):
+    mpmath.mp.dps = 30
+    for u in (1e-8, 0.3, 0.9, 0.999999):
+        ref = mpmath.quad(lambda y: mpmath.cosh(y) ** m, [0, mpmath.atanh(u)])
+        assert _cosh_power_integral(m, u) == pytest.approx(float(ref), rel=1e-14)
+
+
+@pytest.mark.parametrize("edges", [
+    (20.0, 0.5, 0.5), (20.0, 0.5), (25.0, 0.5, 0.5, 0.5), (0.5, 20.0, 0.5, 0.5),
+])
+def test_ndim_saturated_edge_raises_domain_error(edges):
+    # tanh rounds to 1: a bound argument reaches 1 (math.atanh's ValueError before),
+    # or the bound's blow-up at the end of its range is not resolved (a silent 2e-22
+    # for the 25-edge, minutes of quadrature for the middle 20-edge)
+    with pytest.raises(DomainError):
+        volume_ndim(edges)
+
+
+def test_bolyai_integral_1_where_cos_alpha_rounds_to_1():
+    # alpha = atan(tanh c / sinh b) is about 1e-9: cos^2 alpha == 1 and the
+    # old form cosh^2 t / cos^2 alpha - 1 divided by zero near t = 0
+    e = (0.5, 20.0, 0.5)
+    assert bolyai_integral_1(e) == pytest.approx(volume_edges(e), abs=1e-14)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: volume_one_ideal(800.0, 1.0),
+    lambda: volume_two_ideal(800.0),
+    lambda: volume_ideal_tetrahedron_b(800.0),
+    lambda: volume_edges((800.0, 1.0, 1.0)),
+    lambda: bolyai_integral_1((1.0, 1.0, 400.0)),
+    lambda: bolyai_integral_1((1.0, 300.0, 0.6)),
+    lambda: bolyai_asymptotic_1(0.5, 400.0),
+    lambda: area_right_triangle(800.0, 800.0),
+    lambda: edges_to_angles((800.0, 1.0, 1.0)),
+    lambda: volume_ndim((0.5, 0.5, 800.0)),
+])
+def test_beyond_float_range_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
