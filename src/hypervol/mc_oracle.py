@@ -4,7 +4,10 @@ Points are sampled uniformly in a Euclidean axis-aligned box, weighted by
 the ball-model density (1 - |X/k|^2)^{-(n+1)/2} inside the region and by 0
 outside.  Because geodesics and hyperplanes of the model are Euclidean
 lines and planes, membership predicates for the classical solids reduce to
-elementary Euclidean tests.
+elementary Euclidean tests in closed form.  The foot of the perpendicular
+from P to a coordinate subspace through the origin is P with its other
+coordinates set to zero, which gives the barrel's distance to its axis and
+the slab's distance to its base plane by one formula (``_cosh2_to_span``).
 
 Randomness comes from counter-based Philox streams: shard i of a run uses
 the substream spawned from (seed, i), and shard results are merged by a
@@ -207,47 +210,35 @@ def region_ball(x: float, k: float = 1.0, n: int = 3, radial_cap: float = _DEFAU
     )
 
 
-def _cosh_dist_to_axis_point(P: np.ndarray, u: np.ndarray, k: float) -> np.ndarray:
-    """cosh(d/k) from points P to (u, 0, .., 0), vectorized in both."""
-    r2 = np.einsum("ij,ij->i", P, P) / (k * k)
-    num = 1.0 - u * P[:, 0] / (k * k)
-    den = np.sqrt((1.0 - (u / k) ** 2) * (1.0 - r2))
-    return num / den
+def _cosh2_to_span(P: np.ndarray, j: int, k: float) -> np.ndarray:
+    """cosh^2(d/k) from points P to the span of the first j axes.
+
+    The foot of the perpendicular is P with coordinates j.. set to zero, so
+    cosh^2(d/k) = (1 - sum_{i<j} (P_i/k)^2) / (1 - |P/k|^2).  Callers pass
+    points with |P/k| <= radial_cap < 1, which keeps the denominator positive.
+    """
+    X = P / k
+    near = np.einsum("ij,ij->i", X[:, :j], X[:, :j])
+    return (1.0 - near) / (1.0 - np.einsum("ij,ij->i", X, X))
 
 
 def region_barrel(p: float, q: float, k: float = 1.0, radial_cap: float = _DEFAULT_CAP) -> Region:
     """Tube of radius q around the axis segment from the origin to length p.
 
-    Membership minimizes the point-to-segment distance by golden-section
-    search on the segment parameter (tolerance 1e-12; the distance along a
-    geodesic is unimodal) and additionally requires the perpendicular foot
-    to fall on the segment, which excludes the spherical end caps and makes
-    the region match the closed-form tube volume.
+    The perpendicular from P to the X1 axis has its foot at (X1, 0, 0), so
+    membership is 0 <= X1 <= k tanh(p/k), which keeps the foot on the segment
+    and excludes the spherical end caps (the region then matches the
+    closed-form tube volume), and cosh^2 of the distance to the axis at most
+    cosh^2(q/k).
     """
     for name, v in (("p", p), ("q", q)):
         if not (math.isfinite(float(v)) and v > 0.0):
             raise DomainError(f"{name} must be positive, got {v!r}")
     L = k * math.tanh(p / k)
-    cq = math.cosh(q / k)
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    cq2 = math.cosh(q / k) ** 2
 
     def contains(P: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(P), dtype=bool)
-        sel = (P[:, 0] >= 0.0) & (P[:, 0] <= L)  # foot on the segment: no end caps
-        if not sel.any():
-            return out
-        Q = P[sel]
-        a = np.zeros(len(Q))
-        b = np.full(len(Q), L)
-        while float(b[0] - a[0]) > 1e-12:
-            c1 = b - gr * (b - a)
-            c2 = a + gr * (b - a)
-            take1 = _cosh_dist_to_axis_point(Q, c1, k) < _cosh_dist_to_axis_point(Q, c2, k)
-            b = np.where(take1, c2, b)
-            a = np.where(take1, a, c1)
-        best = _cosh_dist_to_axis_point(Q, 0.5 * (a + b), k)
-        out[sel] = best <= cq
-        return out
+        return (P[:, 0] >= 0.0) & (P[:, 0] <= L) & (_cosh2_to_span(P, 1, k) <= cq2)
 
     tq = k * math.tanh(q / k)
     hi0 = k * math.tanh((p + q) / k)
@@ -302,31 +293,28 @@ def region_slab(half_widths: tuple[float, float], q: float, k: float = 1.0,
     """One-sided equidistant body over a planar base box.
 
     The base is the orthogonal-coordinate box |x1| <= w1, |x2| <= w2 in the
-    plane X3 = 0; membership requires X3 >= 0, the perpendicular foot
-    (X1, X2, 0) inside the base, and distance to the foot at most q.
+    plane X3 = 0.  In units of k, a point (X1, X2) of that plane has
+    orthogonal coordinates x2 = atanh X2, x1 = atanh(X1 / sqrt(1 - X2^2)),
+    and atanh is increasing, so the box is |X2| <= tanh(w2/k),
+    |X1| <= tanh(w1/k) sqrt(1 - X2^2).  Membership requires X3 >= 0, the
+    perpendicular foot (X1, X2, 0) inside the base, and cosh^2 of the
+    distance to the plane at most cosh^2(q/k).
     """
     w1, w2 = (float(v) for v in half_widths)
     for name, v in (("w1", w1), ("w2", w2), ("q", q)):
         if not (math.isfinite(float(v)) and v > 0.0):
             raise DomainError(f"{name} must be positive, got {v!r}")
-    cq = math.cosh(q / k)
+    t1 = math.tanh(w1 / k)
+    t2 = math.tanh(w2 / k)
+    cq2 = math.cosh(q / k) ** 2
 
     def contains(P: np.ndarray) -> np.ndarray:
-        X1, X2, X3 = P[:, 0] / k, P[:, 1] / k, P[:, 2] / k
-        f2 = X1 * X1 + X2 * X2
-        ok = (X3 >= 0.0) & (f2 < 1.0)
-        X2c = np.clip(X2, -1.0 + 1e-15, 1.0 - 1e-15)
-        y2 = np.arctanh(X2c)
-        den = np.sqrt(np.clip(1.0 - X2c * X2c, 1e-30, None))
-        arg = np.clip(X1 / den, -1.0 + 1e-15, 1.0 - 1e-15)
-        y1 = np.arctanh(arg)
-        in_base = (np.abs(y1 * k) <= w1) & (np.abs(y2 * k) <= w2)
-        r2 = f2 + X3 * X3
-        coshd = np.sqrt(np.clip(1.0 - f2, 1e-300, None) / np.clip(1.0 - r2, 1e-300, None))
-        return ok & in_base & (coshd <= cq)
+        X1, X2 = P[:, 0] / k, P[:, 1] / k
+        in_base = (np.abs(X2) <= t2) & (np.abs(X1) <= t1 * np.sqrt(1.0 - X2 * X2))
+        return (P[:, 2] >= 0.0) & in_base & (_cosh2_to_span(P, 2, k) <= cq2)
 
-    b1 = k * math.tanh(w1 / k)
-    b2 = k * math.tanh(w2 / k)
+    b1 = k * t1
+    b2 = k * t2
     return Region(
         dim=3,
         lo=(-b1, -b2, 0.0),

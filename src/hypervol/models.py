@@ -84,34 +84,33 @@ def _coords(p) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class PointParacycle:
+class _CoordinatePoint:
+    """A chart point given by n finite coordinates, 2 <= n <= 8.
+
+    Subclasses are dataclasses with init=False, so they keep this validating
+    __init__ and stay frozen.
+    """
+
+    coords: tuple[float, ...]
+
+    def __init__(self, coords: Sequence[float]):
+        object.__setattr__(self, "coords", _coords(coords))
+        _check_dim(len(self.coords))
+
+    @property
+    def n(self) -> int:
+        return len(self.coords)
+
+
+@dataclass(frozen=True, init=False)
+class PointParacycle(_CoordinatePoint):
     """Point in paracycle coordinates (xi_1 .. xi_n; xi_n is the distance
     to the base horosphere)."""
 
-    coords: tuple[float, ...]
 
-    def __init__(self, coords: Sequence[float]):
-        object.__setattr__(self, "coords", _coords(coords))
-        _check_dim(len(self.coords))
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-
-@dataclass(frozen=True)
-class PointOrthogonal:
+@dataclass(frozen=True, init=False)
+class PointOrthogonal(_CoordinatePoint):
     """Point in orthogonal coordinates (successive projection distances)."""
-
-    coords: tuple[float, ...]
-
-    def __init__(self, coords: Sequence[float]):
-        object.__setattr__(self, "coords", _coords(coords))
-        _check_dim(len(self.coords))
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
 
 
 @dataclass(frozen=True)
@@ -143,19 +142,9 @@ class PointSpherical:
         return len(self.angles) + 1
 
 
-@dataclass(frozen=True)
-class PointKlein:
+@dataclass(frozen=True, init=False)
+class PointKlein(_CoordinatePoint):
     """Point in Cartesian coordinates of the projective (Klein) ball."""
-
-    coords: tuple[float, ...]
-
-    def __init__(self, coords: Sequence[float]):
-        object.__setattr__(self, "coords", _coords(coords))
-        _check_dim(len(self.coords))
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
 
     def spherical(self, k: float = 1.0) -> PointSpherical:
         return klein_to_spherical(self, k)

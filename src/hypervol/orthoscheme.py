@@ -233,10 +233,12 @@ def _log_ratio(b: float, c: float | None, lam: float) -> float:
 
     c = None means the ideal limit t = 1.  The denominator is evaluated in
     the cancellation-free form (sinh b - sinh lam) + (1 - t) sinh lam so the
-    endpoint lam -> b stays accurate even for t extremely close to 1.
+    endpoint lam -> b stays accurate even for t extremely close to 1.  The
+    numerator exceeds the denominator by exactly 2 t sinh lam, so the value
+    is log1p(2 t sinh lam / den), which stays >= 0 where the ratio would
+    round below 1.
     """
     sl = math.sinh(lam)
-    sb = math.sinh(b)
     diff = 2.0 * math.cosh(0.5 * (b + lam)) * math.sinh(0.5 * (b - lam))
     if c is None:
         t = 1.0
@@ -245,10 +247,9 @@ def _log_ratio(b: float, c: float | None, lam: float) -> float:
         em = math.exp(-2.0 * c)
         t = math.tanh(c)
         den = diff + (2.0 * em / (1.0 + em)) * sl
-    num = sb + t * sl
     if den <= 0.0:
         raise DomainError("log argument not positive; lam outside [0, b)")
-    return math.log(num / den)
+    return math.log1p(2.0 * t * sl / den)
 
 
 def volume_edges(edges: OrthoschemeEdges | tuple, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -431,8 +432,8 @@ def area_right_triangle(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> flo
     def bound(x: float) -> float:
         return _atanh_bound(ratio * math.sinh(x))
 
-    res = quadrature.integrate_nested(
-        lambda x, y: math.cosh(y), (0.0, a), [bound], tol
+    res = quadrature.integrate_region(
+        lambda x, y: math.cosh(y), [(0.0, a), (0.0, bound)], tol
     )
     return res.value
 
@@ -507,8 +508,8 @@ def volume_ndim(o: NdimOrthoscheme | tuple, tol: Tolerance | None = None) -> flo
             d *= math.cosh(vals[i]) ** i
         return d
 
-    bounds = [bound(i) for i in range(n - 2)]
-    res = quadrature.integrate_nested(integrand, (0.0, a[n - 1]), bounds, tol)
+    bounds = [(0.0, a[n - 1])] + [(0.0, bound(i)) for i in range(n - 2)]
+    res = quadrature.integrate_region(integrand, bounds, tol)
     return res.value
 
 

@@ -7,8 +7,10 @@ interior, so integrable endpoint singularities (log or algebraic) are
 handled by plain subdivision; the per-interval error model is the QUADPACK
 one, which keeps refinement honest next to a singularity.
 
-Nested integration composes 1-D calls; each inner level runs at a tenth of
-the tolerance of the level above it.
+Nested integration (``integrate_region``) composes 1-D calls over one
+(lo, hi) pair per variable, where either limit may be a function of the
+outer variables; each inner level runs at a tenth of the tolerance of the
+level above it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "Tolerance",
     "IntegralResult",
     "integrate_1d",
-    "integrate_nested",
     "integrate_region",
 ]
 
@@ -240,21 +241,3 @@ def integrate_region(
 
     res = level(0, (), tol)
     return IntegralResult(res.value, res.error_estimate, evals)
-
-
-def integrate_nested(
-    integrand: Callable[..., float],
-    outer: tuple[float, float],
-    bounds: Sequence[Callable[..., float]],
-    tol: Tolerance = DEFAULT_TOL,
-    max_evals: int = 1_000_000,
-) -> IntegralResult:
-    """Nested integral with zero lower limits and function-valued upper limits.
-
-    The outermost variable runs over ``outer``; the i-th inner variable runs
-    over [0, bounds[i](outer vars...)].  The integrand takes all variables,
-    outermost first.
-    """
-    spec = [(float(outer[0]), float(outer[1]))]
-    spec += [(0.0, g) for g in bounds]
-    return integrate_region(integrand, spec, tol, max_evals)

@@ -29,7 +29,6 @@ __all__ = [
     "lobachevsky",
     "lobachevsky_via_integral",
     "clausen2",
-    "im_li2_unit",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -90,11 +89,6 @@ def lobachevsky(x: float) -> float:
     if r < 0.0:
         return -0.5 * _cl2_core(-2.0 * r)
     return 0.5 * _cl2_core(2.0 * r)
-
-
-def im_li2_unit(x: float) -> float:
-    """Imaginary part of Li2 on the unit circle at angle x (= Cl2(x))."""
-    return clausen2(x)
 
 
 def lobachevsky_via_integral(x: float, tol: Tolerance | None = None) -> float:

@@ -164,3 +164,75 @@ def test_region_curvature_respected():
 def test_negative_seed_is_a_domain_error():
     with pytest.raises(DomainError):
         mc.estimate(mc.region_ball(1.0), 10_000, seed=-1)
+
+
+_MARGIN = 1e-4  # in units of k: reference verdicts this close to an edge are skipped
+
+
+def _seeded_points(region, count, seed):
+    """Points in the region's box widened by a fifth on each side, inside the cap."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(region.lo), np.array(region.hi)
+    pad = 0.2 * (hi - lo)
+    P = lo - pad + rng.random((4 * count, region.dim)) * (hi - lo + 2.0 * pad)
+    P = P[np.einsum("ij,ij->i", P, P) <= (region.radial_cap * region.k) ** 2]
+    assert len(P) >= count
+    return P[:count]
+
+
+def _axis_foot(X, k):
+    """(t, d): the nearest point (k tanh(t/k), 0, 0), |t| <= 3k, of the X1
+    axis and its klein_distance d, by grids of step 0.1k, 0.01k and 0.001k,
+    each around the minimum of the one before (the distance is convex along
+    a geodesic).  A foot beyond 3k lies outside every segment tested here."""
+
+    def dist(t):
+        return klein_distance(X, (k * math.tanh(t / k), 0.0, 0.0), k)
+
+    t, half = 0.0, 3.0 * k
+    for step in (0.1 * k, 0.01 * k, 0.001 * k):
+        grid = [t - half + i * step for i in range(int(round(2 * half / step)) + 1)]
+        t = min(grid, key=dist)
+        half = step
+    return t, dist(t)
+
+
+@pytest.mark.parametrize("p, q, k, seed", [
+    (0.8, 0.45, 1.0, 1), (0.5, 0.3, 0.75, 2), (1.4, 0.8, 1.5, 3),
+])
+def test_barrel_membership_matches_scalar_distances(p, q, k, seed):
+    r = mc.region_barrel(p, q, k)
+    P = _seeded_points(r, 700, seed)
+    got = r.contains(P)
+    checked = members = 0
+    for X, g in zip(P, got):
+        t, d = _axis_foot(tuple(X), k)
+        if min(abs(d - q), abs(t), abs(t - p)) < _MARGIN * k:
+            continue
+        want = 0.0 <= t <= p and d <= q
+        assert bool(g) == want, (tuple(X), t, d)
+        checked += 1
+        members += want
+    assert checked >= 0.95 * len(P)
+    assert 0.05 * checked <= members <= 0.95 * checked
+
+
+@pytest.mark.parametrize("w1, w2, q, k, seed", [
+    (0.6, 0.5, 0.7, 1.0, 4), (0.3, 0.375, 0.2, 0.75, 5), (1.2, 0.75, 1.1, 1.5, 6),
+])
+def test_slab_membership_matches_scalar_charts(w1, w2, q, k, seed):
+    r = mc.region_slab((w1, w2), q, k)
+    P = _seeded_points(r, 700, seed)
+    got = r.contains(P)
+    checked = members = 0
+    for X, g in zip(P, got):
+        x1, x2 = models.klein_to_orthogonal((X[0], X[1]), k).coords
+        d = klein_distance(tuple(X), (X[0], X[1], 0.0), k)
+        if min(abs(d - q), abs(abs(x1) - w1), abs(abs(x2) - w2)) < _MARGIN * k:
+            continue
+        want = X[2] >= 0.0 and abs(x1) <= w1 and abs(x2) <= w2 and d <= q
+        assert bool(g) == want, (tuple(X), x1, x2, d)
+        checked += 1
+        members += want
+    assert checked >= 0.95 * len(P)
+    assert 0.05 * checked <= members <= 0.95 * checked

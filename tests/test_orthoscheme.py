@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from hypervol import shapes
 from hypervol.errors import DomainError, NotRealizableError, UnsupportedDimensionError
 from hypervol.orthoscheme import (
     NdimOrthoscheme,
@@ -374,3 +375,37 @@ def test_bolyai_integral_1_where_cos_alpha_rounds_to_1():
 def test_beyond_float_range_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("shape, params", [
+    ("orthoscheme-edges", {"a": 1.0, "b": 360.0, "c": 0.6}),
+    ("orthoscheme-two-ideal", {"b": 360.0}),
+    ("orthoscheme-one-ideal", {"b": 360.0, "c": 1.0}),
+    ("ideal-tetra-b", {"b": 360.0}),
+    ("orthoscheme-edges", {"a": 1.0, "b": 1.0, "c": 1e-300}),
+])
+def test_log_ratio_routes_stay_positive(shape, params):
+    # the log argument (sinh b + t sinh l) / (sinh b - t sinh l) used to round
+    # below 1 at thousands of nodes, which gave volumes near -1e-19
+    value, _, _ = shapes.compute_volume(shape, params)
+    assert value > 0.0
+
+
+def _mp_log_ratio(b, c, lam):
+    t = mpmath.tanh(c)
+    return mpmath.log1p(2 * t * mpmath.sinh(lam) / (mpmath.sinh(b) - t * mpmath.sinh(lam)))
+
+
+@pytest.mark.parametrize("route, integrand", [
+    (lambda: volume_edges((1.0, 15.0, 0.6)),
+     lambda l: mpmath.tanh(l) / mpmath.sqrt((mpmath.tanh(15) / mpmath.sinh(1) * mpmath.cosh(l)) ** 2
+                                            + mpmath.sinh(l) ** 2) * _mp_log_ratio(15, 0.6, l)),
+    (lambda: volume_one_ideal(15.0, 1.0),
+     lambda l: _mp_log_ratio(15, 1, l) / mpmath.cosh(l)),
+])
+def test_log_ratio_routes_accurate_for_long_middle_edge(route, integrand):
+    # at b = 15 the log argument is within about 1e-6 of 1, where ln(num/den)
+    # lost about 1e-12 relative
+    with mpmath.workdps(30):
+        ref = mpmath.quad(integrand, mpmath.linspace(0, 15, 16)) / 4
+    assert route() == pytest.approx(float(ref), rel=1e-13, abs=0.0)

@@ -10,7 +10,6 @@ from hypervol.quadrature import (
     IntegralResult,
     Tolerance,
     integrate_1d,
-    integrate_nested,
     integrate_region,
 )
 
@@ -97,17 +96,16 @@ def test_tolerance_validation():
 
 
 def test_nested_triangle():
-    res = integrate_nested(lambda x, y: 1.0, (0.0, 1.0), [lambda x: x])
+    res = integrate_region(lambda x, y: 1.0, [(0.0, 1.0), (0.0, lambda x: x)])
     assert res.value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_nested_right_triangle_area_matches_defect():
     a, b = 1.0, 1.0
     ratio = math.tanh(b) / math.sinh(a)
-    res = integrate_nested(
+    res = integrate_region(
         lambda x, y: math.cosh(y),
-        (0.0, a),
-        [lambda x: math.atanh(ratio * math.sinh(x))],
+        [(0.0, a), (0.0, lambda x: math.atanh(ratio * math.sinh(x)))],
     )
     alpha = math.atan(math.tanh(a) / math.sinh(b))
     beta = math.atan(math.tanh(b) / math.sinh(a))
@@ -120,12 +118,12 @@ def test_nested_three_levels_matches_edge_integral():
     a, b, c = 1.0, 1.0, 1.0
     r1 = math.tanh(b) / math.sinh(a)
     r2 = math.tanh(c) / math.sinh(b)
-    res = integrate_nested(
+    res = integrate_region(
         lambda x, y, z: math.cosh(z) ** 2 * math.cosh(y),
-        (0.0, a),
         [
-            lambda x: math.atanh(r1 * math.sinh(x)),
-            lambda x, y: math.atanh(r2 * math.sinh(y)),
+            (0.0, a),
+            (0.0, lambda x: math.atanh(r1 * math.sinh(x))),
+            (0.0, lambda x, y: math.atanh(r2 * math.sinh(y))),
         ],
         Tolerance(rel=1e-9, abs=1e-13),
     )

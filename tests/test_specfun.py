@@ -13,7 +13,6 @@ import pytest
 from hypervol.errors import DomainError
 from hypervol.specfun import (
     clausen2,
-    im_li2_unit,
     lobachevsky,
     lobachevsky_via_integral,
 )
@@ -85,11 +84,11 @@ def test_clausen_lobachevsky_bridge():
         assert abs(clausen2(x) - 2.0 * lobachevsky(x / 2.0)) < 1e-12
 
 
-def test_im_li2_unit_delegates_and_periodic():
-    assert im_li2_unit(0.0) == 0.0
-    assert im_li2_unit(math.pi / 2) == pytest.approx(CATALAN, abs=1e-13)
-    assert im_li2_unit(2 * math.pi + math.pi / 2) == pytest.approx(
-        im_li2_unit(math.pi / 2), abs=1e-12
+def test_clausen2_zero_catalan_and_periodic():
+    assert clausen2(0.0) == 0.0
+    assert clausen2(math.pi / 2) == pytest.approx(CATALAN, abs=1e-13)
+    assert clausen2(2 * math.pi + math.pi / 2) == pytest.approx(
+        clausen2(math.pi / 2), abs=1e-12
     )
 
 
@@ -99,5 +98,3 @@ def test_nonfinite_arguments_rejected(bad):
         lobachevsky(bad)
     with pytest.raises(DomainError):
         clausen2(bad)
-    with pytest.raises(DomainError):
-        im_li2_unit(bad)
