@@ -28,7 +28,6 @@ import csv
 import itertools
 import json
 import math
-import random
 import sys
 from contextlib import nullcontext
 from typing import Sequence
@@ -211,25 +210,11 @@ def _crosscheck_orthoscheme(rows, grid: str, seed: int, reltol: float):
 
 def _crosscheck_tetrahedra(rows, grid: str, seed: int, reltol: float):
     count = 10 if grid == "coarse" else 25
-    rng = random.Random(seed)
     tol = Tolerance(rel=min(reltol, 1e-10), abs=1e-14)
-    case = 0
-    while case < count:
-        A = rng.uniform(0.7, 1.2)
-        B = rng.uniform(0.7, 1.2)
-        C = math.pi - A - B
-        if not (0.2 < C < math.pi - 0.2):
-            continue
-        base = [A, B, C, A, B, C]
-        pert = [v + rng.uniform(-0.05, 0.05) for v in base]
-        try:
-            dm = tetrahedra.derevnin_mednykh(tuple(pert), tol)
-            my = tetrahedra.murakami_yano(tuple(pert))
-        except NotRealizableError:
-            continue
-        rows.append(_row("tetrahedra", case, dict(zip("ABCDEF", pert)),
-                         {"derevnin-mednykh": dm, "murakami-yano": my}, 1e-6))
-        case += 1
+    for case, t in enumerate(tetrahedra.sample_near_ideal(count, seed)):
+        values = {"derevnin-mednykh": tetrahedra.derevnin_mednykh(t, tol),
+                  "murakami-yano": tetrahedra.murakami_yano(t)}
+        rows.append(_row("tetrahedra", case, dict(zip("ABCDEF", t.as_tuple())), values, 1e-6))
 
 
 # closed forms with a quadrature twin, and their inputs at one grid point:

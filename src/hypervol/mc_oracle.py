@@ -90,12 +90,12 @@ def estimate(
     region: Region,
     samples: int,
     seed: int,
-    k: float | None = None,
+    *,
     shards: int = 1,
 ) -> MCEstimate:
     """Unbiased Monte-Carlo estimate of the region's hyperbolic volume.
 
-    Deterministic for fixed (seed, samples, shards).  ``k`` defaults to the
+    Deterministic for fixed (seed, samples, shards); the density uses the
     curvature the region was built with.  DomainError for a negative seed.
     """
     if int(seed) < 0:
@@ -106,7 +106,7 @@ def estimate(
     shards = int(shards)
     if shards < 1:
         raise DomainError("shards must be >= 1")
-    k = float(region.k if k is None else k)
+    k = float(region.k)
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(f"curvature constant k must be positive, got {k!r}")
     n = region.dim

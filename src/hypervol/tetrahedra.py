@@ -3,17 +3,19 @@ parameters: ideal tetrahedra, the general tetrahedron by an integral and by
 a Clausen-function closed form, the Lambert cube and the ideal symmetric
 octahedron.
 
-The general tetrahedron carries dihedral angles A..F with (A, D), (B, E),
-(C, F) at opposite edge pairs (the convention the coefficient
-k3 = 2(sin A sin D + sin B sin E + sin C sin F) presupposes).  Realizability
-is checked operationally: the auxiliary root data must be real, the root
-interval nonempty and the integrand's log argument must stay in (0, 1] on a
-probe grid.  All formulas are stated at curvature 1.
+The general tetrahedron has dihedral angles A..F, with A, B, C at one vertex
+and (A, D), (B, E), (C, F) at opposite edges; numbering the faces 0..3, they
+sit at A = (0,1), B = (0,2), C = (1,2), D = (2,3), E = (1,3), F = (0,3).  Such
+angles belong to a compact tetrahedron exactly when the Gram matrix G
+(G_ii = 1, G_ij = -cos) has det G < 0 and every cofactor c_ij > 0 (Ushijima
+2006).  A vertex with c_ii = 0 is ideal; c_ii >= -1e-12 is accepted as such.
+All formulas are stated at curvature 1.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 from . import quadrature
@@ -28,6 +30,7 @@ __all__ = [
     "dm_coefficients",
     "derevnin_mednykh",
     "murakami_yano",
+    "sample_near_ideal",
     "lambert_cube",
     "mohanty_octahedron",
 ]
@@ -98,22 +101,16 @@ def _log_argument(t: TetraDihedrals, z: float) -> tuple[float, float]:
 def dm_coefficients(t: TetraDihedrals | tuple) -> DMCoefficients:
     """Root data (S, k1..k4, z1, z2) for the tetrahedron volume integral.
 
-    z1,2 = atan2(k2, k1) -/+ atan(k4 / k3); at these points the integrand's
-    log argument equals 1 (checked as a numerator-minus-denominator
-    residual, which also covers the ideal-degenerate case where both vanish).
-    Raises NotRealizableError when k4 is imaginary, the interval is empty,
-    or the log argument leaves (0, 1] on a probe grid.
+    z1,2 = atan2(k2, k1) -/+ atan(k4 / k3), where the integrand's log argument
+    equals 1.  NotRealizableError unless the Gram criterion holds for faces
+    0..3 at A = (0,1), B = (0,2), C = (1,2), D = (2,3), E = (1,3), F = (0,3)
+    and G_ii = 1, G_ij = -cos: k4^2 = k1^2 + k2^2 - k3^2 = -4 det G > 0 and
+    the ten cofactors c_ij > 0, save that an ideal vertex (c_ii = 0, angle sum
+    pi) is accepted down to c_ii = -1e-12, far above rounding at a sum of pi.
     """
     if not isinstance(t, TetraDihedrals):
         t = TetraDihedrals(*t)
     A, B, C, D, E, F = t.as_tuple()
-    # vertex links must be spherical (finite vertex) or Euclidean (ideal):
-    # the three dihedral angles meeting at each vertex sum to at least pi
-    for trip in ((A, B, C), (A, E, F), (B, D, F), (C, D, E)):
-        if sum(trip) < math.pi - 1e-9:
-            raise NotRealizableError(
-                f"vertex angle sum {sum(trip):.6f} below pi: no such tetrahedron"
-            )
     S = A + B + C + D + E + F
     k1 = -(
         math.cos(S) + math.cos(A + D) + math.cos(B + E) + math.cos(C + F)
@@ -131,28 +128,28 @@ def dm_coefficients(t: TetraDihedrals | tuple) -> DMCoefficients:
     k4sq = k1 * k1 + k2 * k2 - k3 * k3
     if k4sq < 0.0:
         raise NotRealizableError("k1^2 + k2^2 < k3^2: no real root interval")
+    a, b, c, d, e, f = map(math.cos, (A, B, C, D, E, F))
+    # c_ii for the vertices opposite faces 0..3, where (C,D,E), (B,D,F), (A,E,F), (A,B,C) meet
+    if min(1.0 - c * c - d * d - e * e - 2.0 * c * d * e,
+           1.0 - b * b - d * d - f * f - 2.0 * b * d * f,
+           1.0 - a * a - e * e - f * f - 2.0 * a * e * f,
+           1.0 - a * a - b * b - c * c - 2.0 * a * b * c) < -1e-12:
+        raise NotRealizableError("the angles at a vertex form no spherical triangle")
+    # c_ij, i < j: c01, c23, c02, c13, c03, c12; given det G < 0 none can vanish
+    ad, be, cf = a * d, b * e, c * f
+    if min(a * (1.0 - d * d) + b * c + e * f + d * (be + cf),
+           d * (1.0 - a * a) + b * f + c * e + a * (be + cf),
+           b * (1.0 - e * e) + a * c + d * f + e * (ad + cf),
+           e * (1.0 - b * b) + a * f + c * d + b * (ad + cf),
+           f * (1.0 - c * c) + a * e + b * d + c * (ad + be),
+           c * (1.0 - f * f) + a * b + d * e + f * (ad + be)) <= 0.0:
+        raise NotRealizableError("a Gram cofactor is negative: the faces bound no tetrahedron")
     k4 = math.sqrt(k4sq)
     half = math.atan(k4 / k3)  # k3 > 0 for angles in (0, pi)
     center = math.atan2(k2, k1)
     z1, z2 = center - half, center + half
     if not z1 < z2:
         raise NotRealizableError("degenerate root interval (z1 >= z2)")
-    # root residual: log argument equals 1, i.e. num - den vanishes
-    for z in (z1, z2):
-        num, den = _log_argument(t, z)
-        scale = max(1.0, abs(num), abs(den))
-        if abs(num - den) > 1e-8 * scale:
-            raise NotRealizableError(
-                f"integrand root residual {abs(num - den):.3e} at z={z!r}"
-            )
-    # operational realizability probe: argument within (0, 1] inside the interval
-    for j in range(1, 10):
-        z = z1 + (z2 - z1) * j / 10.0
-        num, den = _log_argument(t, z)
-        if den <= 0.0 or num <= 0.0 or num > den * (1.0 + 1e-9):
-            raise NotRealizableError(
-                "volume integrand not positive across the root interval"
-            )
     return DMCoefficients(S, k1, k2, k3, k4, z1, z2)
 
 
@@ -164,10 +161,8 @@ def derevnin_mednykh(t: TetraDihedrals | tuple, tol: Tolerance = DEFAULT_TOL) ->
     The integrand vanishes at both endpoints (square-root approach), so
     plain adaptive subdivision is enough.
     """
-    if not isinstance(t, TetraDihedrals):
-        t = TetraDihedrals(*t)
-    co = dm_coefficients(t)
-    A, B, C, D, E, F = t.as_tuple()
+    co = dm_coefficients(t)  # validates t
+    A, B, C, D, E, F = t.as_tuple() if isinstance(t, TetraDihedrals) else t
 
     def slog(x: float) -> float:
         # integrable log zero; floor keeps an exactly-hit root finite
@@ -199,10 +194,8 @@ def murakami_yano(t: TetraDihedrals | tuple) -> float:
         + Cl2(B+C+E+F+z) - Cl2(pi+A+B+C+z) - Cl2(pi+A+E+F+z)
         - Cl2(pi+B+D+F+z) - Cl2(pi+C+D+E+z) ].
     """
-    if not isinstance(t, TetraDihedrals):
-        t = TetraDihedrals(*t)
-    co = dm_coefficients(t)
-    A, B, C, D, E, F = t.as_tuple()
+    co = dm_coefficients(t)  # validates t
+    A, B, C, D, E, F = t.as_tuple() if isinstance(t, TetraDihedrals) else t
 
     def im_u(z: float) -> float:
         pos = (z, A + B + D + E + z, A + C + D + F + z, B + C + E + F + z)
@@ -217,6 +210,26 @@ def murakami_yano(t: TetraDihedrals | tuple) -> float:
         )
 
     return 0.5 * (im_u(co.z1) - im_u(co.z2))
+
+
+def sample_near_ideal(count: int, seed: int) -> list[TetraDihedrals]:
+    """Draw compact tetrahedra near ideal ones, deterministic for a fixed seed:
+    A, B uniform in (0.7, 1.2), C = pi - A - B, each of (A, B, C, A, B, C)
+    moved by a uniform amount in (-0.05, 0.05), kept when `dm_coefficients`
+    accepts it."""
+    rng = random.Random(seed)
+    out: list[TetraDihedrals] = []
+    while len(out) < count:
+        A = rng.uniform(0.7, 1.2)
+        B = rng.uniform(0.7, 1.2)
+        C = math.pi - A - B
+        t = TetraDihedrals(*(v + rng.uniform(-0.05, 0.05) for v in (A, B, C, A, B, C)))
+        try:
+            dm_coefficients(t)
+        except NotRealizableError:
+            continue
+        out.append(t)
+    return out
 
 
 def lambert_cube(w0: float, w1: float, w2: float, theta: float) -> float:

@@ -29,8 +29,8 @@ from hypervol.tetrahedra import (
     milnor_ideal,
     mohanty_octahedron,
     murakami_yano,
+    sample_near_ideal,
 )
-from hypervol.errors import NotRealizableError
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -137,23 +137,9 @@ def test_criterion_06_monte_carlo_oracle():
 
 
 def test_criterion_07_tetrahedron_formulas():
-    rng = random.Random(31415)
-    pairs = 0
     worst_pair = 0.0
-    while pairs < 10:
-        A = rng.uniform(0.7, 1.2)
-        B = rng.uniform(0.7, 1.2)
-        C = math.pi - A - B
-        if not 0.2 < C < math.pi - 0.2:
-            continue
-        pert = tuple(v + rng.uniform(-0.05, 0.05) for v in (A, B, C, A, B, C))
-        try:
-            dm = derevnin_mednykh(pert)
-            my = murakami_yano(pert)
-        except NotRealizableError:
-            continue
-        worst_pair = max(worst_pair, abs(dm - my))
-        pairs += 1
+    for t in sample_near_ideal(10, seed=31415):
+        worst_pair = max(worst_pair, abs(derevnin_mednykh(t) - murakami_yano(t)))
     worst_milnor = 0.0
     for trip in [(math.pi / 3,) * 3, (0.9, 1.1, math.pi - 2.0)]:
         ref = milnor_ideal(*trip)

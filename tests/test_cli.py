@@ -323,6 +323,28 @@ def test_batch_out_of_range_value_stays_a_job_error(tmp_path, capsys):
     assert err.startswith("error: sphere: ")
 
 
+# six dihedral angles of no tetrahedron whose vertex-link angle sums all exceed
+# pi: no spherical triangle has angles A, B, C, since B + pi < A + C
+NOT_A_TETRAHEDRON = {"A": 2.152887623070091, "B": 1.3431230654853088, "C": 2.353904387848959,
+                     "D": 1.386255981158629, "E": 1.2023068518788278, "F": 2.0239650757776553}
+
+
+@pytest.mark.parametrize("shape", ["murakami-yano", "derevnin-mednykh"])
+def test_vol_angles_of_no_tetrahedron_exit_3(capsys, shape):
+    assert main(["vol", shape, *flags(NOT_A_TETRAHEDRON)]) == EXIT_NOT_REALIZABLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: not realizable: ")
+
+
+def test_batch_angles_of_no_tetrahedron_stay_a_job_error(tmp_path, capsys):
+    jobs = [{"shape": "murakami-yano", **NOT_A_TETRAHEDRON}, {"shape": "murakami-yano", **SIX}]
+    code, out, err = run_batch(tmp_path, capsys, jobs)
+    assert code == EXIT_NOT_REALIZABLE
+    assert [json.loads(line)["params"] for line in out.splitlines()] == [SIX]
+    assert err.startswith("error: murakami-yano: ")
+
+
 def test_batch_csv_header_is_the_union_of_record_keys(tmp_path, capsys):
     jobs = [{"shape": "sphere", "x": 1.0},
             {"shape": "sphere", "x": 1.0, "mc": {"samples": 10000, "seed": 1}}]

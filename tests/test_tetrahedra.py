@@ -8,13 +8,13 @@ edge-integral value.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hypervol.errors import DomainError, NotRealizableError
 from hypervol.orthoscheme import volume_edges
 from hypervol.specfun import lobachevsky, lobachevsky_via_integral
 from hypervol.tetrahedra import (
-    TetraDihedrals,
     _log_argument,
     derevnin_mednykh,
     dm_coefficients,
@@ -22,6 +22,7 @@ from hypervol.tetrahedra import (
     milnor_ideal,
     mohanty_octahedron,
     murakami_yano,
+    sample_near_ideal,
 )
 
 REGULAR_IDEAL = 1.01494160640965363   # 3 L(pi/3)
@@ -32,25 +33,6 @@ P3 = math.pi / 3
 
 def ideal_symmetric(A, B, C):
     return (A, B, C, A, B, C)
-
-
-def sample_realizable(count, seed):
-    """Perturbed ideal-symmetric dihedral sets passing the operational checks."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        A = rng.uniform(0.7, 1.2)
-        B = rng.uniform(0.7, 1.2)
-        C = math.pi - A - B
-        if not 0.2 < C < math.pi - 0.2:
-            continue
-        pert = [v + rng.uniform(-0.05, 0.05) for v in ideal_symmetric(A, B, C)]
-        try:
-            dm_coefficients(tuple(pert))
-        except NotRealizableError:
-            continue
-        out.append(tuple(pert))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +88,8 @@ def test_dm_coefficients_regular_ideal():
 
 
 def test_dm_root_residuals_on_realizable_samples():
-    for pert in sample_realizable(10, seed=31):
-        co = dm_coefficients(pert)
-        t = TetraDihedrals(*pert)
+    for t in sample_near_ideal(10, seed=31):
+        co = dm_coefficients(t)
         for z in (co.z1, co.z2):
             num, den = _log_argument(t, z)
             assert abs(num - den) <= 1e-8 * max(1.0, abs(num), abs(den))
@@ -126,6 +107,71 @@ def test_dm_rejects_imaginary_k4():
         dm_coefficients((1.3, 1.6, 1.2, 1.35, 1.45, 1.0))
 
 
+# faces (i, j) meeting at the edges of A..F
+EDGE_FACES = ((0, 1), (0, 2), (1, 2), (2, 3), (1, 3), (0, 3))
+
+
+def hull_has_angles(angles):
+    """Whether the angles are those of a tetrahedron of H^3, by construction:
+    face normals n_i in R^{3,1} with <n_i, n_j> = -cos(angle at faces i, j)
+    come from the eigendecomposition of that Gram matrix, vertex v_i is the
+    null vector of the three other normals, and the hull of the vertices must
+    have the given dihedral angles."""
+    G = np.eye(4)
+    for (i, j), x in zip(EDGE_FACES, angles):
+        G[i, j] = G[j, i] = -math.cos(x)
+    lam, Q = np.linalg.eigh(G)
+    if (lam < 0).sum() != 1:
+        return False
+    J = np.sign(lam)  # the form diag(-1, 1, 1, 1): eigh sorts ascending
+    N = Q * np.sqrt(np.abs(lam))  # rows n_i, so that N J N^T = G
+    V = np.empty((4, 4))
+    for i in range(4):
+        v = np.linalg.svd(np.delete(N, i, 0) * J)[2][-1]
+        q = v @ (J * v)
+        if q >= 0.0:
+            return False  # no point of H^3
+        V[i] = np.sign(v[0]) * v / math.sqrt(-q)  # all on the upper sheet
+    # outward normals m_i: the vertex off face i lies on its inner side
+    M = -np.sign(np.einsum("ij,ij->i", N * J, V))[:, None] * N
+    hull = [math.acos(np.clip(-(M[i] * J) @ M[j], -1.0, 1.0)) for i, j in EDGE_FACES]
+    return max(abs(h - x) for h, x in zip(hull, angles)) <= 1e-9
+
+
+def test_dm_coefficients_accepts_exactly_the_tetrahedra():
+    rng = random.Random(1)
+    accepted, disagree = [], []
+    for _ in range(5000):
+        t = tuple(rng.uniform(0.3, 2.5) for _ in range(6))
+        try:
+            dm_coefficients(t)
+            ok = True
+        except NotRealizableError:
+            ok = False
+        if ok != hull_has_angles(t):
+            disagree.append(t)
+        if ok:
+            accepted.append(t)
+    assert disagree == []
+    assert len(accepted) >= 30
+    # obtuse tetrahedra far from ideal, which no other test samples
+    for t in accepted:
+        assert derevnin_mednykh(t) == pytest.approx(murakami_yano(t), rel=0.0, abs=1e-12)
+
+
+def test_dm_ideal_vertex_tolerance():
+    # A + B + C = pi rounded to floats makes all four vertices ideal; 1e-6
+    # less makes them hyperideal, which the formulas do not cover
+    rng = random.Random(5)
+    for _ in range(200):
+        A = rng.uniform(0.05, math.pi - 0.1)
+        B = rng.uniform(0.05, math.pi - A - 0.05)
+        C = math.pi - A - B
+        dm_coefficients((A, B, C) * 2)
+        with pytest.raises(NotRealizableError):
+            dm_coefficients((A, B, C - 1e-6) * 2)
+
+
 # ---------------------------------------------------------------------------
 # volume formulas
 # ---------------------------------------------------------------------------
@@ -139,7 +185,7 @@ def test_dm_and_my_match_milnor_on_ideal_symmetric():
 
 
 def test_dm_equals_my_on_realizable_samples():
-    for pert in sample_realizable(10, seed=77):
+    for pert in sample_near_ideal(10, seed=77):
         dm = derevnin_mednykh(pert)
         my = murakami_yano(pert)
         assert abs(dm - my) <= 1e-6
