@@ -4,32 +4,36 @@ Grammar:
 
     hypervol vol SHAPE [shape params] [--k F] [--reltol F] [--degrees]
                        [--format json|csv] [--out PATH]
-    hypervol convert {edges-to-angles | angles-to-edges} [params] [...]
+    hypervol convert {edges-to-angles --a F --b F --c F |
+                      angles-to-edges --alpha F --beta F --gamma F [--degrees]} [--k F] [...]
     hypervol crosscheck {orthoscheme | tetrahedra | solids | all}
-                       [--grid coarse|fine] [--seed N] [...]
-    hypervol mc SHAPE [shape params] --samples N --seed N [...]
+                       [--grid coarse|fine] [--seed N] [--reltol F] [...]
+    hypervol mc SHAPE [shape params] [--samples N] [--seed N] [--k F] [--reltol F]
+                      [--degrees] [...]
     hypervol batch JOBS.json [...]
 
+Every command takes --format and --out ([...]) and no flag it does not read.
 Angles are radians unless --degrees is given.  Output is one JSON object
 per line, or RFC-4180 CSV with --format csv.  Exit codes: 0 success,
 1 failed check (crosscheck threshold or |z| > 4 in mc), 2 invalid
 parameters, 3 not realizable, 4 quadrature convergence failure, 5 I/O
 failure.
 
-Shapes, their parameters and their volume routes come from the table in
-``hypervol.shapes``; every volume is computed at curvature 1 with the
-length/area parameters rescaled, then multiplied by k**dim.
+Shapes, their parameters and their volume routes, the crosscheck columns
+among them, come from the table in ``hypervol.shapes``; every volume is
+computed at curvature 1 with the length/area parameters rescaled, then
+multiplied by k**dim.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import sys
 from contextlib import nullcontext
+from functools import cache
 from typing import Sequence
 
 from . import mc_oracle, orthoscheme, tetrahedra
@@ -84,15 +88,19 @@ def _write(args, rows: list[dict]) -> None:
 # argument handling
 # ---------------------------------------------------------------------------
 
+@cache  # one parser per process: in-process callers run main() many times
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--k", type=float, default=1.0, help="curvature constant (default 1)")
-    common.add_argument("--reltol", type=float, default=1e-10,
-                        help="relative tolerance for quadrature-backed shapes")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", default=None, help="write records to this file")
-    common.add_argument("--degrees", action="store_true",
-                        help="interpret angle parameters as degrees")
+    def option(*args, **kw):
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*args, **kw)
+        return p
+
+    output = option("--format", choices=("json", "csv"), default="json")
+    output.add_argument("--out", default=None, help="write records to this file")
+    k = option("--k", type=float, default=1.0, help="curvature constant (default 1)")
+    reltol = option("--reltol", type=float, default=1e-10,
+                    help="relative tolerance for quadrature-backed shapes")
+    degrees = option("--degrees", action="store_true", help="interpret angle parameters as degrees")
 
     shape = argparse.ArgumentParser(add_help=False)
     shape.add_argument("shape", choices=sorted(SHAPES))
@@ -106,23 +114,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ap = argparse.ArgumentParser(prog="hypervol", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("vol", parents=[shape, common], help="volume of one shape")
+    sub.add_parser("vol", parents=[shape, k, reltol, degrees, output], help="volume of one shape")
 
-    pc = sub.add_parser("convert", parents=[common], help="orthoscheme parameter conversion")
-    pc.add_argument("direction", choices=("edges-to-angles", "angles-to-edges"))
-    for flag in ("a", "b", "c", "alpha", "beta", "gamma", "delta"):
-        pc.add_argument(f"--{flag}", type=float, default=None)
+    pc = sub.add_parser("convert", help="orthoscheme parameter conversion")
+    directions = pc.add_subparsers(dest="direction", required=True)
+    for name, flags, parents in (("edges-to-angles", "a b c", [k, output]),
+                                 ("angles-to-edges", "alpha beta gamma", [k, degrees, output])):
+        # no abbreviations: --a must not stand for --alpha
+        pd = directions.add_parser(name, parents=parents, allow_abbrev=False)
+        for flag in flags.split():
+            pd.add_argument(f"--{flag}", type=float, required=True)
 
-    px = sub.add_parser("crosscheck", parents=[common], help="cross-validation grids")
-    px.add_argument("suite", choices=("orthoscheme", "tetrahedra", "solids", "all"))
+    px = sub.add_parser("crosscheck", parents=[reltol, output], help="cross-validation grids")
+    px.add_argument("suite", choices=tuple(_SUITES) + ("all",))
     px.add_argument("--grid", choices=("coarse", "fine"), default="coarse")
     px.add_argument("--seed", type=int, default=20121023)
 
-    pm = sub.add_parser("mc", parents=[shape, common], help="Monte-Carlo check of one shape")
+    pm = sub.add_parser("mc", parents=[shape, k, reltol, degrees, output],
+                        help="Monte-Carlo check of one shape")
     pm.add_argument("--samples", type=int, default=1_000_000)
     pm.add_argument("--seed", type=int, default=0)
 
-    pb = sub.add_parser("batch", parents=[common],
+    pb = sub.add_parser("batch", parents=[output],
                         help="run an array of job objects from a JSON file")
     pb.add_argument("jobs", help="path to jobs.json")
     return ap
@@ -153,19 +166,12 @@ def _cmd_vol(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    to_angles = args.direction == "edges-to-angles"
-    for f in ("a", "b", "c") if to_angles else ("alpha", "beta", "gamma"):
-        if getattr(args, f) is None:
-            raise DomainError(f"{args.direction} requires --{f}")
-    if to_angles:
+    if args.direction == "edges-to-angles":
         e = orthoscheme.OrthoschemeEdges(args.a / args.k, args.b / args.k, args.c / args.k)
         ang = orthoscheme.edges_to_angles(e)
     else:
         conv = math.radians if args.degrees else float
-        ang = orthoscheme.OrthoschemeAngles(
-            conv(args.alpha), conv(args.beta), conv(args.gamma),
-            conv(args.delta) if args.delta is not None else None,
-        )
+        ang = orthoscheme.OrthoschemeAngles(conv(args.alpha), conv(args.beta), conv(args.gamma))
         e = orthoscheme.angles_to_edges(ang)
     z = math.atanh(math.tan(ang.delta) * math.tan(ang.beta))
     rec = {"a": e.a * args.k, "b": e.b * args.k, "c": e.c * args.k, "z": z * args.k,
@@ -188,67 +194,48 @@ def _cmd_mc(args) -> int:
     return EXIT_OK if abs(rec["z_score"]) <= 4.0 else EXIT_CHECK_FAILED
 
 
-def _row(suite: str, case: int, inputs: dict, values: dict, threshold: float) -> dict:
-    """One crosscheck record; max_delta is the largest difference between the routes."""
-    delta = max(values.values()) - min(values.values())
-    return {"suite": suite, "case": case, "inputs": inputs, "values": values,
-            "max_delta": delta, "threshold": threshold, "pass": delta <= threshold}
-
-
-def _crosscheck_orthoscheme(rows, grid: str, seed: int, reltol: float):
-    count = 20 if grid == "coarse" else 40
-    tol = Tolerance(rel=min(reltol, 1e-10), abs=1e-14)
-    for i, ang in enumerate(orthoscheme.sample_valid_angles(count, seed=seed)):
-        e = orthoscheme.angles_to_edges(ang)
-        va = orthoscheme.volume_angles(ang)
-        ve = orthoscheme.volume_edges(e, tol)
-        vb = orthoscheme.bolyai_integral_1(e, tol)
-        rows.append(_row(
-            "orthoscheme", i, {"alpha": ang.alpha, "beta": ang.beta, "gamma": ang.gamma},
-            {"angles": va, "edges": ve, "bolyai1": vb}, 1e-6 * max(1.0, va)))
-
-
-def _crosscheck_tetrahedra(rows, grid: str, seed: int, reltol: float):
-    count = 10 if grid == "coarse" else 25
-    tol = Tolerance(rel=min(reltol, 1e-10), abs=1e-14)
-    for case, t in enumerate(tetrahedra.sample_near_ideal(count, seed)):
-        values = {"derevnin-mednykh": tetrahedra.derevnin_mednykh(t, tol),
-                  "murakami-yano": tetrahedra.murakami_yano(t)}
-        rows.append(_row("tetrahedra", case, dict(zip("ABCDEF", t.as_tuple())), values, 1e-6))
-
-
-# closed forms with a quadrature twin, and their inputs at one grid point:
-# the sphere grid runs over the radius, the others over q at p = 1
-_SOLID_GRIDS = (
-    ("sphere", lambda x: {"x": x}),
-    ("equidistant", lambda q: {"p": 1.0, "q": q}),
-    ("barrel", lambda q: {"p": 1.0, "q": q}),
-)
-
-
-def _crosscheck_solids(rows, grid: str, seed: int, reltol: float):
-    pts = [0.25, 0.5, 1.0, 1.5, 2.0] if grid == "coarse" else [0.2 * i for i in range(1, 13)]
-    tol = Tolerance(rel=1e-12, abs=1e-15)
-    for case, ((shape, inputs), x) in enumerate(itertools.product(_SOLID_GRIDS, pts)):
-        p = inputs(x)
-        entry = SHAPES[shape]
-        values = {"closed": entry.evaluate(*p.values(), tol=tol),
-                  "quadrature": entry.twin(*p.values(), tol=tol)}
-        rows.append(_row("solids", case, {"shape": shape, **p}, values, 1e-8))
-
-
+# crosscheck suites: (shape, record inputs) cases of a grid and seed, the route tolerance
+# at --reltol, and the pass threshold on max_delta given the first route's value
 _SUITES = {
-    "orthoscheme": _crosscheck_orthoscheme,
-    "tetrahedra": _crosscheck_tetrahedra,
-    "solids": _crosscheck_solids,
+    "orthoscheme": (
+        lambda grid, seed: [
+            ("orthoscheme-angles", {"alpha": a.alpha, "beta": a.beta, "gamma": a.gamma})
+            for a in orthoscheme.sample_valid_angles(20 if grid == "coarse" else 40, seed=seed)],
+        lambda reltol: Tolerance(rel=min(reltol, 1e-10), abs=1e-14),
+        lambda v: 1e-6 * max(1.0, v)),
+    "tetrahedra": (
+        lambda grid, seed: [
+            ("derevnin-mednykh", dict(zip("ABCDEF", t.as_tuple())))
+            for t in tetrahedra.sample_near_ideal(10 if grid == "coarse" else 25, seed)],
+        lambda reltol: Tolerance(rel=min(reltol, 1e-10), abs=1e-14),
+        lambda v: 1e-6),
+    # closed forms with a quadrature route: the sphere over its radius, the others over q at p = 1
+    "solids": (
+        lambda grid, seed: [
+            (s, {"shape": s, **({"x": x} if s == "sphere" else {"p": 1.0, "q": x})})
+            for s in ("sphere", "equidistant", "barrel")
+            for x in ([0.25, 0.5, 1.0, 1.5, 2.0] if grid == "coarse"
+                      else [0.2 * i for i in range(1, 13)])],
+        lambda reltol: Tolerance(rel=1e-12, abs=1e-15),
+        lambda v: 1e-8),
 }
 
 
 def _cmd_crosscheck(args) -> int:
+    """Every route of each case's shape; max_delta is the spread of their values."""
     rows: list[dict] = []
-    for name, suite in _SUITES.items():
-        if args.suite in ("all", name):
-            suite(rows, args.grid, args.seed, args.reltol)
+    for suite, (cases, tolerance, threshold) in _SUITES.items():
+        if args.suite not in ("all", suite):
+            continue
+        tol = tolerance(args.reltol)
+        for case, (shape, inputs) in enumerate(cases(args.grid, args.seed)):
+            entry = SHAPES[shape]
+            values = {name: route(*(inputs[p] for p in entry.params), tol=tol)
+                      for name, route in entry.routes.items()}
+            delta = max(values.values()) - min(values.values())
+            limit = threshold(next(iter(values.values())))
+            rows.append({"suite": suite, "case": case, "inputs": inputs, "values": values,
+                         "max_delta": delta, "threshold": limit, "pass": delta <= limit})
     _write(args, rows)
     return EXIT_OK if all(r["pass"] for r in rows) else EXIT_CHECK_FAILED
 

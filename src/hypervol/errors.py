@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check that raises one."""
 
 
 class HypervolError(Exception):
@@ -26,3 +26,11 @@ class ConvergenceError(HypervolError, RuntimeError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
+
+
+def number(name: str, v, cast=float):
+    """``cast(v)``, or a DomainError naming ``name`` when v is not a number."""
+    try:
+        return cast(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be a number, got {v!r}") from exc

@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass
 
 from . import quadrature
-from .errors import DomainError, NotRealizableError, UnsupportedDimensionError
+from .errors import DomainError, NotRealizableError, UnsupportedDimensionError, number
 from .quadrature import DEFAULT_TOL, Tolerance
 from .specfun import lobachevsky
 
@@ -66,15 +66,23 @@ _SINH2_MAX = math.asinh(math.sqrt(sys.float_info.max))
 
 
 def _check_positive(name: str, v: float, limit: float = math.inf) -> float:
-    """float(v), or DomainError unless 0 < v <= limit (limit: the float-range
-    threshold of the route, _SINH_MAX or _SINH2_MAX)."""
-    v = float(v)
+    """v as a float, or DomainError unless 0 < v <= limit (limit: the
+    float-range threshold of the route, _SINH_MAX or _SINH2_MAX)."""
+    v = number(name, v)
     if not (math.isfinite(v) and v > 0.0):
         raise DomainError(f"{name} must be finite and positive, got {v!r}")
     if v > limit:
         raise DomainError(
             f"{name} = {v!r} exceeds {limit:.4f}, beyond which the route leaves the float range"
         )
+    return v
+
+
+def _angle(name: str, v) -> float:
+    """v as a float, or DomainError unless 0 < v < pi/2."""
+    v = number(name, v)
+    if not (0.0 < v < _HALF_PI):
+        raise DomainError(f"{name} must lie in (0, pi/2), got {v!r}")
     return v
 
 
@@ -98,7 +106,7 @@ class OrthoschemeEdges:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            _check_positive(f"edge {name}", getattr(self, name))
+            object.__setattr__(self, name, _check_positive(f"edge {name}", getattr(self, name)))
 
     @property
     def z(self) -> float:
@@ -128,20 +136,15 @@ class OrthoschemeAngles:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            v = float(getattr(self, name))
-            if not (0.0 < v < _HALF_PI):
-                raise DomainError(f"{name} must lie in (0, pi/2), got {v!r}")
-        if self.delta is None:
-            object.__setattr__(
-                self, "delta", delta_from_angles(self.alpha, self.beta, self.gamma)
-            )
-        d = float(self.delta)
+            object.__setattr__(self, name, _angle(name, getattr(self, name)))
+        a, b, g, d = self.alpha, self.beta, self.gamma, self.delta
+        d = delta_from_angles(a, b, g) if d is None else number("delta", d)
+        object.__setattr__(self, "delta", d)
         if not (0.0 < d < _HALF_PI):
             raise NotRealizableError(f"delta must lie in (0, pi/2), got {d!r}")
-        if d >= self.alpha or d >= self.gamma or d >= _HALF_PI - self.beta:
-            raise NotRealizableError(
-                "delta must be dominated: delta < min(alpha, gamma, pi/2 - beta)"
-            )
+        if d >= a or d >= g or d >= _HALF_PI - b:
+            raise NotRealizableError("delta must be dominated: "
+                                     "delta < min(alpha, gamma, pi/2 - beta)")
 
 
 @dataclass(frozen=True)
@@ -155,9 +158,7 @@ class NdimOrthoscheme:
     edges: tuple[float, ...]
 
     def __init__(self, edges):
-        e = tuple(float(v) for v in edges)
-        for v in e:
-            _check_positive("edge", v)
+        e = tuple(_check_positive("edge", v) for v in edges)
         if len(e) < 2:
             raise DomainError("an orthoscheme needs at least 2 edges")
         object.__setattr__(self, "edges", e)
@@ -169,9 +170,7 @@ class NdimOrthoscheme:
 
 def delta_from_angles(alpha: float, beta: float, gamma: float) -> float:
     """Auxiliary angle: tan delta = sqrt(cos^2 b - sin^2 a sin^2 g) / (cos a cos g)."""
-    for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if not (0.0 < float(v) < _HALF_PI):
-            raise DomainError(f"{name} must lie in (0, pi/2), got {v!r}")
+    alpha, beta, gamma = _angle("alpha", alpha), _angle("beta", beta), _angle("gamma", gamma)
     rad = math.cos(beta) ** 2 - (math.sin(alpha) * math.sin(gamma)) ** 2
     if rad <= 0.0:
         raise NotRealizableError(
@@ -228,28 +227,30 @@ def angles_to_edges(angles: OrthoschemeAngles) -> OrthoschemeEdges:
     return OrthoschemeEdges(a, b, c)
 
 
-def _log_ratio(b: float, c: float | None, lam: float) -> float:
-    """ln((sinh b + t sinh lam) / (sinh b - t sinh lam)) with t = tanh c.
+def _log_ratio(b: float, c: float):
+    """lam -> ln((sinh b + t sinh lam) / (sinh b - t sinh lam)) with t = tanh c.
 
-    c = None means the ideal limit t = 1.  The denominator is evaluated in
-    the cancellation-free form (sinh b - sinh lam) + (1 - t) sinh lam so the
-    endpoint lam -> b stays accurate even for t extremely close to 1.  The
-    numerator exceeds the denominator by exactly 2 t sinh lam, so the value
-    is log1p(2 t sinh lam / den), which stays >= 0 where the ratio would
-    round below 1.
+    c = inf is the ideal limit t = 1.  The denominator is evaluated in the
+    cancellation-free form (sinh b - sinh lam) + (1 - t) sinh lam, with
+    1 - t = 2 exp(-2c) / (1 + exp(-2c)) computed once, so the endpoint
+    lam -> b stays accurate even for t extremely close to 1.  The numerator
+    exceeds the denominator by exactly 2 t sinh lam, so the value is
+    log1p(2 t sinh lam / den), which stays >= 0 where the ratio would round
+    below 1.
     """
-    sl = math.sinh(lam)
-    diff = 2.0 * math.cosh(0.5 * (b + lam)) * math.sinh(0.5 * (b - lam))
-    if c is None:
-        t = 1.0
-        den = diff
-    else:
-        em = math.exp(-2.0 * c)
-        t = math.tanh(c)
-        den = diff + (2.0 * em / (1.0 + em)) * sl
-    if den <= 0.0:
-        raise DomainError("log argument not positive; lam outside [0, b)")
-    return math.log1p(2.0 * t * sl / den)
+    em = math.exp(-2.0 * c)
+    t = math.tanh(c)
+    one_minus_t = 2.0 * em / (1.0 + em)
+
+    def log_ratio(lam: float) -> float:
+        sl = math.sinh(lam)
+        diff = 2.0 * math.cosh(0.5 * (b + lam)) * math.sinh(0.5 * (b - lam))
+        den = diff + one_minus_t * sl
+        if den <= 0.0:
+            raise DomainError("log argument not positive; lam outside [0, b)")
+        return math.log1p(2.0 * t * sl / den)
+
+    return log_ratio
 
 
 def volume_edges(edges: OrthoschemeEdges | tuple, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -264,10 +265,11 @@ def volume_edges(edges: OrthoschemeEdges | tuple, tol: Tolerance = DEFAULT_TOL) 
     _check_positive("edge a", e.a, _SINH_MAX)
     _check_positive("edge b", e.b, _SINH_MAX)
     ratio = math.tanh(e.b) / math.sinh(e.a)
+    log_ratio = _log_ratio(e.b, e.c)
 
     def f(lam: float) -> float:
         T = math.tanh(lam) / math.hypot(ratio * math.cosh(lam), math.sinh(lam))
-        return T * _log_ratio(e.b, e.c, lam)
+        return T * log_ratio(lam)
 
     res = quadrature.integrate_1d(f, 0.0, e.b, tol)
     return 0.25 * res.value
@@ -328,6 +330,13 @@ def bolyai_integral_1(edges: OrthoschemeEdges | tuple, tol: Tolerance = DEFAULT_
     return 0.5 * math.tan(gamma_p) / math.tan(beta_p) * res.value
 
 
+def _ideal_apex_integral(b: float, c: float, tol: Tolerance) -> float:
+    """1/4 int_0^b ln((sinh b + tanh c sinh l)/(sinh b - tanh c sinh l)) / cosh l dl."""
+    log_ratio = _log_ratio(b, c)
+    res = quadrature.integrate_1d(lambda lam: log_ratio(lam) / math.cosh(lam), 0.0, b, tol)
+    return 0.25 * res.value
+
+
 def volume_one_ideal(b: float, c: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Volume of the orthoscheme whose first edge runs to an ideal point.
 
@@ -336,12 +345,7 @@ def volume_one_ideal(b: float, c: float, tol: Tolerance = DEFAULT_TOL) -> float:
     DomainError for b above 710.4759, where sinh b leaves the float range.
     """
     b = _check_positive("edge b", b, _SINH_MAX)
-    c = _check_positive("edge c", c)
-
-    def f(lam: float) -> float:
-        return _log_ratio(b, c, lam) / math.cosh(lam)
-
-    return 0.25 * quadrature.integrate_1d(f, 0.0, b, tol).value
+    return _ideal_apex_integral(b, _check_positive("edge c", c), tol)
 
 
 def volume_two_ideal(b: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -351,12 +355,7 @@ def volume_two_ideal(b: float, tol: Tolerance = DEFAULT_TOL) -> float:
     the integrand has an integrable log singularity at l = b.  DomainError
     for b above 710.4759, where sinh b leaves the float range.
     """
-    b = _check_positive("edge b", b, _SINH_MAX)
-
-    def f(lam: float) -> float:
-        return _log_ratio(b, None, lam) / math.cosh(lam)
-
-    return 0.25 * quadrature.integrate_1d(f, 0.0, b, tol).value
+    return _ideal_apex_integral(_check_positive("edge b", b, _SINH_MAX), math.inf, tol)
 
 
 def volume_ideal_tetrahedron_b(b: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -372,9 +371,7 @@ def bolyai_asymptotic_1(alpha: float, c: float, tol: Tolerance = DEFAULT_TOL) ->
 
     DomainError for c above 355.5845, where cosh^2 leaves the float range.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < _HALF_PI):
-        raise DomainError(f"alpha must lie in (0, pi/2), got {alpha!r}")
+    alpha = _angle("alpha", alpha)
     c = _check_positive("edge c", c, _SINH2_MAX)
     ca2 = math.cos(alpha) ** 2
 
@@ -390,7 +387,7 @@ def bolyai_asymptotic_2(alpha_max: float, b: float, tol: Tolerance = DEFAULT_TOL
     v = 1/2 int_0^alpha_max ln(cos p / sqrt(cos^2 p - tanh^2 b)) dp,
     requiring cos(alpha_max) > tanh b so the integrand stays real.
     """
-    alpha_max = float(alpha_max)
+    alpha_max = number("alpha_max", alpha_max)
     if not (0.0 <= alpha_max < _HALF_PI):
         raise DomainError(f"alpha_max must lie in [0, pi/2), got {alpha_max!r}")
     b = _check_positive("edge b", b)
@@ -441,12 +438,10 @@ def area_right_triangle(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> flo
 def lemma_angle(t: float, s: float) -> float:
     """Angle atan(tanh t / sinh s) of the doubly-perpendicular configuration;
     independent of where the far point sits on its subspace."""
-    t = float(t)
-    s = float(s)
+    t = number("t", t)
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
-    if not (math.isfinite(s) and s > 0.0):
-        raise DomainError(f"s must be positive, got {s!r}")
+    s = _check_positive("s", s)
     return math.atan(math.tanh(t) / math.sinh(s))
 
 

@@ -4,7 +4,8 @@ One ``Shape`` entry per name holds the shape's parameters with their kinds
 (L = length, scales 1/k; A = area, 1/k^2; R = angle; N = list of lengths),
 its dimension, the method label of its volume route, the evaluator at
 curvature 1, and, where they exist, the Monte-Carlo region builder and the
-quadrature twin that ``crosscheck`` compares the closed form against.
+named routes that ``crosscheck`` compares: the shape's own evaluator under
+its column name next to independent routes to the same volume.
 
 Evaluators and builders look their library functions up when called, not
 when this module is imported, so wrappers installed on those module
@@ -14,11 +15,11 @@ attributes see every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from . import mc_oracle, orthoscheme, solids, tetrahedra
-from .errors import DomainError
+from .errors import DomainError, number
 from .quadrature import Tolerance
 
 __all__ = ["Shape", "SHAPES", "MC_SHAPES", "compute_volume", "collect_params", "parse_job"]
@@ -32,11 +33,12 @@ class Shape:
     """One shape of the table.
 
     ``params`` maps names to kinds in call and record order; ``dim`` is None
-    when the dimension is the number of edges.  The routes take the
+    when the dimension is the number of edges.  The callables take the
     parameter values positionally: ``evaluate(*values, tol=tol)`` is the
-    volume at curvature 1, ``mc_region(*values, k=k)`` builds the Monte-Carlo
-    region from unscaled values, and ``twin(*values, tol=tol)`` is the
-    quadrature route of a closed form at curvature 1.
+    volume at curvature 1, and ``mc_region(*values, k=k)`` builds the
+    Monte-Carlo region from unscaled values.  ``routes`` maps crosscheck
+    column names, in record order, to volume routes called like
+    ``evaluate``; a route given as None is ``evaluate`` itself.
     """
 
     params: dict[str, str]
@@ -44,7 +46,10 @@ class Shape:
     method: str
     evaluate: Callable[..., float]
     mc_region: Callable[..., mc_oracle.Region] | None = None
-    twin: Callable[..., float] | None = None
+    routes: dict[str, Callable[..., float]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "routes", {n: r or self.evaluate for n, r in self.routes.items()})
 
 
 def _equidistant_slab(p: float, q: float, k: float) -> mc_oracle.Region:
@@ -59,11 +64,13 @@ _SIX = dict.fromkeys("ABCDEF", "R")
 SHAPES: dict[str, Shape] = {
     "sphere": Shape({"x": "L"}, 3, "closed-form", lambda x, tol: solids.sphere_volume(x),
                     mc_region=lambda x, k: mc_oracle.region_ball(x, k),
-                    twin=lambda x, tol: solids.sphere_volume_by_quadrature(x, tol=tol)),
+                    routes={"closed": None, "quadrature": lambda x, tol:
+                            solids.sphere_volume_by_quadrature(x, tol=tol)}),
     "barrel": Shape({"p": "L", "q": "L"}, 3, "closed-form",
                     lambda p, q, tol: solids.barrel(p, q),
                     mc_region=lambda p, q, k: mc_oracle.region_barrel(p, q, k),
-                    twin=lambda p, q, tol: solids.barrel_by_quadrature(p, q, tol=tol)),
+                    routes={"closed": None, "quadrature": lambda p, q, tol:
+                            solids.barrel_by_quadrature(p, q, tol=tol)}),
     "barrel-wedge": Shape({"p": "L", "T": "A"}, 3, "closed-form",
                           lambda p, T, tol: solids.barrel_wedge(p, T)),
     "cone": Shape({"b": "L", "beta": "R"}, 3, "quadrature",
@@ -72,8 +79,8 @@ SHAPES: dict[str, Shape] = {
     "equidistant": Shape({"p": "A", "q": "L"}, 3, "closed-form",
                          lambda p, q, tol: solids.equidistant_body(p, q),
                          mc_region=_equidistant_slab,
-                         twin=lambda p, q, tol: solids.equidistant_body_by_quadrature(
-                             p, q, tol=tol)),
+                         routes={"closed": None, "quadrature": lambda p, q, tol:
+                                 solids.equidistant_body_by_quadrature(p, q, tol=tol)}),
     "sector": Shape({"p": "A"}, 3, "closed-form", lambda p, tol: solids.paraspherical_sector(p)),
     "asymptotic-cone": Shape({"b": "L"}, 3, "closed-form",
                              lambda b, tol: solids.asymptotic_cone(b)),
@@ -82,7 +89,12 @@ SHAPES: dict[str, Shape] = {
                                mc_region=lambda a, b, c, k: mc_oracle.region_simplex(
                                    mc_oracle.orthoscheme_vertices(a, b, c, k), k)),
     "orthoscheme-angles": Shape({"alpha": "R", "beta": "R", "gamma": "R"}, 3, "lobachevsky-series",
-                                lambda *a, tol: orthoscheme.volume_angles(a)),
+                                lambda *a, tol: orthoscheme.volume_angles(a),
+                                routes={"angles": None,
+                                        "edges": lambda *a, tol: orthoscheme.volume_edges(
+                                            orthoscheme.angles_to_edges(a), tol),
+                                        "bolyai1": lambda *a, tol: orthoscheme.bolyai_integral_1(
+                                            orthoscheme.angles_to_edges(a), tol)}),
     "orthoscheme-one-ideal": Shape({"b": "L", "c": "L"}, 3, "quadrature",
                                    lambda b, c, tol: orthoscheme.volume_one_ideal(b, c, tol)),
     "orthoscheme-two-ideal": Shape({"b": "L"}, 3, "quadrature",
@@ -100,7 +112,9 @@ SHAPES: dict[str, Shape] = {
     "milnor": Shape({"A": "R", "B": "R", "C": "R"}, 3, "lobachevsky-series",
                     lambda A, B, C, tol: tetrahedra.milnor_ideal(A, B, C)),
     "derevnin-mednykh": Shape(_SIX, 3, "quadrature",
-                              lambda *t, tol: tetrahedra.derevnin_mednykh(t, tol)),
+                              lambda *t, tol: tetrahedra.derevnin_mednykh(t, tol),
+                              routes={"derevnin-mednykh": None, "murakami-yano": lambda *t, tol:
+                                      tetrahedra.murakami_yano(t)}),
     "murakami-yano": Shape(_SIX, 3, "clausen-series", lambda *t, tol: tetrahedra.murakami_yano(t)),
     "lambert-cube": Shape({"w0": "R", "w1": "R", "w2": "R", "theta": "R"}, 3, "lobachevsky-series",
                           lambda *w, tol: tetrahedra.lambert_cube(*w)),
@@ -154,14 +168,6 @@ def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-
     return v1 * scale, entry.method, err1 * scale
 
 
-def _number(name: str, v, cast=float):
-    """``cast(v)``, or a DomainError naming ``name`` when v is not a number."""
-    try:
-        return cast(v)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{name} must be a number, got {v!r}") from exc
-
-
 def collect_params(shape: str, src: dict, degrees: bool) -> dict:
     """The parameters of ``shape`` read from ``src`` (CLI flags or a batch job),
     angles converted from degrees when ``degrees`` is set.  DomainError for an
@@ -183,7 +189,7 @@ def collect_params(shape: str, src: dict, degrees: bool) -> dict:
             if len(v) < 2:
                 raise DomainError("ndim-orthoscheme needs at least 2 edges")
         else:
-            v = _number(f"parameter {name!r}", v)
+            v = number(f"parameter {name!r}", v)
             if kind == "R" and degrees:
                 v = math.radians(v)
         params[name] = v
@@ -202,11 +208,11 @@ def parse_job(job: dict) -> tuple:
     mc = job.get("mc")
     if mc is not None and shape not in MC_SHAPES:
         raise DomainError(f"shape {shape!r} has no Monte-Carlo region")
-    k = _number("k", job.get("k", 1.0))
-    reltol = _number("reltol", job.get("reltol", 1e-10))
+    k = number("k", job.get("k", 1.0))
+    reltol = number("reltol", job.get("reltol", 1e-10))
     if mc:
         if not isinstance(mc, dict):
             raise DomainError(f"mc must be an object, got {mc!r}")
-        mc = (_number("mc samples", mc.get("samples", 10 ** 6), int),
-              _number("mc seed", mc.get("seed", 0), int))
+        mc = (number("mc samples", mc.get("samples", 10 ** 6), int),
+              number("mc seed", mc.get("seed", 0), int))
     return shape, params, k, reltol, mc or None

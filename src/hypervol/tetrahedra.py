@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from . import quadrature
-from .errors import DomainError, NotRealizableError
+from .errors import DomainError, NotRealizableError, number
 from .quadrature import DEFAULT_TOL, Tolerance
 from .specfun import clausen2, lobachevsky
 
@@ -49,9 +49,10 @@ class TetraDihedrals:
 
     def __post_init__(self):
         for name in "ABCDEF":
-            v = float(getattr(self, name))
+            v = number(name, getattr(self, name))
             if not (0.0 < v < math.pi):
                 raise DomainError(f"dihedral angle {name} must lie in (0, pi), got {v!r}")
+            object.__setattr__(self, name, v)
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.A, self.B, self.C, self.D, self.E, self.F)
@@ -72,7 +73,7 @@ class DMCoefficients:
 
 def milnor_ideal(A: float, B: float, C: float) -> float:
     """Ideal tetrahedron volume L(A) + L(B) + L(C), requiring A + B + C = pi."""
-    A, B, C = float(A), float(B), float(C)
+    A, B, C = number("A", A), number("B", B), number("C", C)
     if min(A, B, C) <= 0.0:
         raise DomainError("ideal tetrahedron angles must be positive")
     if abs(A + B + C - math.pi) > 1e-9:
@@ -161,8 +162,9 @@ def derevnin_mednykh(t: TetraDihedrals | tuple, tol: Tolerance = DEFAULT_TOL) ->
     The integrand vanishes at both endpoints (square-root approach), so
     plain adaptive subdivision is enough.
     """
-    co = dm_coefficients(t)  # validates t
-    A, B, C, D, E, F = t.as_tuple() if isinstance(t, TetraDihedrals) else t
+    t = t if isinstance(t, TetraDihedrals) else TetraDihedrals(*t)
+    co = dm_coefficients(t)
+    A, B, C, D, E, F = t.as_tuple()
 
     def slog(x: float) -> float:
         # integrable log zero; floor keeps an exactly-hit root finite
@@ -194,8 +196,9 @@ def murakami_yano(t: TetraDihedrals | tuple) -> float:
         + Cl2(B+C+E+F+z) - Cl2(pi+A+B+C+z) - Cl2(pi+A+E+F+z)
         - Cl2(pi+B+D+F+z) - Cl2(pi+C+D+E+z) ].
     """
-    co = dm_coefficients(t)  # validates t
-    A, B, C, D, E, F = t.as_tuple() if isinstance(t, TetraDihedrals) else t
+    t = t if isinstance(t, TetraDihedrals) else TetraDihedrals(*t)
+    co = dm_coefficients(t)
+    A, B, C, D, E, F = t.as_tuple()
 
     def im_u(z: float) -> float:
         pos = (z, A + B + D + E + z, A + C + D + F + z, B + C + E + F + z)
@@ -242,13 +245,13 @@ def lambert_cube(w0: float, w1: float, w2: float, theta: float) -> float:
     geometric cube tan(theta) >= 1; the combination is returned for any
     theta in (0, pi/2] (and is 0 at theta = pi/2).
     """
-    for name, w in (("w0", w0), ("w1", w1), ("w2", w2)):
-        if not (0.0 < float(w) < math.pi / 2.0):
+    ws = (number("w0", w0), number("w1", w1), number("w2", w2))
+    for name, w in zip(("w0", "w1", "w2"), ws):
+        if not (0.0 < w < math.pi / 2.0):
             raise DomainError(f"essential angle {name} must lie in (0, pi/2), got {w!r}")
-    theta = float(theta)
+    theta = number("theta", theta)
     if not (0.0 < theta <= math.pi / 2.0):
         raise DomainError(f"theta must lie in (0, pi/2], got {theta!r}")
-    ws = (float(w0), float(w1), float(w2))
     return 0.25 * (
         math.fsum(lobachevsky(w + theta) - lobachevsky(w - theta) for w in ws)
         - lobachevsky(2.0 * theta)
@@ -261,10 +264,10 @@ def mohanty_octahedron(A: float, B: float, E: float) -> float:
 
     2 [ L((pi+A+B+E)/2) + L((pi-A-B+E)/2) + L((pi+A-B-E)/2) + L((pi-A+B-E)/2) ].
     """
+    A, B, E = number("A", A), number("B", B), number("E", E)
     for name, v in (("A", A), ("B", B), ("E", E)):
-        if not (0.0 < float(v) < math.pi):
+        if not (0.0 < v < math.pi):
             raise DomainError(f"angle {name} must lie in (0, pi), got {v!r}")
-    A, B, E = float(A), float(B), float(E)
     return 2.0 * (
         lobachevsky((math.pi + A + B + E) / 2.0)
         + lobachevsky((math.pi - A - B + E) / 2.0)

@@ -1,6 +1,7 @@
 """Command-line interface tests (driving main() in-process)."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -150,6 +151,35 @@ def test_crosscheck_orthoscheme(capsys):
     assert code == EXIT_OK
     assert len(recs) >= 20
     assert all(r["pass"] for r in recs)
+
+
+def test_crosscheck_tetrahedra_rows_are_the_two_routes(capsys):
+    code, recs = run(capsys, "crosscheck", "tetrahedra", "--grid", "coarse")
+    assert code == EXIT_OK
+    tol = Tolerance(rel=1e-10, abs=1e-14)
+    cases = tetrahedra.sample_near_ideal(10, 20121023)
+    assert len(recs) == len(cases)
+    for rec, t in zip(recs, cases):
+        assert rec["pass"]
+        assert rec["inputs"] == dict(zip("ABCDEF", t.as_tuple()))
+        assert rec["values"] == {"derevnin-mednykh": tetrahedra.derevnin_mednykh(t, tol),
+                                 "murakami-yano": tetrahedra.murakami_yano(t)}
+
+
+def test_crosscheck_reads_the_routes_of_the_table(capsys, monkeypatch):
+    # a new route is a table entry: the solids rows of the sphere gain its column
+    sphere = SHAPES["sphere"]
+    extra = dataclasses.replace(sphere, routes={**sphere.routes, "doubled-half": lambda x, tol:
+                                                2.0 * solids.sphere_volume(x) / 2.0})
+    monkeypatch.setitem(SHAPES, "sphere", extra)
+    code, recs = run(capsys, "crosscheck", "solids", "--grid", "coarse")
+    assert code == EXIT_OK
+    for rec in recs:
+        columns = ["closed", "quadrature"]
+        if rec["inputs"]["shape"] == "sphere":
+            columns.append("doubled-half")
+            assert rec["values"]["doubled-half"] == rec["values"]["closed"]
+        assert list(rec["values"]) == columns
 
 
 def test_batch(tmp_path, capsys):
@@ -384,6 +414,23 @@ def test_asymptotic_cone_stays_finite_where_cosh_overflows(capsys):
 def test_leaked_python_errors_exit_2(capsys, argv):
     assert main(argv) == EXIT_INVALID
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["batch", "{jobs}", "--k", "2"],
+    ["batch", "{jobs}", "--reltol", "1e-3"],
+    ["batch", "{jobs}", "--degrees"],
+    ["crosscheck", "solids", "--k", "2"],
+    ["crosscheck", "solids", "--degrees"],
+    ["convert", "edges-to-angles", "--a", "1", "--b", "1", "--c", "1", "--reltol", "1e-3"],
+    ["convert", "angles-to-edges", "--alpha", "0.54", "--beta", "1.1", "--gamma", "0.71",
+     "--delta", "0.43"],
+])
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text(json.dumps([{"shape": "sphere", "x": 1.0}]))
+    assert main([a.format(jobs=jobs) for a in argv]) == EXIT_INVALID
+    assert capsys.readouterr().out == ""
 
 
 def test_ndim_integrates_at_the_requested_tolerance(capsys, monkeypatch):

@@ -36,6 +36,13 @@ from hypervol.orthoscheme import (
     volume_two_ideal,
 )
 from hypervol.quadrature import Tolerance
+from hypervol.tetrahedra import (
+    derevnin_mednykh,
+    lambert_cube,
+    milnor_ideal,
+    mohanty_octahedron,
+    murakami_yano,
+)
 
 VOL_111 = 0.098404718929145    # scipy oracle, edges (1,1,1)
 VOL_051015 = 0.070924545174    # scipy oracle, edges (0.5, 1.0, 1.5)
@@ -409,3 +416,34 @@ def test_log_ratio_routes_accurate_for_long_middle_edge(route, integrand):
     with mpmath.workdps(30):
         ref = mpmath.quad(integrand, mpmath.linspace(0, 15, 16)) / 4
     assert route() == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("route, args, floats", [
+    (volume_edges, ("1", "1", "1"), (1.0, 1.0, 1.0)),
+    (volume_angles, ("0.5", "1.0", "0.6"), (0.5, 1.0, 0.6)),
+    (volume_angles, ("0.54", "1.1", "0.71"), (0.54, 1.1, 0.71)),
+    (derevnin_mednykh, ("1.1",) * 6, (1.1,) * 6),
+    (volume_edges, ("abc", 1, 1), None),
+    (murakami_yano, ("x",) * 6, None),
+    (volume_ndim, ("a", 1), None),
+    (volume_angles, (None, 1.0, 0.6), None),
+    (lambda a: bolyai_asymptotic_1(*a), ("0.7", "1"), (0.7, 1.0)),
+    (lambda a: bolyai_asymptotic_2(*a), ("x", 1.0), None),
+    (lambda a: lemma_angle(*a), ("1", "x"), None),
+    (lambda a: milnor_ideal(*a), ("x", 1.0, 1.0), None),
+    (lambda a: lambert_cube(*a), ("0.3", "0.6", "0.9", "1"), (0.3, 0.6, 0.9, 1.0)),
+    (lambda a: mohanty_octahedron(*a), ("x", 1.3, 1.4), None),
+])
+def test_parameters_convert_once_or_raise_domain_error(route, args, floats):
+    # the parameter dataclasses store the converted float, so a numeric
+    # string behaves as its float (a volume, or a DomainError where the float
+    # is not realizable) and anything else raises DomainError
+    try:
+        expected = DomainError if floats is None else route(floats)
+    except DomainError:
+        expected = DomainError
+    if expected is DomainError:
+        with pytest.raises(DomainError):
+            route(args)
+    else:
+        assert route(args) == expected

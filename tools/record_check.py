@@ -1,0 +1,225 @@
+"""Compare the records of two hypervol source trees, command by command.
+
+    python tools/record_check.py OLD_SRC NEW_SRC
+
+Each SRC is a directory holding the ``hypervol`` package (the ``src`` of a
+checkout).  Every command of a fixed argv list runs as ``python -m
+hypervol.cli`` in a fresh interpreter against each tree, and the script
+reports every command whose stdout or exit code differs.  The list covers
+``vol`` on every table shape at k = 1 and 1.3, both ``convert``
+directions, ``crosscheck`` on every suite, grid and seed of three, ``mc``
+on the Monte-Carlo shapes, a fixed 200-job batch, and the CLI error paths.
+Output goes to JSON and CSV where a command writes records.  Job files go
+to a temporary directory, which is also the working directory of every
+command.  Two commands run at a time.
+
+Exit status: 0 when every command agrees, 1 when any differs, 2 when the
+new tree's shape table has a shape the list does not cover.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+SIX = dict.fromkeys("ABCDEF", 1.1)
+# one parameter set per table shape, at curvature 1
+VOL_PARAMS = {
+    "sphere": {"x": 1.0},
+    "barrel": {"p": 1.0, "q": 0.7},
+    "barrel-wedge": {"p": 1.2, "T": 0.8},
+    "cone": {"b": 1.0, "beta": 0.7},
+    "equidistant": {"p": 0.9, "q": 0.6},
+    "sector": {"p": 1.5},
+    "asymptotic-cone": {"b": 1.1},
+    "orthoscheme-edges": {"a": 1.0, "b": 0.8, "c": 0.6},
+    "orthoscheme-angles": {"alpha": 0.54, "beta": 1.1, "gamma": 0.71},
+    "orthoscheme-one-ideal": {"b": 1.0, "c": 0.8},
+    "orthoscheme-two-ideal": {"b": 1.0},
+    "ideal-tetra-b": {"b": 1.0},
+    "bolyai-1": {"a": 1.0, "b": 0.8, "c": 0.6},
+    "bolyai-asym-1": {"alpha": 0.7, "c": 1.0},
+    "bolyai-asym-2": {"amax": 0.5, "b": 0.5},
+    "ndim-orthoscheme": {"edges": "0.6,0.5,0.4"},
+    "milnor": {"A": 1.0, "B": 1.0, "C": math.pi - 2.0},
+    "derevnin-mednykh": SIX,
+    "murakami-yano": SIX,
+    "lambert-cube": {"w0": 0.3, "w1": 0.6, "w2": 0.9, "theta": 1.0},
+    "mohanty": {"A": 1.2, "B": 1.3, "E": 1.4},
+    "triangle-2d": {"a": 1.0, "b": 0.8},
+}
+MC_PARAMS = {
+    "sphere": {"x": 1.0},
+    "barrel": {"p": 1.0, "q": 0.5},
+    "cone": {"b": 1.0, "beta": 0.7},
+    "equidistant": {"p": 0.9, "q": 0.6},
+    "orthoscheme-edges": {"a": 1.0, "b": 0.8, "c": 0.6},
+}
+# dihedral angles of no tetrahedron (CLI exit 3)
+NOT_A_TETRAHEDRON = {"A": 2.152887623070091, "B": 1.3431230654853088, "C": 2.353904387848959,
+                     "D": 1.386255981158629, "E": 1.2023068518788278, "F": 2.0239650757776553}
+MALFORMED_JOBS = [
+    {"shape": "sphere", "x": 1, "k": "abc"},
+    {"shape": "sphere", "x": "one"},
+    {"shape": "sphere", "x": 1, "reltol": None},
+    {"shape": "sphere", "x": 1, "mc": 5},
+    {"shape": "sphere", "x": 1, "mc": {"samples": "many"}},
+    {"shape": "sphere", "x": [1]},
+    {"shape": ["sphere"], "x": 1},
+    {"shape": "ndim-orthoscheme", "edges": 5},
+]
+FORMATS = (["--format", "json"], ["--format", "csv"])
+WORKERS = 2
+
+
+def flags(params: dict) -> list[str]:
+    return [a for name, v in params.items() for a in (f"--{name}", str(v))]
+
+
+def batch_jobs() -> list[dict]:
+    """200 jobs: every table shape at ten curvatures 0.5 .. 1.85 and two
+    tolerances, with a 20,000-sample Monte-Carlo check on every fifth job of
+    a Monte-Carlo shape."""
+    names = list(VOL_PARAMS)
+    jobs = []
+    for i in range(200):
+        shape = names[i % len(names)]
+        job = {"shape": shape, **VOL_PARAMS[shape], "k": 0.5 + 0.15 * (i // len(names)),
+               "reltol": 1e-10 if i % 2 else 1e-8}
+        if shape in MC_PARAMS and i % 5 == 0:
+            job.update(MC_PARAMS[shape], mc={"samples": 20_000, "seed": i})
+        jobs.append(job)
+    return jobs
+
+
+def write_job_files(tmp: Path) -> dict[str, str]:
+    """Job files by name, written to ``tmp``; returns name -> path."""
+    files = {
+        "batch200": batch_jobs(),
+        "blocked": [{"shape": "sphere", "x": 1.0}, {"shape": "sphere"}],
+        "out-of-range": [{"shape": "sphere", "x": 1.0}, {"shape": "sphere", "x": 1.0, "k": 0}],
+        "no-tetrahedron": [{"shape": "murakami-yano", **NOT_A_TETRAHEDRON},
+                           {"shape": "murakami-yano", **SIX}],
+        "sphere": [{"shape": "sphere", "x": 1.0}],
+        "not-an-array": {"shape": "sphere", "x": 1.0},
+        **{f"malformed-{i}": [{"shape": "sphere", "x": 1.0}, bad]
+           for i, bad in enumerate(MALFORMED_JOBS)},
+    }
+    paths = {}
+    for name, jobs in files.items():
+        paths[name] = str(tmp / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(jobs))
+    paths["invalid-json"] = str(tmp / "invalid-json.json")
+    Path(paths["invalid-json"]).write_text("[{")
+    paths["missing"] = str(tmp / "missing" / "jobs.json")
+    return paths
+
+
+def argv_list(jobs: dict[str, str]) -> list[list[str]]:
+    out = []
+    for shape, params in VOL_PARAMS.items():
+        for k in ("1", "1.3"):
+            out += [["vol", shape, *flags(params), "--k", k, *f] for f in FORMATS]
+    for f in FORMATS:
+        out.append(["convert", "edges-to-angles", "--a", "1", "--b", "0.8", "--c", "0.6", *f])
+        out.append(["convert", "angles-to-edges", "--alpha", "0.54", "--beta", "1.1",
+                    "--gamma", "0.71", *f])
+    for suite in ("orthoscheme", "tetrahedra", "solids", "all"):
+        for grid in ("coarse", "fine"):
+            for seed in ([], ["--seed", "7"], ["--seed", "123"]):
+                out += [["crosscheck", suite, "--grid", grid, *seed, *f] for f in FORMATS]
+    out += [["crosscheck", "all", "--reltol", "1e-12", *f] for f in FORMATS]
+    for shape, params in MC_PARAMS.items():
+        out.append(["mc", shape, *flags(params), "--samples", "100000", "--seed", "11"])
+    out += [["batch", jobs["batch200"], *f] for f in FORMATS]
+    # error paths
+    out += [
+        ["vol", "sphere", "--x", "-1"],
+        ["vol", "sphere"],
+        ["vol", "sphere", "--x", "1", "--b", "2"],
+        ["vol", "sphere", "--x", "800"],
+        ["vol", "barrel", "--p", "1", "--q", "800"],
+        ["vol", "equidistant", "--p", "1", "--q", "800"],
+        ["vol", "cone", "--b", "800", "--beta", "0.7"],
+        ["vol", "orthoscheme-one-ideal", "--b", "800", "--c", "1"],
+        ["vol", "triangle-2d", "--a", "800", "--b", "800"],
+        ["vol", "sphere", "--x", "1", "--k", "1e200"],
+        ["vol", "ndim-orthoscheme", "--edges", "20,0.5,0.5"],
+        ["vol", "murakami-yano", *flags(NOT_A_TETRAHEDRON)],
+        ["vol", "derevnin-mednykh", *flags(NOT_A_TETRAHEDRON)],
+        ["mc", "sphere", "--x", "1", "--samples", "10000", "--seed", "-1"],
+        ["mc", "milnor", "--A", "1.0", "--B", "1.0", "--C", "1.14", "--samples", "10000"],
+        ["convert", "angles-to-edges", "--alpha", "0.3", "--beta", "1.5", "--gamma", "0.3"],
+        ["convert", "edges-to-angles", "--a", "1"],
+        ["crosscheck", "nowhere"],
+        ["batch", jobs["blocked"]],
+        ["batch", jobs["out-of-range"]],
+        ["batch", jobs["no-tetrahedron"]],
+        ["batch", jobs["not-an-array"]],
+        ["batch", jobs["invalid-json"]],
+        ["batch", jobs["missing"]],
+        *(["batch", jobs[f"malformed-{i}"]] for i in range(len(MALFORMED_JOBS))),
+        # flags a command does not read
+        ["batch", jobs["sphere"], "--k", "2", "--reltol", "1e-3", "--degrees"],
+        ["crosscheck", "solids", "--k", "2"],
+        ["crosscheck", "solids", "--degrees"],
+        ["convert", "edges-to-angles", "--a", "1", "--b", "1", "--c", "1", "--reltol", "1e-3"],
+        ["convert", "angles-to-edges", "--alpha", "0.54", "--beta", "1.1", "--gamma", "0.71",
+         "--delta", "0.43"],
+    ]
+    return out
+
+
+def run(src: str, argv: list[str], cwd: str) -> tuple[int, str]:
+    env = {**os.environ, "PYTHONPATH": src}
+    p = subprocess.run([sys.executable, "-m", "hypervol.cli", *argv], cwd=cwd, env=env,
+                       capture_output=True, text=True, timeout=600)
+    return p.returncode, p.stdout
+
+
+def table_shapes(src: str, cwd: str) -> set[str]:
+    code = "import json; from hypervol.shapes import SHAPES; print(json.dumps(list(SHAPES)))"
+    p = subprocess.run([sys.executable, "-c", code], cwd=cwd, env={**os.environ, "PYTHONPATH": src},
+                       capture_output=True, text=True, check=True)
+    return set(json.loads(p.stdout))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old", help="src directory of the reference tree")
+    ap.add_argument("new", help="src directory of the tree under test")
+    args = ap.parse_args(argv)
+    old, new = (str(Path(p).resolve()) for p in (args.old, args.new))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        missing = table_shapes(new, tmp) - set(VOL_PARAMS)
+        if missing:
+            print(f"shapes without parameters in VOL_PARAMS: {sorted(missing)}")
+            return 2
+        argvs = argv_list(write_job_files(Path(tmp)))
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+            results = list(pool.map(lambda a: (run(old, a, tmp), run(new, a, tmp)), argvs))
+        differ = 0
+        for a, ((code_o, out_o), (code_n, out_n)) in zip(argvs, results):
+            if (code_o, out_o) == (code_n, out_n):
+                continue
+            differ += 1
+            print(f"DIFF exit {code_o} -> {code_n}: hypervol {' '.join(a).replace(tmp, '$TMP')}")
+            diff = difflib.unified_diff(out_o.splitlines(), out_n.splitlines(),
+                                        "old", "new", lineterm="", n=0)
+            for line in list(diff)[:12]:
+                print(f"    {line[:200]}")
+    print(f"{len(argvs)} commands, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
