@@ -39,7 +39,7 @@ from typing import Sequence
 from . import mc_oracle, orthoscheme, tetrahedra
 from .errors import ConvergenceError, DomainError, NotRealizableError
 from .quadrature import Tolerance
-from .shapes import MC_SHAPES, SHAPES, collect_params, compute_volume, parse_job
+from .shapes import MC_SHAPES, SHAPES, check_curvature, collect_params, compute_volume, parse_job
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -166,6 +166,7 @@ def _cmd_vol(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    check_curvature(args.k)
     if args.direction == "edges-to-angles":
         e = orthoscheme.OrthoschemeEdges(args.a / args.k, args.b / args.k, args.c / args.k)
         ang = orthoscheme.edges_to_angles(e)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the number check that raises one."""
+"""Exception types shared across the package, and the number and sequence
+checks that raise one."""
 
 
 class HypervolError(Exception):
@@ -34,3 +35,16 @@ def number(name: str, v, cast=float):
         return cast(v)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be a number, got {v!r}") from exc
+
+
+def sequence(name: str, values, counts: tuple[int, ...] | None = None) -> tuple:
+    """``tuple(values)``, or a DomainError naming ``name`` when values is not
+    iterable or, given ``counts``, holds a number of items not among them."""
+    try:
+        t = tuple(values)
+    except TypeError as exc:
+        raise DomainError(f"{name} must be a sequence of numbers, got {values!r}") from exc
+    if counts is not None and len(t) not in counts:
+        want = " or ".join(map(str, counts))
+        raise DomainError(f"{name} takes {want} values, got {len(t)}: {values!r}")
+    return t

@@ -22,7 +22,8 @@ from . import mc_oracle, orthoscheme, solids, tetrahedra
 from .errors import DomainError, number
 from .quadrature import Tolerance
 
-__all__ = ["Shape", "SHAPES", "MC_SHAPES", "compute_volume", "collect_params", "parse_job"]
+__all__ = ["Shape", "SHAPES", "MC_SHAPES", "check_curvature", "compute_volume", "collect_params",
+           "parse_job"]
 
 # methods whose value carries no truncation error: their error estimate is 0
 EXACT_METHODS = ("closed-form", "lobachevsky-series", "clausen-series")
@@ -141,6 +142,12 @@ def _lookup(shape) -> Shape:
     return SHAPES[shape]
 
 
+def check_curvature(k: float) -> None:
+    """DomainError unless the curvature constant k is finite and positive."""
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError(f"k must be positive, got {k!r}")
+
+
 def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-10):
     """Volume of ``shape`` at curvature k. Returns (value, method, error estimate).
 
@@ -152,8 +159,7 @@ def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-
     (about 1.8e308; for dim 3, k above about 5.6e102).
     """
     entry = _lookup(shape)
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"k must be positive, got {k!r}")
+    check_curvature(k)
     p1 = {name: _SCALE[kind](params[name], k) for name, kind in entry.params.items()}
     tol = Tolerance(rel=reltol, abs=min(1e-14, reltol))
     v1 = entry.evaluate(*p1.values(), tol=tol)

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from . import quadrature
-from .errors import DomainError, NotRealizableError, number
+from .errors import DomainError, NotRealizableError, number, sequence
 from .quadrature import DEFAULT_TOL, Tolerance
 from .specfun import clausen2, lobachevsky
 
@@ -58,6 +58,13 @@ class TetraDihedrals:
         return (self.A, self.B, self.C, self.D, self.E, self.F)
 
 
+def _dihedrals(t: TetraDihedrals | tuple) -> TetraDihedrals:
+    """t as given when a TetraDihedrals, else built from (A, B, C, D, E, F)."""
+    if isinstance(t, TetraDihedrals):
+        return t
+    return TetraDihedrals(*sequence("dihedral angles", t, (6,)))
+
+
 @dataclass(frozen=True)
 class DMCoefficients:
     """Auxiliary data for the tetrahedron volume integral."""
@@ -81,22 +88,24 @@ def milnor_ideal(A: float, B: float, C: float) -> float:
     return lobachevsky(A) + lobachevsky(B) + lobachevsky(C)
 
 
-def _log_argument(t: TetraDihedrals, z: float) -> tuple[float, float]:
-    """Numerator and denominator of the volume integrand's log argument."""
+def _log_argument(t: TetraDihedrals):
+    """z -> (numerator, denominator) of the volume integrand's log argument,
+    prod cos((A+B+C+z)/2) ... and prod sin((A+B+D+E+z)/2) ... sin(z/2).
+
+    The half angle sums are taken once; halving is exact, so each argument
+    is bit for bit the (sum + z) / 2 of the formula.
+    """
     A, B, C, D, E, F = t.as_tuple()
-    num = (
-        math.cos((A + B + C + z) / 2.0)
-        * math.cos((A + E + F + z) / 2.0)
-        * math.cos((B + D + F + z) / 2.0)
-        * math.cos((C + D + E + z) / 2.0)
-    )
-    den = (
-        math.sin((A + B + D + E + z) / 2.0)
-        * math.sin((A + C + D + F + z) / 2.0)
-        * math.sin((B + C + E + F + z) / 2.0)
-        * math.sin(z / 2.0)
-    )
-    return num, den
+    p, q, r, s = 0.5 * (A + B + C), 0.5 * (A + E + F), 0.5 * (B + D + F), 0.5 * (C + D + E)
+    w, x, y = 0.5 * (A + B + D + E), 0.5 * (A + C + D + F), 0.5 * (B + C + E + F)
+    cos, sin = math.cos, math.sin
+
+    def log_argument(z: float) -> tuple[float, float]:
+        h = 0.5 * z
+        return (cos(p + h) * cos(q + h) * cos(r + h) * cos(s + h),
+                sin(w + h) * sin(x + h) * sin(y + h) * sin(h))
+
+    return log_argument
 
 
 def dm_coefficients(t: TetraDihedrals | tuple) -> DMCoefficients:
@@ -109,8 +118,7 @@ def dm_coefficients(t: TetraDihedrals | tuple) -> DMCoefficients:
     the ten cofactors c_ij > 0, save that an ideal vertex (c_ii = 0, angle sum
     pi) is accepted down to c_ii = -1e-12, far above rounding at a sum of pi.
     """
-    if not isinstance(t, TetraDihedrals):
-        t = TetraDihedrals(*t)
+    t = _dihedrals(t)
     A, B, C, D, E, F = t.as_tuple()
     S = A + B + C + D + E + F
     k1 = -(
@@ -159,30 +167,27 @@ def derevnin_mednykh(t: TetraDihedrals | tuple, tol: Tolerance = DEFAULT_TOL) ->
 
     -1/4 int_{z1}^{z2} log( prod cos / prod sin ) dz.
 
-    The integrand vanishes at both endpoints (square-root approach), so
-    plain adaptive subdivision is enough.
+    The log argument equals 1 at both roots, so for a compact tetrahedron
+    the integrand vanishes at both ends.  The zeros of sin(z/2) and of the
+    cosines, at z = 0 and at pi minus the angle sum of a vertex, are log
+    singularities of the integrand; near the ideal limit they lie just
+    below z1 > 0, and in it they meet z1 = 0.  So the integral runs through
+    quadrature.integrate_from_zero, whose substitution starts at z = 0.  A
+    z1 below 0 comes only from rounding at an ideal vertex, whose exact
+    root is 0, and is read as 0.
     """
-    t = t if isinstance(t, TetraDihedrals) else TetraDihedrals(*t)
+    t = _dihedrals(t)
     co = dm_coefficients(t)
-    A, B, C, D, E, F = t.as_tuple()
-
-    def slog(x: float) -> float:
-        # integrable log zero; floor keeps an exactly-hit root finite
-        return math.log(max(abs(x), 5e-324))
+    log_argument = _log_argument(t)
+    log = math.log
 
     def f(z: float) -> float:
-        return (
-            slog(math.cos((A + B + C + z) / 2.0))
-            + slog(math.cos((A + E + F + z) / 2.0))
-            + slog(math.cos((B + D + F + z) / 2.0))
-            + slog(math.cos((C + D + E + z) / 2.0))
-            - slog(math.sin((A + B + D + E + z) / 2.0))
-            - slog(math.sin((A + C + D + F + z) / 2.0))
-            - slog(math.sin((B + C + E + F + z) / 2.0))
-            - slog(math.sin(z / 2.0))
-        )
+        num, den = log_argument(z)
+        # log|x| with an exact 0 read as the least subnormal: an integrable
+        # log zero hit exactly stays finite
+        return log(abs(num) or 5e-324) - log(abs(den) or 5e-324)
 
-    res = quadrature.integrate_1d(f, co.z1, co.z2, tol)
+    res = quadrature.integrate_from_zero(f, max(co.z1, 0.0), co.z2, tol)
     return -0.25 * res.value
 
 
@@ -196,7 +201,7 @@ def murakami_yano(t: TetraDihedrals | tuple) -> float:
         + Cl2(B+C+E+F+z) - Cl2(pi+A+B+C+z) - Cl2(pi+A+E+F+z)
         - Cl2(pi+B+D+F+z) - Cl2(pi+C+D+E+z) ].
     """
-    t = t if isinstance(t, TetraDihedrals) else TetraDihedrals(*t)
+    t = _dihedrals(t)
     co = dm_coefficients(t)
     A, B, C, D, E, F = t.as_tuple()
 

@@ -104,6 +104,20 @@ def test_convert_not_realizable_exit_3(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["convert", "edges-to-angles", "--a", "1", "--b", "1", "--c", "1", "--k", "0"],
+    ["convert", "angles-to-edges", "--alpha", "0.54", "--beta", "1.1", "--gamma", "0.71",
+     "--k", "-1"],
+    ["convert", "angles-to-edges", "--alpha", "0.54", "--beta", "1.1", "--gamma", "0.71",
+     "--k", "inf"],
+])
+def test_convert_refuses_non_positive_k(capsys, argv):
+    # k = 0 divided by zero (a traceback, exit 1); k = -1 printed negative edges
+    assert main(argv) == EXIT_INVALID
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: invalid parameters")
+
+
 def test_mc_sphere_and_determinism(capsys):
     code, recs = run(capsys, "mc", "sphere", "--x", "1", "--samples", "100000",
                      "--seed", "42")

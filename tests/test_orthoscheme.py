@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hypervol import shapes
+from hypervol import quadrature, shapes
 from hypervol.errors import DomainError, NotRealizableError, UnsupportedDimensionError
 from hypervol.orthoscheme import (
     NdimOrthoscheme,
@@ -416,6 +416,61 @@ def test_log_ratio_routes_accurate_for_long_middle_edge(route, integrand):
     with mpmath.workdps(30):
         ref = mpmath.quad(integrand, mpmath.linspace(0, 15, 16)) / 4
     assert route() == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("b, c", [
+    (0.05, math.inf), (0.5, math.inf), (2.0, math.inf), (5.0, math.inf),
+    (4.260539645051726, 7.052860893623935), (0.9762385017356596, 10.732089875942735),
+])
+def test_ideal_apex_routes_match_mpmath(b, c):
+    # c = inf: the log singularity at l = b cost the plain GK15 route about
+    # 2e-13; large c puts it just beyond l = b, where a substitution anchored
+    # at l = b rather than at the singular point was off by 7.7e-10 and 1.9e-12
+    with mpmath.workdps(30):
+        bm = mpmath.mpf(b)
+        one_minus_t = 2 / (mpmath.exp(2 * mpmath.mpf(c)) + 1)
+
+        def integrand(l):
+            sl = mpmath.sinh(l)
+            den = 2 * mpmath.cosh((bm + l) / 2) * mpmath.sinh((bm - l) / 2) + one_minus_t * sl
+            return mpmath.log1p(2 * (1 - one_minus_t) * sl / den) / mpmath.cosh(l)
+
+        ref = mpmath.quad(integrand, [0, bm]) / 4
+    v = volume_two_ideal(b) if c == math.inf else volume_one_ideal(b, c)
+    assert v == pytest.approx(float(ref), rel=5e-14, abs=0.0)
+
+
+def _evaluations(monkeypatch, route, *args) -> int:
+    """Integrand evaluations of one route call, counted at quadrature.integrate_1d."""
+    evals = []
+    integrate_1d = quadrature.integrate_1d
+
+    def counting(*a, **kw):
+        res = integrate_1d(*a, **kw)
+        evals.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(quadrature, "integrate_1d", counting)
+    route(*args)
+    return sum(evals)
+
+
+def test_singular_end_routes_do_not_bisect_toward_the_singularity(monkeypatch):
+    # halving toward the log singularity took 1,005 evaluations on both
+    assert _evaluations(monkeypatch, volume_two_ideal, 1.0) <= 300
+    assert _evaluations(monkeypatch, derevnin_mednykh, (math.pi / 3,) * 6) <= 350
+
+
+@pytest.mark.parametrize("call", [
+    lambda: derevnin_mednykh((1.1,) * 5),
+    lambda: volume_edges((1, 1)),
+    lambda: volume_ndim(5),
+    lambda: volume_angles((0.5, 1.0, 0.6, 0.3, 0.1)),
+    lambda: murakami_yano(None),
+])
+def test_wrong_length_or_non_sequence_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 @pytest.mark.parametrize("route, args, floats", [

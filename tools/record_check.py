@@ -6,12 +6,15 @@ Each SRC is a directory holding the ``hypervol`` package (the ``src`` of a
 checkout).  Every command of a fixed argv list runs as ``python -m
 hypervol.cli`` in a fresh interpreter against each tree, and the script
 reports every command whose stdout or exit code differs.  The list covers
-``vol`` on every table shape at k = 1 and 1.3, both ``convert``
+``vol`` on every table shape at k = 1 and 1.3 (the singular-end routes at
+a few more parameter sets), both ``convert``
 directions, ``crosscheck`` on every suite, grid and seed of three, ``mc``
 on the Monte-Carlo shapes, a fixed 200-job batch, and the CLI error paths.
 Output goes to JSON and CSV where a command writes records.  Job files go
 to a temporary directory, which is also the working directory of every
-command.  Two commands run at a time.
+command.  Two commands run at a time.  After the differences, a summary
+gives for every numeric field of the differing JSON records, grouped by
+the record's shape (or crosscheck suite), the largest relative change.
 
 Exit status: 0 when every command agrees, 1 when any differs, 2 when the
 new tree's shape table has a shape the list does not cover.
@@ -56,6 +59,14 @@ VOL_PARAMS = {
     "mohanty": {"A": 1.2, "B": 1.3, "E": 1.4},
     "triangle-2d": {"a": 1.0, "b": 0.8},
 }
+# more parameter sets for the routes that integrate from a singular end
+EXTRA_VOL = [
+    ("derevnin-mednykh", dict.fromkeys("ABCDEF", math.pi / 3)),  # regular ideal
+    ("derevnin-mednykh", dict(zip("ABCDEF", (1.0664993100418816, 1.1883434990835442,
+                                             0.9269472528999848, 1.0756645687472814,
+                                             1.1792317723915802, 0.9710248857545193)))),
+    *(("orthoscheme-two-ideal", {"b": b}) for b in (0.05, 3.0, 10.0)),
+]
 MC_PARAMS = {
     "sphere": {"x": 1.0},
     "barrel": {"p": 1.0, "q": 0.5},
@@ -125,7 +136,7 @@ def write_job_files(tmp: Path) -> dict[str, str]:
 
 def argv_list(jobs: dict[str, str]) -> list[list[str]]:
     out = []
-    for shape, params in VOL_PARAMS.items():
+    for shape, params in [*VOL_PARAMS.items(), *EXTRA_VOL]:
         for k in ("1", "1.3"):
             out += [["vol", shape, *flags(params), "--k", k, *f] for f in FORMATS]
     for f in FORMATS:
@@ -159,6 +170,9 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
         ["mc", "milnor", "--A", "1.0", "--B", "1.0", "--C", "1.14", "--samples", "10000"],
         ["convert", "angles-to-edges", "--alpha", "0.3", "--beta", "1.5", "--gamma", "0.3"],
         ["convert", "edges-to-angles", "--a", "1"],
+        ["convert", "edges-to-angles", "--a", "1", "--b", "1", "--c", "1", "--k", "0"],
+        ["convert", "angles-to-edges", "--alpha", "0.54", "--beta", "1.1", "--gamma", "0.71",
+         "--k", "-1"],
         ["crosscheck", "nowhere"],
         ["batch", jobs["blocked"]],
         ["batch", jobs["out-of-range"]],
@@ -176,6 +190,41 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
          "--delta", "0.43"],
     ]
     return out
+
+
+def numeric_fields(record, prefix="") -> dict[str, float]:
+    """The numbers of a JSON record by dotted path (nested objects flattened)."""
+    out = {}
+    for key, v in record.items():
+        if isinstance(v, dict):
+            out.update(numeric_fields(v, f"{prefix}{key}."))
+        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+            out[prefix + key] = float(v)
+    return out
+
+
+def record_changes(out_o: str, out_n: str, changes: dict) -> None:
+    """Fold the numeric field changes of two JSON-lines outputs into
+    ``changes``: (group, field) -> (largest relative change, old, new)."""
+    lines_o, lines_n = out_o.splitlines(), out_n.splitlines()
+    if len(lines_o) != len(lines_n):
+        return
+    for lo, ln in zip(lines_o, lines_n):
+        try:
+            ro, rn = json.loads(lo), json.loads(ln)
+        except ValueError:
+            return  # CSV: the JSON run of the same command covers it
+        if not (isinstance(ro, dict) and isinstance(rn, dict)):
+            return
+        group = ro.get("shape") or ro.get("suite") or "?"
+        fo, fn = numeric_fields(ro), numeric_fields(rn)
+        for field in fo.keys() & fn.keys():
+            o, n = fo[field], fn[field]
+            if o == n:
+                continue
+            rel = abs(n - o) / abs(o) if o else math.inf
+            if rel > changes.get((group, field), (-1.0,))[0]:
+                changes[group, field] = (rel, o, n)
 
 
 def run(src: str, argv: list[str], cwd: str) -> tuple[int, str]:
@@ -208,15 +257,21 @@ def main(argv=None) -> int:
         with ThreadPoolExecutor(max_workers=WORKERS) as pool:
             results = list(pool.map(lambda a: (run(old, a, tmp), run(new, a, tmp)), argvs))
         differ = 0
+        changes: dict = {}
         for a, ((code_o, out_o), (code_n, out_n)) in zip(argvs, results):
             if (code_o, out_o) == (code_n, out_n):
                 continue
             differ += 1
+            record_changes(out_o, out_n, changes)
             print(f"DIFF exit {code_o} -> {code_n}: hypervol {' '.join(a).replace(tmp, '$TMP')}")
             diff = difflib.unified_diff(out_o.splitlines(), out_n.splitlines(),
                                         "old", "new", lineterm="", n=0)
             for line in list(diff)[:12]:
                 print(f"    {line[:200]}")
+    if changes:
+        print("largest relative change per numeric field of the differing JSON records:")
+        for (group, field), (rel, o, n) in sorted(changes.items()):
+            print(f"    {group:24s} {field:32s} {rel:.3g}  ({o!r} -> {n!r})")
     print(f"{len(argvs)} commands, {differ} differ")
     return 1 if differ else 0
 
