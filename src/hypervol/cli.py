@@ -37,9 +37,9 @@ from functools import cache
 from typing import Sequence
 
 from . import mc_oracle, orthoscheme, tetrahedra
-from .errors import ConvergenceError, DomainError, NotRealizableError
+from .errors import ConvergenceError, DomainError, NotRealizableError, positive
 from .quadrature import Tolerance
-from .shapes import MC_SHAPES, SHAPES, check_curvature, collect_params, compute_volume, parse_job
+from .shapes import MC_SHAPES, SHAPES, collect_params, compute_volume, parse_job
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -166,16 +166,16 @@ def _cmd_vol(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    check_curvature(args.k)
+    k = positive("k", args.k)
     if args.direction == "edges-to-angles":
-        e = orthoscheme.OrthoschemeEdges(args.a / args.k, args.b / args.k, args.c / args.k)
+        e = orthoscheme.OrthoschemeEdges(args.a / k, args.b / k, args.c / k)
         ang = orthoscheme.edges_to_angles(e)
     else:
         conv = math.radians if args.degrees else float
         ang = orthoscheme.OrthoschemeAngles(conv(args.alpha), conv(args.beta), conv(args.gamma))
         e = orthoscheme.angles_to_edges(ang)
     z = math.atanh(math.tan(ang.delta) * math.tan(ang.beta))
-    rec = {"a": e.a * args.k, "b": e.b * args.k, "c": e.c * args.k, "z": z * args.k,
+    rec = {"a": e.a * k, "b": e.b * k, "c": e.c * k, "z": z * k,
            "alpha": ang.alpha, "beta": ang.beta, "gamma": ang.gamma, "delta": ang.delta}
     _write(args, [rec])
     return EXIT_OK

@@ -1,5 +1,16 @@
-"""Exception types shared across the package, and the number and sequence
-checks that raise one."""
+"""Exception types shared across the package, and the argument checks that
+raise one: every public function converts its numbers through ``number``
+(or a check built on it), so a non-number, NaN, an infinity or a value out
+of range is a DomainError that names the argument."""
+
+import functools
+import math
+import sys
+
+# float-range thresholds for a ``limit``: the largest arguments whose sinh and
+# cosh (710.4759), and whose squares (355.5845), stay inside the float range
+SINH_MAX = math.asinh(sys.float_info.max)
+SINH2_MAX = math.asinh(math.sqrt(sys.float_info.max))
 
 
 class HypervolError(Exception):
@@ -29,6 +40,26 @@ class ConvergenceError(HypervolError, RuntimeError):
         self.best = best
 
 
+def in_float_range(fn):
+    """``fn``, raising DomainError where its value leaves the float range: an
+    OverflowError or ZeroDivisionError of its arithmetic, or a non-finite float."""
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            value = fn(*args, **kwargs)
+            values = value if isinstance(value, tuple) else (value,)
+            finite = all(not isinstance(v, float) or math.isfinite(v) for v in values)
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            call = ", ".join([*map(repr, args), *(f"{k}={v!r}" for k, v in kwargs.items())])
+            raise DomainError(f"the value of {fn.__name__}({call}) exceeds the float range")
+        return value
+
+    return guarded
+
+
 def number(name: str, v, cast=float):
     """``cast(v)``, or a DomainError naming ``name`` when v is not a number."""
     try:
@@ -48,3 +79,33 @@ def sequence(name: str, values, counts: tuple[int, ...] | None = None) -> tuple:
         want = " or ".join(map(str, counts))
         raise DomainError(f"{name} takes {want} values, got {len(t)}: {values!r}")
     return t
+
+
+def positive(name: str, v, limit: float = math.inf) -> float:
+    """``number(name, v)``, or DomainError unless 0 < v <= limit (limit: the
+    float-range threshold of a route, where one has one)."""
+    v = number(name, v)
+    if not (math.isfinite(v) and v > 0.0):
+        raise DomainError(f"{name} must be finite and positive, got {v!r}")
+    return nonnegative(name, v, limit)
+
+
+def nonnegative(name: str, v, limit: float = math.inf) -> float:
+    """``number(name, v)``, or DomainError unless 0 <= v <= limit."""
+    v = number(name, v)
+    if not (math.isfinite(v) and v >= 0.0):
+        raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
+    if v > limit:
+        raise DomainError(
+            f"{name} = {v!r} exceeds {limit:.4f}, beyond which the route leaves the float range"
+        )
+    return v
+
+
+def angle(name: str, v, hi: float) -> float:
+    """``number(name, v)``, or DomainError unless v lies in the open interval (0, hi)."""
+    v = number(name, v)
+    if not (0.0 < v < hi):
+        bound = {math.pi: "pi", 0.5 * math.pi: "pi/2"}.get(hi, repr(hi))
+        raise DomainError(f"{name} must lie in (0, {bound}), got {v!r}")
+    return v

@@ -9,12 +9,11 @@ from P to a coordinate subspace through the origin is P with its other
 coordinates set to zero, which gives the barrel's distance to its axis and
 the slab's distance to its base plane by one formula (``_cosh2_to_span``).
 
-Randomness comes from counter-based Philox streams: shard i of a run uses
-the substream spawned from (seed, i), and shard results are merged by a
-fixed-order weighted average, so an estimate is a pure function of
-(seed, samples, shard count).  Regions are radially truncated at
-``radial_cap`` (default 1 - 1e-9, in units of k); the truncation is the
-only concession made to bodies that conceptually touch the ideal boundary.
+Randomness comes from a counter-based Philox stream, the substream spawned
+from (seed, 0), so an estimate is a pure function of (seed, samples).
+Regions are radially truncated at ``radial_cap`` (default 1 - 1e-9, in units
+of k); the truncation is the only concession made to bodies that
+conceptually touch the ideal boundary.
 """
 
 from __future__ import annotations
@@ -26,7 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import models
-from .errors import DomainError
+from .errors import (SINH2_MAX, DomainError, angle, in_float_range, number, positive,
+                     sequence)
 
 __all__ = [
     "Region",
@@ -66,12 +66,16 @@ class Region:
     name: str = ""
 
     def __post_init__(self):
-        if not (2 <= self.dim <= 8):
-            raise DomainError(f"region dimension {self.dim} outside 2..8")
+        for name, v in (("dim", models._check_dim(self.dim)),
+                        ("lo", tuple(number("box corner", v) for v in sequence("lo", self.lo))),
+                        ("hi", tuple(number("box corner", v) for v in sequence("hi", self.hi))),
+                        ("k", positive("k", self.k)),
+                        ("radial_cap", number("radial_cap", self.radial_cap))):
+            object.__setattr__(self, name, v)
         if len(self.lo) != self.dim or len(self.hi) != self.dim:
             raise DomainError("bounding box must match the region dimension")
-        if any(l >= h for l, h in zip(self.lo, self.hi)):
-            raise DomainError("bounding box must have positive extent on every axis")
+        if not all(-math.inf < l < h < math.inf for l, h in zip(self.lo, self.hi)):
+            raise DomainError("bounding box must be finite with positive extent on every axis")
         if not (0.0 < self.radial_cap <= _DEFAULT_CAP):
             raise DomainError(
                 f"radial_cap {self.radial_cap} touches the boundary (max {_DEFAULT_CAP})"
@@ -86,29 +90,19 @@ class MCEstimate:
     seed: int
 
 
-def estimate(
-    region: Region,
-    samples: int,
-    seed: int,
-    *,
-    shards: int = 1,
-) -> MCEstimate:
+def estimate(region: Region, samples: int, seed: int) -> MCEstimate:
     """Unbiased Monte-Carlo estimate of the region's hyperbolic volume.
 
-    Deterministic for fixed (seed, samples, shards); the density uses the
-    curvature the region was built with.  DomainError for a negative seed.
+    Deterministic for fixed (seed, samples); the density uses the curvature
+    the region was built with.  DomainError for a negative seed.
     """
-    if int(seed) < 0:
+    seed = number("seed", seed, int)
+    if seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    samples = int(samples)
+    samples = number("samples", samples, int)
     if samples < 10_000:
         raise DomainError(f"at least 10^4 samples required, got {samples}")
-    shards = int(shards)
-    if shards < 1:
-        raise DomainError("shards must be >= 1")
-    k = float(region.k)
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"curvature constant k must be positive, got {k!r}")
+    k = region.k
     n = region.dim
     lo = np.asarray(region.lo, float)
     hi = np.asarray(region.hi, float)
@@ -116,33 +110,30 @@ def estimate(
     cap2 = region.radial_cap ** 2
     expo = -(n + 1) / 2.0
 
-    counts = [samples // shards + (1 if i < samples % shards else 0) for i in range(shards)]
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
     s1 = 0.0
     s2 = 0.0
-    for shard, m_total in enumerate(counts):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(shard,)))
-        )
-        left = m_total
-        while left > 0:
-            m = min(left, _CHUNK)
-            left -= m
-            pts = lo + rng.random((m, n)) * (hi - lo)
-            r2 = np.einsum("ij,ij->i", pts, pts) / (k * k)
-            cand = r2 <= cap2
-            if cand.any():
-                member = np.zeros(m, dtype=bool)
-                member[cand] = np.asarray(region.contains(pts[cand]), dtype=bool)
-                w = np.where(member, (1.0 - r2) ** expo * box_vol, 0.0)
-            else:
-                w = np.zeros(m)
-            s1 += float(w.sum())
-            s2 += float((w * w).sum())
+    left = samples
+    while left > 0:
+        m = min(left, _CHUNK)
+        left -= m
+        pts = lo + rng.random((m, n)) * (hi - lo)
+        r2 = np.einsum("ij,ij->i", pts, pts) / (k * k)
+        cand = r2 <= cap2
+        if cand.any():
+            member = np.zeros(m, dtype=bool)
+            member[cand] = np.asarray(region.contains(pts[cand]), dtype=bool)
+            w = np.where(member, (1.0 - r2) ** expo * box_vol, 0.0)
+        else:
+            w = np.zeros(m)
+        s1 += float(w.sum())
+        s2 += float((w * w).sum())
     mean = s1 / samples
     var = max(0.0, s2 / samples - mean * mean)
     if samples > 1:
         var *= samples / (samples - 1)
-    return MCEstimate(mean, math.sqrt(var / samples), samples, int(seed))
+    return MCEstimate(mean, math.sqrt(var / samples), samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +147,7 @@ def orthoscheme_vertices(a: float, b: float, c: float, k: float = 1.0):
     (b,c,a); consecutive distances are a, b, c and the diagonals satisfy
     the hyperbolic Pythagorean products.
     """
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if not (math.isfinite(float(v)) and v > 0.0):
-            raise DomainError(f"edge {name} must be positive, got {v!r}")
+    a, b, c = (positive(f"edge {name}", v) for name, v in (("a", a), ("b", b), ("c", c)))
     pts = [(0.0, 0.0, 0.0), (0.0, 0.0, a), (b, 0.0, a), (b, c, a)]
     return [models.orthogonal_to_klein(p, k) for p in pts]
 
@@ -169,10 +158,11 @@ def region_simplex(vertices: Sequence, k: float = 1.0, radial_cap: float = _DEFA
     Geodesic convexity makes it the Euclidean simplex of the same vertices,
     so membership is a barycentric-coordinate test (boundary inclusive).
     """
-    V = np.array([models._coords(v) for v in vertices], dtype=float)
-    m, n = V.shape
-    if m != n + 1:
-        raise DomainError(f"a {n}-simplex needs {n + 1} vertices, got {m}")
+    V = [models._coords(v) for v in sequence("vertices", vertices)]
+    m, n = len(V), len(V[0]) if V else 0
+    if m != n + 1 or any(len(v) != n for v in V):
+        raise DomainError(f"a simplex needs n + 1 vertices of n coordinates, got {V!r}")
+    V = np.array(V)
     M = (V[1:] - V[0]).T
     det = np.linalg.det(M)
     if abs(det) < 1e-14:
@@ -197,8 +187,7 @@ def region_simplex(vertices: Sequence, k: float = 1.0, radial_cap: float = _DEFA
 
 def region_ball(x: float, k: float = 1.0, n: int = 3, radial_cap: float = _DEFAULT_CAP) -> Region:
     """Ball of hyperbolic radius x about the origin (Euclidean radius k tanh(x/k))."""
-    if not (math.isfinite(float(x)) and x > 0.0):
-        raise DomainError(f"radius must be positive, got {x!r}")
+    x, k, n = positive("radius x", x), positive("k", k), models._check_dim(n)
     R = k * math.tanh(x / k)
 
     def contains(P: np.ndarray) -> np.ndarray:
@@ -231,9 +220,8 @@ def region_barrel(p: float, q: float, k: float = 1.0, radial_cap: float = _DEFAU
     closed-form tube volume), and cosh^2 of the distance to the axis at most
     cosh^2(q/k).
     """
-    for name, v in (("p", p), ("q", q)):
-        if not (math.isfinite(float(v)) and v > 0.0):
-            raise DomainError(f"{name} must be positive, got {v!r}")
+    k = positive("k", k)
+    p, q = positive("p", p), positive("q", q, k * SINH2_MAX)
     L = k * math.tanh(p / k)
     cq2 = math.cosh(q / k) ** 2
 
@@ -257,11 +245,8 @@ def region_cone(b: float, beta: float, k: float = 1.0, radial_cap: float = _DEFA
     """Solid cone: apex at the origin (so the aperture test is the Euclidean
     angle), base plane perpendicular to the axis at height h with
     sinh(h/k) = tanh(b/k) / tan(beta)."""
-    if not (math.isfinite(float(b)) and b > 0.0):
-        raise DomainError(f"base radius must be positive, got {b!r}")
-    beta = float(beta)
-    if not (0.0 < beta < math.pi / 2.0):
-        raise DomainError(f"half-angle must lie in (0, pi/2), got {beta!r}")
+    b, k = positive("base radius b", b), positive("k", k)
+    beta = angle("half-angle beta", beta, 0.5 * math.pi)
     h = k * math.asinh(math.tanh(b / k) / math.tan(beta))
     axis_hi = k * math.tanh(h / k)
     tb = math.tan(beta)
@@ -282,9 +267,11 @@ def region_cone(b: float, beta: float, k: float = 1.0, radial_cap: float = _DEFA
     )
 
 
+@in_float_range
 def slab_base_area(w1: float, w2: float, k: float = 1.0) -> float:
     """Area of the slab base: the orthogonal-coordinate box |x1| <= w1,
     |x2| <= w2 in a plane, with area 4 k w2 sinh(w1/k)."""
+    w1, w2, k = positive("w1", w1), positive("w2", w2), positive("k", k)
     return 4.0 * k * w2 * math.sinh(w1 / k)
 
 
@@ -300,10 +287,9 @@ def region_slab(half_widths: tuple[float, float], q: float, k: float = 1.0,
     perpendicular foot (X1, X2, 0) inside the base, and cosh^2 of the
     distance to the plane at most cosh^2(q/k).
     """
-    w1, w2 = (float(v) for v in half_widths)
-    for name, v in (("w1", w1), ("w2", w2), ("q", q)):
-        if not (math.isfinite(float(v)) and v > 0.0):
-            raise DomainError(f"{name} must be positive, got {v!r}")
+    w1, w2 = sequence("half_widths", half_widths, (2,))
+    w1, w2, k = positive("w1", w1), positive("w2", w2), positive("k", k)
+    q = positive("q", q, k * SINH2_MAX)
     t1 = math.tanh(w1 / k)
     t2 = math.tanh(w2 / k)
     cq2 = math.cosh(q / k) ** 2
@@ -329,8 +315,7 @@ def region_slab(half_widths: tuple[float, float], q: float, k: float = 1.0,
 def region_box(lo: Sequence[float], hi: Sequence[float], k: float = 1.0,
                radial_cap: float = _DEFAULT_CAP) -> Region:
     """The sampling box itself (useful for estimator sanity checks)."""
-    lo = tuple(float(v) for v in lo)
-    hi = tuple(float(v) for v in hi)
+    lo = sequence("lo", lo)
 
     def contains(P: np.ndarray) -> np.ndarray:
         return np.ones(len(P), dtype=bool)
@@ -341,6 +326,7 @@ def region_box(lo: Sequence[float], hi: Sequence[float], k: float = 1.0,
 
 def region_empty(n: int = 3, k: float = 1.0) -> Region:
     """A region with no members (estimates to 0 +- 0)."""
+    n = models._check_dim(n)
 
     def contains(P: np.ndarray) -> np.ndarray:
         return np.zeros(len(P), dtype=bool)

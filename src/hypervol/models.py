@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import quadrature
-from .errors import DomainError, UnsupportedDimensionError
+from .errors import (SINH_MAX, DomainError, UnsupportedDimensionError, in_float_range,
+                     nonnegative, number, positive, sequence)
 from .quadrature import DEFAULT_TOL, IntegralResult, Tolerance
 
 __all__ = [
@@ -62,25 +63,29 @@ MAX_DIM = 8
 COORDINATE_SYSTEMS = ("paracycle", "halfspace", "orthogonal", "spherical", "klein")
 
 
-def _check_k(k: float) -> float:
-    k = float(k)
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"curvature constant k must be finite and positive, got {k!r}")
-    return k
-
-
 def _check_dim(n: int) -> int:
-    n = int(n)
+    n = number("dimension n", n, int)
     if not (MIN_DIM <= n <= MAX_DIM):
         raise UnsupportedDimensionError(f"dimension {n} outside supported range {MIN_DIM}..{MAX_DIM}")
     return n
 
 
 def _coords(p) -> tuple[float, ...]:
-    c = tuple(float(v) for v in (p.coords if hasattr(p, "coords") else p))
+    c = tuple(number("coordinate", v)
+              for v in sequence("coordinates", p.coords if hasattr(p, "coords") else p))
     if not all(math.isfinite(v) for v in c):
         raise DomainError(f"coordinates must be finite, got {c!r}")
     return c
+
+
+def _point(p, n) -> tuple[tuple[float, ...], int]:
+    """(coordinates of p, n), n defaulting to their number; DomainError unless
+    n is their number, in 2..8."""
+    c = _coords(p)
+    n = _check_dim(len(c) if n is None else n)
+    if n != len(c):
+        raise DomainError(f"dimension n = {n} does not match the {len(c)} coordinates")
+    return c, n
 
 
 @dataclass(frozen=True)
@@ -121,12 +126,8 @@ class PointSpherical:
     angles: tuple[float, ...]
 
     def __init__(self, r: float, angles: Sequence[float]):
-        r = float(r)
-        ang = tuple(float(a) for a in angles)
-        if not (math.isfinite(r) and r >= 0.0):
-            raise DomainError(f"radius must be finite and >= 0, got {r!r}")
-        if not all(math.isfinite(a) for a in ang):
-            raise DomainError("angles must be finite")
+        r = nonnegative("radius r", r)
+        ang = tuple(number("angle", a) for a in sequence("angles", angles))
         n = len(ang) + 1
         _check_dim(n)
         if ang and not (0.0 <= ang[0] < 2.0 * math.pi):
@@ -185,54 +186,55 @@ def _density_klein(c, n, k):
     return (1.0 - s) ** (-(n + 1) / 2.0)
 
 
+@in_float_range
 def density_paracycle(p, n: int | None = None, k: float = 1.0) -> float:
     """Volume density e^{-(n-1) xi_n / k} at a paracycle-coordinate point."""
-    c = _coords(p)
-    n = _check_dim(n if n is not None else len(c))
-    return _density_paracycle(c, n, _check_k(k))
+    c, n = _point(p, n)
+    return _density_paracycle(c, n, positive("k", k))
 
 
+@in_float_range
 def density_halfspace(p, n: int | None = None, k: float = 1.0) -> float:
     """Half-space integrand k / x_n^n; accepts a point or the bare x_n."""
-    if isinstance(p, (int, float)):
-        if n is None:
-            raise DomainError("dimension n is required with a bare coordinate")
-        return _density_halfspace_xn(float(p), _check_dim(n), _check_k(k))
-    c = _coords(p)
-    n = _check_dim(n if n is not None else len(c))
-    return _density_halfspace_xn(c[n - 1], n, _check_k(k))
+    if isinstance(p, (int, float)):  # a bare x_n needs n
+        xn, n = positive("half-space coordinate x_n", p), _check_dim(n)
+    else:
+        c, n = _point(p, n)
+        xn = c[n - 1]
+    return _density_halfspace_xn(xn, n, positive("k", k))
 
 
+@in_float_range
 def density_orthogonal(p, n: int | None = None, k: float = 1.0) -> float:
     """Volume density prod_{i=1}^{n-1} cosh^i(x_i / k) in orthogonal coordinates."""
-    c = _coords(p)
-    n = _check_dim(n if n is not None else len(c))
-    return _density_orthogonal(c, n, _check_k(k))
+    c, n = _point(p, n)
+    return _density_orthogonal(c, n, positive("k", k))
 
 
+@in_float_range
 def density_spherical(p, n: int | None = None, k: float = 1.0) -> float:
     """Volume density in hyperbolic polar coordinates."""
     if isinstance(p, PointSpherical):
         r, angles = p.r, p.angles
-        n = _check_dim(n if n is not None else p.n)
+        _, n = _point((r, *angles), n)
     else:
-        c = _coords(p)
-        n = _check_dim(n if n is not None else len(c))
+        c, n = _point(p, n)
         r, angles = c[n - 1], c[: n - 1]
-    return _density_spherical(r, angles, n, _check_k(k))
+    return _density_spherical(r, angles, n, positive("k", k))
 
 
+@in_float_range
 def density_klein(p, n: int | None = None, k: float = 1.0) -> float:
     """Projective-ball density (1 - sum (X_i/k)^2)^{-(n+1)/2}."""
-    c = _coords(p)
-    n = _check_dim(n if n is not None else len(c))
-    return _density_klein(c, n, _check_k(k))
+    c, n = _point(p, n)
+    return _density_klein(c, n, positive("k", k))
 
 
 # ---------------------------------------------------------------------------
 # elementary relations
 # ---------------------------------------------------------------------------
 
+@in_float_range
 def paracycle_brick_volume(sides: Sequence[float], k: float = 1.0) -> float:
     """Volume of a sector of parallel segments over a horospherical brick.
 
@@ -240,27 +242,26 @@ def paracycle_brick_volume(sides: Sequence[float], k: float = 1.0) -> float:
     horosphere, a_n is the segment length.  Closed form
     k/(n-1) * prod a_i * (1 - e^{-(n-1) a_n / k}); a_n = inf is accepted.
     """
-    k = _check_k(k)
-    a = [float(v) for v in sides]
+    k = positive("k", k)
+    a = sequence("brick sides", sides)
     n = _check_dim(len(a))
-    if any(v <= 0.0 for v in a):
-        raise DomainError("all brick sides must be positive")
-    base = 1.0
-    for v in a[:-1]:
-        base *= v
-    return k / (n - 1) * base * -math.expm1(-(n - 1) * a[-1] / k)
+    base = math.prod(positive("brick side", v) for v in a[:-1])
+    last = number("segment length a_n", a[-1])
+    if not last > 0.0:
+        raise DomainError(f"segment length a_n must be positive (inf allowed), got {last!r}")
+    return k / (n - 1) * base * -math.expm1(-(n - 1) * last / k)
 
 
+@in_float_range
 def chord_arc(d: float, k: float = 1.0) -> tuple[float, float]:
     """Half-arc s and sagitta-style offset z for a paracycle chord of half-length d.
 
     s = k sinh(d/k) is the paracycle arc length matching chord 2d; z =
     k ln cosh(d/k) is the distance between the halving points.  s >= d >= z.
+    DomainError for d/k above 710.4759, and where s leaves the float range.
     """
-    k = _check_k(k)
-    d = float(d)
-    if not (math.isfinite(d) and d >= 0.0):
-        raise DomainError(f"chord half-length must be finite and >= 0, got {d!r}")
+    k = positive("k", k)
+    d = nonnegative("chord half-length d", d, k * SINH_MAX)
     return k * math.sinh(d / k), k * math.log(math.cosh(d / k))
 
 
@@ -268,9 +269,10 @@ def chord_arc(d: float, k: float = 1.0) -> tuple[float, float]:
 # transforms
 # ---------------------------------------------------------------------------
 
+@in_float_range
 def paracycle_to_orthogonal(p, k: float = 1.0) -> PointOrthogonal:
     """Solve the triangular coordinate relations, from the last axis down."""
-    k = _check_k(k)
+    k = positive("k", k)
     xi = _coords(p)
     n = len(xi)
     _check_dim(n)
@@ -286,8 +288,9 @@ def paracycle_to_orthogonal(p, k: float = 1.0) -> PointOrthogonal:
     return PointOrthogonal(x)
 
 
+@in_float_range
 def orthogonal_to_paracycle(p, k: float = 1.0) -> PointParacycle:
-    k = _check_k(k)
+    k = positive("k", k)
     xs = _coords(p)
     n = len(xs)
     _check_dim(n)
@@ -319,7 +322,7 @@ def _euclidean_surrogate(xs, n, k):
     return u
 
 
-def _angles_from_vector(u) -> tuple[float, ...]:
+def _polar_angles(u) -> tuple[float, ...]:
     """Spherical angles (phi_1 azimuthal, phi_2.. polar) of a vector.
 
     Convention: component i (1-based, i <= n-1) = |u| (prod_{j>i} sin phi_j)
@@ -349,22 +352,24 @@ def _vector_from_angles(norm: float, angles) -> list[float]:
     return u
 
 
+@in_float_range
 def orthogonal_to_spherical(p, k: float = 1.0) -> PointSpherical:
     """Polar coordinates of an orthogonal-coordinate point.
 
     The radius satisfies cosh(r/k) = prod_i cosh(x_i/k)."""
-    k = _check_k(k)
+    k = positive("k", k)
     xs = _coords(p)
     n = len(xs)
     _check_dim(n)
     u = _euclidean_surrogate(xs, n, k)
     norm = math.sqrt(math.fsum(v * v for v in u))
     r = k * math.asinh(norm)
-    return PointSpherical(r, _angles_from_vector(u))
+    return PointSpherical(r, _polar_angles(u))
 
 
+@in_float_range
 def spherical_to_orthogonal(p: PointSpherical, k: float = 1.0) -> PointOrthogonal:
-    k = _check_k(k)
+    k = positive("k", k)
     if not isinstance(p, PointSpherical):
         raise DomainError("spherical_to_orthogonal expects a PointSpherical")
     n = p.n
@@ -381,7 +386,7 @@ def spherical_to_orthogonal(p: PointSpherical, k: float = 1.0) -> PointOrthogona
 
 def spherical_to_klein(p: PointSpherical, k: float = 1.0) -> PointKlein:
     """Radial map R = k tanh(r/k); angles are shared between the charts."""
-    k = _check_k(k)
+    k = positive("k", k)
     if not isinstance(p, PointSpherical):
         raise DomainError("spherical_to_klein expects a PointSpherical")
     R = k * math.tanh(p.r / k)
@@ -389,14 +394,14 @@ def spherical_to_klein(p: PointSpherical, k: float = 1.0) -> PointKlein:
 
 
 def klein_to_spherical(p, k: float = 1.0) -> PointSpherical:
-    k = _check_k(k)
+    k = positive("k", k)
     X = _coords(p)
     _check_dim(len(X))
     R = math.sqrt(math.fsum(v * v for v in X))
     if R >= k:
         raise DomainError("point lies on or outside the projective ball")
     r = k * math.atanh(R / k)
-    return PointSpherical(r, _angles_from_vector(X) if R > 0.0 else (0.0,) * (len(X) - 1))
+    return PointSpherical(r, _polar_angles(X) if R > 0.0 else (0.0,) * (len(X) - 1))
 
 
 def orthogonal_to_klein(p, k: float = 1.0) -> PointKlein:
@@ -408,12 +413,13 @@ def klein_to_orthogonal(p, k: float = 1.0) -> PointOrthogonal:
     return spherical_to_orthogonal(klein_to_spherical(p, k), k)
 
 
+@in_float_range
 def klein_distance(p, q, k: float = 1.0) -> float:
     """Hyperbolic distance between two points of the projective ball.
 
     cosh(d/k) = (1 - <P,Q>/k^2) / sqrt((1 - |P|^2/k^2)(1 - |Q|^2/k^2)).
     """
-    k = _check_k(k)
+    k = positive("k", k)
     P, Q = _coords(p), _coords(q)
     if len(P) != len(Q):
         raise DomainError("points must have the same dimension")
@@ -430,6 +436,7 @@ def klein_distance(p, q, k: float = 1.0) -> float:
 # coordinate-domain volume integration
 # ---------------------------------------------------------------------------
 
+@in_float_range
 def coordinate_volume(
     system: str,
     bounds: Sequence[tuple],
@@ -445,7 +452,7 @@ def coordinate_volume(
     n-1 is r); lo and hi may be numbers or callables of the outer
     integration variables, in listed order.
     """
-    k = _check_k(k)
+    k = positive("k", k)
     n = _check_dim(n)
     if system not in COORDINATE_SYSTEMS:
         raise DomainError(f"unknown coordinate system {system!r}")

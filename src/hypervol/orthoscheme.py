@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
 
 from . import quadrature
-from .errors import DomainError, NotRealizableError, UnsupportedDimensionError, number, sequence
+from .errors import (SINH2_MAX, SINH_MAX, DomainError, NotRealizableError,
+                     UnsupportedDimensionError, angle, nonnegative, number, positive, sequence)
 from .quadrature import DEFAULT_TOL, Tolerance
 from .specfun import lobachevsky
 
@@ -59,31 +59,6 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
-# largest arguments whose sinh and cosh (710.4759), and whose squares of
-# sinh and cosh (355.5845), stay inside the float range
-_SINH_MAX = math.asinh(sys.float_info.max)
-_SINH2_MAX = math.asinh(math.sqrt(sys.float_info.max))
-
-
-def _check_positive(name: str, v: float, limit: float = math.inf) -> float:
-    """v as a float, or DomainError unless 0 < v <= limit (limit: the
-    float-range threshold of the route, _SINH_MAX or _SINH2_MAX)."""
-    v = number(name, v)
-    if not (math.isfinite(v) and v > 0.0):
-        raise DomainError(f"{name} must be finite and positive, got {v!r}")
-    if v > limit:
-        raise DomainError(
-            f"{name} = {v!r} exceeds {limit:.4f}, beyond which the route leaves the float range"
-        )
-    return v
-
-
-def _angle(name: str, v) -> float:
-    """v as a float, or DomainError unless 0 < v < pi/2."""
-    v = number(name, v)
-    if not (0.0 < v < _HALF_PI):
-        raise DomainError(f"{name} must lie in (0, pi/2), got {v!r}")
-    return v
 
 
 def _atanh_bound(u: float) -> float:
@@ -106,7 +81,7 @@ class OrthoschemeEdges:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            object.__setattr__(self, name, _check_positive(f"edge {name}", getattr(self, name)))
+            object.__setattr__(self, name, positive(f"edge {name}", getattr(self, name)))
 
     @property
     def z(self) -> float:
@@ -136,7 +111,7 @@ class OrthoschemeAngles:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            object.__setattr__(self, name, _angle(name, getattr(self, name)))
+            object.__setattr__(self, name, angle(name, getattr(self, name), _HALF_PI))
         a, b, g, d = self.alpha, self.beta, self.gamma, self.delta
         d = _delta(a, b, g) if d is None else number("delta", d)
         object.__setattr__(self, "delta", d)
@@ -158,7 +133,7 @@ class NdimOrthoscheme:
     edges: tuple[float, ...]
 
     def __init__(self, edges):
-        e = tuple(_check_positive("edge", v) for v in sequence("edges", edges))
+        e = tuple(positive("edge", v) for v in sequence("edges", edges))
         if len(e) < 2:
             raise DomainError("an orthoscheme needs at least 2 edges")
         object.__setattr__(self, "edges", e)
@@ -168,14 +143,14 @@ class NdimOrthoscheme:
         return len(self.edges)
 
 
-def _edges(edges: OrthoschemeEdges | tuple) -> OrthoschemeEdges:
+def _as_edges(edges: OrthoschemeEdges | tuple) -> OrthoschemeEdges:
     """edges as given when an OrthoschemeEdges, else built from (a, b, c)."""
     if isinstance(edges, OrthoschemeEdges):
         return edges
     return OrthoschemeEdges(*sequence("orthoscheme edges", edges, (3,)))
 
 
-def _angles(angles: OrthoschemeAngles | tuple) -> OrthoschemeAngles:
+def _as_angles(angles: OrthoschemeAngles | tuple) -> OrthoschemeAngles:
     """angles as given when an OrthoschemeAngles, else built from
     (alpha, beta, gamma) or (alpha, beta, gamma, delta)."""
     if isinstance(angles, OrthoschemeAngles):
@@ -185,7 +160,8 @@ def _angles(angles: OrthoschemeAngles | tuple) -> OrthoschemeAngles:
 
 def delta_from_angles(alpha: float, beta: float, gamma: float) -> float:
     """Auxiliary angle: tan delta = sqrt(cos^2 b - sin^2 a sin^2 g) / (cos a cos g)."""
-    return _delta(_angle("alpha", alpha), _angle("beta", beta), _angle("gamma", gamma))
+    return _delta(*(angle(name, v, _HALF_PI)
+                    for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma))))
 
 
 def _delta(alpha: float, beta: float, gamma: float) -> float:
@@ -206,9 +182,9 @@ def edges_to_angles(edges: OrthoschemeEdges | tuple) -> OrthoschemeAngles:
     tanh z / tan delta with z the long diagonal.  DomainError for an edge
     above 710.4759, where sinh and cosh leave the float range.
     """
-    e = _edges(edges)
+    e = _as_edges(edges)
     for name in ("a", "b", "c"):
-        _check_positive(f"edge {name}", getattr(e, name), _SINH_MAX)
+        positive(f"edge {name}", getattr(e, name), SINH_MAX)
     sb = math.sinh(e.b)
     alpha = math.atan(math.tanh(e.c) / sb)
     gamma = math.atan(math.tanh(e.a) / sb)
@@ -225,7 +201,7 @@ def angles_to_edges(angles: OrthoschemeAngles) -> OrthoschemeEdges:
     then b from cosh z = cosh a cosh b cosh c.  Raises NotRealizableError
     when no positive b exists for the angle triple.
     """
-    angles = _angles(angles)
+    angles = _as_angles(angles)
     td = math.tan(angles.delta)
     ra = td / math.tan(angles.alpha)
     rc = td / math.tan(angles.gamma)
@@ -281,9 +257,9 @@ def volume_edges(edges: OrthoschemeEdges | tuple, tol: Tolerance = DEFAULT_TOL) 
 
     DomainError for a or b above 710.4759, where sinh leaves the float range.
     """
-    e = _edges(edges)
-    _check_positive("edge a", e.a, _SINH_MAX)
-    _check_positive("edge b", e.b, _SINH_MAX)
+    e = _as_edges(edges)
+    positive("edge a", e.a, SINH_MAX)
+    positive("edge b", e.b, SINH_MAX)
     ratio = math.tanh(e.b) / math.sinh(e.a)
     log_ratio = _log_ratio(e.b, e.c)
 
@@ -301,7 +277,7 @@ def volume_angles(angles: OrthoschemeAngles | tuple) -> float:
     1/4 [ L(a+d) - L(a-d) - L(pi/2 - b + d) + L(pi/2 - b - d)
           + L(g+d) - L(g-d) + 2 L(pi/2 - d) ].
     """
-    angles = _angles(angles)
+    angles = _as_angles(angles)
     a, b, g, d = angles.alpha, angles.beta, angles.gamma, angles.delta
     return 0.25 * (
         lobachevsky(a + d) - lobachevsky(a - d)
@@ -327,10 +303,10 @@ def bolyai_integral_1(edges: OrthoschemeEdges | tuple, tol: Tolerance = DEFAULT_
     the denominator underflows to 0 (at a = 1, c = 0.6 for b above about
     240; at a = b = 1 for c below about 1e-110).
     """
-    e = _edges(edges)
-    _check_positive("edge a", e.a, _SINH_MAX)
-    _check_positive("edge b", e.b, _SINH_MAX)
-    _check_positive("edge c", e.c, _SINH2_MAX)
+    e = _as_edges(edges)
+    positive("edge a", e.a, SINH_MAX)
+    positive("edge b", e.b, SINH_MAX)
+    positive("edge c", e.c, SINH2_MAX)
     alpha = math.atan(math.tanh(e.c) / math.sinh(e.b))
     beta_p = math.atan(math.tanh(e.b) / math.sinh(e.a))
     gamma_p = math.atan(math.tanh(e.c) / math.sinh(e.z))
@@ -381,8 +357,8 @@ def volume_one_ideal(b: float, c: float, tol: Tolerance = DEFAULT_TOL) -> float:
 
     DomainError for b above 710.4759, where sinh b leaves the float range.
     """
-    b = _check_positive("edge b", b, _SINH_MAX)
-    return _ideal_apex_integral(b, _check_positive("edge c", c), tol)
+    b = positive("edge b", b, SINH_MAX)
+    return _ideal_apex_integral(b, positive("edge c", c), tol)
 
 
 def volume_two_ideal(b: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -394,7 +370,7 @@ def volume_two_ideal(b: float, tol: Tolerance = DEFAULT_TOL) -> float:
     about 250 evaluations, to about 5e-15 relative against mpmath.
     DomainError for b above 710.4759, where sinh b leaves the float range.
     """
-    return _ideal_apex_integral(_check_positive("edge b", b, _SINH_MAX), math.inf, tol)
+    return _ideal_apex_integral(positive("edge b", b, SINH_MAX), math.inf, tol)
 
 
 def volume_ideal_tetrahedron_b(b: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -408,14 +384,20 @@ def bolyai_asymptotic_1(alpha: float, c: float, tol: Tolerance = DEFAULT_TOL) ->
 
     v = sin(2 alpha)/4 * int_0^c t / (cosh^2 t - cos^2 alpha) dt
 
-    DomainError for c above 355.5845, where cosh^2 leaves the float range.
+    The denominator is evaluated as sinh^2 t + sin^2 alpha, which does not
+    cancel as t and alpha go to 0.  DomainError for c above 355.5845, where
+    cosh^2 leaves the float range, and when the denominator underflows to 0
+    (for alpha below about 1e-154, as the quadrature closes in on t = 0).
     """
-    alpha = _angle("alpha", alpha)
-    c = _check_positive("edge c", c, _SINH2_MAX)
-    ca2 = math.cos(alpha) ** 2
+    alpha = angle("alpha", alpha, _HALF_PI)
+    c = positive("edge c", c, SINH2_MAX)
+    sa2 = math.sin(alpha) ** 2
 
     def f(t: float) -> float:
-        return t / (math.cosh(t) ** 2 - ca2)
+        den = math.sinh(t) ** 2 + sa2
+        if den == 0.0:
+            raise DomainError(f"bolyai_asymptotic_1 denominator underflows to 0 at t = {t!r}")
+        return t / den
 
     return 0.25 * math.sin(2.0 * alpha) * quadrature.integrate_1d(f, 0.0, c, tol).value
 
@@ -429,7 +411,7 @@ def bolyai_asymptotic_2(alpha_max: float, b: float, tol: Tolerance = DEFAULT_TOL
     alpha_max = number("alpha_max", alpha_max)
     if not (0.0 <= alpha_max < _HALF_PI):
         raise DomainError(f"alpha_max must lie in [0, pi/2), got {alpha_max!r}")
-    b = _check_positive("edge b", b)
+    b = positive("edge b", b)
     tb2 = math.tanh(b) ** 2
     if math.cos(alpha_max) ** 2 <= tb2:
         raise DomainError("requires cos(alpha_max) > tanh(b)")
@@ -447,8 +429,8 @@ def right_triangle_angles(a: float, b: float) -> tuple[float, float]:
     Returns (alpha, beta): beta = atan(tanh b / sinh a) at the origin end of
     leg a, alpha = atan(tanh a / sinh b) at the far vertex.
     """
-    a = _check_positive("leg a", a)
-    b = _check_positive("leg b", b)
+    a = positive("leg a", a, SINH_MAX)
+    b = positive("leg b", b, SINH_MAX)
     return math.atan(math.tanh(a) / math.sinh(b)), math.atan(math.tanh(b) / math.sinh(a))
 
 
@@ -461,8 +443,8 @@ def area_right_triangle(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> flo
     DomainError for a above 710.4759, where sinh a leaves the float range,
     and when a bound argument reaches 1 (see volume_ndim).
     """
-    a = _check_positive("leg a", a, _SINH_MAX)
-    b = _check_positive("leg b", b)
+    a = positive("leg a", a, SINH_MAX)
+    b = positive("leg b", b)
     ratio = math.tanh(b) / math.sinh(a)
 
     def bound(x: float) -> float:
@@ -477,10 +459,8 @@ def area_right_triangle(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> flo
 def lemma_angle(t: float, s: float) -> float:
     """Angle atan(tanh t / sinh s) of the doubly-perpendicular configuration;
     independent of where the far point sits on its subspace."""
-    t = number("t", t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"t must be finite and >= 0, got {t!r}")
-    s = _check_positive("s", s)
+    t = nonnegative("t", t)
+    s = positive("s", s, SINH_MAX)
     return math.atan(math.tanh(t) / math.sinh(s))
 
 
@@ -526,7 +506,7 @@ def volume_ndim(o: NdimOrthoscheme | tuple, tol: Tolerance | None = None) -> flo
     tol = tol or Tolerance(rel=1e-9, abs=1e-13)
     a = o.edges
     for v in a:
-        _check_positive("edge", v, _SINH_MAX)
+        positive("edge", v, SINH_MAX)
     if any(math.tanh(v) == 1.0 for v in a[:-1]):
         raise DomainError(f"edges {a[:-1]} include one whose tanh rounds to 1 (above 19.0615)")
     ratios = [math.tanh(a[0]) / math.sinh(a[n - 1])]

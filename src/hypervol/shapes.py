@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import mc_oracle, orthoscheme, solids, tetrahedra
-from .errors import DomainError, number
+from .errors import DomainError, in_float_range, number, positive, sequence
 from .quadrature import Tolerance
 
-__all__ = ["Shape", "SHAPES", "MC_SHAPES", "check_curvature", "compute_volume", "collect_params",
-           "parse_job"]
+__all__ = ["Shape", "SHAPES", "MC_SHAPES", "compute_volume", "collect_params", "parse_job"]
 
 # methods whose value carries no truncation error: their error estimate is 0
 EXACT_METHODS = ("closed-form", "lobachevsky-series", "clausen-series")
@@ -142,12 +141,7 @@ def _lookup(shape) -> Shape:
     return SHAPES[shape]
 
 
-def check_curvature(k: float) -> None:
-    """DomainError unless the curvature constant k is finite and positive."""
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"k must be positive, got {k!r}")
-
-
+@in_float_range
 def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-10):
     """Volume of ``shape`` at curvature k. Returns (value, method, error estimate).
 
@@ -155,22 +149,16 @@ def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-
     value and error are multiplied by k**dim, which reproduces the native k
     dependence of the closed forms exactly.  The error estimate is 0 for
     ``EXACT_METHODS`` and the requested bound max(abs, rel |v|) otherwise.
-    DomainError when k**dim or the scaled volume lies beyond the float range
-    (about 1.8e308; for dim 3, k above about 5.6e102).
+    DomainError when a scaled parameter, k**dim or the scaled volume lies
+    beyond the float range (about 1.8e308; for dim 3, k above about 5.6e102).
     """
     entry = _lookup(shape)
-    check_curvature(k)
+    k = positive("k", k)
     p1 = {name: _SCALE[kind](params[name], k) for name, kind in entry.params.items()}
     tol = Tolerance(rel=reltol, abs=min(1e-14, reltol))
     v1 = entry.evaluate(*p1.values(), tol=tol)
     err1 = 0.0 if entry.method in EXACT_METHODS else max(tol.abs, tol.rel * abs(v1))
-    dim = len(params["edges"]) if entry.dim is None else entry.dim
-    try:
-        scale = k ** dim
-    except OverflowError:
-        scale = math.inf
-    if not math.isfinite(v1 * scale):
-        raise DomainError(f"volume at k = {k!r} lies beyond the float range (k**{dim} = {scale!r})")
+    scale = k ** (len(params["edges"]) if entry.dim is None else entry.dim)
     return v1 * scale, entry.method, err1 * scale
 
 
@@ -185,13 +173,8 @@ def collect_params(shape: str, src: dict, degrees: bool) -> dict:
         if v is None:
             raise DomainError(f"shape {shape!r} requires parameter --{name}")
         if kind == "N":
-            try:
-                if isinstance(v, str):
-                    v = tuple(float(t) for t in v.split(",") if t.strip())
-                else:
-                    v = tuple(float(t) for t in v)
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"cannot parse edge list {v!r}") from exc
+            items = v.split(",") if isinstance(v, str) else sequence("edge list", v)
+            v = tuple(number("edge", t) for t in items if not isinstance(t, str) or t.strip())
             if len(v) < 2:
                 raise DomainError("ndim-orthoscheme needs at least 2 edges")
         else:

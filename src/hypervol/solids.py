@@ -8,17 +8,16 @@ oracle.
 Lengths scale with the curvature constant k; three-dimensional volumes obey
 v_k(params) = k^3 * v_1(params / k) for the length parameters.
 
-A closed form whose value lies beyond the float range (about 1.8e308)
-raises DomainError; each docstring states where that happens.
+A volume beyond the float range (about 1.8e308) raises DomainError by either
+route; each closed form's docstring states where that happens.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 from . import quadrature
-from .errors import DomainError
+from .errors import SINH2_MAX, DomainError, angle, in_float_range, nonnegative, positive
 from .quadrature import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -34,86 +33,69 @@ __all__ = [
     "asymptotic_cone",
 ]
 
-# largest argument whose sinh^2 stays inside the float range (355.5845)
-_SINH2_MAX = math.asinh(math.sqrt(sys.float_info.max))
-
-
-def _check_nonneg(name: str, v: float) -> float:
-    v = float(v)
-    if not (math.isfinite(v) and v >= 0.0):
-        raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
-    return v
-
-
-def _check_k(k: float) -> float:
-    k = float(k)
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"curvature constant k must be positive, got {k!r}")
-    return k
-
-
-def _in_range(name: str, volume) -> float:
-    """``volume()``, or DomainError when its value lies beyond the float range."""
-    try:
-        v = volume()
-    except OverflowError:
-        v = math.inf
-    if not math.isfinite(v):
-        raise DomainError(f"{name} volume exceeds the float range")
-    return v
-
-
+@in_float_range
 def equidistant_body(p: float, q: float, k: float = 1.0) -> float:
     """Body of one-sided perpendicular segments of length q over a base of area p.
 
     Closed form p k sinh(2q/k) / 4 + p q / 2.  DomainError beyond the float
     range: at p = k = 1, for q above about 355.24.
     """
-    p = _check_nonneg("base area p", p)
-    q = _check_nonneg("height q", q)
-    k = _check_k(k)
-    return _in_range("equidistant body",
-                     lambda: 0.25 * p * k * math.sinh(2.0 * q / k) + 0.5 * p * q)
+    p = nonnegative("base area p", p)
+    q = nonnegative("height q", q)
+    k = positive("k", k)
+    return 0.25 * p * k * math.sinh(2.0 * q / k) + 0.5 * p * q
 
 
+@in_float_range
 def equidistant_body_by_quadrature(p, q, k=1.0, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Same body via the profile integral p * int_0^q cosh^2(t/k) dt."""
-    p = _check_nonneg("base area p", p)
-    q = _check_nonneg("height q", q)
-    k = _check_k(k)
+    """Same body via the profile integral p * int_0^q cosh^2(t/k) dt; DomainError
+    where the closed form raises it."""
+    p = nonnegative("base area p", p)
+    q = nonnegative("height q", q)
+    k = positive("k", k)
     res = quadrature.integrate_1d(lambda t: math.cosh(t / k) ** 2, 0.0, q, tol)
     return p * res.value
 
 
+@in_float_range
 def paraspherical_sector(p: float, k: float = 1.0) -> float:
     """Sector of parallel half-lines over a horospherical base of area p: p k / 2.
 
     DomainError when p k / 2 lies beyond the float range.
     """
-    p = _check_nonneg("base area p", p)
-    k = _check_k(k)
-    return _in_range("sector", lambda: 0.5 * p * k)
+    p = nonnegative("base area p", p)
+    k = positive("k", k)
+    return 0.5 * p * k
 
 
+@in_float_range
 def sphere_volume(x: float, k: float = 1.0) -> float:
     """Ball of hyperbolic radius x: pi k^3 sinh(2x/k) - 2 pi k^2 x.
 
-    DomainError beyond the float range: at k = 1, for x above about 354.67.
+    Below 2x/k = 0.1 the difference sinh u - u, u = 2x/k, is summed as its
+    Taylor series u^3/3! + u^5/5! + ..., which does not cancel.  DomainError
+    beyond the float range: at k = 1, for x above about 354.67.
     """
-    x = _check_nonneg("radius x", x)
-    k = _check_k(k)
-    return _in_range(
-        "ball", lambda: math.pi * k ** 3 * math.sinh(2.0 * x / k) - 2.0 * math.pi * k ** 2 * x)
+    x = nonnegative("radius x", x)
+    k = positive("k", k)
+    u = 2.0 * x / k
+    if u < 0.1:
+        series = math.fsum(u ** j / math.factorial(j) for j in (3, 5, 7, 9, 11))
+        return math.pi * k ** 3 * series
+    return math.pi * k ** 3 * math.sinh(u) - 2.0 * math.pi * k ** 2 * x
 
 
+@in_float_range
 def sphere_volume_by_quadrature(x, k=1.0, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Same ball via the radial shell integral 4 pi k^2 int_0^x sinh^2(r/k) dr."""
-    x = _check_nonneg("radius x", x)
-    k = _check_k(k)
+    """Same ball via the radial shell integral 4 pi k^2 int_0^x sinh^2(r/k) dr;
+    DomainError where the closed form raises it."""
+    x = nonnegative("radius x", x)
+    k = positive("k", k)
     res = quadrature.integrate_1d(lambda r: math.sinh(r / k) ** 2, 0.0, x, tol)
     return 4.0 * math.pi * k ** 2 * res.value
 
 
+@in_float_range
 def barrel(p: float, q: float, k: float = 1.0) -> float:
     """Tube of radius q around a segment of length p: pi k^2 p sinh^2(q/k).
 
@@ -121,23 +103,24 @@ def barrel(p: float, q: float, k: float = 1.0) -> float:
     spherical caps beyond the segment ends are not part of it).  DomainError
     beyond the float range: at p = k = 1, for q above about 355.01.
     """
-    p = _check_nonneg("segment length p", p)
-    q = _check_nonneg("tube radius q", q)
-    k = _check_k(k)
-    return _in_range("barrel", lambda: math.pi * k ** 2 * p * math.sinh(q / k) ** 2)
+    p = nonnegative("segment length p", p)
+    q = nonnegative("tube radius q", q)
+    k = positive("k", k)
+    return math.pi * k ** 2 * p * math.sinh(q / k) ** 2
 
 
+@in_float_range
 def barrel_by_quadrature(p, q, k=1.0, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Same tube via shells: p * 2 pi k int_0^q sinh(t/k) cosh(t/k) dt."""
-    p = _check_nonneg("segment length p", p)
-    q = _check_nonneg("tube radius q", q)
-    k = _check_k(k)
-    res = quadrature.integrate_1d(
-        lambda t: math.sinh(t / k) * math.cosh(t / k), 0.0, q, tol
-    )
+    """Same tube via shells: p * 2 pi k int_0^q sinh(t/k) cosh(t/k) dt; DomainError
+    where the closed form raises it."""
+    p = nonnegative("segment length p", p)
+    q = nonnegative("tube radius q", q)
+    k = positive("k", k)
+    res = quadrature.integrate_1d(lambda t: math.sinh(t / k) * math.cosh(t / k), 0.0, q, tol)
     return 2.0 * math.pi * k * p * res.value
 
 
+@in_float_range
 def barrel_wedge(p: float, T: float) -> float:
     """Wedge cut from a tube by two meridian half-planes: p T / 2.
 
@@ -145,11 +128,12 @@ def barrel_wedge(p: float, T: float) -> float:
     area.  Pure product formula; no attempt is made to derive p and T from
     the tube parameters.  DomainError when p T / 2 lies beyond the float range.
     """
-    p = _check_nonneg("arc length p", p)
-    T = _check_nonneg("meridian area T", T)
-    return _in_range("barrel wedge", lambda: 0.5 * p * T)
+    p = nonnegative("arc length p", p)
+    T = nonnegative("meridian area T", T)
+    return 0.5 * p * T
 
 
+@in_float_range
 def circular_cone(b: float, beta: float, tol: Tolerance = DEFAULT_TOL, k: float = 1.0) -> float:
     """Cone over a circle of radius b with half-angle beta at the apex.
 
@@ -157,29 +141,30 @@ def circular_cone(b: float, beta: float, tol: Tolerance = DEFAULT_TOL, k: float 
 
         v = pi int_0^b sinh^2 y / (cosh y sqrt(cosh^2 y / cos^2 beta - 1)) dy
 
-    General k is handled by the scaling identity v_k(b, beta) = k^3 v_1(b/k, beta).
-    DomainError for b/k above 355.5845, where sinh^2 y leaves the float range.
+    with cosh^2 y / cos^2 beta - 1 evaluated as (sinh^2 y + sin^2 beta) /
+    cos^2 beta, which does not cancel as y and beta go to 0.  General k is
+    handled by the scaling identity v_k(b, beta) = k^3 v_1(b/k, beta).
+    DomainError for b/k above 355.5845, where sinh^2 y leaves the float
+    range, and when the denominator underflows to 0 (b/k and beta both
+    below about 1e-154).
     """
-    b = _check_nonneg("base radius b", b)
-    beta = float(beta)
-    if not (0.0 < beta < 0.5 * math.pi):
-        raise DomainError(f"half-angle beta must lie in (0, pi/2), got {beta!r}")
-    k = _check_k(k)
-    b1 = b / k
-    if b1 > _SINH2_MAX:
-        raise DomainError(
-            f"cone radius b/k = {b1!r} exceeds {_SINH2_MAX:.4f}, where sinh^2 leaves the float range"
-        )
-    cos2 = math.cos(beta) ** 2
+    k = positive("k", k)
+    b1 = nonnegative("base radius b", b, k * SINH2_MAX) / k
+    beta = angle("half-angle beta", beta, 0.5 * math.pi)
+    sb2, cb2 = math.sin(beta) ** 2, math.cos(beta) ** 2
 
     def f(y: float) -> float:
-        ch = math.cosh(y)
-        return math.sinh(y) ** 2 / (ch * math.sqrt(ch * ch / cos2 - 1.0))
+        sh2 = math.sinh(y) ** 2
+        den = math.cosh(y) * math.sqrt((sh2 + sb2) / cb2)
+        if den == 0.0:
+            raise DomainError(f"cone profile denominator underflows to 0 at y = {y!r}")
+        return sh2 / den
 
     res = quadrature.integrate_1d(f, 0.0, b1, tol)
     return k ** 3 * math.pi * res.value
 
 
+@in_float_range
 def asymptotic_cone(b: float, k: float = 1.0) -> float:
     """Cone over a circle of radius b whose apex is an ideal point: pi ln cosh b.
 
@@ -188,10 +173,10 @@ def asymptotic_cone(b: float, k: float = 1.0) -> float:
     so the value stays finite; DomainError only when it lies beyond the float
     range, that is when pi k^2 b exceeds about 1.8e308.
     """
-    b = _check_nonneg("base radius b", b)
-    k = _check_k(k)
+    b = nonnegative("base radius b", b)
+    k = positive("k", k)
     try:
         log_cosh = math.log(math.cosh(b / k))
     except OverflowError:
         log_cosh = b / k - math.log(2.0)
-    return _in_range("asymptotic cone", lambda: k ** 3 * math.pi * log_cosh)
+    return k ** 3 * math.pi * log_cosh

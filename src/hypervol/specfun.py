@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from . import quadrature
-from .errors import DomainError
+from .errors import DomainError, number
 from .quadrature import Tolerance
 
 __all__ = [
@@ -73,6 +73,7 @@ def _cl2_core(t: float) -> float:
 
 def clausen2(x: float) -> float:
     """Clausen function Cl2(x) = Im Li2(e^{ix}); odd, 2pi-periodic."""
+    x = number("x", x)
     if not math.isfinite(x):
         raise DomainError(f"clausen2 requires a finite argument, got {x!r}")
     r = math.remainder(x, _TWO_PI)  # in [-pi, pi]
@@ -83,6 +84,7 @@ def clausen2(x: float) -> float:
 
 def lobachevsky(x: float) -> float:
     """Lobachevsky function L(x); odd, pi-periodic, max at pi/6."""
+    x = number("x", x)
     if not math.isfinite(x):
         raise DomainError(f"lobachevsky requires a finite argument, got {x!r}")
     r = math.remainder(x, math.pi)  # in [-pi/2, pi/2]
@@ -98,6 +100,7 @@ def lobachevsky_via_integral(x: float, tol: Tolerance | None = None) -> float:
     has log singularities at multiples of pi, so the argument is reduced to
     [-pi/2, pi/2] first (the quadrature nodes themselves never touch 0).
     """
+    x = number("x", x)
     if not math.isfinite(x):
         raise DomainError(f"lobachevsky_via_integral requires a finite argument, got {x!r}")
     tol = tol or Tolerance(rel=1e-13, abs=1e-15)

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from . import quadrature
-from .errors import DomainError, NotRealizableError, number, sequence
+from .errors import DomainError, NotRealizableError, angle, number, sequence
 from .quadrature import DEFAULT_TOL, Tolerance
 from .specfun import clausen2, lobachevsky
 
@@ -49,10 +49,8 @@ class TetraDihedrals:
 
     def __post_init__(self):
         for name in "ABCDEF":
-            v = number(name, getattr(self, name))
-            if not (0.0 < v < math.pi):
-                raise DomainError(f"dihedral angle {name} must lie in (0, pi), got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, angle(f"dihedral angle {name}", getattr(self, name),
+                                                 math.pi))
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.A, self.B, self.C, self.D, self.E, self.F)
@@ -80,9 +78,7 @@ class DMCoefficients:
 
 def milnor_ideal(A: float, B: float, C: float) -> float:
     """Ideal tetrahedron volume L(A) + L(B) + L(C), requiring A + B + C = pi."""
-    A, B, C = number("A", A), number("B", B), number("C", C)
-    if min(A, B, C) <= 0.0:
-        raise DomainError("ideal tetrahedron angles must be positive")
+    A, B, C = angle("A", A, math.pi), angle("B", B, math.pi), angle("C", C, math.pi)
     if abs(A + B + C - math.pi) > 1e-9:
         raise DomainError("ideal tetrahedron angles must satisfy A + B + C = pi")
     return lobachevsky(A) + lobachevsky(B) + lobachevsky(C)
@@ -250,10 +246,8 @@ def lambert_cube(w0: float, w1: float, w2: float, theta: float) -> float:
     geometric cube tan(theta) >= 1; the combination is returned for any
     theta in (0, pi/2] (and is 0 at theta = pi/2).
     """
-    ws = (number("w0", w0), number("w1", w1), number("w2", w2))
-    for name, w in zip(("w0", "w1", "w2"), ws):
-        if not (0.0 < w < math.pi / 2.0):
-            raise DomainError(f"essential angle {name} must lie in (0, pi/2), got {w!r}")
+    ws = tuple(angle(f"essential angle {name}", w, 0.5 * math.pi)
+               for name, w in (("w0", w0), ("w1", w1), ("w2", w2)))
     theta = number("theta", theta)
     if not (0.0 < theta <= math.pi / 2.0):
         raise DomainError(f"theta must lie in (0, pi/2], got {theta!r}")
@@ -269,10 +263,7 @@ def mohanty_octahedron(A: float, B: float, E: float) -> float:
 
     2 [ L((pi+A+B+E)/2) + L((pi-A-B+E)/2) + L((pi+A-B-E)/2) + L((pi-A+B-E)/2) ].
     """
-    A, B, E = number("A", A), number("B", B), number("E", E)
-    for name, v in (("A", A), ("B", B), ("E", E)):
-        if not (0.0 < v < math.pi):
-            raise DomainError(f"angle {name} must lie in (0, pi), got {v!r}")
+    A, B, E = (angle(f"angle {name}", v, math.pi) for name, v in (("A", A), ("B", B), ("E", E)))
     return 2.0 * (
         lobachevsky((math.pi + A + B + E) / 2.0)
         + lobachevsky((math.pi - A - B + E) / 2.0)

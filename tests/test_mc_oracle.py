@@ -22,15 +22,6 @@ def test_determinism_bit_identical():
     assert e3.mean != e1.mean
 
 
-def test_sharding_is_deterministic():
-    r = mc.region_ball(1.0)
-    e1 = mc.estimate(r, 100_000, seed=7, shards=4)
-    e2 = mc.estimate(r, 100_000, seed=7, shards=4)
-    assert e1.mean == e2.mean
-    # sharded estimate stays consistent with the analytic value
-    assert abs(e1.mean - solids.sphere_volume(1.0)) <= 5 * e1.stderr
-
-
 def test_empty_region():
     e = mc.estimate(mc.region_empty(), 10_000, seed=1)
     assert e.mean == 0.0 and e.stderr == 0.0

@@ -346,7 +346,7 @@ def test_cosh_power_integral_matches_mpmath(m):
     mpmath.mp.dps = 30
     for u in (1e-8, 0.3, 0.9, 0.999999):
         ref = mpmath.quad(lambda y: mpmath.cosh(y) ** m, [0, mpmath.atanh(u)])
-        assert _cosh_power_integral(m, u) == pytest.approx(float(ref), rel=1e-14)
+        assert _cosh_power_integral(m, u) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("edges", [
@@ -502,3 +502,20 @@ def test_parameters_convert_once_or_raise_domain_error(route, args, floats):
             route(args)
     else:
         assert route(args) == expected
+
+
+@pytest.mark.parametrize("alpha, c", [(1e-6, 0.5), (1e-4, 1.0), (0.01, 0.01)])
+def test_bolyai_asymptotic_1_does_not_cancel_at_small_angles(alpha, c):
+    # cosh^2 t - cos^2 alpha cancelled here (no convergence at the first input,
+    # 2.2e-10 relative at the second); sinh^2 t + sin^2 alpha does not
+    with mpmath.workdps(30):
+        sa2 = mpmath.sin(mpmath.mpf(alpha)) ** 2
+        ref = mpmath.sin(2 * mpmath.mpf(alpha)) / 4 * mpmath.quad(
+            lambda t: t / (mpmath.sinh(t) ** 2 + sa2), [0, alpha, c])
+    assert bolyai_asymptotic_1(alpha, c) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
+def test_bolyai_asymptotic_1_underflowing_denominator_raises_domain_error():
+    # once a ZeroDivisionError traceback from `vol bolyai-asym-1 --alpha 1e-300 --c 2.7`
+    with pytest.raises(DomainError, match="underflows"):
+        bolyai_asymptotic_1(1e-300, 2.7)

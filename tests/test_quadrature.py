@@ -3,8 +3,10 @@
 import math
 import random
 
+import mpmath
 import pytest
 
+from hypervol import quadrature
 from hypervol.errors import ConvergenceError, DomainError
 from hypervol.quadrature import (
     IntegralResult,
@@ -20,6 +22,28 @@ def test_polynomial():
     assert res.value == pytest.approx(0.5, abs=1e-13)
     assert res.error_estimate <= max(1e-14, 1e-10 * abs(res.value))
     assert res.evaluations >= 15
+
+
+def test_gk15_rule_is_exact_on_polynomials_to_a_few_ulp():
+    # the 15-point Kronrod rule is exact through degree 22; truncated constants
+    # put every moment about 3e-15 low (21 ulp at j = 22, 27 at j = 0)
+    for j in range(23):
+        value = quadrature._gk15(lambda x: x ** j, 0.0, 1.0)[0]
+        assert abs(value - 1.0 / (j + 1)) <= 8 * math.ulp(1.0 / (j + 1)), j
+
+
+def test_gk15_constants_match_the_rule_to_double_precision():
+    wgk, xgk = quadrature._WGK, quadrature._XGK
+    assert abs(math.fsum([*wgk[:7], *wgk[:7], wgk[7]]) - 2.0) <= 2.0 * math.ulp(2.0)
+    # the Gauss nodes (odd Kronrod indices) are the roots of P7
+    with mpmath.workdps(30):
+        for x in xgk[1::2]:
+            assert abs(mpmath.legendre(7, x)) <= 1e-14, x
+        # moments of the Kronrod rule against exact ones
+        for j in range(0, 23, 2):
+            rule = wgk[7] * (1 if j == 0 else 0) + 2 * mpmath.fsum(
+                mpmath.mpf(w) * mpmath.mpf(x) ** j for w, x in zip(wgk[:7], xgk[:7]))
+            assert abs(rule - mpmath.mpf(2) / (j + 1)) <= 1e-15, j
 
 
 def test_log_endpoint_singularity():

@@ -1,0 +1,206 @@
+"""Robustness of the whole public surface: every public function returns a
+finite value or raises a HypervolError, whatever it is given, and no argv
+lets an exception escape ``cli.main``."""
+
+import dataclasses
+import inspect
+import math
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hypervol import cli, mc_oracle, models, orthoscheme, quadrature, solids, specfun, tetrahedra
+from hypervol.errors import HypervolError
+from hypervol.shapes import SHAPES
+
+# numbers at the edges of every domain, a non-number and numeric strings
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.3, 1.2, 2.7, math.pi, math.inf, -math.inf, math.nan,
+           1e300, -1e300, 1e-300, -1e-300, None, "x", "1.5", "0.7"]
+NUMBERS = st.sampled_from(SPECIAL) | st.floats(-4.0, 4.0)
+SEQUENCES = st.lists(NUMBERS, max_size=7).map(tuple) | NUMBERS
+
+# arguments that take a sequence of numbers, by module
+SEQUENCE_ARGS = {"edges", "angles", "t", "sides", "vertices", "half_widths", "lo", "hi"}
+MODEL_SEQUENCE_ARGS = SEQUENCE_ARGS | {"p", "q", "coords"}
+# drawn from a small pool, because their cost grows with the value, not its validity:
+# a sample count (one pass per sample), a dimension, or a nested integral's bounds
+SMALL = st.sampled_from([None, "x", "3", math.nan, math.inf, -1, 0, 1e-300, 2, 3, 5, 9, 2.5])
+COSTLY_ARGS = {"samples", "n", "count"}
+# the nested n-orthoscheme integral takes seconds from n = 4 or edges near 3 on (its
+# long-edge stall), so its edges stop at n = 3 and 1.2
+NDIM_EDGES = st.lists(st.sampled_from([v for v in SPECIAL if v not in (2.7, math.pi)])
+                      | st.floats(0.01, 1.2), max_size=3).map(tuple)
+# samplers draw until they have ``count`` cases, so a large count is a long run, not a
+# failure; the result records hold whatever they are given
+SKIP = {"sample_valid_angles", "sample_near_ideal", "MCEstimate", "DMCoefficients"}
+# functions whose value is a volume or area, which must also be >= 0
+VOLUMES = {"volume_edges", "volume_angles", "bolyai_integral_1", "bolyai_asymptotic_1",
+           "bolyai_asymptotic_2", "volume_one_ideal", "volume_two_ideal",
+           "volume_ideal_tetrahedron_b", "area_right_triangle", "volume_ndim", "milnor_ideal",
+           "derevnin_mednykh", "murakami_yano", "mohanty_octahedron", "paracycle_brick_volume",
+           *solids.__all__}
+
+
+def public_functions():
+    for module in (solids, models, mc_oracle, specfun, orthoscheme, tetrahedra):
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if callable(fn) and name not in SKIP:
+                yield pytest.param(module, fn, id=f"{module.__name__.split('.')[-1]}.{name}")
+
+
+def check_finite(value):
+    """Every float reachable from ``value`` is finite."""
+    if isinstance(value, float):
+        assert math.isfinite(value), value
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            check_finite(v)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            check_finite(getattr(value, f.name))
+
+
+def arguments(module, fn):
+    """A strategy for the keyword arguments of ``fn``, tolerance left at its default."""
+    seq = MODEL_SEQUENCE_ARGS if module is models else SEQUENCE_ARGS
+    args = {}
+    for name in inspect.signature(fn).parameters:
+        if name == "tol":
+            continue
+        if name == "region":
+            args[name] = st.just(mc_oracle.region_ball(0.5))
+        elif name == "system":
+            args[name] = st.sampled_from([*models.COORDINATE_SYSTEMS, "x", None])
+        elif name == "bounds":
+            args[name] = st.just([(0, 0.0, 0.1), (1, 0.0, 0.1)])
+        elif name == "o":
+            args[name] = NDIM_EDGES
+        elif name in COSTLY_ARGS:
+            args[name] = SMALL
+        else:
+            args[name] = SEQUENCES if name in seq else NUMBERS
+    return st.fixed_dictionaries(args)
+
+
+@pytest.mark.parametrize("module, fn", public_functions())
+def test_public_functions_return_finite_or_raise_hypervol_error(module, fn):
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None,
+              suppress_health_check=list(HealthCheck))
+    @given(arguments(module, fn))
+    def check(kwargs):
+        try:
+            value = fn(**kwargs)
+        except HypervolError:
+            return
+        check_finite(value)
+        if fn.__name__ in VOLUMES:
+            assert value >= 0.0, value
+
+    check()
+
+
+@pytest.mark.parametrize("call", [
+    'solids.sphere_volume(None)',
+    'solids.barrel(1, "x")',
+    'solids.circular_cone(1, None)',
+    'solids.sphere_volume_by_quadrature(1e300)',
+    'solids.barrel_by_quadrature(0.3, 1e300)',
+    'solids.equidistant_body_by_quadrature(0.01, 1e300)',
+    'models.chord_arc("x")',
+    'models.chord_arc(1e300)',
+    'models.density_klein((0.1, 0.1), k="x")',
+    'models.PointSpherical(None, (0.1,))',
+    'models.coordinate_volume("klein", [(0, 0, 0.1), (1, 0, 0.1)], "x")',
+    'models.paracycle_brick_volume((math.nan, 1, 1))',
+    'models.paracycle_brick_volume((1.1, math.inf, 1.3))',
+    'mc_oracle.region_ball("1")',
+    'mc_oracle.region_ball(1, k=math.nan)',
+    'mc_oracle.region_cone(1, "x")',
+    'mc_oracle.orthoscheme_vertices("1", 1, 1)',
+    'mc_oracle.estimate(mc_oracle.region_ball(1), "x", 0)',
+    'mc_oracle.estimate(mc_oracle.region_ball(1), 100_000, None)',
+    'specfun.lobachevsky("x")',
+    'specfun.clausen2("1.5")',
+    'quadrature.Tolerance(rel="x")',
+])
+def test_known_leaks_raise_hypervol_error_or_convert(call):
+    # each of these once leaked TypeError, ValueError or OverflowError, or
+    # returned a non-finite value; a numeric string converts like its float
+    try:
+        value = eval(call)
+    except HypervolError:
+        return
+    check_finite(value)
+
+
+def test_numeric_strings_convert_like_their_floats():
+    assert quadrature.Tolerance(rel="1e-8").rel == 1e-8
+    assert specfun.clausen2("1.5") == specfun.clausen2(1.5)
+    assert mc_oracle.region_ball("1").hi == mc_oracle.region_ball(1.0).hi
+
+
+def cli_argvs(count, seed):
+    """Seeded ``vol`` argvs over every table shape, with values from SPECIAL."""
+    rng = random.Random(seed)
+    numbers = [repr(v) for v in SPECIAL if isinstance(v, float)] + ["x", "1.5", "0.7", "1e-20"]
+    out = []
+    for i in range(count):
+        shape = list(SHAPES)[i % len(SHAPES)]
+        argv = ["vol", shape]
+        for name, kind in SHAPES[shape].params.items():
+            if kind == "N":
+                # edges stop at 5: longer ones hit the nested integral's long-edge
+                # stall, which hangs rather than fails
+                edges = [rng.choice(["0.3", "1", "2.5", "5", "0", "-1", "nan", "x"])
+                         for _ in range(rng.randint(1, 6))]
+                argv.append(f"--{name}=" + ",".join(edges))
+            else:
+                argv.append(f"--{name}={rng.choice(numbers)}")
+        if rng.random() < 0.5:
+            argv.append(f"--k={rng.choice(numbers)}")
+        if rng.random() < 0.2:
+            argv += ["--degrees"]
+        out.append(argv)
+    return out
+
+
+def test_cli_never_lets_an_exception_escape(capsys):
+    for argv in cli_argvs(220, seed=5):
+        code = cli.main(argv)
+        out, _ = capsys.readouterr()
+        assert code in (0, 2, 3, 4), argv
+        if code == 0:
+            assert math.isfinite(float(out.split('"volume": ')[1].split(",")[0])), argv
+
+
+# angles hold a long orthoscheme only through differences of order exp(-2z), z the long
+# diagonal, so the round trip loses digits as a + b + c grows (0.6 relative at a sum of
+# 13 in 20,000 uniform draws on [0, 8]^3); a short middle edge b, recovered from
+# sinh^2 b = cosh^2 z / (cosh a cosh c)^2 - 1, loses some too (3.3e-7 at b = 1e-3)
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.tuples(*[st.floats(1e-3, 1.3)] * 3))
+def test_edges_angles_round_trip(edges):
+    try:
+        back = orthoscheme.angles_to_edges(orthoscheme.edges_to_angles(edges))
+    except HypervolError:
+        return  # a direction refuses the input
+    for e, b in zip(edges, (back.a, back.b, back.c)):
+        assert b == pytest.approx(e, rel=1e-6), (edges, back)
+
+
+@pytest.mark.xfail(strict=True, reason="the Lambert-cube combination is negative for some "
+                   "theta in (0, pi/2]; theta is free, so no geometric check applies")
+def test_lambert_cube_negative_volume(capsys):
+    code = cli.main(["vol", "lambert-cube", "--w0", "0.168", "--w1", "1.243", "--w2", "0.354",
+                     "--theta", "0.0498"])
+    out, _ = capsys.readouterr()
+    assert code != 0 or float(out.split('"volume": ')[1].split(",")[0]) >= 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="rounding leaves the octahedron's Lobachevsky sum "
+                   "slightly negative when an angle tends to 0")
+def test_mohanty_octahedron_negative_volume():
+    assert tetrahedra.mohanty_octahedron(1e-300, 1.6068545592186658, 2.6002367924276046) >= 0.0

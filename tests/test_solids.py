@@ -6,6 +6,7 @@ Frozen references come from 30-digit evaluation of the closed forms
 
 import math
 
+import mpmath
 import pytest
 
 from hypervol.errors import DomainError
@@ -145,3 +146,42 @@ def test_invalid_parameters():
         sphere_volume(1.0, k=0.0)
     with pytest.raises(DomainError):
         barrel_wedge(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("b, beta", [(1e-3, 1e-6), (1e-8, 1e-8)])
+def test_cone_profile_does_not_cancel_at_small_angles(b, beta):
+    # cosh^2 y / cos^2 beta - 1 cancelled here (5.4e-10 relative at the first
+    # input, ZeroDivisionError at the last); (sinh^2 y + sin^2 beta) / cos^2 beta
+    # does not
+    with mpmath.workdps(30):
+        sb2 = mpmath.sin(mpmath.mpf(beta)) ** 2
+        ref = mpmath.pi * mpmath.quad(
+            lambda y: mpmath.sinh(y) ** 2 * mpmath.cos(mpmath.mpf(beta))
+            / (mpmath.cosh(y) * mpmath.sqrt(mpmath.sinh(y) ** 2 + sb2)), [0, beta, b])
+    assert circular_cone(b, beta) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
+def test_cone_underflowing_profile_raises_domain_error():
+    # the reproduction of a ZeroDivisionError traceback: the volume, about
+    # 1e-460, underflows to 0
+    assert circular_cone(1e-160, 1e-20) == 0.0
+    with pytest.raises(DomainError, match="underflows"):
+        circular_cone(1e-160, 1e-300)
+
+
+def test_tiny_ball_volume_is_positive():
+    # pi k^3 sinh(2x/k) - 2 pi k^2 x cancelled to a negative value at tiny x
+    assert sphere_volume(1.3262116840585138e-248, 3.0) == 0.0  # underflows from 1e-743
+    for x in (1e-100, 1e-3, 0.02, 0.0499):
+        with mpmath.workdps(400):  # enough digits for the cancellation at 1e-100
+            ref = mpmath.pi * (mpmath.sinh(2 * mpmath.mpf(x)) - 2 * mpmath.mpf(x))
+        assert sphere_volume(x) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+
+def test_quadrature_twins_refuse_values_beyond_the_float_range():
+    for twin in (lambda: sphere_volume_by_quadrature(1e300),
+                 lambda: sphere_volume_by_quadrature(355.3),
+                 lambda: barrel_by_quadrature(0.3, 1e300),
+                 lambda: equidistant_body_by_quadrature(0.01, 1e300)):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            twin()

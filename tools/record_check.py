@@ -9,7 +9,8 @@ reports every command whose stdout or exit code differs.  The list covers
 ``vol`` on every table shape at k = 1 and 1.3 (the singular-end routes at
 a few more parameter sets), both ``convert``
 directions, ``crosscheck`` on every suite, grid and seed of three, ``mc``
-on the Monte-Carlo shapes, a fixed 200-job batch, and the CLI error paths.
+on the Monte-Carlo shapes, a fixed 200-job batch, the CLI error paths and
+reproductions of defects found earlier.
 Output goes to JSON and CSV where a command writes records.  Job files go
 to a temporary directory, which is also the working directory of every
 command.  Two commands run at a time.  After the differences, a summary
@@ -181,6 +182,13 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
         ["batch", jobs["invalid-json"]],
         ["batch", jobs["missing"]],
         *(["batch", jobs[f"malformed-{i}"]] for i in range(len(MALFORMED_JOBS))),
+        # integrands that cancelled to a zero denominator, a negative Lambert cube, NaN k
+        ["vol", "bolyai-asym-1", "--alpha", "1e-300", "--c", "2.7"],
+        ["vol", "cone", "--b", "1e-160", "--beta", "1e-20"],
+        ["vol", "lambert-cube", "--w0", "0.168", "--w1", "1.243", "--w2", "0.354",
+         "--theta", "0.0498"],
+        ["vol", "sphere", "--x", "1", "--k", "nan"],
+        ["convert", "edges-to-angles", "--a", "1", "--b", "1", "--c", "1", "--k", "nan"],
         # flags a command does not read
         ["batch", jobs["sphere"], "--k", "2", "--reltol", "1e-3", "--degrees"],
         ["crosscheck", "solids", "--k", "2"],
