@@ -17,7 +17,9 @@ Angles are radians unless --degrees is given.  Output is one JSON object
 per line, or RFC-4180 CSV with --format csv.  Exit codes: 0 success,
 1 failed check (crosscheck threshold or |z| > 4 in mc), 2 invalid
 parameters, 3 not realizable, 4 quadrature convergence failure, 5 I/O
-failure.
+failure.  On a convergence failure stderr also gives the best estimate
+the unconverged integral reached (at curvature 1), with its error estimate
+and evaluation count.
 
 Shapes, their parameters and their volume routes, the crosscheck columns
 among them, come from the table in ``hypervol.shapes``; every volume is
@@ -36,7 +38,7 @@ from contextlib import nullcontext
 from functools import cache
 from typing import Sequence
 
-from . import mc_oracle, orthoscheme, tetrahedra
+from . import orthoscheme, tetrahedra
 from .errors import ConvergenceError, DomainError, NotRealizableError, positive
 from .quadrature import Tolerance
 from .shapes import MC_SHAPES, SHAPES, collect_params, compute_volume, parse_job
@@ -56,6 +58,15 @@ def _failure(exc: Exception) -> tuple[int, str]:
     if isinstance(exc, ConvergenceError):
         return EXIT_NO_CONVERGENCE, "no convergence"
     return EXIT_INVALID, "invalid parameters"
+
+
+def _report(prefix: str, exc: Exception) -> None:
+    """Print a failure to stderr, and a ConvergenceError's best estimate after it."""
+    print(f"error: {prefix}: {exc}", file=sys.stderr)
+    best = exc.best if isinstance(exc, ConvergenceError) else None
+    if best is not None:
+        print(f"best estimate: {best.value!r} (error estimate {best.error_estimate!r}, "
+              f"{best.evaluations} evaluations)", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +160,8 @@ def _volume_record(shape: str, params: dict, k: float, reltol: float) -> dict:
 
 def _mc_fields(shape: str, params: dict, k: float, analytic: float, samples, seed) -> dict:
     """Monte-Carlo estimate of the shape's volume and its z-score against ``analytic``."""
+    from . import mc_oracle  # numpy loads here, on the first Monte-Carlo path
+
     est = mc_oracle.estimate(SHAPES[shape].mc_region(*params.values(), k=k), samples, seed)
     z = (est.mean - analytic) / est.stderr if est.stderr > 0 else 0.0
     return {"mc_mean": est.mean, "mc_stderr": est.stderr, "z_score": z,
@@ -278,7 +291,7 @@ def _cmd_batch(args) -> int:
                     code = EXIT_CHECK_FAILED
             rows.append(rec)
         except (DomainError, ConvergenceError) as exc:
-            print(f"error: {shape}: {exc}", file=sys.stderr)
+            _report(shape, exc)
             code = code or _failure(exc)[0]
     _write(args, rows)
     return code
@@ -303,7 +316,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (DomainError, ConvergenceError) as exc:
         code, label = _failure(exc)
-        print(f"error: {label}: {exc}", file=sys.stderr)
+        _report(label, exc)
         return code
     except OSError:
         return EXIT_IO

@@ -16,7 +16,7 @@ levels of the same GK15 rule resolve.
 Nested integration (``integrate_region``) composes 1-D calls over one
 (lo, hi) pair per variable, where either limit may be a function of the
 outer variables; each inner level runs at a tenth of the tolerance of the
-level above it.
+level above it.  All levels draw on one evaluation budget.
 """
 
 from __future__ import annotations
@@ -97,6 +97,10 @@ class IntegralResult:
     evaluations: int
 
 
+# the estimate of an integral before its first panel is finished
+_UNKNOWN = IntegralResult(0.0, math.inf, 0)
+
+
 def _gk15(f, a, b):
     """One Gauss-Kronrod 15(7) panel on [a, b].
 
@@ -157,7 +161,10 @@ def integrate_1d(
 
     Deterministic for fixed inputs.  Non-finite integrand values raise
     DomainError; exceeding the evaluation budget raises ConvergenceError
-    with the best estimate attached.
+    with the best estimate attached.  So does a ConvergenceError of the
+    integrand itself (a nested integral out of its budget), with this
+    integral's own estimate: the sum over its finished panels, or 0 with an
+    infinite error estimate before the first panel is finished.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integration limits must be finite")
@@ -166,8 +173,13 @@ def integrate_1d(
     if lo == hi:
         return IntegralResult(0.0, 0.0, 0)
 
+    if max_evals < 15:
+        raise ConvergenceError(f"evaluation budget {max_evals} exhausted", best=_UNKNOWN)
     evals = 0
-    val, err, resabs = _gk15(f, lo, hi)
+    try:
+        val, err, resabs = _gk15(f, lo, hi)
+    except ConvergenceError as exc:
+        raise ConvergenceError(str(exc), best=_UNKNOWN) from exc
     evals += 15
     # heap entries: (-err, sequence number, a, b, value, err, resabs)
     seq = 0
@@ -202,8 +214,12 @@ def integrate_1d(
             # panel at floating-point resolution or at the roundoff floor
             stalled.append((v_old, e_old))
             continue
-        v1, e1, r1 = _gk15(f, a, m)
-        v2, e2, r2 = _gk15(f, m, b)
+        try:
+            v1, e1, r1 = _gk15(f, a, m)
+            v2, e2, r2 = _gk15(f, m, b)
+        except ConvergenceError as exc:
+            stalled.append((v_old, e_old))
+            raise ConvergenceError(str(exc), best=finish()) from exc
         evals += 30
         total_val += (v1 + v2) - v_old
         total_err += (e1 + e2) - e_old
@@ -256,6 +272,12 @@ def integrate_region(
     hi may be numbers or callables of the already-fixed outer variables (in
     listed order).  The integrand receives the variables in the same order.
     Each inner level runs at a tenth of the tolerance of its parent.
+
+    ``max_evals`` bounds the integrand evaluations of all levels together:
+    every 1-D call gets the budget that remains.  When it runs out,
+    ConvergenceError carries in ``best`` the outermost level's estimate so
+    far (0 with an infinite error estimate if that level has not finished a
+    panel) and the evaluations made.
     """
     if len(bounds) < 1:
         raise DomainError("at least one integration variable required")
@@ -277,7 +299,13 @@ def integrate_region(
             def f(x):
                 return level(i + 1, fixed + (x,), inner_tol).value
 
-        return integrate_1d(f, lo_v, hi_v, level_tol, max_evals)
+        return integrate_1d(f, lo_v, hi_v, level_tol, max_evals - evals)
 
-    res = level(0, (), tol)
+    try:
+        res = level(0, (), tol)
+    except ConvergenceError as exc:
+        # every 1-D call ran on what remained, so a budget message names the whole budget
+        msg = f"evaluation budget {max_evals} exhausted" if evals + 30 > max_evals else str(exc)
+        best = IntegralResult(exc.best.value, exc.best.error_estimate, evals)
+        raise ConvergenceError(msg, best=best) from exc
     return IntegralResult(res.value, res.error_estimate, evals)

@@ -9,18 +9,22 @@ its column name next to independent routes to the same volume.
 
 Evaluators and builders look their library functions up when called, not
 when this module is imported, so wrappers installed on those module
-attributes see every call.
+attributes see every call.  The region builders also import ``mc_oracle``
+(and with it numpy) only when first called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import mc_oracle, orthoscheme, solids, tetrahedra
+from . import orthoscheme, solids, tetrahedra
 from .errors import DomainError, in_float_range, number, positive, sequence
 from .quadrature import Tolerance
+
+if TYPE_CHECKING:
+    from . import mc_oracle
 
 __all__ = ["Shape", "SHAPES", "MC_SHAPES", "compute_volume", "collect_params", "parse_job"]
 
@@ -52,30 +56,36 @@ class Shape:
         object.__setattr__(self, "routes", {n: r or self.evaluate for n, r in self.routes.items()})
 
 
+def _mc():
+    """The ``mc_oracle`` module, imported on first use: it loads numpy."""
+    from . import mc_oracle
+    return mc_oracle
+
+
 def _equidistant_slab(p: float, q: float, k: float) -> mc_oracle.Region:
     # base box with the requested area: w2 fixed at 0.5 k, w1 from p
     w2 = 0.5 * k
     w1 = k * math.asinh(p / (4.0 * k * w2))
-    return mc_oracle.region_slab((w1, w2), q, k)
+    return _mc().region_slab((w1, w2), q, k)
 
 
 _SIX = dict.fromkeys("ABCDEF", "R")
 
 SHAPES: dict[str, Shape] = {
     "sphere": Shape({"x": "L"}, 3, "closed-form", lambda x, tol: solids.sphere_volume(x),
-                    mc_region=lambda x, k: mc_oracle.region_ball(x, k),
+                    mc_region=lambda x, k: _mc().region_ball(x, k),
                     routes={"closed": None, "quadrature": lambda x, tol:
                             solids.sphere_volume_by_quadrature(x, tol=tol)}),
     "barrel": Shape({"p": "L", "q": "L"}, 3, "closed-form",
                     lambda p, q, tol: solids.barrel(p, q),
-                    mc_region=lambda p, q, k: mc_oracle.region_barrel(p, q, k),
+                    mc_region=lambda p, q, k: _mc().region_barrel(p, q, k),
                     routes={"closed": None, "quadrature": lambda p, q, tol:
                             solids.barrel_by_quadrature(p, q, tol=tol)}),
     "barrel-wedge": Shape({"p": "L", "T": "A"}, 3, "closed-form",
                           lambda p, T, tol: solids.barrel_wedge(p, T)),
     "cone": Shape({"b": "L", "beta": "R"}, 3, "quadrature",
                   lambda b, beta, tol: solids.circular_cone(b, beta, tol),
-                  mc_region=lambda b, beta, k: mc_oracle.region_cone(b, beta, k)),
+                  mc_region=lambda b, beta, k: _mc().region_cone(b, beta, k)),
     "equidistant": Shape({"p": "A", "q": "L"}, 3, "closed-form",
                          lambda p, q, tol: solids.equidistant_body(p, q),
                          mc_region=_equidistant_slab,
@@ -86,8 +96,8 @@ SHAPES: dict[str, Shape] = {
                              lambda b, tol: solids.asymptotic_cone(b)),
     "orthoscheme-edges": Shape({"a": "L", "b": "L", "c": "L"}, 3, "quadrature",
                                lambda *e, tol: orthoscheme.volume_edges(e, tol),
-                               mc_region=lambda a, b, c, k: mc_oracle.region_simplex(
-                                   mc_oracle.orthoscheme_vertices(a, b, c, k), k)),
+                               mc_region=lambda a, b, c, k: _mc().region_simplex(
+                                   _mc().orthoscheme_vertices(a, b, c, k), k)),
     "orthoscheme-angles": Shape({"alpha": "R", "beta": "R", "gamma": "R"}, 3, "lobachevsky-series",
                                 lambda *a, tol: orthoscheme.volume_angles(a),
                                 routes={"angles": None,

@@ -2,21 +2,28 @@
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from hypervol import orthoscheme, solids, tetrahedra
+import hypervol
+from hypervol import orthoscheme, quadrature, solids, tetrahedra
 from hypervol.cli import (
     EXIT_INVALID,
+    EXIT_NO_CONVERGENCE,
     EXIT_NOT_REALIZABLE,
     EXIT_OK,
     main,
 )
+from hypervol.errors import ConvergenceError
 from hypervol.quadrature import Tolerance
 from hypervol.shapes import MC_SHAPES, SHAPES
 
@@ -464,3 +471,93 @@ def test_ndim_integrates_at_the_requested_tolerance(capsys, monkeypatch):
     assert recs[0]["error_estimate"] == max(1e-14, 1e-12 * abs(v))
     reference = orthoscheme.volume_edges((0.4, 0.6, 0.5), Tolerance(rel=1e-14, abs=0.0))
     assert v == pytest.approx(reference, abs=recs[0]["error_estimate"])
+
+
+@pytest.mark.parametrize("command", ["vol", "batch"])
+def test_convergence_failure_reports_best_estimate(tmp_path, capsys, monkeypatch, command):
+    # the long-edge reproduction exhausts the shared budget; a smaller one keeps it quick
+    budget = 20_000
+    monkeypatch.setattr(quadrature, "integrate_region",
+                        functools.partial(quadrature.integrate_region, max_evals=budget))
+    with pytest.raises(ConvergenceError) as exc:
+        orthoscheme.volume_ndim((12.0, 0.5, 0.5), Tolerance(rel=1e-10, abs=1e-14))
+    best = exc.value.best
+    if command == "vol":
+        argv = ["vol", "ndim-orthoscheme", "--edges", "12,0.5,0.5"]
+    else:
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(json.dumps([{"shape": "ndim-orthoscheme", "edges": [12, 0.5, 0.5]}]))
+        argv = ["batch", str(jobs)]
+    assert main(argv) == EXIT_NO_CONVERGENCE
+    out = capsys.readouterr()
+    assert out.out == ""
+    first, second = out.err.splitlines()
+    assert first.startswith("error: ") and f"evaluation budget {budget} exhausted" in first
+    assert second == (f"best estimate: {best.value!r} (error estimate "
+                      f"{best.error_estimate!r}, {best.evaluations} evaluations)")
+    assert math.isfinite(best.value) and best.evaluations <= budget
+
+
+LAZY = ("numpy", "hypervol.mc_oracle", "hypervol.models")
+
+
+def fresh(code: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter that imports this hypervol."""
+    src = str(Path(hypervol.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    p = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                       timeout=120)
+    assert p.returncode == 0, p.stderr
+    return p.stdout
+
+
+def cold_main(argv: list[str]) -> tuple[list[str], list[dict]]:
+    """Modules of LAZY loaded after one ``main(argv)`` in a fresh interpreter, and its records."""
+    out = fresh("import json, sys\n"
+                "from hypervol.cli import main\n"
+                f"main({argv!r})\n"
+                f"print(json.dumps([m for m in {LAZY!r} if m in sys.modules]))\n").splitlines()
+    return json.loads(out[-1]), [json.loads(line) for line in out[:-1]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["vol", "orthoscheme-angles", "--alpha", "0.54", "--beta", "1.1", "--gamma", "0.71"],
+    ["vol", "ndim-orthoscheme", "--edges", "0.6,0.5,0.4"],
+    ["vol", "milnor", "--A", "1", "--B", "1", "--C", repr(math.pi - 2.0)],
+])
+def test_cold_vol_loads_neither_numpy_nor_the_oracle(argv):
+    loaded, recs = cold_main(argv)
+    assert loaded == []
+    assert len(recs) == 1
+
+
+def test_cold_mc_loads_the_oracle_and_matches_in_process(capsys):
+    argv = ["mc", "sphere", "--x", "1", "--samples", "10000", "--seed", "3"]
+    loaded, recs = cold_main(argv)
+    assert loaded == list(LAZY)
+    assert run(capsys, *argv) == (EXIT_OK, recs)
+
+
+@pytest.mark.parametrize("code", [
+    "from hypervol import mc_oracle, models",
+    "import hypervol.mc_oracle, hypervol.models\n"
+    "mc_oracle, models = hypervol.mc_oracle, hypervol.models",
+    "import hypervol\nmc_oracle, models = hypervol.mc_oracle, hypervol.models",
+], ids=["from-import", "import-submodule", "attribute"])
+def test_lazy_submodules_load_on_every_kind_of_access(code):
+    check = ("\nimport sys\n"
+             "assert mc_oracle is sys.modules['hypervol.mc_oracle']\n"
+             "assert models is sys.modules['hypervol.models']\n"
+             "assert 'numpy' in sys.modules\n"
+             "print('ok')\n")
+    assert fresh(code + check).split() == ["ok"]
+
+
+def test_package_attributes():
+    out = fresh("import hypervol\n"
+                "try:\n    hypervol.nope\nexcept AttributeError as exc:\n    print(exc)\n"
+                "from hypervol import *\n"
+                "names = dir()\n"
+                "print(all(n in names for n in hypervol.__all__))\n")
+    assert out.splitlines() == ["module 'hypervol' has no attribute 'nope'", "True"]

@@ -190,3 +190,36 @@ def test_region_with_general_lower_limits():
     # integral of 1 over the annulus-like box [0,1] x [x, 2]
     res = integrate_region(lambda x, y: 1.0, [(0.0, 1.0), (lambda x: x, 2.0)])
     assert res.value == pytest.approx(1.5, abs=1e-12)
+
+
+def test_nested_budget_is_shared_across_levels():
+    # one GK15 panel per level: 15^3 = 3,375 evaluations, all of which a
+    # budget handed whole to every 1-D call let through at max_evals=100
+    f = lambda x, y, z: x * y + z
+    box = [(0.0, 1.0)] * 3
+    assert integrate_region(f, box).evaluations == 3375
+    with pytest.raises(ConvergenceError, match="budget 100 exhausted") as exc:
+        integrate_region(f, box, max_evals=100)
+    best = exc.value.best
+    assert math.isfinite(best.value)
+    assert best.evaluations <= 100
+    # the outer level never finished a panel, so its estimate carries no information
+    assert best.error_estimate == math.inf
+
+
+def test_nested_budget_reports_the_outer_estimate():
+    # the outer level refines toward x = 0.3; the integral is 2 (sqrt(0.3) + sqrt(0.7))
+    exact = 2.0 * (math.sqrt(0.3) + math.sqrt(0.7))
+    f = lambda x, y: abs(x - 0.3) ** -0.5
+    with pytest.raises(ConvergenceError) as exc:
+        integrate_region(f, [(0.0, 1.0), (0.0, 1.0)], max_evals=5000)
+    best = exc.value.best
+    assert 15 <= best.evaluations <= 5000
+    assert 0.0 < best.error_estimate < math.inf
+    assert abs(best.value - exact) <= best.error_estimate
+
+
+def test_integrate_1d_budget_below_one_panel_raises():
+    with pytest.raises(ConvergenceError) as exc:
+        integrate_1d(lambda x: x, 0.0, 1.0, max_evals=14)
+    assert exc.value.best == IntegralResult(0.0, math.inf, 0)

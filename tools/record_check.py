@@ -13,7 +13,9 @@ on the Monte-Carlo shapes, a fixed 200-job batch, the CLI error paths and
 reproductions of defects found earlier.
 Output goes to JSON and CSV where a command writes records.  Job files go
 to a temporary directory, which is also the working directory of every
-command.  Two commands run at a time.  After the differences, a summary
+command.  Two commands run at a time, each for at most 120 s; a command
+that runs longer on either tree counts as differing, with exit code
+"timeout".  After the differences, a summary
 gives for every numeric field of the differing JSON records, grouped by
 the record's shape (or crosscheck suite), the largest relative change.
 
@@ -90,6 +92,7 @@ MALFORMED_JOBS = [
 ]
 FORMATS = (["--format", "json"], ["--format", "csv"])
 WORKERS = 2
+TIMEOUT_S = 120
 
 
 def flags(params: dict) -> list[str]:
@@ -188,6 +191,8 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
         ["vol", "lambert-cube", "--w0", "0.168", "--w1", "1.243", "--w2", "0.354",
          "--theta", "0.0498"],
         ["vol", "sphere", "--x", "1", "--k", "nan"],
+        # a long edge whose nested integral ran past any per-call budget (now exit 4)
+        ["vol", "ndim-orthoscheme", "--edges", "12,0.5,0.5"],
         ["convert", "edges-to-angles", "--a", "1", "--b", "1", "--c", "1", "--k", "nan"],
         # flags a command does not read
         ["batch", jobs["sphere"], "--k", "2", "--reltol", "1e-3", "--degrees"],
@@ -235,10 +240,14 @@ def record_changes(out_o: str, out_n: str, changes: dict) -> None:
                 changes[group, field] = (rel, o, n)
 
 
-def run(src: str, argv: list[str], cwd: str) -> tuple[int, str]:
+def run(src: str, argv: list[str], cwd: str) -> tuple[int | str, str]:
+    """(exit code, stdout) of one command; ("timeout", "") past TIMEOUT_S."""
     env = {**os.environ, "PYTHONPATH": src}
-    p = subprocess.run([sys.executable, "-m", "hypervol.cli", *argv], cwd=cwd, env=env,
-                       capture_output=True, text=True, timeout=600)
+    try:
+        p = subprocess.run([sys.executable, "-m", "hypervol.cli", *argv], cwd=cwd, env=env,
+                           capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout", ""
     return p.returncode, p.stdout
 
 
@@ -267,7 +276,7 @@ def main(argv=None) -> int:
         differ = 0
         changes: dict = {}
         for a, ((code_o, out_o), (code_n, out_n)) in zip(argvs, results):
-            if (code_o, out_o) == (code_n, out_n):
+            if (code_o, out_o) == (code_n, out_n) and code_o != "timeout":
                 continue
             differ += 1
             record_changes(out_o, out_n, changes)
