@@ -11,9 +11,10 @@ the slab's distance to its base plane by one formula (``_cosh2_to_span``).
 
 Randomness comes from a counter-based Philox stream, the substream spawned
 from (seed, 0), so an estimate is a pure function of (seed, samples).
-Regions are radially truncated at ``radial_cap`` (default 1 - 1e-9, in units
-of k); the truncation is the only concession made to bodies that
-conceptually touch the ideal boundary.
+Regions are radially truncated at their ``radial_cap`` field (default
+1 - 1e-9, in units of k); the truncation is the only concession made to
+bodies that conceptually touch the ideal boundary.  No builder takes a cap:
+``dataclasses.replace(region, radial_cap=...)`` gives a region another one.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ __all__ = [
     "region_barrel",
     "region_cone",
     "region_slab",
-    "region_box",
-    "region_empty",
     "slab_base_area",
 ]
 
@@ -54,10 +53,11 @@ class Region:
     ``contains`` maps an (N, dim) array of ball-model points to a boolean
     mask; it is only ever called on points with |X/k| <= radial_cap.  The
     box need not lie inside the ball (its corners may poke out); points
-    outside the ball are simply non-members.
+    outside the ball are simply non-members.  The cap is a field with a
+    default, which no builder takes; ``dataclasses.replace`` sets another
+    and validates it again.
     """
 
-    dim: int
     lo: tuple[float, ...]
     hi: tuple[float, ...]
     contains: Callable[[np.ndarray], np.ndarray]
@@ -65,15 +65,19 @@ class Region:
     radial_cap: float = _DEFAULT_CAP
     name: str = ""
 
+    @property
+    def dim(self) -> int:
+        return len(self.lo)
+
     def __post_init__(self):
-        for name, v in (("dim", models._check_dim(self.dim)),
-                        ("lo", tuple(number("box corner", v) for v in sequence("lo", self.lo))),
+        for name, v in (("lo", tuple(number("box corner", v) for v in sequence("lo", self.lo))),
                         ("hi", tuple(number("box corner", v) for v in sequence("hi", self.hi))),
                         ("k", positive("k", self.k)),
                         ("radial_cap", number("radial_cap", self.radial_cap))):
             object.__setattr__(self, name, v)
-        if len(self.lo) != self.dim or len(self.hi) != self.dim:
-            raise DomainError("bounding box must match the region dimension")
+        models._check_dim(self.dim)
+        if len(self.hi) != self.dim:
+            raise DomainError("box corners lo and hi must have the same number of coordinates")
         if not all(-math.inf < l < h < math.inf for l, h in zip(self.lo, self.hi)):
             raise DomainError("bounding box must be finite with positive extent on every axis")
         if not (0.0 < self.radial_cap <= _DEFAULT_CAP):
@@ -152,11 +156,13 @@ def orthoscheme_vertices(a: float, b: float, c: float, k: float = 1.0):
     return [models.orthogonal_to_klein(p, k) for p in pts]
 
 
-def region_simplex(vertices: Sequence, k: float = 1.0, radial_cap: float = _DEFAULT_CAP) -> Region:
+def region_simplex(vertices: Sequence, k: float = 1.0) -> Region:
     """Geodesic simplex spanned by dim+1 ball-model vertices.
 
     Geodesic convexity makes it the Euclidean simplex of the same vertices,
     so membership is a barycentric-coordinate test (boundary inclusive).
+    DomainError when |det M| of the edge vectors M is at most 1e-12 times the
+    product of their lengths, a test that does not depend on the size.
     """
     V = [models._coords(v) for v in sequence("vertices", vertices)]
     m, n = len(V), len(V[0]) if V else 0
@@ -164,8 +170,7 @@ def region_simplex(vertices: Sequence, k: float = 1.0, radial_cap: float = _DEFA
         raise DomainError(f"a simplex needs n + 1 vertices of n coordinates, got {V!r}")
     V = np.array(V)
     M = (V[1:] - V[0]).T
-    det = np.linalg.det(M)
-    if abs(det) < 1e-14:
+    if abs(np.linalg.det(M)) <= 1e-12 * np.prod(np.linalg.norm(M, axis=0)):
         raise DomainError("degenerate simplex (affinely dependent vertices)")
     Minv = np.linalg.inv(M)
     v0 = V[0]
@@ -175,28 +180,23 @@ def region_simplex(vertices: Sequence, k: float = 1.0, radial_cap: float = _DEFA
         return (lam >= -1e-12).all(axis=1) & (lam.sum(axis=1) <= 1.0 + 1e-12)
 
     return Region(
-        dim=n,
         lo=tuple(V.min(axis=0)),
         hi=tuple(V.max(axis=0)),
         contains=contains,
         k=k,
-        radial_cap=radial_cap,
         name="simplex",
     )
 
 
-def region_ball(x: float, k: float = 1.0, n: int = 3, radial_cap: float = _DEFAULT_CAP) -> Region:
+def region_ball(x: float, k: float = 1.0) -> Region:
     """Ball of hyperbolic radius x about the origin (Euclidean radius k tanh(x/k))."""
-    x, k, n = positive("radius x", x), positive("k", k), models._check_dim(n)
+    x, k = positive("radius x", x), positive("k", k)
     R = k * math.tanh(x / k)
 
     def contains(P: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", P, P) <= R * R
 
-    return Region(
-        dim=n, lo=(-R,) * n, hi=(R,) * n, contains=contains, k=k,
-        radial_cap=radial_cap, name="ball",
-    )
+    return Region(lo=(-R,) * 3, hi=(R,) * 3, contains=contains, k=k, name="ball")
 
 
 def _cosh2_to_span(P: np.ndarray, j: int, k: float) -> np.ndarray:
@@ -211,7 +211,7 @@ def _cosh2_to_span(P: np.ndarray, j: int, k: float) -> np.ndarray:
     return (1.0 - near) / (1.0 - np.einsum("ij,ij->i", X, X))
 
 
-def region_barrel(p: float, q: float, k: float = 1.0, radial_cap: float = _DEFAULT_CAP) -> Region:
+def region_barrel(p: float, q: float, k: float = 1.0) -> Region:
     """Tube of radius q around the axis segment from the origin to length p.
 
     The perpendicular from P to the X1 axis has its foot at (X1, 0, 0), so
@@ -231,17 +231,15 @@ def region_barrel(p: float, q: float, k: float = 1.0, radial_cap: float = _DEFAU
     tq = k * math.tanh(q / k)
     hi0 = k * math.tanh((p + q) / k)
     return Region(
-        dim=3,
         lo=(-tq, -tq, -tq),
         hi=(hi0, tq, tq),
         contains=contains,
         k=k,
-        radial_cap=radial_cap,
         name="barrel",
     )
 
 
-def region_cone(b: float, beta: float, k: float = 1.0, radial_cap: float = _DEFAULT_CAP) -> Region:
+def region_cone(b: float, beta: float, k: float = 1.0) -> Region:
     """Solid cone: apex at the origin (so the aperture test is the Euclidean
     angle), base plane perpendicular to the axis at height h with
     sinh(h/k) = tanh(b/k) / tan(beta)."""
@@ -257,12 +255,10 @@ def region_cone(b: float, beta: float, k: float = 1.0, radial_cap: float = _DEFA
 
     r_max = axis_hi * tb
     return Region(
-        dim=3,
         lo=(0.0, -r_max, -r_max),
         hi=(axis_hi, r_max, r_max),
         contains=contains,
         k=k,
-        radial_cap=radial_cap,
         name="cone",
     )
 
@@ -275,8 +271,7 @@ def slab_base_area(w1: float, w2: float, k: float = 1.0) -> float:
     return 4.0 * k * w2 * math.sinh(w1 / k)
 
 
-def region_slab(half_widths: tuple[float, float], q: float, k: float = 1.0,
-                radial_cap: float = _DEFAULT_CAP) -> Region:
+def region_slab(half_widths: tuple[float, float], q: float, k: float = 1.0) -> Region:
     """One-sided equidistant body over a planar base box.
 
     The base is the orthogonal-coordinate box |x1| <= w1, |x2| <= w2 in the
@@ -302,34 +297,9 @@ def region_slab(half_widths: tuple[float, float], q: float, k: float = 1.0,
     b1 = k * t1
     b2 = k * t2
     return Region(
-        dim=3,
         lo=(-b1, -b2, 0.0),
         hi=(b1, b2, k * math.tanh(q / k)),
         contains=contains,
         k=k,
-        radial_cap=radial_cap,
         name="slab",
     )
-
-
-def region_box(lo: Sequence[float], hi: Sequence[float], k: float = 1.0,
-               radial_cap: float = _DEFAULT_CAP) -> Region:
-    """The sampling box itself (useful for estimator sanity checks)."""
-    lo = sequence("lo", lo)
-
-    def contains(P: np.ndarray) -> np.ndarray:
-        return np.ones(len(P), dtype=bool)
-
-    return Region(dim=len(lo), lo=lo, hi=hi, contains=contains, k=k,
-                  radial_cap=radial_cap, name="box")
-
-
-def region_empty(n: int = 3, k: float = 1.0) -> Region:
-    """A region with no members (estimates to 0 +- 0)."""
-    n = models._check_dim(n)
-
-    def contains(P: np.ndarray) -> np.ndarray:
-        return np.zeros(len(P), dtype=bool)
-
-    return Region(dim=n, lo=(-0.1,) * n, hi=(0.1,) * n, contains=contains, k=k,
-                  name="empty")

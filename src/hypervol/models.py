@@ -60,8 +60,6 @@ __all__ = [
 MIN_DIM = 2
 MAX_DIM = 8
 
-COORDINATE_SYSTEMS = ("paracycle", "halfspace", "orthogonal", "spherical", "klein")
-
 
 def _check_dim(n: int) -> int:
     n = number("dimension n", n, int)
@@ -78,14 +76,10 @@ def _coords(p) -> tuple[float, ...]:
     return c
 
 
-def _point(p, n) -> tuple[tuple[float, ...], int]:
-    """(coordinates of p, n), n defaulting to their number; DomainError unless
-    n is their number, in 2..8."""
+def _point(p) -> tuple[tuple[float, ...], int]:
+    """(coordinates of p, their number n); DomainError unless n is in 2..8."""
     c = _coords(p)
-    n = _check_dim(len(c) if n is None else n)
-    if n != len(c):
-        raise DomainError(f"dimension n = {n} does not match the {len(c)} coordinates")
-    return c, n
+    return c, _check_dim(len(c))
 
 
 @dataclass(frozen=True)
@@ -147,9 +141,6 @@ class PointSpherical:
 class PointKlein(_CoordinatePoint):
     """Point in Cartesian coordinates of the projective (Klein) ball."""
 
-    def spherical(self, k: float = 1.0) -> PointSpherical:
-        return klein_to_spherical(self, k)
-
 
 # ---------------------------------------------------------------------------
 # densities
@@ -186,47 +177,54 @@ def _density_klein(c, n, k):
     return (1.0 - s) ** (-(n + 1) / 2.0)
 
 
+# the density of each chart at a full coordinate tuple c of n entries
+_DENSITIES = {
+    "paracycle": _density_paracycle,
+    "halfspace": lambda c, n, k: _density_halfspace_xn(c[n - 1], n, k),
+    "orthogonal": _density_orthogonal,
+    "spherical": lambda c, n, k: _density_spherical(c[n - 1], c[: n - 1], n, k),
+    "klein": _density_klein,
+}
+COORDINATE_SYSTEMS = tuple(_DENSITIES)
+
+
 @in_float_range
-def density_paracycle(p, n: int | None = None, k: float = 1.0) -> float:
+def density_paracycle(p, *, k: float = 1.0) -> float:
     """Volume density e^{-(n-1) xi_n / k} at a paracycle-coordinate point."""
-    c, n = _point(p, n)
+    c, n = _point(p)
     return _density_paracycle(c, n, positive("k", k))
 
 
 @in_float_range
-def density_halfspace(p, n: int | None = None, k: float = 1.0) -> float:
-    """Half-space integrand k / x_n^n; accepts a point or the bare x_n."""
-    if isinstance(p, (int, float)):  # a bare x_n needs n
-        xn, n = positive("half-space coordinate x_n", p), _check_dim(n)
-    else:
-        c, n = _point(p, n)
-        xn = c[n - 1]
-    return _density_halfspace_xn(xn, n, positive("k", k))
+def density_halfspace(p, *, k: float = 1.0) -> float:
+    """Half-space integrand k / x_n^n at a half-space point."""
+    c, n = _point(p)
+    return _density_halfspace_xn(c[n - 1], n, positive("k", k))
 
 
 @in_float_range
-def density_orthogonal(p, n: int | None = None, k: float = 1.0) -> float:
+def density_orthogonal(p, *, k: float = 1.0) -> float:
     """Volume density prod_{i=1}^{n-1} cosh^i(x_i / k) in orthogonal coordinates."""
-    c, n = _point(p, n)
+    c, n = _point(p)
     return _density_orthogonal(c, n, positive("k", k))
 
 
 @in_float_range
-def density_spherical(p, n: int | None = None, k: float = 1.0) -> float:
-    """Volume density in hyperbolic polar coordinates."""
+def density_spherical(p, *, k: float = 1.0) -> float:
+    """Volume density in hyperbolic polar coordinates, at a PointSpherical or
+    at the tuple (phi_1 .. phi_{n-1}, r)."""
     if isinstance(p, PointSpherical):
-        r, angles = p.r, p.angles
-        _, n = _point((r, *angles), n)
+        r, angles, n = p.r, p.angles, p.n
     else:
-        c, n = _point(p, n)
+        c, n = _point(p)
         r, angles = c[n - 1], c[: n - 1]
     return _density_spherical(r, angles, n, positive("k", k))
 
 
 @in_float_range
-def density_klein(p, n: int | None = None, k: float = 1.0) -> float:
+def density_klein(p, *, k: float = 1.0) -> float:
     """Projective-ball density (1 - sum (X_i/k)^2)^{-(n+1)/2}."""
-    c, n = _point(p, n)
+    c, n = _point(p)
     return _density_klein(c, n, positive("k", k))
 
 
@@ -462,23 +460,12 @@ def coordinate_volume(
     if sorted(axes) != list(range(n)):
         raise DomainError(f"axes {axes} must be a permutation of 0..{n - 1}")
     spec = [(b[1], b[2]) for b in bounds]
-
-    if system == "paracycle":
-        dens = lambda c: _density_paracycle(c, n, k)
-    elif system == "halfspace":
-        dens = lambda c: _density_halfspace_xn(c[n - 1], n, k)
-    elif system == "orthogonal":
-        dens = lambda c: _density_orthogonal(c, n, k)
-    elif system == "spherical":
-        dens = lambda c: _density_spherical(c[n - 1], c[: n - 1], n, k)
-    else:
-        dens = lambda c: _density_klein(c, n, k)
-
+    dens = _DENSITIES[system]
     coords = [0.0] * n
 
     def integrand(*vals):
         for ax, v in zip(axes, vals):
             coords[ax] = v
-        return dens(coords)
+        return dens(coords, n, k)
 
     return quadrature.integrate_region(integrand, spec, tol)

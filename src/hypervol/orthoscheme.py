@@ -17,9 +17,9 @@ All operations fix the curvature constant to 1; general curvature follows
 from v_k(a, b, c) = k^3 v_1(a/k, b/k, c/k).
 
 A remark on the asymptotic formulas: numerically, the one-ideal-vertex
-volume v1(b, c) coincides with asymptotic_cone_slice-style integrals
-``bolyai_asymptotic_1(alpha, c)`` and ``bolyai_asymptotic_2(alpha, b)``
-under the substitution alpha = atan(tanh c / sinh b) (observed to machine
+volume ``volume_one_ideal(b, c)`` coincides with ``bolyai_asymptotic_1(alpha, c)``
+at b = asinh(tanh c / tan alpha), and with ``bolyai_asymptotic_2(alpha, b)``
+at the same relation tan alpha = tanh c / sinh b (observed to machine
 precision on sampled parameters); the identification is recorded here for
 reference but not relied upon by any computation.
 """
@@ -527,34 +527,25 @@ def volume_ndim(o: NdimOrthoscheme | tuple, tol: Tolerance | None = None) -> flo
     return res.value
 
 
-def sample_valid_angles(
-    count: int,
-    seed: int = 20121023,
-    lo: float = 0.2,
-    hi: float = 1.2,
-    margin: float = 0.05,
-) -> list[OrthoschemeAngles]:
+def sample_valid_angles(count: int, seed: int = 20121023) -> list[OrthoschemeAngles]:
     """Draw realizable dihedral-angle triples for cross-validation runs.
 
-    alpha, beta, gamma are uniform in (lo, hi); a draw is kept when delta is
-    real, dominated with the given margin, and the edge recovery succeeds.
-    Deterministic for a fixed seed.
+    alpha, beta, gamma are uniform in (0.2, 1.2); a draw is kept when delta
+    is real, below min(alpha, gamma, pi/2 - beta) by at least 0.05, and the
+    edge recovery succeeds.  Deterministic for a fixed seed.
     """
+    count, seed = number("count", count, int), number("seed", seed, int)
     rng = random.Random(seed)
     out: list[OrthoschemeAngles] = []
-    attempts = 0
     while len(out) < count:
-        attempts += 1
-        if attempts > 10000 * max(count, 1):
-            raise RuntimeError("angle sampling failed to find enough valid triples")
-        al = rng.uniform(lo, hi)
-        be = rng.uniform(lo, hi)
-        ga = rng.uniform(lo, hi)
+        al = rng.uniform(0.2, 1.2)
+        be = rng.uniform(0.2, 1.2)
+        ga = rng.uniform(0.2, 1.2)
         try:
             d = delta_from_angles(al, be, ga)
         except NotRealizableError:
             continue
-        if d >= min(al, ga, _HALF_PI - be) - margin:
+        if d >= min(al, ga, _HALF_PI - be) - 0.05:
             continue
         ang = OrthoschemeAngles(al, be, ga, d)
         try:

@@ -82,9 +82,9 @@ class Tolerance:
         if not (self.abs >= 0.0 and math.isfinite(self.abs)):
             raise DomainError(f"abs tolerance {self.abs} must be finite and >= 0")
 
-    def tighter(self, factor: float = 10.0) -> "Tolerance":
-        """Tolerance for one nesting level further in (floored at the rel limit)."""
-        return Tolerance(rel=max(self.rel / factor, 1e-14), abs=self.abs / factor)
+    def tighter(self) -> "Tolerance":
+        """A tenth of this tolerance, for one nesting level further in (rel floored at 1e-14)."""
+        return Tolerance(rel=max(self.rel / 10.0, 1e-14), abs=self.abs / 10.0)
 
 
 DEFAULT_TOL = Tolerance()

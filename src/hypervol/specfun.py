@@ -93,7 +93,7 @@ def lobachevsky(x: float) -> float:
     return 0.5 * _cl2_core(2.0 * r)
 
 
-def lobachevsky_via_integral(x: float, tol: Tolerance | None = None) -> float:
+def lobachevsky_via_integral(x: float) -> float:
     """L(x) by adaptive quadrature of the defining integral.
 
     Independent of the series path; used to cross-check it.  The integrand
@@ -103,7 +103,6 @@ def lobachevsky_via_integral(x: float, tol: Tolerance | None = None) -> float:
     x = number("x", x)
     if not math.isfinite(x):
         raise DomainError(f"lobachevsky_via_integral requires a finite argument, got {x!r}")
-    tol = tol or Tolerance(rel=1e-13, abs=1e-15)
     r = math.remainder(x, math.pi)
     sign = 1.0
     if r < 0.0:
@@ -114,4 +113,4 @@ def lobachevsky_via_integral(x: float, tol: Tolerance | None = None) -> float:
     def integrand(t: float) -> float:
         return -math.log(abs(2.0 * math.sin(t)))
 
-    return sign * quadrature.integrate_1d(integrand, 0.0, r, tol).value
+    return sign * quadrature.integrate_1d(integrand, 0.0, r, Tolerance(rel=1e-13, abs=1e-15)).value

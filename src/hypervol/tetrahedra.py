@@ -221,6 +221,7 @@ def sample_near_ideal(count: int, seed: int) -> list[TetraDihedrals]:
     A, B uniform in (0.7, 1.2), C = pi - A - B, each of (A, B, C, A, B, C)
     moved by a uniform amount in (-0.05, 0.05), kept when `dm_coefficients`
     accepts it."""
+    count, seed = number("count", count, int), number("seed", seed, int)
     rng = random.Random(seed)
     out: list[TetraDihedrals] = []
     while len(out) < count:

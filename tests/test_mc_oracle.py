@@ -1,6 +1,7 @@
 """Monte-Carlo oracle tests (light sample counts; the full 10^6-sample
 agreement runs live in the acceptance suite)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,8 @@ def test_determinism_bit_identical():
 
 
 def test_empty_region():
-    e = mc.estimate(mc.region_empty(), 10_000, seed=1)
+    r = mc.Region((-0.1,) * 3, (0.1,) * 3, lambda P: np.zeros(len(P), bool))
+    e = mc.estimate(r, 10_000, seed=1)
     assert e.mean == 0.0 and e.stderr == 0.0
 
 
@@ -43,7 +45,7 @@ def test_ball_agreement_small():
 
 def test_box_region_matches_coordinate_volume():
     lo, hi = (-0.4, -0.3, -0.2), (0.5, 0.4, 0.3)
-    r = mc.region_box(lo, hi)
+    r = mc.Region(lo, hi, lambda P: np.ones(len(P), bool))
     e = mc.estimate(r, 200_000, seed=9)
     ref = coordinate_volume(
         "klein", [(0, lo[0], hi[0]), (1, lo[1], hi[1]), (2, lo[2], hi[2])], n=3
@@ -87,6 +89,15 @@ def test_simplex_degenerate_rejected():
         mc.region_simplex(V)
 
 
+@pytest.mark.parametrize("edge, k", [(1e-5, 1.0), (1e-6, 1.0), (1e-5, 2.0)])
+def test_small_orthoscheme_simplex_is_not_degenerate(edge, k):
+    # the degeneracy test is scale-free: |det| shrinks like edge^3, as does
+    # the product of the edge-vector lengths it is compared with
+    r = mc.region_simplex(mc.orthoscheme_vertices(edge, edge, edge, k), k)
+    e = mc.estimate(r, 200_000, seed=21)
+    assert abs(e.mean - k ** 3 * volume_edges((edge / k,) * 3)) <= 4.0 * e.stderr
+
+
 def test_orthoscheme_simplex_agreement_small():
     for edges in [(1.0, 1.0, 1.0), (0.5, 1.0, 1.5)]:
         V = mc.orthoscheme_vertices(*edges)
@@ -123,13 +134,21 @@ def test_ideal_tetrahedron_truncated_oracle():
     w = math.sqrt(1 - u * u)
     V = [(-u, w, 0.0), (-u, -w, 0.0), (u, 0.0, w), (u, 0.0, -w)]
     ref = volume_ideal_tetrahedron_b(b)
-    r6 = mc.region_simplex(V, radial_cap=1 - 1e-6)
+    r6 = dataclasses.replace(mc.region_simplex(V), radial_cap=1 - 1e-6)
     e6 = mc.estimate(r6, 1_000_000, seed=5)
     assert abs(e6.mean - ref) <= 4.0 * e6.stderr
-    # truncation control: coarser cap moves the estimate by less than stderr
-    r5 = mc.region_simplex(V, radial_cap=1 - 1e-5)
-    e5 = mc.estimate(r5, 1_000_000, seed=5)
-    assert abs(e6.mean - e5.mean) <= e6.stderr
+
+
+@pytest.mark.parametrize("cap", [0.5, 0.9])
+def test_radial_cap_truncates_to_a_ball(cap):
+    # a region that accepts the whole box [-1, 1]^3 keeps only the points
+    # within the cap: the ball of Euclidean radius cap, hyperbolic radius
+    # atanh(cap).  Without the cap the weights are heavy-tailed (2.4e6 +- 1.8e6
+    # at the default cap), so the error bar is bounded as well as the miss.
+    whole = mc.Region((-1.0,) * 3, (1.0,) * 3, lambda P: np.ones(len(P), bool))
+    e = mc.estimate(dataclasses.replace(whole, radial_cap=cap), 200_000, seed=11)
+    ref = solids.sphere_volume(math.atanh(cap))
+    assert abs(e.mean - ref) <= 4.0 * e.stderr and e.stderr <= 0.02 * ref
 
 
 def test_estimate_validation():
@@ -137,8 +156,12 @@ def test_estimate_validation():
     with pytest.raises(DomainError):
         mc.estimate(r, 9_999, seed=1)
     with pytest.raises(DomainError):
-        mc.Region(dim=3, lo=(-0.1,) * 3, hi=(0.1,) * 3,
+        mc.Region(lo=(-0.1,) * 3, hi=(0.1,) * 3,
                   contains=lambda P: np.ones(len(P), bool), radial_cap=1.0)
+    with pytest.raises(DomainError):
+        dataclasses.replace(r, radial_cap=1.0)
+    with pytest.raises(DomainError):
+        mc.Region(lo=(-0.1,) * 3, hi=(0.1,) * 2, contains=lambda P: np.ones(len(P), bool))
     with pytest.raises(DomainError):
         mc.region_ball(-1.0)
     with pytest.raises(DomainError):

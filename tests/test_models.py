@@ -47,8 +47,10 @@ def test_density_paracycle_values():
 
 def test_density_halfspace_values():
     assert density_halfspace((0.0, 0.0, 1.0), k=2.0) == 2.0
-    assert density_halfspace((0.0, 0.0, 2.0), n=3) == pytest.approx(1 / 8)
-    assert density_halfspace(2.0, n=3) == pytest.approx(1 / 8)
+    assert density_halfspace((0.0, 0.0, 2.0)) == pytest.approx(1 / 8)
+    assert density_halfspace((0.0, 2.0)) == pytest.approx(1 / 4)
+    with pytest.raises(DomainError):
+        density_halfspace(2.0)  # a bare x_n is not a point
     with pytest.raises(DomainError):
         density_halfspace((0.0, 0.0, 0.0))
     with pytest.raises(DomainError):
@@ -57,10 +59,10 @@ def test_density_halfspace_values():
 
 def test_halfspace_consistent_with_paracycle():
     # x_n = e^{xi_n / k} maps one density to the other via dxi_n/dx_n = k/x_n
-    k, xi_n, n = 1.3, 0.7, 3
+    k, xi_n = 1.3, 0.7
     xn = math.exp(xi_n / k)
     assert density_paracycle((0.0, 0.0, xi_n), k=k) * k / xn == pytest.approx(
-        density_halfspace((0.0, 0.0, xn), n=n, k=k), rel=1e-12
+        density_halfspace((0.0, 0.0, xn), k=k), rel=1e-12
     )
 
 

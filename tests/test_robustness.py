@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hypervol import cli, mc_oracle, models, orthoscheme, quadrature, solids, specfun, tetrahedra
-from hypervol.errors import HypervolError
+from hypervol.errors import DomainError, HypervolError
 from hypervol.shapes import SHAPES
 
 # numbers at the edges of every domain, a non-number and numeric strings
@@ -25,16 +25,16 @@ SEQUENCES = st.lists(NUMBERS, max_size=7).map(tuple) | NUMBERS
 SEQUENCE_ARGS = {"edges", "angles", "t", "sides", "vertices", "half_widths", "lo", "hi"}
 MODEL_SEQUENCE_ARGS = SEQUENCE_ARGS | {"p", "q", "coords"}
 # drawn from a small pool, because their cost grows with the value, not its validity:
-# a sample count (one pass per sample), a dimension, or a nested integral's bounds
+# a sample count (one pass per sample), a sampler's case count, a dimension, or a
+# nested integral's bounds
 SMALL = st.sampled_from([None, "x", "3", math.nan, math.inf, -1, 0, 1e-300, 2, 3, 5, 9, 2.5])
 COSTLY_ARGS = {"samples", "n", "count"}
 # the nested n-orthoscheme integral takes seconds from n = 4 or edges near 3 on (its
 # long-edge stall), so its edges stop at n = 3 and 1.2
 NDIM_EDGES = st.lists(st.sampled_from([v for v in SPECIAL if v not in (2.7, math.pi)])
                       | st.floats(0.01, 1.2), max_size=3).map(tuple)
-# samplers draw until they have ``count`` cases, so a large count is a long run, not a
-# failure; the result records hold whatever they are given
-SKIP = {"sample_valid_angles", "sample_near_ideal", "MCEstimate", "DMCoefficients"}
+# the result records hold whatever they are given
+SKIP = {"MCEstimate", "DMCoefficients"}
 # functions whose value is a volume or area, which must also be >= 0
 VOLUMES = {"volume_edges", "volume_angles", "bolyai_integral_1", "bolyai_asymptotic_1",
            "bolyai_asymptotic_2", "volume_one_ideal", "volume_two_ideal",
@@ -134,6 +134,14 @@ def test_known_leaks_raise_hypervol_error_or_convert(call):
     except HypervolError:
         return
     check_finite(value)
+
+
+def test_samplers_refuse_a_seed_that_is_not_an_integer():
+    # random.Random(None) would seed from OS entropy, against the determinism both promise
+    for sample in (orthoscheme.sample_valid_angles, tetrahedra.sample_near_ideal):
+        for seed in (None, [1], "x"):
+            with pytest.raises(DomainError):
+                sample(2, seed)
 
 
 def test_numeric_strings_convert_like_their_floats():
