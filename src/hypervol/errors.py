@@ -61,11 +61,15 @@ def in_float_range(fn):
 
 
 def number(name: str, v, cast=float):
-    """``cast(v)``, or a DomainError naming ``name`` when v is not a number."""
+    """``cast(v)``, or a DomainError naming ``name`` when v is not a number,
+    or, with ``cast=int``, a number that ``int`` would truncate (2.5, 0.3)."""
     try:
-        return cast(v)
+        out = cast(v)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be a number, got {v!r}") from exc
+    if cast is int and not isinstance(v, str) and out != v:
+        raise DomainError(f"{name} must be an integer, got {v!r}")
+    return out
 
 
 def sequence(name: str, values, counts: tuple[int, ...] | None = None) -> tuple:

@@ -12,9 +12,8 @@ the slab's distance to its base plane by one formula (``_cosh2_to_span``).
 Randomness comes from a counter-based Philox stream, the substream spawned
 from (seed, 0), so an estimate is a pure function of (seed, samples).
 Regions are radially truncated at their ``radial_cap`` field (default
-1 - 1e-9, in units of k); the truncation is the only concession made to
-bodies that conceptually touch the ideal boundary.  No builder takes a cap:
-``dataclasses.replace(region, radial_cap=...)`` gives a region another one.
+1 - 1e-9, in units of k), which no builder takes; the truncation is the only
+concession made to bodies that conceptually touch the ideal boundary.
 """
 
 from __future__ import annotations

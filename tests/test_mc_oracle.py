@@ -89,21 +89,20 @@ def test_simplex_degenerate_rejected():
         mc.region_simplex(V)
 
 
-@pytest.mark.parametrize("edge, k", [(1e-5, 1.0), (1e-6, 1.0), (1e-5, 2.0)])
-def test_small_orthoscheme_simplex_is_not_degenerate(edge, k):
-    # the degeneracy test is scale-free: |det| shrinks like edge^3, as does
-    # the product of the edge-vector lengths it is compared with
-    r = mc.region_simplex(mc.orthoscheme_vertices(edge, edge, edge, k), k)
+@pytest.mark.parametrize("edges, k", [
+    ((1.0, 1.0, 1.0), 1.0),
+    ((0.5, 1.0, 1.5), 1.0),
+    # tiny simplices: the degeneracy test is scale-free, |det| shrinking like
+    # edge^3 as does the product of the edge-vector lengths it is compared with
+    ((1e-5,) * 3, 1.0),
+    ((1e-6,) * 3, 1.0),
+    ((1e-5,) * 3, 2.0),
+])
+def test_orthoscheme_simplex_agreement_small(edges, k):
+    r = mc.region_simplex(mc.orthoscheme_vertices(*edges, k), k)
     e = mc.estimate(r, 200_000, seed=21)
-    assert abs(e.mean - k ** 3 * volume_edges((edge / k,) * 3)) <= 4.0 * e.stderr
-
-
-def test_orthoscheme_simplex_agreement_small():
-    for edges in [(1.0, 1.0, 1.0), (0.5, 1.0, 1.5)]:
-        V = mc.orthoscheme_vertices(*edges)
-        r = mc.region_simplex(V)
-        e = mc.estimate(r, 200_000, seed=21)
-        assert abs(e.mean - volume_edges(edges)) <= 4.0 * e.stderr
+    ref = k ** 3 * volume_edges(tuple(x / k for x in edges))
+    assert abs(e.mean - ref) <= 4.0 * e.stderr
 
 
 def test_barrel_region_agreement_small():
@@ -137,6 +136,9 @@ def test_ideal_tetrahedron_truncated_oracle():
     r6 = dataclasses.replace(mc.region_simplex(V), radial_cap=1 - 1e-6)
     e6 = mc.estimate(r6, 1_000_000, seed=5)
     assert abs(e6.mean - ref) <= 4.0 * e6.stderr
+    # truncation control: coarser cap moves the estimate by less than stderr
+    e5 = mc.estimate(dataclasses.replace(r6, radial_cap=1 - 1e-5), 1_000_000, seed=5)
+    assert abs(e6.mean - e5.mean) <= e6.stderr
 
 
 @pytest.mark.parametrize("cap", [0.5, 0.9])
@@ -155,6 +157,8 @@ def test_estimate_validation():
     r = mc.region_ball(1.0)
     with pytest.raises(DomainError):
         mc.estimate(r, 9_999, seed=1)
+    with pytest.raises(DomainError):
+        mc.estimate(r, 10_000.9, seed=1)
     with pytest.raises(DomainError):
         mc.Region(lo=(-0.1,) * 3, hi=(0.1,) * 3,
                   contains=lambda P: np.ones(len(P), bool), radial_cap=1.0)

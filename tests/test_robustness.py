@@ -137,11 +137,15 @@ def test_known_leaks_raise_hypervol_error_or_convert(call):
 
 
 def test_samplers_refuse_a_seed_that_is_not_an_integer():
-    # random.Random(None) would seed from OS entropy, against the determinism both promise
+    # random.Random(None) would seed from OS entropy, against the determinism
+    # both promise; int() would truncate 0.3 to seed 0 and 2.5 to count 2
     for sample in (orthoscheme.sample_valid_angles, tetrahedra.sample_near_ideal):
-        for seed in (None, [1], "x"):
+        for seed in (None, [1], "x", 0.3):
             with pytest.raises(DomainError):
                 sample(2, seed)
+        with pytest.raises(DomainError):
+            sample(2.5, 1)
+    assert len(orthoscheme.sample_valid_angles(2.0, 1.0)) == 2
 
 
 def test_numeric_strings_convert_like_their_floats():
