@@ -148,11 +148,11 @@ def orthoscheme_vertices(a: float, b: float, c: float, k: float = 1.0):
 
     In orthogonal coordinates the vertices are (0,0,0), (0,0,a), (b,0,a),
     (b,c,a); consecutive distances are a, b, c and the diagonals satisfy
-    the hyperbolic Pythagorean products.
+    the hyperbolic Pythagorean products.  Returns four coordinate tuples.
     """
     a, b, c = (positive(f"edge {name}", v) for name, v in (("a", a), ("b", b), ("c", c)))
     pts = [(0.0, 0.0, 0.0), (0.0, 0.0, a), (b, 0.0, a), (b, c, a)]
-    return [models.orthogonal_to_klein(p, k) for p in pts]
+    return [models.transform(p, "orthogonal", "klein", k) for p in pts]
 
 
 def region_simplex(vertices: Sequence, k: float = 1.0) -> Region:

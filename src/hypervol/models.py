@@ -12,20 +12,22 @@ coordinate-domain integral into hyperbolic volume:
   klein       projective ball of radius k, density
               (1 - sum (X_i/k)^2)^{-(n+1)/2}
 
-Point transforms between the charts are exact closed forms; the chain
-orthogonal -> spherical -> klein is the workhorse for placing polyhedra in
-the ball model.  The curvature constant k scales all lengths; k -> infinity
+A point is a plain tuple of its n coordinates; a spherical point is ordered
+(phi_1 .. phi_{n-1}, r), with phi_1 azimuthal in [0, 2pi) and phi_2 ..
+phi_{n-1} polar in [0, pi].  ``density`` evaluates a chart's density at a
+point, and ``transform`` maps a point between any two charts but halfspace.
+The transforms meet in one hub, the hyperboloid model: each chart has a
+closed-form map into and one out of u, the spatial part of the hyperboloid
+point (sqrt(1 + |u|^2), u) in units of k (Ratcliffe, *Foundations of
+Hyperbolic Manifolds*), so a transform is two maps and the four charts need
+eight of them.  The curvature constant k scales all lengths; k -> infinity
 recovers Euclidean behaviour.
-
-Angle conventions for the spherical chart: phi_1 is azimuthal in [0, 2pi),
-phi_2 .. phi_{n-1} are polar in [0, pi].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import quadrature
 from .errors import (SINH_MAX, DomainError, UnsupportedDimensionError, in_float_range,
@@ -33,25 +35,10 @@ from .errors import (SINH_MAX, DomainError, UnsupportedDimensionError, in_float_
 from .quadrature import DEFAULT_TOL, IntegralResult, Tolerance
 
 __all__ = [
-    "PointParacycle",
-    "PointOrthogonal",
-    "PointSpherical",
-    "PointKlein",
-    "density_paracycle",
-    "density_halfspace",
-    "density_orthogonal",
-    "density_spherical",
-    "density_klein",
+    "transform",
+    "density",
     "paracycle_brick_volume",
     "chord_arc",
-    "paracycle_to_orthogonal",
-    "orthogonal_to_paracycle",
-    "orthogonal_to_spherical",
-    "spherical_to_orthogonal",
-    "spherical_to_klein",
-    "klein_to_spherical",
-    "orthogonal_to_klein",
-    "klein_to_orthogonal",
     "klein_distance",
     "coordinate_volume",
     "COORDINATE_SYSTEMS",
@@ -69,91 +56,50 @@ def _check_dim(n: int) -> int:
 
 
 def _coords(p) -> tuple[float, ...]:
-    c = tuple(number("coordinate", v)
-              for v in sequence("coordinates", p.coords if hasattr(p, "coords") else p))
+    c = tuple(number("coordinate", v) for v in sequence("coordinates", p))
     if not all(math.isfinite(v) for v in c):
         raise DomainError(f"coordinates must be finite, got {c!r}")
     return c
 
 
-def _point(p) -> tuple[tuple[float, ...], int]:
-    """(coordinates of p, their number n); DomainError unless n is in 2..8."""
+def _point(system: str, p) -> tuple[float, ...]:
+    """The coordinates of a point of chart ``system``; DomainError unless
+    there are 2..8 of them, all finite, and a spherical point has r >= 0,
+    phi_1 in [0, 2pi) and its polar angles in [0, pi].  The Klein ball and the
+    half-space x_n > 0 are checked where their formulas need it."""
     c = _coords(p)
-    return c, _check_dim(len(c))
-
-
-@dataclass(frozen=True)
-class _CoordinatePoint:
-    """A chart point given by n finite coordinates, 2 <= n <= 8.
-
-    Subclasses are dataclasses with init=False, so they keep this validating
-    __init__ and stay frozen.
-    """
-
-    coords: tuple[float, ...]
-
-    def __init__(self, coords: Sequence[float]):
-        object.__setattr__(self, "coords", _coords(coords))
-        _check_dim(len(self.coords))
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-
-@dataclass(frozen=True, init=False)
-class PointParacycle(_CoordinatePoint):
-    """Point in paracycle coordinates (xi_1 .. xi_n; xi_n is the distance
-    to the base horosphere)."""
-
-
-@dataclass(frozen=True, init=False)
-class PointOrthogonal(_CoordinatePoint):
-    """Point in orthogonal coordinates (successive projection distances)."""
-
-
-@dataclass(frozen=True)
-class PointSpherical:
-    """Point in hyperbolic polar coordinates (r, phi_1 .. phi_{n-1})."""
-
-    r: float
-    angles: tuple[float, ...]
-
-    def __init__(self, r: float, angles: Sequence[float]):
-        r = nonnegative("radius r", r)
-        ang = tuple(number("angle", a) for a in sequence("angles", angles))
-        n = len(ang) + 1
-        _check_dim(n)
-        if ang and not (0.0 <= ang[0] < 2.0 * math.pi):
-            raise DomainError(f"azimuthal angle {ang[0]!r} outside [0, 2pi)")
-        for a in ang[1:]:
-            if not (0.0 <= a <= math.pi):
+    _check_dim(len(c))
+    if system == "spherical":
+        nonnegative("radius r", c[-1])
+        if not 0.0 <= c[0] < math.tau:
+            raise DomainError(f"azimuthal angle {c[0]!r} outside [0, 2pi)")
+        for a in c[1:-1]:
+            if not 0.0 <= a <= math.pi:
                 raise DomainError(f"polar angle {a!r} outside [0, pi]")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "angles", ang)
-
-    @property
-    def n(self) -> int:
-        return len(self.angles) + 1
+    return c
 
 
-@dataclass(frozen=True, init=False)
-class PointKlein(_CoordinatePoint):
-    """Point in Cartesian coordinates of the projective (Klein) ball."""
+def _ball_gap(X, k: float) -> float:
+    """1 - |X/k|^2, or DomainError for a point on or outside the projective ball."""
+    s = math.fsum((x / k) ** 2 for x in X)
+    if s >= 1.0:
+        raise DomainError("point lies on or outside the projective ball")
+    return 1.0 - s
 
 
 # ---------------------------------------------------------------------------
-# densities
+# density kernels: coordinates c, their number n and k, unchecked but for the
+# half-space and the ball, whose formulas give a wrong finite value outside
 # ---------------------------------------------------------------------------
 
 def _density_paracycle(c, n, k):
     return math.exp(-(n - 1) * c[n - 1] / k)
 
 
-def _density_halfspace_xn(xn, n, k):
-    if xn <= 0.0:
-        raise DomainError(f"half-space coordinate x_n must be positive, got {xn!r}")
-    return k / xn ** n
+def _density_halfspace(c, n, k):
+    if c[n - 1] <= 0.0:
+        raise DomainError(f"half-space coordinate x_n must be positive, got {c[n - 1]!r}")
+    return k / c[n - 1] ** n
 
 
 def _density_orthogonal(c, n, k):
@@ -163,69 +109,150 @@ def _density_orthogonal(c, n, k):
     return d
 
 
-def _density_spherical(r, angles, n, k):
-    d = k ** (n - 1) * math.sinh(r / k) ** (n - 1)
+def _density_spherical(c, n, k):
+    d = k ** (n - 1) * math.sinh(c[n - 1] / k) ** (n - 1)
     for i in range(1, n - 1):
-        d *= math.sin(angles[i]) ** i
+        d *= math.sin(c[i]) ** i
     return d
 
 
 def _density_klein(c, n, k):
-    s = math.fsum((x / k) ** 2 for x in c)
-    if s >= 1.0:
-        raise DomainError("point lies on or outside the projective ball")
-    return (1.0 - s) ** (-(n + 1) / 2.0)
+    return _ball_gap(c, k) ** (-(n + 1) / 2.0)
 
 
-# the density of each chart at a full coordinate tuple c of n entries
-_DENSITIES = {
-    "paracycle": _density_paracycle,
-    "halfspace": lambda c, n, k: _density_halfspace_xn(c[n - 1], n, k),
-    "orthogonal": _density_orthogonal,
-    "spherical": lambda c, n, k: _density_spherical(c[n - 1], c[: n - 1], n, k),
-    "klein": _density_klein,
+# ---------------------------------------------------------------------------
+# maps into and out of the hyperboloid, u in units of k and x_0 = hypot(1, u)
+# ---------------------------------------------------------------------------
+
+def _walk(n: int) -> tuple[int, ...]:
+    """Orthogonal axes from the last projection back to the first: the point
+    leaves the origin along axis n-1, then moves perpendicularly along axes
+    0, 1, .., n-2 in turn."""
+    return (*range(n - 2, -1, -1), n - 1)
+
+
+def _orthogonal_to_u(x, k):
+    """u_i = sinh(x_i/k) times cosh(x_j/k) over the axes j walked before i."""
+    u, c = [0.0] * len(x), 1.0
+    for i in _walk(len(x)):
+        u[i] = math.sinh(x[i] / k) * c
+        c *= math.cosh(x[i] / k)
+    return u
+
+
+def _orthogonal_from_u(u, k):
+    """The triangular asinh solve of _orthogonal_to_u; the cosh product over
+    the axes walked before i is hypot(1, their u_j)."""
+    x, walked = [0.0] * len(u), []
+    for i in _walk(len(u)):
+        x[i] = k * math.asinh(u[i] / math.hypot(1.0, *walked))
+        walked.append(u[i])
+    return x
+
+
+def _paracycle_to_u(xi, k):
+    """u_i = (xi_i/k) e^{-xi_n/k} for i < n and e^{-xi_n/k} = x_0 - u_n, so
+    u_n = (sum_{i<n} u_i^2 - expm1(-2 xi_n/k)) / (2 e^{-xi_n/k})."""
+    e = math.exp(-xi[-1] / k)
+    u = [v / k * e for v in xi[:-1]]
+    u.append((math.fsum(v * v for v in u) - math.expm1(-2.0 * xi[-1] / k)) / (2.0 * e))
+    return u
+
+
+def _paracycle_from_u(u, k):
+    """Inverse of _paracycle_to_u.  x_0 - u_n cancels for u_n > 0, where
+    e^{xi_n/k} = 1/(x_0 - u_n) is (x_0 + u_n) / (1 + sum_{i<n} u_i^2) instead."""
+    *v, w = u
+    x0 = math.hypot(1.0, *u)
+    if w < 0.0:
+        e = x0 - w
+        return [*(k * a / e for a in v), -k * math.log(e)]
+    h = math.hypot(1.0, *v)
+    f = (x0 + w) / h / h
+    return [*(k * a * f for a in v), k * math.log(f)]
+
+
+def _spherical_to_u(p, k):
+    """sinh(r/k) times the unit vector of the angles: u_i = |u| cos(phi_i)
+    prod_{j>i} sin(phi_j) for 1 < i < n, and (u_1, u_n) = |u| (cos phi_1,
+    sin phi_1) prod_{j>1} sin(phi_j)."""
+    n = len(p)
+    u, s = [0.0] * n, math.sinh(p[-1] / k)
+    for i in range(n - 2, 0, -1):
+        u[i] = s * math.cos(p[i])
+        s *= math.sin(p[i])
+    u[0], u[n - 1] = s * math.cos(p[0]), s * math.sin(p[0])
+    return u
+
+
+def _spherical_from_u(u, k):
+    n = len(u)
+    a = math.atan2(u[n - 1], u[0]) % math.tau  # may round up to 2pi, the azimuth 0
+    polar = [math.atan2(math.hypot(*u[:i], u[n - 1]), u[i]) for i in range(1, n - 1)]
+    return [a if a < math.tau else 0.0, *polar, k * math.asinh(math.hypot(*u))]
+
+
+def _klein_to_u(X, k):
+    g = math.sqrt(_ball_gap(X, k))
+    return [x / k / g for x in X]
+
+
+def _klein_from_u(u, k):
+    x0 = math.hypot(1.0, *u)
+    return [k * v / x0 for v in u]
+
+
+class _Chart(NamedTuple):
+    density: Callable
+    to_u: Callable | None
+    from_u: Callable | None
+
+
+_CHARTS = {
+    "paracycle": _Chart(_density_paracycle, _paracycle_to_u, _paracycle_from_u),
+    "halfspace": _Chart(_density_halfspace, None, None),
+    "orthogonal": _Chart(_density_orthogonal, _orthogonal_to_u, _orthogonal_from_u),
+    "spherical": _Chart(_density_spherical, _spherical_to_u, _spherical_from_u),
+    "klein": _Chart(_density_klein, _klein_to_u, _klein_from_u),
 }
-COORDINATE_SYSTEMS = tuple(_DENSITIES)
+COORDINATE_SYSTEMS = tuple(_CHARTS)
+
+
+def _chart(system: str) -> _Chart:
+    if system not in COORDINATE_SYSTEMS:
+        raise DomainError(f"unknown coordinate system {system!r}")
+    return _CHARTS[system]
 
 
 @in_float_range
-def density_paracycle(p, *, k: float = 1.0) -> float:
-    """Volume density e^{-(n-1) xi_n / k} at a paracycle-coordinate point."""
-    c, n = _point(p)
-    return _density_paracycle(c, n, positive("k", k))
+def transform(p, source: str, target: str, k: float = 1.0) -> tuple[float, ...]:
+    """The point p of chart ``source`` in the coordinates of chart ``target``.
+
+    Each of paracycle, orthogonal, spherical and klein maps into and out of
+    the hyperboloid in closed form (see the module docstring), and a
+    transform is one map in and one out; source == target returns p checked.
+    DomainError for an unknown chart, for halfspace, and for a point outside
+    its chart: fewer than 2 or more than 8 coordinates, a non-finite one, a
+    spherical angle out of range or r < 0, a Klein point not inside the ball.
+    """
+    into, out = _chart(source).to_u, _chart(target).from_u
+    if into is None or out is None:
+        raise DomainError("the halfspace chart has no point transform")
+    k = positive("k", k)
+    c = _point(source, p)
+    u = into(c, k)
+    return c if source == target else tuple(out(u, k))
 
 
 @in_float_range
-def density_halfspace(p, *, k: float = 1.0) -> float:
-    """Half-space integrand k / x_n^n at a half-space point."""
-    c, n = _point(p)
-    return _density_halfspace_xn(c[n - 1], n, positive("k", k))
-
-
-@in_float_range
-def density_orthogonal(p, *, k: float = 1.0) -> float:
-    """Volume density prod_{i=1}^{n-1} cosh^i(x_i / k) in orthogonal coordinates."""
-    c, n = _point(p)
-    return _density_orthogonal(c, n, positive("k", k))
-
-
-@in_float_range
-def density_spherical(p, *, k: float = 1.0) -> float:
-    """Volume density in hyperbolic polar coordinates, at a PointSpherical or
-    at the tuple (phi_1 .. phi_{n-1}, r)."""
-    if isinstance(p, PointSpherical):
-        r, angles, n = p.r, p.angles, p.n
-    else:
-        c, n = _point(p)
-        r, angles = c[n - 1], c[: n - 1]
-    return _density_spherical(r, angles, n, positive("k", k))
-
-
-@in_float_range
-def density_klein(p, *, k: float = 1.0) -> float:
-    """Projective-ball density (1 - sum (X_i/k)^2)^{-(n+1)/2}."""
-    c, n = _point(p)
-    return _density_klein(c, n, positive("k", k))
+def density(system: str, p, *, k: float = 1.0) -> float:
+    """Volume density of chart ``system`` at its point p (the table of the
+    module docstring).  DomainError for an unknown chart, a point outside the
+    chart (see transform), and a half-space point with x_n <= 0."""
+    kernel = _chart(system).density
+    k = positive("k", k)
+    c = _point(system, p)
+    return kernel(c, len(c), k)
 
 
 # ---------------------------------------------------------------------------
@@ -263,171 +290,23 @@ def chord_arc(d: float, k: float = 1.0) -> tuple[float, float]:
     return k * math.sinh(d / k), k * math.log(math.cosh(d / k))
 
 
-# ---------------------------------------------------------------------------
-# transforms
-# ---------------------------------------------------------------------------
-
-@in_float_range
-def paracycle_to_orthogonal(p, k: float = 1.0) -> PointOrthogonal:
-    """Solve the triangular coordinate relations, from the last axis down."""
-    k = positive("k", k)
-    xi = _coords(p)
-    n = len(xi)
-    _check_dim(n)
-    scale = math.exp(-xi[n - 1] / k)
-    x = [0.0] * n
-    prodc = 1.0  # prod of cosh(x_j/k) for already-solved j > i
-    for i in range(n - 2, -1, -1):
-        x[i] = k * math.asinh(xi[i] * scale / (k * prodc))
-        prodc *= math.cosh(x[i] / k)
-    x[n - 1] = xi[n - 1] + k * math.fsum(
-        math.log(math.cosh(x[j] / k)) for j in range(n - 1)
-    )
-    return PointOrthogonal(x)
-
-
-@in_float_range
-def orthogonal_to_paracycle(p, k: float = 1.0) -> PointParacycle:
-    k = positive("k", k)
-    xs = _coords(p)
-    n = len(xs)
-    _check_dim(n)
-    xi_n = xs[n - 1] - k * math.fsum(
-        math.log(math.cosh(xs[j] / k)) for j in range(n - 1)
-    )
-    scale = math.exp(xi_n / k)
-    xi = [0.0] * n
-    prodc = 1.0
-    for i in range(n - 2, -1, -1):
-        xi[i] = scale * k * math.sinh(xs[i] / k) * prodc
-        prodc *= math.cosh(xs[i] / k)
-    xi[n - 1] = xi_n
-    return PointParacycle(xi)
-
-
-def _euclidean_surrogate(xs, n, k):
-    """Vector u with |u| = sinh(r/k) whose direction carries the angles."""
-    u = [0.0] * n
-    for i in range(n - 1):
-        prod = 1.0
-        for j in range(i + 1, n - 1):
-            prod *= math.cosh(xs[j] / k)
-        u[i] = math.sinh(xs[i] / k) * prod
-    prod = 1.0
-    for j in range(n - 1):
-        prod *= math.cosh(xs[j] / k)
-    u[n - 1] = math.sinh(xs[n - 1] / k) * prod
-    return u
-
-
-def _polar_angles(u) -> tuple[float, ...]:
-    """Spherical angles (phi_1 azimuthal, phi_2.. polar) of a vector.
-
-    Convention: component i (1-based, i <= n-1) = |u| (prod_{j>i} sin phi_j)
-    cos phi_i, component n = |u| prod_{j=1}^{n-1} sin phi_j.
-    """
-    n = len(u)
-    ang = [0.0] * (n - 1)
-    for i in range(n - 1, 1, -1):  # polar angles phi_{n-1} .. phi_2
-        rest = math.sqrt(math.fsum(u[j] ** 2 for j in range(i - 1)) + u[n - 1] ** 2)
-        ang[i - 1] = math.atan2(rest, u[i - 1])
-    a = math.atan2(u[n - 1], u[0])
-    if a < 0.0:
-        a += 2.0 * math.pi
-    ang[0] = a
-    return tuple(ang)
-
-
-def _vector_from_angles(norm: float, angles) -> list[float]:
-    n = len(angles) + 1
-    u = [0.0] * n
-    sin_prod = 1.0
-    for i in range(n - 1, 1, -1):
-        u[i - 1] = norm * sin_prod * math.cos(angles[i - 1])
-        sin_prod *= math.sin(angles[i - 1])
-    u[0] = norm * sin_prod * math.cos(angles[0])
-    u[n - 1] = norm * sin_prod * math.sin(angles[0])
-    return u
-
-
-@in_float_range
-def orthogonal_to_spherical(p, k: float = 1.0) -> PointSpherical:
-    """Polar coordinates of an orthogonal-coordinate point.
-
-    The radius satisfies cosh(r/k) = prod_i cosh(x_i/k)."""
-    k = positive("k", k)
-    xs = _coords(p)
-    n = len(xs)
-    _check_dim(n)
-    u = _euclidean_surrogate(xs, n, k)
-    norm = math.sqrt(math.fsum(v * v for v in u))
-    r = k * math.asinh(norm)
-    return PointSpherical(r, _polar_angles(u))
-
-
-@in_float_range
-def spherical_to_orthogonal(p: PointSpherical, k: float = 1.0) -> PointOrthogonal:
-    k = positive("k", k)
-    if not isinstance(p, PointSpherical):
-        raise DomainError("spherical_to_orthogonal expects a PointSpherical")
-    n = p.n
-    u = _vector_from_angles(math.sinh(p.r / k), p.angles)
-    xs = [0.0] * n
-    # u_i = sinh(x_i/k) * prod_{j>i} cosh(x_j/k): triangular, solved downward
-    prodc = 1.0
-    for i in range(n - 2, -1, -1):
-        xs[i] = k * math.asinh(u[i] / prodc)
-        prodc *= math.cosh(xs[i] / k)
-    xs[n - 1] = k * math.asinh(u[n - 1] / prodc)
-    return PointOrthogonal(xs)
-
-
-def spherical_to_klein(p: PointSpherical, k: float = 1.0) -> PointKlein:
-    """Radial map R = k tanh(r/k); angles are shared between the charts."""
-    k = positive("k", k)
-    if not isinstance(p, PointSpherical):
-        raise DomainError("spherical_to_klein expects a PointSpherical")
-    R = k * math.tanh(p.r / k)
-    return PointKlein(_vector_from_angles(R, p.angles))
-
-
-def klein_to_spherical(p, k: float = 1.0) -> PointSpherical:
-    k = positive("k", k)
-    X = _coords(p)
-    _check_dim(len(X))
-    R = math.sqrt(math.fsum(v * v for v in X))
-    if R >= k:
-        raise DomainError("point lies on or outside the projective ball")
-    r = k * math.atanh(R / k)
-    return PointSpherical(r, _polar_angles(X) if R > 0.0 else (0.0,) * (len(X) - 1))
-
-
-def orthogonal_to_klein(p, k: float = 1.0) -> PointKlein:
-    """Composition orthogonal -> spherical -> klein."""
-    return spherical_to_klein(orthogonal_to_spherical(p, k), k)
-
-
-def klein_to_orthogonal(p, k: float = 1.0) -> PointOrthogonal:
-    return spherical_to_orthogonal(klein_to_spherical(p, k), k)
-
-
 @in_float_range
 def klein_distance(p, q, k: float = 1.0) -> float:
     """Hyperbolic distance between two points of the projective ball.
 
-    cosh(d/k) = (1 - <P,Q>/k^2) / sqrt((1 - |P|^2/k^2)(1 - |Q|^2/k^2)).
+    sinh(d/k) = sqrt((|D|^2 (1 - |P|^2) + (P.D)^2) / ((1 - |P|^2)(1 - |Q|^2)))
+    with P, Q in units of k and D = Q - P.  No term subtracts, so nearby
+    points keep their relative accuracy, which cosh(d/k) = (1 - P.Q) /
+    sqrt((1 - |P|^2)(1 - |Q|^2)) loses.
     """
     k = positive("k", k)
     P, Q = _coords(p), _coords(q)
     if len(P) != len(Q):
         raise DomainError("points must have the same dimension")
-    p2 = math.fsum((v / k) ** 2 for v in P)
-    q2 = math.fsum((v / k) ** 2 for v in Q)
-    if p2 >= 1.0 or q2 >= 1.0:
-        raise DomainError("point lies on or outside the projective ball")
-    dot = math.fsum(a * b for a, b in zip(P, Q)) / (k * k)
-    arg = (1.0 - dot) / math.sqrt((1.0 - p2) * (1.0 - q2))
-    return k * math.acosh(max(1.0, arg))
+    gp, gq = _ball_gap(P, k), _ball_gap(Q, k)
+    D = [(b - a) / k for a, b in zip(P, Q)]
+    pd = math.fsum(a / k * d for a, d in zip(P, D))
+    return k * math.asinh(math.sqrt((math.fsum(d * d for d in D) * gp + pd * pd) / (gp * gq)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +331,13 @@ def coordinate_volume(
     """
     k = positive("k", k)
     n = _check_dim(n)
-    if system not in COORDINATE_SYSTEMS:
-        raise DomainError(f"unknown coordinate system {system!r}")
+    dens = _chart(system).density
     if len(bounds) != n:
         raise DomainError(f"expected {n} bounds entries, got {len(bounds)}")
     axes = [int(b[0]) for b in bounds]
     if sorted(axes) != list(range(n)):
         raise DomainError(f"axes {axes} must be a permutation of 0..{n - 1}")
     spec = [(b[1], b[2]) for b in bounds]
-    dens = _DENSITIES[system]
     coords = [0.0] * n
 
     def integrand(*vals):

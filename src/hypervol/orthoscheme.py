@@ -71,6 +71,12 @@ def _atanh_bound(u: float) -> float:
     return math.atanh(u)
 
 
+def _perp_angle(t: float, s: float) -> float:
+    """atan(tanh t / sinh s), the angle opposite leg t of the right triangle
+    with legs s and t."""
+    return math.atan(math.tanh(t) / math.sinh(s))
+
+
 @dataclass(frozen=True)
 class OrthoschemeEdges:
     """Edge lengths a, b, c of an orthoscheme (a perp b, c perp plane(a, b))."""
@@ -186,8 +192,8 @@ def edges_to_angles(edges: OrthoschemeEdges | tuple) -> OrthoschemeAngles:
     for name in ("a", "b", "c"):
         positive(f"edge {name}", getattr(e, name), SINH_MAX)
     sb = math.sinh(e.b)
-    alpha = math.atan(math.tanh(e.c) / sb)
-    gamma = math.atan(math.tanh(e.a) / sb)
+    alpha = _perp_angle(e.c, e.b)
+    gamma = _perp_angle(e.a, e.b)
     tan_d = math.tanh(e.a) * math.tanh(e.c) / sb
     beta = math.atan(math.tanh(e.z_long) / tan_d)
     return OrthoschemeAngles(alpha, beta, gamma, math.atan(tan_d))
@@ -307,9 +313,9 @@ def bolyai_integral_1(edges: OrthoschemeEdges | tuple, tol: Tolerance = DEFAULT_
     positive("edge a", e.a, SINH_MAX)
     positive("edge b", e.b, SINH_MAX)
     positive("edge c", e.c, SINH2_MAX)
-    alpha = math.atan(math.tanh(e.c) / math.sinh(e.b))
-    beta_p = math.atan(math.tanh(e.b) / math.sinh(e.a))
-    gamma_p = math.atan(math.tanh(e.c) / math.sinh(e.z))
+    alpha = _perp_angle(e.c, e.b)
+    beta_p = _perp_angle(e.b, e.a)
+    gamma_p = _perp_angle(e.c, e.z)
     sa2, ca2 = math.sin(alpha) ** 2, math.cos(alpha) ** 2
     sg2, cg2 = math.sin(gamma_p) ** 2, math.cos(gamma_p) ** 2
 
@@ -431,7 +437,7 @@ def right_triangle_angles(a: float, b: float) -> tuple[float, float]:
     """
     a = positive("leg a", a, SINH_MAX)
     b = positive("leg b", b, SINH_MAX)
-    return math.atan(math.tanh(a) / math.sinh(b)), math.atan(math.tanh(b) / math.sinh(a))
+    return _perp_angle(a, b), _perp_angle(b, a)
 
 
 def area_right_triangle(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -461,7 +467,7 @@ def lemma_angle(t: float, s: float) -> float:
     independent of where the far point sits on its subspace."""
     t = nonnegative("t", t)
     s = positive("s", s, SINH_MAX)
-    return math.atan(math.tanh(t) / math.sinh(s))
+    return _perp_angle(t, s)
 
 
 def _cosh_power_integral(m: int, u: float) -> float:

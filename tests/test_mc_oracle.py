@@ -57,7 +57,7 @@ def test_orthoscheme_vertices_distances():
     a, b, c = 0.8, 1.1, 0.6
     V = mc.orthoscheme_vertices(a, b, c)
     O = (0.0, 0.0, 0.0)
-    assert V[0].coords == pytest.approx(O, abs=1e-15)
+    assert V[0] == pytest.approx(O, abs=1e-15)
     assert klein_distance(V[0], V[1]) == pytest.approx(a, abs=1e-10)
     assert klein_distance(V[1], V[2]) == pytest.approx(b, abs=1e-10)
     assert klein_distance(V[2], V[3]) == pytest.approx(c, abs=1e-10)
@@ -74,8 +74,8 @@ def test_simplex_membership_basics():
     r = mc.region_simplex(V)
     pts = np.array(
         [
-            V[0].coords,                                  # vertex: inside
-            np.mean([v.coords for v in V], axis=0),       # centroid: inside
+            V[0],                                         # vertex: inside
+            np.mean(V, axis=0),                           # centroid: inside
             (0.9, 0.9, 0.9),                              # far corner: outside
         ]
     )
@@ -244,7 +244,7 @@ def test_slab_membership_matches_scalar_charts(w1, w2, q, k, seed):
     got = r.contains(P)
     checked = members = 0
     for X, g in zip(P, got):
-        x1, x2 = models.klein_to_orthogonal((X[0], X[1]), k).coords
+        x1, x2 = models.transform((X[0], X[1]), "klein", "orthogonal", k)
         d = klein_distance(tuple(X), (X[0], X[1], 0.0), k)
         if min(abs(d - q), abs(abs(x1) - w1), abs(abs(x2) - w2)) < _MARGIN * k:
             continue

@@ -4,31 +4,17 @@ import math
 import random
 
 import pytest
+from mpmath import mp
 
-from hypervol import models, solids
+from hypervol import solids
 from hypervol.errors import DomainError, UnsupportedDimensionError
 from hypervol.models import (
-    PointKlein,
-    PointOrthogonal,
-    PointParacycle,
-    PointSpherical,
     chord_arc,
     coordinate_volume,
-    density_halfspace,
-    density_klein,
-    density_orthogonal,
-    density_paracycle,
-    density_spherical,
+    density,
     klein_distance,
-    klein_to_orthogonal,
-    klein_to_spherical,
-    orthogonal_to_klein,
-    orthogonal_to_paracycle,
-    orthogonal_to_spherical,
     paracycle_brick_volume,
-    paracycle_to_orthogonal,
-    spherical_to_klein,
-    spherical_to_orthogonal,
+    transform,
 )
 from hypervol.quadrature import Tolerance
 
@@ -40,60 +26,60 @@ SPHERE_1 = 5.11093270570828898  # pi sinh 2 - 2 pi (mpmath)
 # ---------------------------------------------------------------------------
 
 def test_density_paracycle_values():
-    assert density_paracycle((0.3, 0.4, 0.0)) == 1.0
-    assert density_paracycle((0.0, 0.0, 1.0), k=1.0) == pytest.approx(math.exp(-2))
-    assert abs(density_paracycle((0.0, 0.0, 1.0), k=1e6) - 1.0) <= 1e-5
+    assert density("paracycle", (0.3, 0.4, 0.0)) == 1.0
+    assert density("paracycle", (0.0, 0.0, 1.0), k=1.0) == pytest.approx(math.exp(-2))
+    assert abs(density("paracycle", (0.0, 0.0, 1.0), k=1e6) - 1.0) <= 1e-5
 
 
 def test_density_halfspace_values():
-    assert density_halfspace((0.0, 0.0, 1.0), k=2.0) == 2.0
-    assert density_halfspace((0.0, 0.0, 2.0)) == pytest.approx(1 / 8)
-    assert density_halfspace((0.0, 2.0)) == pytest.approx(1 / 4)
+    assert density("halfspace", (0.0, 0.0, 1.0), k=2.0) == 2.0
+    assert density("halfspace", (0.0, 0.0, 2.0)) == pytest.approx(1 / 8)
+    assert density("halfspace", (0.0, 2.0)) == pytest.approx(1 / 4)
     with pytest.raises(DomainError):
-        density_halfspace(2.0)  # a bare x_n is not a point
+        density("halfspace", 2.0)  # a bare x_n is not a point
     with pytest.raises(DomainError):
-        density_halfspace((0.0, 0.0, 0.0))
+        density("halfspace", (0.0, 0.0, 0.0))
     with pytest.raises(DomainError):
-        density_halfspace((0.0, 0.0, -1.0))
+        density("halfspace", (0.0, 0.0, -1.0))
 
 
 def test_halfspace_consistent_with_paracycle():
     # x_n = e^{xi_n / k} maps one density to the other via dxi_n/dx_n = k/x_n
     k, xi_n = 1.3, 0.7
     xn = math.exp(xi_n / k)
-    assert density_paracycle((0.0, 0.0, xi_n), k=k) * k / xn == pytest.approx(
-        density_halfspace((0.0, 0.0, xn), k=k), rel=1e-12
+    assert density("paracycle", (0.0, 0.0, xi_n), k=k) * k / xn == pytest.approx(
+        density("halfspace", (0.0, 0.0, xn), k=k), rel=1e-12
     )
 
 
 def test_density_orthogonal_values():
-    assert density_orthogonal((0.0, 0.0, 0.0)) == 1.0
-    assert density_orthogonal((0.0, 1.0, 0.7)) == pytest.approx(math.cosh(1.0) ** 2)
-    assert density_orthogonal((0.4, 0.9)) == pytest.approx(math.cosh(0.4))
+    assert density("orthogonal", (0.0, 0.0, 0.0)) == 1.0
+    assert density("orthogonal", (0.0, 1.0, 0.7)) == pytest.approx(math.cosh(1.0) ** 2)
+    assert density("orthogonal", (0.4, 0.9)) == pytest.approx(math.cosh(0.4))
 
 
 def test_density_spherical_values():
-    assert density_spherical(PointSpherical(0.0, (0.0, 0.0))) == 0.0
-    p = PointSpherical(1.0, (0.3, math.pi / 2))
-    assert density_spherical(p) == pytest.approx(math.sinh(1.0) ** 2)
+    # a spherical point is (phi_1 .. phi_{n-1}, r)
+    assert density("spherical", (0.0, 0.0, 0.0)) == 0.0
+    assert density("spherical", (0.3, math.pi / 2, 1.0)) == pytest.approx(math.sinh(1.0) ** 2)
 
 
 def test_density_klein_values():
-    assert density_klein((0.0, 0.0, 0.0)) == 1.0
+    assert density("klein", (0.0, 0.0, 0.0)) == 1.0
     s = math.sqrt(0.5 / 3)
-    assert density_klein((s, s, s)) == pytest.approx(0.5 ** -2, rel=1e-12)
+    assert density("klein", (s, s, s)) == pytest.approx(0.5 ** -2, rel=1e-12)
     s2 = math.sqrt(0.75 / 2)
-    assert density_klein((s2, s2)) == pytest.approx(0.25 ** -1.5, rel=1e-12)
+    assert density("klein", (s2, s2)) == pytest.approx(0.25 ** -1.5, rel=1e-12)
     with pytest.raises(DomainError):
-        density_klein((1.0, 0.0, 0.0))
+        density("klein", (1.0, 0.0, 0.0))
 
 
 def test_densities_euclidean_limit():
     k = 1e6
     pts = {
-        "paracycle": density_paracycle((0.2, 0.3, 0.4), k=k),
-        "orthogonal": density_orthogonal((0.2, 0.3, 0.4), k=k),
-        "klein": density_klein((0.2, 0.3, 0.4), k=k),
+        "paracycle": density("paracycle", (0.2, 0.3, 0.4), k=k),
+        "orthogonal": density("orthogonal", (0.2, 0.3, 0.4), k=k),
+        "klein": density("klein", (0.2, 0.3, 0.4), k=k),
     }
     for name, val in pts.items():
         assert abs(val - 1.0) <= 1e-6, name
@@ -149,17 +135,16 @@ def test_paracycle_orthogonal_round_trip():
         for _ in range(25):
             xi = rnd_coords(rng, n)
             k = rng.choice([1.0, 0.7, 2.5])
-            x = paracycle_to_orthogonal(PointParacycle(xi), k)
-            back = orthogonal_to_paracycle(x, k)
-            for u, v in zip(xi, back.coords):
+            x = transform(xi, "paracycle", "orthogonal", k)
+            back = transform(x, "orthogonal", "paracycle", k)
+            for u, v in zip(xi, back):
                 assert abs(u - v) < 1e-12 * max(1.0, abs(u))
 
 
 def test_paracycle_axis_points_fixed():
-    p = PointParacycle((0.0, 0.0, 0.8))
-    x = paracycle_to_orthogonal(p, 1.0)
-    assert x.coords == pytest.approx((0.0, 0.0, 0.8))
-    assert orthogonal_to_paracycle(x, 1.0).coords == pytest.approx((0.0, 0.0, 0.8))
+    x = transform((0.0, 0.0, 0.8), "paracycle", "orthogonal", 1.0)
+    assert x == pytest.approx((0.0, 0.0, 0.8))
+    assert transform(x, "orthogonal", "paracycle", 1.0) == pytest.approx((0.0, 0.0, 0.8))
 
 
 def test_orthogonal_spherical_round_trip_and_radius():
@@ -168,13 +153,13 @@ def test_orthogonal_spherical_round_trip_and_radius():
         for _ in range(20):
             xs = rnd_coords(rng, n)
             k = rng.choice([1.0, 1.7])
-            s = orthogonal_to_spherical(PointOrthogonal(xs), k)
+            s = transform(xs, "orthogonal", "spherical", k)
             prod = 1.0
             for v in xs:
                 prod *= math.cosh(v / k)
-            assert math.cosh(s.r / k) == pytest.approx(prod, rel=1e-12)
-            back = spherical_to_orthogonal(s, k)
-            for u, v in zip(xs, back.coords):
+            assert math.cosh(s[-1] / k) == pytest.approx(prod, rel=1e-12)
+            back = transform(s, "spherical", "orthogonal", k)
+            for u, v in zip(xs, back):
                 assert abs(u - v) < 1e-10
 
 
@@ -183,48 +168,52 @@ def test_spherical_sine_relation_3d():
     rng = random.Random(13)
     for _ in range(20):
         xs = rnd_coords(rng, 3)
-        s = orthogonal_to_spherical(PointOrthogonal(xs), 1.0)
-        lhs = math.sinh(xs[1])
-        rhs = math.sinh(s.r) * math.cos(s.angles[1])
-        assert abs(lhs - rhs) < 1e-12
+        phi_1, phi_2, r = transform(xs, "orthogonal", "spherical", 1.0)
+        assert abs(math.sinh(xs[1]) - math.sinh(r) * math.cos(phi_2)) < 1e-12
 
 
 def test_single_axis_point():
-    s = orthogonal_to_spherical(PointOrthogonal((0.9, 0.0, 0.0)), 1.0)
-    assert s.r == pytest.approx(0.9, rel=1e-14)
-    kp = orthogonal_to_klein((0.9, 0.0, 0.0), 1.0)
-    assert kp.coords[0] == pytest.approx(math.tanh(0.9), rel=1e-13)
-    assert abs(kp.coords[1]) < 1e-15 and abs(kp.coords[2]) < 1e-15
+    assert transform((0.9, 0.0, 0.0), "orthogonal", "spherical", 1.0)[-1] == pytest.approx(
+        0.9, rel=1e-14)
+    kp = transform((0.9, 0.0, 0.0), "orthogonal", "klein", 1.0)
+    assert kp[0] == pytest.approx(math.tanh(0.9), rel=1e-13)
+    assert abs(kp[1]) < 1e-15 and abs(kp[2]) < 1e-15
 
 
 def test_spherical_klein_radial_map():
-    p = PointSpherical(1.0, (0.4, 1.1))
-    q = spherical_to_klein(p, 1.0)
-    R = math.sqrt(sum(v * v for v in q.coords))
-    assert R == pytest.approx(math.tanh(1.0), rel=1e-13)
-    back = klein_to_spherical(q, 1.0)
-    assert back.r == pytest.approx(1.0, rel=1e-12)
-    assert back.angles == pytest.approx(p.angles, abs=1e-12)
+    p = (0.4, 1.1, 1.0)
+    q = transform(p, "spherical", "klein", 1.0)
+    assert math.hypot(*q) == pytest.approx(math.tanh(1.0), rel=1e-13)
+    back = transform(q, "klein", "spherical", 1.0)
+    assert back[-1] == pytest.approx(1.0, rel=1e-12)
+    assert back[:-1] == pytest.approx(p[:-1], abs=1e-12)
     # r -> infinity approaches the unit sphere of radius k
-    far = spherical_to_klein(PointSpherical(40.0, (0.4, 1.1)), 2.0)
-    assert math.sqrt(sum(v * v for v in far.coords)) == pytest.approx(2.0, rel=1e-12)
+    far = transform((0.4, 1.1, 40.0), "spherical", "klein", 2.0)
+    assert math.hypot(*far) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_azimuth_stays_below_two_pi():
+    # atan2 gives -1e-300 here, and -1e-300 + 2pi rounds to 2pi, outside [0, 2pi)
+    s = transform((0.5, -1e-300), "klein", "spherical")
+    assert s[0] == 0.0
+    assert transform(s, "spherical", "klein") == pytest.approx((0.5, 0.0), rel=1e-15)
 
 
 def test_orthogonal_klein_round_trip_and_origin():
     rng = random.Random(14)
-    assert orthogonal_to_klein((0.0, 0.0, 0.0)).coords == pytest.approx((0, 0, 0))
+    assert transform((0.0, 0.0, 0.0), "orthogonal", "klein") == (0.0, 0.0, 0.0)
     for n in (2, 3, 4):
         for _ in range(20):
             xs = rnd_coords(rng, n)
-            kp = orthogonal_to_klein(PointOrthogonal(xs), 1.0)
-            back = klein_to_orthogonal(kp, 1.0)
-            for u, v in zip(xs, back.coords):
+            kp = transform(xs, "orthogonal", "klein", 1.0)
+            back = transform(kp, "klein", "orthogonal", 1.0)
+            for u, v in zip(xs, back):
                 assert abs(u - v) < 1e-10
 
 
 def test_pythagoras_distance_of_image():
     a, b = 1.0, 1.0
-    img = orthogonal_to_klein((a, b, 0.0), 1.0)
+    img = transform((a, b, 0.0), "orthogonal", "klein", 1.0)
     d = klein_distance((0.0, 0.0, 0.0), img, 1.0)
     assert d == pytest.approx(math.acosh(math.cosh(a) * math.cosh(b)), abs=1e-10)
 
@@ -235,13 +224,13 @@ def test_distance_invariance_between_paths():
         xs1, xs2 = rnd_coords(rng, 3, 1.0), rnd_coords(rng, 3, 1.0)
         k = rng.choice([1.0, 2.0])
         d1 = klein_distance(
-            orthogonal_to_klein(xs1, k), orthogonal_to_klein(xs2, k), k
+            transform(xs1, "orthogonal", "klein", k), transform(xs2, "orthogonal", "klein", k), k
         )
         # second path through the paracycle chart
-        via1 = paracycle_to_orthogonal(orthogonal_to_paracycle(PointOrthogonal(xs1), k), k)
-        via2 = paracycle_to_orthogonal(orthogonal_to_paracycle(PointOrthogonal(xs2), k), k)
+        via1, via2 = (transform(transform(x, "orthogonal", "paracycle", k), "paracycle",
+                                "orthogonal", k) for x in (xs1, xs2))
         d2 = klein_distance(
-            orthogonal_to_klein(via1, k), orthogonal_to_klein(via2, k), k
+            transform(via1, "orthogonal", "klein", k), transform(via2, "orthogonal", "klein", k), k
         )
         assert abs(d1 - d2) < 1e-10
 
@@ -260,6 +249,140 @@ def test_klein_distance_metric_properties():
         assert dab + klein_distance(pts[1], pts[2]) >= klein_distance(pts[0], pts[2]) - 1e-12
     with pytest.raises(DomainError):
         klein_distance((1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# 40-digit references
+# ---------------------------------------------------------------------------
+
+def _mp_klein_distance(P, Q, k):
+    P, Q = [mp.mpf(v) / k for v in P], [mp.mpf(v) / k for v in Q]
+    dot, p2, q2 = (mp.fsum(a * b for a, b in zip(x, y)) for x, y in ((P, Q), (P, P), (Q, Q)))
+    return k * mp.acosh((1 - dot) / mp.sqrt((1 - p2) * (1 - q2)))
+
+
+def test_klein_distance_of_nearby_points_matches_mpmath():
+    # pairs 1e-12 to 1 apart; through cosh(d/k), d is 0.0 at 1e-9 apart and
+    # 4.4e-5 relative off at 1e-6
+    rng = random.Random(21)
+    worst = 0.0
+    with mp.workdps(60):
+        for _ in range(400):
+            n, k = rng.randint(2, 5), rng.choice([0.7, 1.0, 2.5])
+            P = [rng.uniform(-0.5, 0.5) * k for _ in range(n)]
+            step = 10.0 ** rng.uniform(-12, 0) * k / n
+            Q = [v + rng.uniform(-step, step) for v in P]
+            if P == Q or sum((v / k) ** 2 for v in Q) >= 0.95:
+                continue
+            ref = _mp_klein_distance(P, Q, k)
+            worst = max(worst, float(abs(klein_distance(P, Q, k) - ref) / ref))
+    assert worst <= 1e-14
+
+
+def _mp_surrogate_to_orthogonal(u, k):
+    """Orthogonal coordinates from the vector u = sinh(r/k) (direction), by the
+    triangular system u_i = sinh(x_i/k) prod_{i<j<n} cosh(x_j/k), u_n =
+    sinh(x_n/k) prod_{j<n} cosh(x_j/k)."""
+    n = len(u)
+    x, prodc = [mp.mpf(0)] * n, mp.mpf(1)
+    for i in range(n - 2, -1, -1):
+        x[i] = k * mp.asinh(u[i] / prodc)
+        prodc *= mp.cosh(x[i] / k)
+    x[n - 1] = k * mp.asinh(u[n - 1] / prodc)
+    return x
+
+
+def _mp_orthogonal_to_surrogate(x, k):
+    n = len(x)
+    c = [mp.cosh(v / k) for v in x]
+    u = [mp.sinh(x[i] / k) * mp.fprod(c[i + 1:n - 1]) for i in range(n - 1)]
+    return u + [mp.sinh(x[n - 1] / k) * mp.fprod(c[:n - 1])]
+
+
+def _mp_angles_to_vector(norm, phi):
+    n = len(phi) + 1
+    u, s = [mp.mpf(0)] * n, norm
+    for i in range(n - 2, 0, -1):
+        u[i] = s * mp.cos(phi[i])
+        s *= mp.sin(phi[i])
+    u[0], u[n - 1] = s * mp.cos(phi[0]), s * mp.sin(phi[0])
+    return u
+
+
+def _mp_vector_to_angles(u):
+    n = len(u)
+    a = mp.atan2(u[n - 1], u[0])
+    polar = [mp.atan2(mp.sqrt(mp.fsum(v * v for v in u[:i]) + u[n - 1] ** 2), u[i])
+             for i in range(1, n - 1)]
+    return [a + 2 * mp.pi if a < 0 else a, *polar]
+
+
+def _mp_to_orthogonal(p, source, k):
+    """The pairwise closed forms of each chart to orthogonal coordinates."""
+    p = [mp.mpf(v) for v in p]
+    n = len(p)
+    if source == "orthogonal":
+        return p
+    if source == "paracycle":
+        scale = mp.exp(-p[n - 1] / k)
+        x, prodc = [mp.mpf(0)] * n, mp.mpf(1)
+        for i in range(n - 2, -1, -1):
+            x[i] = k * mp.asinh(p[i] * scale / (k * prodc))
+            prodc *= mp.cosh(x[i] / k)
+        x[n - 1] = p[n - 1] + k * mp.fsum(mp.log(mp.cosh(v / k)) for v in x[:n - 1])
+        return x
+    if source == "spherical":
+        return _mp_surrogate_to_orthogonal(_mp_angles_to_vector(mp.sinh(p[-1] / k), p[:-1]), k)
+    R = mp.sqrt(mp.fsum(v * v for v in p))  # klein: r = k atanh(R/k) along X
+    return _mp_surrogate_to_orthogonal([mp.sinh(mp.atanh(R / k)) * v / R for v in p], k)
+
+
+def _mp_from_orthogonal(x, target, k):
+    n = len(x)
+    if target == "paracycle":
+        xi_n = x[n - 1] - k * mp.fsum(mp.log(mp.cosh(v / k)) for v in x[:n - 1])
+        return [k * mp.exp(xi_n / k) * v for v in _mp_orthogonal_to_surrogate(x, k)[:-1]] + [xi_n]
+    if target == "orthogonal":
+        return x
+    u = _mp_orthogonal_to_surrogate(x, k)
+    norm = mp.sqrt(mp.fsum(v * v for v in u))
+    if target == "spherical":
+        return [*_mp_vector_to_angles(u), k * mp.asinh(norm)]
+    return [k * mp.tanh(mp.asinh(norm)) * v / norm for v in u]  # klein: R = k tanh(r/k)
+
+
+def _sample_point(rng, chart, n, k):
+    """|x_i| <= 3k, r <= 3k and |X/k|^2 < 0.9, no coordinate 0."""
+    if chart == "spherical":
+        return (rng.uniform(0.0, 2 * math.pi), *(rng.uniform(0.0, math.pi) for _ in range(n - 2)),
+                rng.uniform(0.0, 3.0 * k))
+    if chart == "klein":
+        X = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        scale = k * math.sqrt(0.9) * rng.random() ** (1.0 / n) / math.hypot(*X)
+        return tuple(v * scale for v in X)
+    return tuple(rng.uniform(-3.0 * k, 3.0 * k) for _ in range(n))
+
+
+TRANSFORM_CHARTS = ("paracycle", "orthogonal", "spherical", "klein")
+
+
+@pytest.mark.parametrize("source, target", [
+    (s, t) for s in TRANSFORM_CHARTS for t in TRANSFORM_CHARTS if s != t])
+def test_transform_matches_mpmath(source, target):
+    # orthogonal -> klein through polar angles (atan2, then cos and sin) is 5.9e-12
+    # relative off at n = 5
+    rng = random.Random(TRANSFORM_CHARTS.index(source))
+    with mp.workdps(40):
+        for n in (2, 3, 4, 5):
+            for k in (0.7, 1.0, 2.5):
+                for _ in range(8):
+                    p = _sample_point(rng, source, n, k)
+                    got = transform(p, source, target, k)
+                    ref = _mp_from_orthogonal(_mp_to_orthogonal(p, source, k), target, k)
+                    for g, r in zip(got, ref):
+                        assert abs(g - r) <= 4e-15 * max(1.0, abs(r)), (p, got)
+                        if {source, target} == {"orthogonal", "klein"}:
+                            assert abs(g - r) <= 1e-14 * abs(r), (p, got)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +412,13 @@ def test_orthogonal_to_spherical_jacobian_matches_densities():
     rng = random.Random(17)
 
     def T(x):
-        s = orthogonal_to_spherical(PointOrthogonal(tuple(x)), 1.0)
-        return (s.angles[0], s.angles[1], s.r)
+        return transform(x, "orthogonal", "spherical", 1.0)
 
     for _ in range(100):
         xs = tuple(rng.uniform(0.2, 1.2) for _ in range(3))
         det = abs(_num_jacobian(T, xs))
-        lhs = density_orthogonal(xs, k=1.0)
-        s = orthogonal_to_spherical(PointOrthogonal(xs), 1.0)
-        rhs = density_spherical(s, k=1.0) * det
+        lhs = density("orthogonal", xs, k=1.0)
+        rhs = density("spherical", T(xs), k=1.0) * det
         assert rhs == pytest.approx(lhs, rel=1e-8)
 
 
@@ -305,14 +426,29 @@ def test_spherical_to_klein_jacobian_matches_densities():
     rng = random.Random(18)
 
     def T(v):
-        return spherical_to_klein(PointSpherical(v[2], (v[0], v[1])), 1.0).coords
+        return transform(v, "spherical", "klein", 1.0)
 
     for _ in range(100):
         v = (rng.uniform(0.2, 2.8), rng.uniform(0.3, 2.8), rng.uniform(0.2, 1.5))
         det = abs(_num_jacobian(T, v))
-        lhs = density_spherical(PointSpherical(v[2], (v[0], v[1])), k=1.0)
-        kp = spherical_to_klein(PointSpherical(v[2], (v[0], v[1])), 1.0)
-        rhs = density_klein(kp, k=1.0) * det
+        lhs = density("spherical", v, k=1.0)
+        rhs = density("klein", T(v), k=1.0) * det
+        assert rhs == pytest.approx(lhs, rel=1e-8)
+
+
+@pytest.mark.parametrize("target", ["orthogonal", "spherical", "klein"])
+def test_paracycle_jacobian_matches_densities(target):
+    rng = random.Random(19)
+    k = 1.3
+
+    def T(v):
+        return transform(v, "paracycle", target, k)
+
+    for _ in range(50):
+        xi = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-0.8, 0.8))
+        det = abs(_num_jacobian(T, xi))
+        lhs = density("paracycle", xi, k=k)
+        rhs = density(target, T(xi), k=k) * det
         assert rhs == pytest.approx(lhs, rel=1e-8)
 
 
@@ -391,15 +527,31 @@ def test_coordinate_volume_validation():
 # ---------------------------------------------------------------------------
 
 def test_point_validation():
-    with pytest.raises(UnsupportedDimensionError):
-        PointOrthogonal((1.0,))
-    with pytest.raises(UnsupportedDimensionError):
-        PointOrthogonal(tuple(0.1 for _ in range(9)))
+    for chart in TRANSFORM_CHARTS:
+        with pytest.raises(UnsupportedDimensionError):
+            transform((1.0,), chart, "klein")
+        with pytest.raises(UnsupportedDimensionError):
+            density(chart, tuple(0.1 for _ in range(9)))
     with pytest.raises(DomainError):
-        PointParacycle((float("nan"), 0.0))
+        transform((float("nan"), 0.0), "paracycle", "orthogonal")
+    for bad in ((0.0, 0.0, -1.0),                # r < 0
+                (0.0, 4.0, 1.0),                 # polar angle above pi
+                (0.0, -0.1, 1.0),                # polar angle below 0
+                (2 * math.pi, 1.0, 1.0),         # azimuth outside [0, 2pi)
+                (-0.1, 1.0, 1.0)):
+        with pytest.raises(DomainError):
+            transform(bad, "spherical", "klein")
+        with pytest.raises(DomainError):
+            density("spherical", bad)
     with pytest.raises(DomainError):
-        PointSpherical(-1.0, (0.0, 0.0))
+        transform((0.8, 0.8, 0.0), "klein", "spherical", 1.0)
     with pytest.raises(DomainError):
-        PointSpherical(1.0, (0.0, 4.0))
+        transform((0.8, 0.8, 0.0), "klein", "klein", 1.0)
+    for source, target in (("nope", "klein"), ("klein", None), ("halfspace", "klein"),
+                           ("orthogonal", "halfspace")):
+        with pytest.raises(DomainError):
+            transform((0.1, 0.2), source, target)
     with pytest.raises(DomainError):
-        models.klein_to_spherical(PointKlein((0.8, 0.8, 0.0)), 1.0)
+        density("nope", (0.1, 0.2))
+    with pytest.raises(DomainError):
+        transform((0.1, 0.2), "klein", "orthogonal", k=0.0)

@@ -72,7 +72,7 @@ def arguments(module, fn):
             continue
         if name == "region":
             args[name] = st.just(mc_oracle.region_ball(0.5))
-        elif name == "system":
+        elif name in ("system", "source", "target"):
             args[name] = st.sampled_from([*models.COORDINATE_SYSTEMS, "x", None])
         elif name == "bounds":
             args[name] = st.just([(0, 0.0, 0.1), (1, 0.0, 0.1)])
@@ -111,8 +111,8 @@ def test_public_functions_return_finite_or_raise_hypervol_error(module, fn):
     'solids.equidistant_body_by_quadrature(0.01, 1e300)',
     'models.chord_arc("x")',
     'models.chord_arc(1e300)',
-    'models.density_klein((0.1, 0.1), k="x")',
-    'models.PointSpherical(None, (0.1,))',
+    'models.density("klein", (0.1, 0.1), k="x")',
+    'models.transform((0.1, None), "spherical", "klein")',
     'models.coordinate_volume("klein", [(0, 0, 0.1), (1, 0, 0.1)], "x")',
     'models.paracycle_brick_volume((math.nan, 1, 1))',
     'models.paracycle_brick_volume((1.1, math.inf, 1.3))',

@@ -195,6 +195,8 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
         ["vol", "ndim-orthoscheme", "--edges", "12,0.5,0.5"],
         # a small orthoscheme that an absolute determinant test called degenerate (now exit 0)
         ["mc", "orthoscheme-edges", "--a", "1e-5", "--b", "1e-5", "--c", "1e-5"],
+        # orthoscheme vertices placed in the ball at k != 1
+        ["mc", "orthoscheme-edges", "--a", "1.0", "--b", "0.8", "--c", "0.6", "--k", "1.3"],
         ["convert", "edges-to-angles", "--a", "1", "--b", "1", "--c", "1", "--k", "nan"],
         # flags a command does not read
         ["batch", jobs["sphere"], "--k", "2", "--reltol", "1e-3", "--degrees"],
