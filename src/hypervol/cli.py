@@ -181,14 +181,14 @@ def _cmd_vol(args) -> int:
 def _cmd_convert(args) -> int:
     k = positive("k", args.k)
     if args.direction == "edges-to-angles":
-        e = orthoscheme.OrthoschemeEdges(args.a / k, args.b / k, args.c / k)
-        ang = orthoscheme.edges_to_angles(e)
+        a, b, c = args.a / k, args.b / k, args.c / k
+        ang = orthoscheme.edges_to_angles((a, b, c))
     else:
         conv = math.radians if args.degrees else float
         ang = orthoscheme.OrthoschemeAngles(conv(args.alpha), conv(args.beta), conv(args.gamma))
-        e = orthoscheme.angles_to_edges(ang)
+        a, b, c = orthoscheme.angles_to_edges(ang)
     z = math.atanh(math.tan(ang.delta) * math.tan(ang.beta))
-    rec = {"a": e.a * k, "b": e.b * k, "c": e.c * k, "z": z * k,
+    rec = {"a": a * k, "b": b * k, "c": c * k, "z": z * k,
            "alpha": ang.alpha, "beta": ang.beta, "gamma": ang.gamma, "delta": ang.delta}
     _write(args, [rec])
     return EXIT_OK
@@ -219,7 +219,7 @@ _SUITES = {
         lambda v: 1e-6 * max(1.0, v)),
     "tetrahedra": (
         lambda grid, seed: [
-            ("derevnin-mednykh", dict(zip("ABCDEF", t.as_tuple())))
+            ("derevnin-mednykh", dict(zip("ABCDEF", t)))
             for t in tetrahedra.sample_near_ideal(10 if grid == "coarse" else 25, seed)],
         lambda reltol: Tolerance(rel=min(reltol, 1e-10), abs=1e-14),
         lambda v: 1e-6),

@@ -11,9 +11,9 @@ the slab's distance to its base plane by one formula (``_cosh2_to_span``).
 
 Randomness comes from a counter-based Philox stream, the substream spawned
 from (seed, 0), so an estimate is a pure function of (seed, samples).
-Regions are radially truncated at their ``radial_cap`` field (default
-1 - 1e-9, in units of k), which no builder takes; the truncation is the only
-concession made to bodies that conceptually touch the ideal boundary.
+Every region is radially truncated at the module constant ``_CAP`` =
+1 - 1e-9, in units of k; the truncation is the only concession made to
+bodies that conceptually touch the ideal boundary.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = [
     "slab_base_area",
 ]
 
-_DEFAULT_CAP = 1.0 - 1e-9
+_CAP = 1.0 - 1e-9
 _CHUNK = 1 << 17
 
 
@@ -50,18 +50,15 @@ class Region:
     """Sampling region: vectorized membership plus a bounding box.
 
     ``contains`` maps an (N, dim) array of ball-model points to a boolean
-    mask; it is only ever called on points with |X/k| <= radial_cap.  The
-    box need not lie inside the ball (its corners may poke out); points
-    outside the ball are simply non-members.  The cap is a field with a
-    default, which no builder takes; ``dataclasses.replace`` sets another
-    and validates it again.
+    mask; it is only ever called on points with |X/k| <= _CAP.  The box
+    need not lie inside the ball (its corners may poke out); points outside
+    the ball are simply non-members.
     """
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
     contains: Callable[[np.ndarray], np.ndarray]
     k: float = 1.0
-    radial_cap: float = _DEFAULT_CAP
     name: str = ""
 
     @property
@@ -71,18 +68,13 @@ class Region:
     def __post_init__(self):
         for name, v in (("lo", tuple(number("box corner", v) for v in sequence("lo", self.lo))),
                         ("hi", tuple(number("box corner", v) for v in sequence("hi", self.hi))),
-                        ("k", positive("k", self.k)),
-                        ("radial_cap", number("radial_cap", self.radial_cap))):
+                        ("k", positive("k", self.k))):
             object.__setattr__(self, name, v)
         models._check_dim(self.dim)
         if len(self.hi) != self.dim:
             raise DomainError("box corners lo and hi must have the same number of coordinates")
         if not all(-math.inf < l < h < math.inf for l, h in zip(self.lo, self.hi)):
             raise DomainError("bounding box must be finite with positive extent on every axis")
-        if not (0.0 < self.radial_cap <= _DEFAULT_CAP):
-            raise DomainError(
-                f"radial_cap {self.radial_cap} touches the boundary (max {_DEFAULT_CAP})"
-            )
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,7 @@ def estimate(region: Region, samples: int, seed: int) -> MCEstimate:
     lo = np.asarray(region.lo, float)
     hi = np.asarray(region.hi, float)
     box_vol = float(np.prod(hi - lo))
-    cap2 = region.radial_cap ** 2
+    cap2 = _CAP ** 2
     expo = -(n + 1) / 2.0
 
     rng = np.random.Generator(
@@ -203,7 +195,7 @@ def _cosh2_to_span(P: np.ndarray, j: int, k: float) -> np.ndarray:
 
     The foot of the perpendicular is P with coordinates j.. set to zero, so
     cosh^2(d/k) = (1 - sum_{i<j} (P_i/k)^2) / (1 - |P/k|^2).  Callers pass
-    points with |P/k| <= radial_cap < 1, which keeps the denominator positive.
+    points with |P/k| <= _CAP < 1, which keeps the denominator positive.
     """
     X = P / k
     near = np.einsum("ij,ij->i", X[:, :j], X[:, :j])

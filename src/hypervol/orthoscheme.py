@@ -37,9 +37,7 @@ from .quadrature import DEFAULT_TOL, Tolerance
 from .specfun import lobachevsky
 
 __all__ = [
-    "OrthoschemeEdges",
     "OrthoschemeAngles",
-    "NdimOrthoscheme",
     "edges_to_angles",
     "angles_to_edges",
     "delta_from_angles",
@@ -78,29 +76,6 @@ def _perp_angle(t: float, s: float) -> float:
 
 
 @dataclass(frozen=True)
-class OrthoschemeEdges:
-    """Edge lengths a, b, c of an orthoscheme (a perp b, c perp plane(a, b))."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, positive(f"edge {name}", getattr(self, name)))
-
-    @property
-    def z(self) -> float:
-        """Diagonal of the right triangle with legs a, b: cosh z = cosh a cosh b."""
-        return math.acosh(math.cosh(self.a) * math.cosh(self.b))
-
-    @property
-    def z_long(self) -> float:
-        """Diagonal opposite the middle edge: cosh = cosh a cosh b cosh c."""
-        return math.acosh(math.cosh(self.a) * math.cosh(self.b) * math.cosh(self.c))
-
-
-@dataclass(frozen=True)
 class OrthoschemeAngles:
     """Non-right dihedral angles alpha, beta, gamma and the derived delta.
 
@@ -128,32 +103,11 @@ class OrthoschemeAngles:
                                      "delta < min(alpha, gamma, pi/2 - beta)")
 
 
-@dataclass(frozen=True)
-class NdimOrthoscheme:
-    """Edge parameters a_1 .. a_n of an n-dimensional orthoscheme.
-
-    The build path visits the edges in the order a_n, a_1, a_2, ...; for
-    n = 3 the tuple (a_1, a_2, a_3) = (b, c, a) matches the 3-D path (a, b, c).
-    """
-
-    edges: tuple[float, ...]
-
-    def __init__(self, edges):
-        e = tuple(positive("edge", v) for v in sequence("edges", edges))
-        if len(e) < 2:
-            raise DomainError("an orthoscheme needs at least 2 edges")
-        object.__setattr__(self, "edges", e)
-
-    @property
-    def n(self) -> int:
-        return len(self.edges)
-
-
-def _as_edges(edges: OrthoschemeEdges | tuple) -> OrthoschemeEdges:
-    """edges as given when an OrthoschemeEdges, else built from (a, b, c)."""
-    if isinstance(edges, OrthoschemeEdges):
-        return edges
-    return OrthoschemeEdges(*sequence("orthoscheme edges", edges, (3,)))
+def _as_edges(edges) -> tuple[float, float, float]:
+    """Edge lengths (a, b, c) of an orthoscheme (a perp b, c perp plane(a, b)),
+    each checked to be positive."""
+    return tuple(positive(f"edge {name}", v)
+                 for name, v in zip("abc", sequence("orthoscheme edges", edges, (3,))))
 
 
 def _as_angles(angles: OrthoschemeAngles | tuple) -> OrthoschemeAngles:
@@ -180,27 +134,29 @@ def _delta(alpha: float, beta: float, gamma: float) -> float:
     return math.atan(math.sqrt(rad) / (math.cos(alpha) * math.cos(gamma)))
 
 
-def edges_to_angles(edges: OrthoschemeEdges | tuple) -> OrthoschemeAngles:
+def edges_to_angles(edges) -> OrthoschemeAngles:
     """Dihedral angles of the orthoscheme with edges (a, b, c).
 
     alpha = atan(tanh c / sinh b), gamma = atan(tanh a / sinh b),
     tan delta = tanh a tanh c / sinh b, and beta from tan beta =
-    tanh z / tan delta with z the long diagonal.  DomainError for an edge
-    above 710.4759, where sinh and cosh leave the float range.
+    tanh z / tan delta with z the long diagonal, cosh z = cosh a cosh b
+    cosh c.  DomainError for an edge above 710.4759, where sinh and cosh
+    leave the float range.
     """
-    e = _as_edges(edges)
-    for name in ("a", "b", "c"):
-        positive(f"edge {name}", getattr(e, name), SINH_MAX)
-    sb = math.sinh(e.b)
-    alpha = _perp_angle(e.c, e.b)
-    gamma = _perp_angle(e.a, e.b)
-    tan_d = math.tanh(e.a) * math.tanh(e.c) / sb
-    beta = math.atan(math.tanh(e.z_long) / tan_d)
+    a, b, c = _as_edges(edges)
+    for name, v in zip("abc", (a, b, c)):
+        positive(f"edge {name}", v, SINH_MAX)
+    sb = math.sinh(b)
+    alpha = _perp_angle(c, b)
+    gamma = _perp_angle(a, b)
+    tan_d = math.tanh(a) * math.tanh(c) / sb
+    z = math.acosh(math.cosh(a) * math.cosh(b) * math.cosh(c))
+    beta = math.atan(math.tanh(z) / tan_d)
     return OrthoschemeAngles(alpha, beta, gamma, math.atan(tan_d))
 
 
-def angles_to_edges(angles: OrthoschemeAngles) -> OrthoschemeEdges:
-    """Edge lengths from the dihedral angles, inverting edges_to_angles.
+def angles_to_edges(angles: OrthoschemeAngles | tuple) -> tuple[float, float, float]:
+    """Edge lengths (a, b, c) from the dihedral angles, inverting edges_to_angles.
 
     a = atanh(tan delta / tan alpha), c = atanh(tan delta / tan gamma),
     z = atanh(tan delta tan beta) (equivalently the half-log-sine forms),
@@ -224,7 +180,7 @@ def angles_to_edges(angles: OrthoschemeAngles) -> OrthoschemeEdges:
             "angle triple admits no positive middle edge (cosh z < cosh a cosh c)"
         )
     b = math.asinh(math.sqrt(s2))
-    return OrthoschemeEdges(a, b, c)
+    return a, b, c
 
 
 def _log_ratio(b: float, c: float):
@@ -255,7 +211,7 @@ def _log_ratio(b: float, c: float):
     return log_ratio
 
 
-def volume_edges(edges: OrthoschemeEdges | tuple, tol: Tolerance = DEFAULT_TOL) -> float:
+def volume_edges(edges, tol: Tolerance = DEFAULT_TOL) -> float:
     """Orthoscheme volume from the edge lengths alone (curvature 1).
 
     v = 1/4 int_0^b  tanh(l) sinh(a) / sqrt(tanh^2 b cosh^2 l + sinh^2 a sinh^2 l)
@@ -263,17 +219,17 @@ def volume_edges(edges: OrthoschemeEdges | tuple, tol: Tolerance = DEFAULT_TOL) 
 
     DomainError for a or b above 710.4759, where sinh leaves the float range.
     """
-    e = _as_edges(edges)
-    positive("edge a", e.a, SINH_MAX)
-    positive("edge b", e.b, SINH_MAX)
-    ratio = math.tanh(e.b) / math.sinh(e.a)
-    log_ratio = _log_ratio(e.b, e.c)
+    a, b, c = _as_edges(edges)
+    positive("edge a", a, SINH_MAX)
+    positive("edge b", b, SINH_MAX)
+    ratio = math.tanh(b) / math.sinh(a)
+    log_ratio = _log_ratio(b, c)
 
     def f(lam: float) -> float:
         T = math.tanh(lam) / math.hypot(ratio * math.cosh(lam), math.sinh(lam))
-        return T * log_ratio(lam, e.b - lam)
+        return T * log_ratio(lam, b - lam)
 
-    res = quadrature.integrate_1d(f, 0.0, e.b, tol)
+    res = quadrature.integrate_1d(f, 0.0, b, tol)
     return 0.25 * res.value
 
 
@@ -293,7 +249,7 @@ def volume_angles(angles: OrthoschemeAngles | tuple) -> float:
     )
 
 
-def bolyai_integral_1(edges: OrthoschemeEdges | tuple, tol: Tolerance = DEFAULT_TOL) -> float:
+def bolyai_integral_1(edges, tol: Tolerance = DEFAULT_TOL) -> float:
     """Orthoscheme volume by the classical single integral along the edge c.
 
     v = tan(g_p) / (2 tan(b_p)) *
@@ -309,13 +265,13 @@ def bolyai_integral_1(edges: OrthoschemeEdges | tuple, tol: Tolerance = DEFAULT_
     the denominator underflows to 0 (at a = 1, c = 0.6 for b above about
     240; at a = b = 1 for c below about 1e-110).
     """
-    e = _as_edges(edges)
-    positive("edge a", e.a, SINH_MAX)
-    positive("edge b", e.b, SINH_MAX)
-    positive("edge c", e.c, SINH2_MAX)
-    alpha = _perp_angle(e.c, e.b)
-    beta_p = _perp_angle(e.b, e.a)
-    gamma_p = _perp_angle(e.c, e.z)
+    a, b, c = _as_edges(edges)
+    positive("edge a", a, SINH_MAX)
+    positive("edge b", b, SINH_MAX)
+    positive("edge c", c, SINH2_MAX)
+    alpha = _perp_angle(c, b)
+    beta_p = _perp_angle(b, a)
+    gamma_p = _perp_angle(c, math.acosh(math.cosh(a) * math.cosh(b)))
     sa2, ca2 = math.sin(alpha) ** 2, math.cos(alpha) ** 2
     sg2, cg2 = math.sin(gamma_p) ** 2, math.cos(gamma_p) ** 2
 
@@ -327,7 +283,7 @@ def bolyai_integral_1(edges: OrthoschemeEdges | tuple, tol: Tolerance = DEFAULT_
             raise DomainError(f"bolyai_integral_1 denominator underflows to 0 at t = {t!r}")
         return t * sh / den
 
-    res = quadrature.integrate_1d(f, 0.0, e.c, tol)
+    res = quadrature.integrate_1d(f, 0.0, c, tol)
     return 0.5 * math.tan(gamma_p) / math.tan(beta_p) * res.value
 
 
@@ -486,8 +442,12 @@ def _cosh_power_integral(m: int, u: float) -> float:
     return val
 
 
-def volume_ndim(o: NdimOrthoscheme | tuple, tol: Tolerance | None = None) -> float:
-    """n-volume of the n-dimensional orthoscheme by nested quadrature.
+def volume_ndim(edges, tol: Tolerance | None = None) -> float:
+    """n-volume of the n-dimensional orthoscheme with edges a_1 .. a_n by
+    nested quadrature.
+
+    The build path visits the edges in the order a_n, a_1, a_2, ...; for
+    n = 3 the edges (a_1, a_2, a_3) = (b, c, a) match the 3-D path (a, b, c).
 
     Integration order is x_n (outer, over [0, a_n]) then x_1 .. x_{n-1},
     each bounded by tanh(phi_{k+1}) = (tanh a_{k+1} / sinh a_k) sinh x_k
@@ -505,12 +465,13 @@ def volume_ndim(o: NdimOrthoscheme | tuple, tol: Tolerance | None = None) -> flo
     tanh a rounds to 1 and the bounds atanh(u), u = ratio * sinh x, blow up
     at the end of their range; and whenever rounding makes such a u reach 1.
     """
-    o = o if isinstance(o, NdimOrthoscheme) else NdimOrthoscheme(o)
-    n = o.n
-    if not (2 <= n <= 5):
+    a = tuple(positive("edge", v) for v in sequence("edges", edges))
+    n = len(a)
+    if n < 2:
+        raise DomainError("an orthoscheme needs at least 2 edges")
+    if n > 5:
         raise UnsupportedDimensionError(f"volume_ndim supports 2 <= n <= 5, got {n}")
     tol = tol or Tolerance(rel=1e-9, abs=1e-13)
-    a = o.edges
     for v in a:
         positive("edge", v, SINH_MAX)
     if any(math.tanh(v) == 1.0 for v in a[:-1]):

@@ -156,9 +156,9 @@ def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-
     """Volume of ``shape`` at curvature k. Returns (value, method, error estimate).
 
     The evaluator runs at curvature 1 on the parameters rescaled by kind, and
-    value and error are multiplied by k**dim, which reproduces the native k
-    dependence of the closed forms exactly.  The error estimate is 0 for
-    ``EXACT_METHODS`` and the requested bound max(abs, rel |v|) otherwise.
+    value and error are multiplied by k**dim: v_k(params) = k^dim v_1(params / k).
+    The error estimate is 0 for ``EXACT_METHODS`` and the requested bound
+    max(abs, rel |v|) otherwise.
     DomainError when a scaled parameter, k**dim or the scaled volume lies
     beyond the float range (about 1.8e308; for dim 3, k above about 5.6e102).
     """

@@ -5,8 +5,10 @@ Each closed form has a matching one-dimensional quadrature counterpart
 routes can be cross-checked against each other and against the Monte-Carlo
 oracle.
 
-Lengths scale with the curvature constant k; three-dimensional volumes obey
-v_k(params) = k^3 * v_1(params / k) for the length parameters.
+Every solid but the ball is stated at curvature 1: ``shapes.compute_volume``
+extends them to a curvature constant k by v_k(params) = k^3 v_1(params / k),
+lengths scaled by 1/k and areas by 1/k^2.  ``sphere_volume`` keeps its own
+k, for callers that want the ball at general curvature directly.
 
 A volume beyond the float range (about 1.8e308) raises DomainError by either
 route; each closed form's docstring states where that happens.
@@ -34,38 +36,35 @@ __all__ = [
 ]
 
 @in_float_range
-def equidistant_body(p: float, q: float, k: float = 1.0) -> float:
+def equidistant_body(p: float, q: float) -> float:
     """Body of one-sided perpendicular segments of length q over a base of area p.
 
-    Closed form p k sinh(2q/k) / 4 + p q / 2.  DomainError beyond the float
-    range: at p = k = 1, for q above about 355.24.
+    Closed form p sinh(2q) / 4 + p q / 2.  DomainError beyond the float
+    range: at p = 1, for q above about 355.24.
     """
     p = nonnegative("base area p", p)
     q = nonnegative("height q", q)
-    k = positive("k", k)
-    return 0.25 * p * k * math.sinh(2.0 * q / k) + 0.5 * p * q
+    return 0.25 * p * math.sinh(2.0 * q) + 0.5 * p * q
 
 
 @in_float_range
-def equidistant_body_by_quadrature(p, q, k=1.0, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Same body via the profile integral p * int_0^q cosh^2(t/k) dt; DomainError
+def equidistant_body_by_quadrature(p, q, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Same body via the profile integral p * int_0^q cosh^2 t dt; DomainError
     where the closed form raises it."""
     p = nonnegative("base area p", p)
     q = nonnegative("height q", q)
-    k = positive("k", k)
-    res = quadrature.integrate_1d(lambda t: math.cosh(t / k) ** 2, 0.0, q, tol)
+    res = quadrature.integrate_1d(lambda t: math.cosh(t) ** 2, 0.0, q, tol)
     return p * res.value
 
 
 @in_float_range
-def paraspherical_sector(p: float, k: float = 1.0) -> float:
-    """Sector of parallel half-lines over a horospherical base of area p: p k / 2.
+def paraspherical_sector(p: float) -> float:
+    """Sector of parallel half-lines over a horospherical base of area p: p / 2.
 
-    DomainError when p k / 2 lies beyond the float range.
+    DomainError when p / 2 lies beyond the float range.
     """
     p = nonnegative("base area p", p)
-    k = positive("k", k)
-    return 0.5 * p * k
+    return 0.5 * p
 
 
 @in_float_range
@@ -86,38 +85,35 @@ def sphere_volume(x: float, k: float = 1.0) -> float:
 
 
 @in_float_range
-def sphere_volume_by_quadrature(x, k=1.0, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Same ball via the radial shell integral 4 pi k^2 int_0^x sinh^2(r/k) dr;
-    DomainError where the closed form raises it."""
+def sphere_volume_by_quadrature(x, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Same ball (at curvature 1) via the radial shell integral
+    4 pi int_0^x sinh^2 r dr; DomainError where the closed form raises it."""
     x = nonnegative("radius x", x)
-    k = positive("k", k)
-    res = quadrature.integrate_1d(lambda r: math.sinh(r / k) ** 2, 0.0, x, tol)
-    return 4.0 * math.pi * k ** 2 * res.value
+    res = quadrature.integrate_1d(lambda r: math.sinh(r) ** 2, 0.0, x, tol)
+    return 4.0 * math.pi * res.value
 
 
 @in_float_range
-def barrel(p: float, q: float, k: float = 1.0) -> float:
-    """Tube of radius q around a segment of length p: pi k^2 p sinh^2(q/k).
+def barrel(p: float, q: float) -> float:
+    """Tube of radius q around a segment of length p: pi p sinh^2 q.
 
     The body is the union of perpendicular disks along the segment (the
     spherical caps beyond the segment ends are not part of it).  DomainError
-    beyond the float range: at p = k = 1, for q above about 355.01.
+    beyond the float range: at p = 1, for q above about 355.01.
     """
     p = nonnegative("segment length p", p)
     q = nonnegative("tube radius q", q)
-    k = positive("k", k)
-    return math.pi * k ** 2 * p * math.sinh(q / k) ** 2
+    return math.pi * p * math.sinh(q) ** 2
 
 
 @in_float_range
-def barrel_by_quadrature(p, q, k=1.0, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Same tube via shells: p * 2 pi k int_0^q sinh(t/k) cosh(t/k) dt; DomainError
+def barrel_by_quadrature(p, q, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Same tube via shells: p * 2 pi int_0^q sinh t cosh t dt; DomainError
     where the closed form raises it."""
     p = nonnegative("segment length p", p)
     q = nonnegative("tube radius q", q)
-    k = positive("k", k)
-    res = quadrature.integrate_1d(lambda t: math.sinh(t / k) * math.cosh(t / k), 0.0, q, tol)
-    return 2.0 * math.pi * k * p * res.value
+    res = quadrature.integrate_1d(lambda t: math.sinh(t) * math.cosh(t), 0.0, q, tol)
+    return 2.0 * math.pi * p * res.value
 
 
 @in_float_range
@@ -134,22 +130,19 @@ def barrel_wedge(p: float, T: float) -> float:
 
 
 @in_float_range
-def circular_cone(b: float, beta: float, tol: Tolerance = DEFAULT_TOL, k: float = 1.0) -> float:
+def circular_cone(b: float, beta: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Cone over a circle of radius b with half-angle beta at the apex.
 
-    Profile integral (curvature 1):
+    Profile integral:
 
         v = pi int_0^b sinh^2 y / (cosh y sqrt(cosh^2 y / cos^2 beta - 1)) dy
 
     with cosh^2 y / cos^2 beta - 1 evaluated as (sinh^2 y + sin^2 beta) /
-    cos^2 beta, which does not cancel as y and beta go to 0.  General k is
-    handled by the scaling identity v_k(b, beta) = k^3 v_1(b/k, beta).
-    DomainError for b/k above 355.5845, where sinh^2 y leaves the float
-    range, and when the denominator underflows to 0 (b/k and beta both
-    below about 1e-154).
+    cos^2 beta, which does not cancel as y and beta go to 0.  DomainError
+    for b above 355.5845, where sinh^2 y leaves the float range, and when
+    the denominator underflows to 0 (b and beta both below about 1e-154).
     """
-    k = positive("k", k)
-    b1 = nonnegative("base radius b", b, k * SINH2_MAX) / k
+    b = nonnegative("base radius b", b, SINH2_MAX)
     beta = angle("half-angle beta", beta, 0.5 * math.pi)
     sb2, cb2 = math.sin(beta) ** 2, math.cos(beta) ** 2
 
@@ -160,23 +153,21 @@ def circular_cone(b: float, beta: float, tol: Tolerance = DEFAULT_TOL, k: float 
             raise DomainError(f"cone profile denominator underflows to 0 at y = {y!r}")
         return sh2 / den
 
-    res = quadrature.integrate_1d(f, 0.0, b1, tol)
-    return k ** 3 * math.pi * res.value
+    res = quadrature.integrate_1d(f, 0.0, b, tol)
+    return math.pi * res.value
 
 
 @in_float_range
-def asymptotic_cone(b: float, k: float = 1.0) -> float:
+def asymptotic_cone(b: float) -> float:
     """Cone over a circle of radius b whose apex is an ideal point: pi ln cosh b.
 
-    Stated at curvature 1; general k by v_k(b) = k^3 v_1(b/k).  Where cosh b/k
-    overflows (b/k above about 710.48), ln cosh b/k = b/k - ln 2 to rounding,
-    so the value stays finite; DomainError only when it lies beyond the float
-    range, that is when pi k^2 b exceeds about 1.8e308.
+    Where cosh b overflows (b above about 710.48), ln cosh b = b - ln 2 to
+    rounding, so the value stays finite; DomainError only when it lies
+    beyond the float range, that is when pi b exceeds about 1.8e308.
     """
     b = nonnegative("base radius b", b)
-    k = positive("k", k)
     try:
-        log_cosh = math.log(math.cosh(b / k))
+        log_cosh = math.log(math.cosh(b))
     except OverflowError:
-        log_cosh = b / k - math.log(2.0)
-    return k ** 3 * math.pi * log_cosh
+        log_cosh = b - math.log(2.0)
+    return math.pi * log_cosh

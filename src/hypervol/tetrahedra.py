@@ -9,6 +9,8 @@ sit at A = (0,1), B = (0,2), C = (1,2), D = (2,3), E = (1,3), F = (0,3).  Such
 angles belong to a compact tetrahedron exactly when the Gram matrix G
 (G_ii = 1, G_ij = -cos) has det G < 0 and every cofactor c_ij > 0 (Ushijima
 2006).  A vertex with c_ii = 0 is ideal; c_ii >= -1e-12 is accepted as such.
+The six angles are passed as one plain sequence (A, B, C, D, E, F), and
+`dm_coefficients` returns the root interval as the pair (z1, z2).
 All formulas are stated at curvature 1.
 """
 
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from . import quadrature
 from .errors import DomainError, NotRealizableError, angle, number, sequence
@@ -24,8 +25,6 @@ from .quadrature import DEFAULT_TOL, Tolerance
 from .specfun import clausen2, lobachevsky
 
 __all__ = [
-    "TetraDihedrals",
-    "DMCoefficients",
     "milnor_ideal",
     "dm_coefficients",
     "derevnin_mednykh",
@@ -36,44 +35,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TetraDihedrals:
-    """Six dihedral angles of a tetrahedron; opposite pairs (A,D), (B,E), (C,F)."""
-
-    A: float
-    B: float
-    C: float
-    D: float
-    E: float
-    F: float
-
-    def __post_init__(self):
-        for name in "ABCDEF":
-            object.__setattr__(self, name, angle(f"dihedral angle {name}", getattr(self, name),
-                                                 math.pi))
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.A, self.B, self.C, self.D, self.E, self.F)
-
-
-def _dihedrals(t: TetraDihedrals | tuple) -> TetraDihedrals:
-    """t as given when a TetraDihedrals, else built from (A, B, C, D, E, F)."""
-    if isinstance(t, TetraDihedrals):
-        return t
-    return TetraDihedrals(*sequence("dihedral angles", t, (6,)))
-
-
-@dataclass(frozen=True)
-class DMCoefficients:
-    """Auxiliary data for the tetrahedron volume integral."""
-
-    S: float
-    k1: float
-    k2: float
-    k3: float
-    k4: float
-    z1: float
-    z2: float
+def _dihedrals(t) -> tuple[float, ...]:
+    """The six dihedral angles (A, B, C, D, E, F), opposite pairs (A,D), (B,E),
+    (C,F), each checked to lie in (0, pi)."""
+    return tuple(angle(f"dihedral angle {name}", v, math.pi)
+                 for name, v in zip("ABCDEF", sequence("dihedral angles", t, (6,))))
 
 
 def milnor_ideal(A: float, B: float, C: float) -> float:
@@ -84,14 +50,14 @@ def milnor_ideal(A: float, B: float, C: float) -> float:
     return lobachevsky(A) + lobachevsky(B) + lobachevsky(C)
 
 
-def _log_argument(t: TetraDihedrals):
+def _log_argument(t: tuple[float, ...]):
     """z -> (numerator, denominator) of the volume integrand's log argument,
     prod cos((A+B+C+z)/2) ... and prod sin((A+B+D+E+z)/2) ... sin(z/2).
 
     The half angle sums are taken once; halving is exact, so each argument
     is bit for bit the (sum + z) / 2 of the formula.
     """
-    A, B, C, D, E, F = t.as_tuple()
+    A, B, C, D, E, F = t
     p, q, r, s = 0.5 * (A + B + C), 0.5 * (A + E + F), 0.5 * (B + D + F), 0.5 * (C + D + E)
     w, x, y = 0.5 * (A + B + D + E), 0.5 * (A + C + D + F), 0.5 * (B + C + E + F)
     cos, sin = math.cos, math.sin
@@ -104,18 +70,20 @@ def _log_argument(t: TetraDihedrals):
     return log_argument
 
 
-def dm_coefficients(t: TetraDihedrals | tuple) -> DMCoefficients:
-    """Root data (S, k1..k4, z1, z2) for the tetrahedron volume integral.
+def dm_coefficients(t) -> tuple[float, float]:
+    """Roots (z1, z2) of the tetrahedron volume integral, where the
+    integrand's log argument equals 1.
 
-    z1,2 = atan2(k2, k1) -/+ atan(k4 / k3), where the integrand's log argument
-    equals 1.  NotRealizableError unless the Gram criterion holds for faces
-    0..3 at A = (0,1), B = (0,2), C = (1,2), D = (2,3), E = (1,3), F = (0,3)
-    and G_ii = 1, G_ij = -cos: k4^2 = k1^2 + k2^2 - k3^2 = -4 det G > 0 and
+    With S = A + ... + F, k1 = -(cos S + cos(A+D) + ...), k2 = sin S +
+    sin(A+D) + ..., k3 = 2 (sin A sin D + sin B sin E + sin C sin F) and
+    k4 = sqrt(k1^2 + k2^2 - k3^2): z1,2 = atan2(k2, k1) -/+ atan(k4 / k3).
+    NotRealizableError unless the Gram criterion holds for faces 0..3 at
+    A = (0,1), B = (0,2), C = (1,2), D = (2,3), E = (1,3), F = (0,3) and
+    G_ii = 1, G_ij = -cos: k4^2 = k1^2 + k2^2 - k3^2 = -4 det G > 0 and
     the ten cofactors c_ij > 0, save that an ideal vertex (c_ii = 0, angle sum
     pi) is accepted down to c_ii = -1e-12, far above rounding at a sum of pi.
     """
-    t = _dihedrals(t)
-    A, B, C, D, E, F = t.as_tuple()
+    A, B, C, D, E, F = _dihedrals(t)
     S = A + B + C + D + E + F
     k1 = -(
         math.cos(S) + math.cos(A + D) + math.cos(B + E) + math.cos(C + F)
@@ -155,10 +123,10 @@ def dm_coefficients(t: TetraDihedrals | tuple) -> DMCoefficients:
     z1, z2 = center - half, center + half
     if not z1 < z2:
         raise NotRealizableError("degenerate root interval (z1 >= z2)")
-    return DMCoefficients(S, k1, k2, k3, k4, z1, z2)
+    return z1, z2
 
 
-def derevnin_mednykh(t: TetraDihedrals | tuple, tol: Tolerance = DEFAULT_TOL) -> float:
+def derevnin_mednykh(t, tol: Tolerance = DEFAULT_TOL) -> float:
     """Tetrahedron volume by the root-interval integral
 
     -1/4 int_{z1}^{z2} log( prod cos / prod sin ) dz.
@@ -173,7 +141,7 @@ def derevnin_mednykh(t: TetraDihedrals | tuple, tol: Tolerance = DEFAULT_TOL) ->
     root is 0, and is read as 0.
     """
     t = _dihedrals(t)
-    co = dm_coefficients(t)
+    z1, z2 = dm_coefficients(t)
     log_argument = _log_argument(t)
     log = math.log
 
@@ -183,11 +151,11 @@ def derevnin_mednykh(t: TetraDihedrals | tuple, tol: Tolerance = DEFAULT_TOL) ->
         # log zero hit exactly stays finite
         return log(abs(num) or 5e-324) - log(abs(den) or 5e-324)
 
-    res = quadrature.integrate_from_zero(f, max(co.z1, 0.0), co.z2, tol)
+    res = quadrature.integrate_from_zero(f, max(z1, 0.0), z2, tol)
     return -0.25 * res.value
 
 
-def murakami_yano(t: TetraDihedrals | tuple) -> float:
+def murakami_yano(t) -> float:
     """Tetrahedron volume as a closed Clausen-function combination.
 
     With the same roots z1, z2 as the integral form and real arguments
@@ -198,8 +166,8 @@ def murakami_yano(t: TetraDihedrals | tuple) -> float:
         - Cl2(pi+B+D+F+z) - Cl2(pi+C+D+E+z) ].
     """
     t = _dihedrals(t)
-    co = dm_coefficients(t)
-    A, B, C, D, E, F = t.as_tuple()
+    z1, z2 = dm_coefficients(t)
+    A, B, C, D, E, F = t
 
     def im_u(z: float) -> float:
         pos = (z, A + B + D + E + z, A + C + D + F + z, B + C + E + F + z)
@@ -213,22 +181,22 @@ def murakami_yano(t: TetraDihedrals | tuple) -> float:
             math.fsum(clausen2(x) for x in pos) - math.fsum(clausen2(x) for x in neg)
         )
 
-    return 0.5 * (im_u(co.z1) - im_u(co.z2))
+    return 0.5 * (im_u(z1) - im_u(z2))
 
 
-def sample_near_ideal(count: int, seed: int) -> list[TetraDihedrals]:
+def sample_near_ideal(count: int, seed: int) -> list[tuple[float, ...]]:
     """Draw compact tetrahedra near ideal ones, deterministic for a fixed seed:
     A, B uniform in (0.7, 1.2), C = pi - A - B, each of (A, B, C, A, B, C)
     moved by a uniform amount in (-0.05, 0.05), kept when `dm_coefficients`
     accepts it."""
     count, seed = number("count", count, int), number("seed", seed, int)
     rng = random.Random(seed)
-    out: list[TetraDihedrals] = []
+    out: list[tuple[float, ...]] = []
     while len(out) < count:
         A = rng.uniform(0.7, 1.2)
         B = rng.uniform(0.7, 1.2)
         C = math.pi - A - B
-        t = TetraDihedrals(*(v + rng.uniform(-0.05, 0.05) for v in (A, B, C, A, B, C)))
+        t = _dihedrals([v + rng.uniform(-0.05, 0.05) for v in (A, B, C, A, B, C)])
         try:
             dm_coefficients(t)
         except NotRealizableError:

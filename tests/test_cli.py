@@ -182,7 +182,7 @@ def test_crosscheck_tetrahedra_rows_are_the_two_routes(capsys):
     assert len(recs) == len(cases)
     for rec, t in zip(recs, cases):
         assert rec["pass"]
-        assert rec["inputs"] == dict(zip("ABCDEF", t.as_tuple()))
+        assert rec["inputs"] == dict(zip("ABCDEF", t))
         assert rec["values"] == {"derevnin-mednykh": tetrahedra.derevnin_mednykh(t, tol),
                                  "murakami-yano": tetrahedra.murakami_yano(t)}
 

@@ -93,7 +93,7 @@ def test_paracycle_brick_volume():
     inf = float("inf")
     assert paracycle_brick_volume((1.0, 1.0, inf), k=1.0) == pytest.approx(0.5)
     assert paracycle_brick_volume((1.0, 1.0, inf), k=1.0) == pytest.approx(
-        solids.paraspherical_sector(1.0, 1.0)
+        solids.paraspherical_sector(1.0)
     )
     # a_n -> infinity with unit base: k / (n - 1)
     assert paracycle_brick_volume((1.0, 1.0, 1.0, inf), k=1.5) == pytest.approx(1.5 / 3)

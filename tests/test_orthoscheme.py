@@ -14,10 +14,8 @@ import pytest
 from hypervol import quadrature, shapes
 from hypervol.errors import DomainError, NotRealizableError, UnsupportedDimensionError
 from hypervol.orthoscheme import (
-    NdimOrthoscheme,
     _cosh_power_integral,
     OrthoschemeAngles,
-    OrthoschemeEdges,
     angles_to_edges,
     area_right_triangle,
     bolyai_asymptotic_1,
@@ -51,12 +49,15 @@ REGULAR_IDEAL_MAX = 1.0149416064096536  # 3 L(pi/3)
 
 
 def test_edge_type_diagonals():
-    e = OrthoschemeEdges(1.0, 1.0, 1.0)
-    assert e.z == pytest.approx(math.acosh(math.cosh(1.0) ** 2), rel=1e-14)
-    assert e.z_long == pytest.approx(math.acosh(math.cosh(1.0) ** 3), rel=1e-14)
-    assert e.z >= max(e.a, e.b)
-    with pytest.raises(DomainError):
-        OrthoschemeEdges(0.0, 1.0, 1.0)
+    # edges are plain (a, b, c) tuples; the long diagonal, cosh z = cosh a
+    # cosh b cosh c, carries beta: tan beta tan delta = tanh z
+    ang = edges_to_angles((1.0, 1.0, 1.0))
+    z = math.acosh(math.cosh(1.0) ** 3)
+    assert math.tan(ang.beta) * math.tan(ang.delta) == pytest.approx(math.tanh(z), rel=1e-14)
+    for route in (edges_to_angles, volume_edges, bolyai_integral_1):
+        for bad in ((0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, math.nan), (1.0, 1.0)):
+            with pytest.raises(DomainError):
+                route(bad)
 
 
 def test_volume_edges_frozen_values():
@@ -65,14 +66,14 @@ def test_volume_edges_frozen_values():
 
 
 def test_edges_to_angles_relations():
-    e = OrthoschemeEdges(1.0, 1.0, 1.0)
-    ang = edges_to_angles(e)
+    a, b, c = 1.0, 1.0, 1.0
+    ang = edges_to_angles((a, b, c))
     # defining relations of delta
     assert math.tan(ang.delta) == pytest.approx(
-        math.tanh(e.a) * math.tan(ang.alpha), abs=1e-12
+        math.tanh(a) * math.tan(ang.alpha), abs=1e-12
     )
     assert math.tan(ang.delta) == pytest.approx(
-        math.tanh(e.c) * math.tan(ang.gamma), abs=1e-12
+        math.tanh(c) * math.tan(ang.gamma), abs=1e-12
     )
     # symmetric edges give alpha = gamma
     assert ang.alpha == pytest.approx(ang.gamma, abs=1e-14)
@@ -84,14 +85,10 @@ def test_edges_to_angles_relations():
 def test_angles_to_edges_round_trip():
     rng = random.Random(42)
     for _ in range(50):
-        e = OrthoschemeEdges(
-            rng.uniform(0.1, 2.5), rng.uniform(0.1, 2.5), rng.uniform(0.1, 2.5)
-        )
+        e = (rng.uniform(0.1, 2.5), rng.uniform(0.1, 2.5), rng.uniform(0.1, 2.5))
         ang = edges_to_angles(e)
         back = angles_to_edges(ang)
-        assert abs(back.a - e.a) < 1e-10
-        assert abs(back.b - e.b) < 1e-10
-        assert abs(back.c - e.c) < 1e-10
+        assert all(abs(x - y) < 1e-10 for x, y in zip(back, e))
         # delta from angles alone agrees with the conversion delta
         assert delta_from_angles(ang.alpha, ang.beta, ang.gamma) == pytest.approx(
             ang.delta, abs=1e-10
@@ -100,18 +97,18 @@ def test_angles_to_edges_round_trip():
 
 def test_edges_to_angles_limits():
     # growing middle edge sends alpha, gamma, delta to 0
-    ang = edges_to_angles(OrthoschemeEdges(1.0, 6.0, 1.0))
+    ang = edges_to_angles((1.0, 6.0, 1.0))
     assert ang.alpha < 4e-3 and ang.gamma < 4e-3 and ang.delta < 4e-3
 
 
 def test_delta_approaches_alpha_for_long_first_edge():
     # tan delta = tanh a tan alpha -> tan alpha as a grows, and the inverse
     # map a = atanh(tan delta / tan alpha) diverges logarithmically
-    d1 = edges_to_angles(OrthoschemeEdges(1.0, 0.9, 0.7))
-    d2 = edges_to_angles(OrthoschemeEdges(4.0, 0.9, 0.7))
+    d1 = edges_to_angles((1.0, 0.9, 0.7))
+    d2 = edges_to_angles((4.0, 0.9, 0.7))
     assert d2.alpha == pytest.approx(d1.alpha, abs=1e-14)  # alpha has no a-dependence
     assert d2.alpha - d2.delta < d1.alpha - d1.delta
-    assert angles_to_edges(d2).a == pytest.approx(4.0, abs=1e-9)
+    assert angles_to_edges(d2)[0] == pytest.approx(4.0, abs=1e-9)
 
 
 def test_not_realizable_angle_triples():
@@ -134,11 +131,11 @@ def test_flagship_angles_vs_edges():
 
 
 def test_volume_angles_symmetry_and_degenerate_limit():
-    ang = edges_to_angles(OrthoschemeEdges(0.8, 1.1, 1.4))
+    ang = edges_to_angles((0.8, 1.1, 1.4))
     swapped = OrthoschemeAngles(ang.gamma, ang.beta, ang.alpha, ang.delta)
     assert volume_angles(ang) == pytest.approx(volume_angles(swapped), abs=1e-14)
     # shrinking orthoschemes have vanishing volume
-    tiny = edges_to_angles(OrthoschemeEdges(1e-3, 1e-3, 1e-3))
+    tiny = edges_to_angles((1e-3, 1e-3, 1e-3))
     assert volume_angles(tiny) < 1e-8
 
 
@@ -267,8 +264,8 @@ def test_ndim_euclidean_limits():
 def test_ndim_dimension_guard():
     with pytest.raises(UnsupportedDimensionError):
         volume_ndim((0.5, 0.5, 0.5, 0.5, 0.5, 0.5))
-    with pytest.raises(DomainError):
-        NdimOrthoscheme((1.0,))
+    with pytest.raises(DomainError, match="at least 2 edges"):
+        volume_ndim((1.0,))
 
 
 def test_curvature_scaling_against_coordinate_volume():

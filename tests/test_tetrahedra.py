@@ -80,20 +80,18 @@ def test_milnor_validation():
 # ---------------------------------------------------------------------------
 
 def test_dm_coefficients_regular_ideal():
-    co = dm_coefficients(ideal_symmetric(P3, P3, P3))
-    assert co.k4 >= 0.0
-    assert co.z1 == pytest.approx(0.0, abs=1e-12)
-    assert co.z2 == pytest.approx(P3, abs=1e-12)
-    assert co.k3 > 0.0
+    z1, z2 = dm_coefficients(ideal_symmetric(P3, P3, P3))
+    assert z1 == pytest.approx(0.0, abs=1e-12)
+    assert z2 == pytest.approx(P3, abs=1e-12)
 
 
 def test_dm_root_residuals_on_realizable_samples():
     for t in sample_near_ideal(10, seed=31):
-        co = dm_coefficients(t)
-        for z in (co.z1, co.z2):
+        z1, z2 = dm_coefficients(t)
+        for z in (z1, z2):
             num, den = _log_argument(t)(z)
             assert abs(num - den) <= 1e-8 * max(1.0, abs(num), abs(den))
-        assert co.z1 < co.z2
+        assert z1 < z2
 
 
 def test_dm_rejects_degenerate_small_angles():

@@ -177,6 +177,9 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
         ["convert", "edges-to-angles", "--a", "1", "--b", "1", "--c", "1", "--k", "0"],
         ["convert", "angles-to-edges", "--alpha", "0.54", "--beta", "1.1", "--gamma", "0.71",
          "--k", "-1"],
+        # an edge the edge check refuses, and one past the float range of cosh
+        ["convert", "edges-to-angles", "--a", "0", "--b", "1", "--c", "1"],
+        ["convert", "edges-to-angles", "--a", "800", "--b", "1", "--c", "1"],
         ["crosscheck", "nowhere"],
         ["batch", jobs["blocked"]],
         ["batch", jobs["out-of-range"]],
