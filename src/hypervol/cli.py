@@ -22,9 +22,9 @@ the unconverged integral reached (at curvature 1), with its error estimate
 and evaluation count.
 
 Shapes, their parameters and their volume routes, the crosscheck columns
-among them, come from the table in ``hypervol.shapes``; every volume is
-computed at curvature 1 with the length/area parameters rescaled, then
-multiplied by k**dim.
+among them, come from the table in ``hypervol.shapes``; every volume and
+Monte-Carlo estimate is computed at curvature 1 with the length/area
+parameters rescaled, then multiplied by k**dim.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Sequence
 from . import orthoscheme, tetrahedra
 from .errors import ConvergenceError, DomainError, NotRealizableError, positive
 from .quadrature import Tolerance
-from .shapes import MC_SHAPES, SHAPES, collect_params, compute_volume, parse_job
+from .shapes import MC_SHAPES, SHAPES, collect_params, compute_volume, mc_estimate, parse_job
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -160,9 +160,7 @@ def _volume_record(shape: str, params: dict, k: float, reltol: float) -> dict:
 
 def _mc_fields(shape: str, params: dict, k: float, analytic: float, samples, seed) -> dict:
     """Monte-Carlo estimate of the shape's volume and its z-score against ``analytic``."""
-    from . import mc_oracle  # numpy loads here, on the first Monte-Carlo path
-
-    est = mc_oracle.estimate(SHAPES[shape].mc_region(*params.values(), k=k), samples, seed)
+    est = mc_estimate(shape, params, k, samples, seed)
     z = (est.mean - analytic) / est.stderr if est.stderr > 0 else 0.0
     return {"mc_mean": est.mean, "mc_stderr": est.stderr, "z_score": z,
             "samples": est.samples, "seed": est.seed}

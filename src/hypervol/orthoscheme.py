@@ -103,11 +103,12 @@ class OrthoschemeAngles:
                                      "delta < min(alpha, gamma, pi/2 - beta)")
 
 
-def _as_edges(edges) -> tuple[float, float, float]:
+def _as_edges(edges, limits: tuple[float, float, float]) -> tuple[float, float, float]:
     """Edge lengths (a, b, c) of an orthoscheme (a perp b, c perp plane(a, b)),
-    each checked to be positive."""
-    return tuple(positive(f"edge {name}", v)
-                 for name, v in zip("abc", sequence("orthoscheme edges", edges, (3,))))
+    each checked to be positive and at most its limit, the route's float-range
+    threshold for that edge."""
+    return tuple(positive(f"edge {name}", v, limit) for name, v, limit
+                 in zip("abc", sequence("orthoscheme edges", edges, (3,)), limits))
 
 
 def _as_angles(angles: OrthoschemeAngles | tuple) -> OrthoschemeAngles:
@@ -143,9 +144,7 @@ def edges_to_angles(edges) -> OrthoschemeAngles:
     cosh c.  DomainError for an edge above 710.4759, where sinh and cosh
     leave the float range.
     """
-    a, b, c = _as_edges(edges)
-    for name, v in zip("abc", (a, b, c)):
-        positive(f"edge {name}", v, SINH_MAX)
+    a, b, c = _as_edges(edges, (SINH_MAX,) * 3)
     sb = math.sinh(b)
     alpha = _perp_angle(c, b)
     gamma = _perp_angle(a, b)
@@ -219,9 +218,7 @@ def volume_edges(edges, tol: Tolerance = DEFAULT_TOL) -> float:
 
     DomainError for a or b above 710.4759, where sinh leaves the float range.
     """
-    a, b, c = _as_edges(edges)
-    positive("edge a", a, SINH_MAX)
-    positive("edge b", b, SINH_MAX)
+    a, b, c = _as_edges(edges, (SINH_MAX, SINH_MAX, math.inf))
     ratio = math.tanh(b) / math.sinh(a)
     log_ratio = _log_ratio(b, c)
 
@@ -265,10 +262,7 @@ def bolyai_integral_1(edges, tol: Tolerance = DEFAULT_TOL) -> float:
     the denominator underflows to 0 (at a = 1, c = 0.6 for b above about
     240; at a = b = 1 for c below about 1e-110).
     """
-    a, b, c = _as_edges(edges)
-    positive("edge a", a, SINH_MAX)
-    positive("edge b", b, SINH_MAX)
-    positive("edge c", c, SINH2_MAX)
+    a, b, c = _as_edges(edges, (SINH_MAX, SINH_MAX, SINH2_MAX))
     alpha = _perp_angle(c, b)
     beta_p = _perp_angle(b, a)
     gamma_p = _perp_angle(c, math.acosh(math.cosh(a) * math.cosh(b)))
@@ -465,15 +459,13 @@ def volume_ndim(edges, tol: Tolerance | None = None) -> float:
     tanh a rounds to 1 and the bounds atanh(u), u = ratio * sinh x, blow up
     at the end of their range; and whenever rounding makes such a u reach 1.
     """
-    a = tuple(positive("edge", v) for v in sequence("edges", edges))
+    a = tuple(positive("edge", v, SINH_MAX) for v in sequence("edges", edges))
     n = len(a)
     if n < 2:
         raise DomainError("an orthoscheme needs at least 2 edges")
     if n > 5:
         raise UnsupportedDimensionError(f"volume_ndim supports 2 <= n <= 5, got {n}")
     tol = tol or Tolerance(rel=1e-9, abs=1e-13)
-    for v in a:
-        positive("edge", v, SINH_MAX)
     if any(math.tanh(v) == 1.0 for v in a[:-1]):
         raise DomainError(f"edges {a[:-1]} include one whose tanh rounds to 1 (above 19.0615)")
     ratios = [math.tanh(a[0]) / math.sinh(a[n - 1])]

@@ -5,7 +5,10 @@ One ``Shape`` entry per name holds the shape's parameters with their kinds
 its dimension, the method label of its volume route, the evaluator at
 curvature 1, and, where they exist, the Monte-Carlo region builder and the
 named routes that ``crosscheck`` compares: the shape's own evaluator under
-its column name next to independent routes to the same volume.
+its column name next to independent routes to the same volume.  Both the
+evaluators and the region builders work at curvature 1; ``compute_volume``
+and ``mc_estimate`` rescale the parameters by kind and scale the result by
+k**dim.
 
 Evaluators and builders look their library functions up when called, not
 when this module is imported, so wrappers installed on those module
@@ -16,7 +19,7 @@ attributes see every call.  The region builders also import ``mc_oracle``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 from . import orthoscheme, solids, tetrahedra
@@ -26,7 +29,8 @@ from .quadrature import Tolerance
 if TYPE_CHECKING:
     from . import mc_oracle
 
-__all__ = ["Shape", "SHAPES", "MC_SHAPES", "compute_volume", "collect_params", "parse_job"]
+__all__ = ["Shape", "SHAPES", "MC_SHAPES", "compute_volume", "mc_estimate", "collect_params",
+           "parse_job"]
 
 # methods whose value carries no truncation error: their error estimate is 0
 EXACT_METHODS = ("closed-form", "lobachevsky-series", "clausen-series")
@@ -39,8 +43,8 @@ class Shape:
     ``params`` maps names to kinds in call and record order; ``dim`` is None
     when the dimension is the number of edges.  The callables take the
     parameter values positionally: ``evaluate(*values, tol=tol)`` is the
-    volume at curvature 1, and ``mc_region(*values, k=k)`` builds the
-    Monte-Carlo region from unscaled values.  ``routes`` maps crosscheck
+    volume at curvature 1, and ``mc_region(*values)`` builds the
+    Monte-Carlo region at curvature 1.  ``routes`` maps crosscheck
     column names, in record order, to volume routes called like
     ``evaluate``; a route given as None is ``evaluate`` itself.
     """
@@ -62,33 +66,27 @@ def _mc():
     return mc_oracle
 
 
-def _equidistant_slab(p: float, q: float, k: float) -> mc_oracle.Region:
-    # base box with the requested area: w2 fixed at 0.5 k, w1 from p
-    w2 = 0.5 * k
-    w1 = k * math.asinh(p / (4.0 * k * w2))
-    return _mc().region_slab((w1, w2), q, k)
-
-
 _SIX = dict.fromkeys("ABCDEF", "R")
 
 SHAPES: dict[str, Shape] = {
     "sphere": Shape({"x": "L"}, 3, "closed-form", lambda x, tol: solids.sphere_volume(x),
-                    mc_region=lambda x, k: _mc().region_ball(x, k),
+                    mc_region=lambda x: _mc().region_ball(x),
                     routes={"closed": None, "quadrature": lambda x, tol:
                             solids.sphere_volume_by_quadrature(x, tol=tol)}),
     "barrel": Shape({"p": "L", "q": "L"}, 3, "closed-form",
                     lambda p, q, tol: solids.barrel(p, q),
-                    mc_region=lambda p, q, k: _mc().region_barrel(p, q, k),
+                    mc_region=lambda p, q: _mc().region_barrel(p, q),
                     routes={"closed": None, "quadrature": lambda p, q, tol:
                             solids.barrel_by_quadrature(p, q, tol=tol)}),
     "barrel-wedge": Shape({"p": "L", "T": "A"}, 3, "closed-form",
                           lambda p, T, tol: solids.barrel_wedge(p, T)),
     "cone": Shape({"b": "L", "beta": "R"}, 3, "quadrature",
                   lambda b, beta, tol: solids.circular_cone(b, beta, tol),
-                  mc_region=lambda b, beta, k: _mc().region_cone(b, beta, k)),
+                  mc_region=lambda b, beta: _mc().region_cone(b, beta)),
     "equidistant": Shape({"p": "A", "q": "L"}, 3, "closed-form",
                          lambda p, q, tol: solids.equidistant_body(p, q),
-                         mc_region=_equidistant_slab,
+                         # base box of area p = 4 w2 sinh w1: w2 fixed at 0.5, w1 from p
+                         mc_region=lambda p, q: _mc().region_slab((math.asinh(p / 2), 0.5), q),
                          routes={"closed": None, "quadrature": lambda p, q, tol:
                                  solids.equidistant_body_by_quadrature(p, q, tol=tol)}),
     "sector": Shape({"p": "A"}, 3, "closed-form", lambda p, tol: solids.paraspherical_sector(p)),
@@ -96,8 +94,8 @@ SHAPES: dict[str, Shape] = {
                              lambda b, tol: solids.asymptotic_cone(b)),
     "orthoscheme-edges": Shape({"a": "L", "b": "L", "c": "L"}, 3, "quadrature",
                                lambda *e, tol: orthoscheme.volume_edges(e, tol),
-                               mc_region=lambda a, b, c, k: _mc().region_simplex(
-                                   _mc().orthoscheme_vertices(a, b, c, k), k)),
+                               mc_region=lambda a, b, c: _mc().region_simplex(
+                                   _mc().orthoscheme_vertices(a, b, c))),
     "orthoscheme-angles": Shape({"alpha": "R", "beta": "R", "gamma": "R"}, 3, "lobachevsky-series",
                                 lambda *a, tol: orthoscheme.volume_angles(a),
                                 routes={"angles": None,
@@ -151,25 +149,50 @@ def _lookup(shape) -> Shape:
     return SHAPES[shape]
 
 
+def _at_curvature_1(entry: Shape, params: dict, k) -> tuple[tuple, float]:
+    """(the parameter values rescaled by kind to curvature 1, k**dim), by
+    v_k(params) = k^dim v_1(params / k)."""
+    k = positive("k", k)
+    p1 = tuple(_SCALE[kind](params[name], k) for name, kind in entry.params.items())
+    return p1, k ** (len(params["edges"]) if entry.dim is None else entry.dim)
+
+
 @in_float_range
 def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-10):
     """Volume of ``shape`` at curvature k. Returns (value, method, error estimate).
 
     The evaluator runs at curvature 1 on the parameters rescaled by kind, and
-    value and error are multiplied by k**dim: v_k(params) = k^dim v_1(params / k).
-    The error estimate is 0 for ``EXACT_METHODS`` and the requested bound
-    max(abs, rel |v|) otherwise.
+    value and error are multiplied by k**dim.  The error estimate is 0 for
+    ``EXACT_METHODS`` and the requested bound max(abs, rel |v|) otherwise.
     DomainError when a scaled parameter, k**dim or the scaled volume lies
     beyond the float range (about 1.8e308; for dim 3, k above about 5.6e102).
     """
     entry = _lookup(shape)
-    k = positive("k", k)
-    p1 = {name: _SCALE[kind](params[name], k) for name, kind in entry.params.items()}
+    p1, scale = _at_curvature_1(entry, params, k)
     tol = Tolerance(rel=reltol, abs=min(1e-14, reltol))
-    v1 = entry.evaluate(*p1.values(), tol=tol)
+    v1 = entry.evaluate(*p1, tol=tol)
     err1 = 0.0 if entry.method in EXACT_METHODS else max(tol.abs, tol.rel * abs(v1))
-    scale = k ** (len(params["edges"]) if entry.dim is None else entry.dim)
     return v1 * scale, entry.method, err1 * scale
+
+
+@in_float_range
+def mc_estimate(shape: str, params: dict, k: float, samples: int,
+                seed: int) -> mc_oracle.MCEstimate:
+    """Monte-Carlo estimate of the volume of ``shape`` at curvature k: the
+    region is built at curvature 1 from the rescaled parameters, and mean and
+    stderr are multiplied by k**dim, as ``compute_volume`` does.  DomainError
+    for a shape without a region, where k**dim or the scaled estimate leaves
+    the float range, and as the region builder and ``mc_oracle.estimate``
+    raise it."""
+    entry = _lookup(shape)
+    if entry.mc_region is None:
+        raise DomainError(f"shape {shape!r} has no Monte-Carlo region")
+    p1, scale = _at_curvature_1(entry, params, k)
+    est = _mc().estimate(entry.mc_region(*p1), samples, seed)
+    mean, stderr = est.mean * scale, est.stderr * scale
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise DomainError(f"the estimate for {shape!r} at k = {k!r} exceeds the float range")
+    return replace(est, mean=mean, stderr=stderr)
 
 
 def collect_params(shape: str, src: dict, degrees: bool) -> dict:

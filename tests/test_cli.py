@@ -324,9 +324,11 @@ def test_vol_every_shape_is_the_library_value_times_k_dim(shape, capsys):
     assert recs[0]["volume"] == pytest.approx(direct() * K**dim, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [1.0, K])
 @pytest.mark.parametrize("shape", sorted(MC_SHAPES))
-def test_mc_every_region_agrees_and_repeats(shape, capsys):
-    argv = ["mc", shape, *flags(MC_CASES[shape]), "--samples", "10000", "--seed", "5"]
+def test_mc_every_region_agrees_and_repeats(shape, k, capsys):
+    argv = ["mc", shape, *flags(MC_CASES[shape]), "--k", str(k), "--samples", "10000",
+            "--seed", "5"]
     code, recs = run(capsys, *argv)
     assert code == EXIT_OK
     assert abs(recs[0]["z_score"]) <= 4.0

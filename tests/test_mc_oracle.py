@@ -11,6 +11,7 @@ from hypervol import models, solids
 from hypervol.errors import DomainError
 from hypervol.models import coordinate_volume, klein_distance
 from hypervol.orthoscheme import volume_edges, volume_ideal_tetrahedron_b
+from hypervol.shapes import mc_estimate
 
 
 def test_determinism_bit_identical():
@@ -98,8 +99,7 @@ def test_simplex_degenerate_rejected():
     ((1e-5,) * 3, 2.0),
 ])
 def test_orthoscheme_simplex_agreement_small(edges, k):
-    r = mc.region_simplex(mc.orthoscheme_vertices(*edges, k), k)
-    e = mc.estimate(r, 200_000, seed=21)
+    e = mc_estimate("orthoscheme-edges", dict(zip("abc", edges)), k, 200_000, 21)
     ref = k ** 3 * volume_edges(tuple(x / k for x in edges))
     assert abs(e.mean - ref) <= 4.0 * e.stderr
 
@@ -118,7 +118,7 @@ def test_cone_region_agreement_small():
 
 def test_slab_region_agreement_small():
     w1, w2, q = 0.6, 0.4, 0.7
-    area = mc.slab_base_area(w1, w2)
+    area = 4.0 * w2 * math.sinh(w1)
     r = mc.region_slab((w1, w2), q)
     e = mc.estimate(r, 200_000, seed=15)
     assert abs(e.mean - solids.equidistant_body(area, q)) <= 4.0 * e.stderr
@@ -171,9 +171,10 @@ def test_estimate_validation():
 
 def test_region_curvature_respected():
     # ball with k=2: volume scales like k^3 at fixed hyperbolic radius ratio
-    r = mc.region_ball(1.0, k=2.0)
-    e = mc.estimate(r, 200_000, seed=19)
+    e = mc_estimate("sphere", {"x": 1.0}, 2.0, 200_000, 19)
     assert abs(e.mean - solids.sphere_volume(1.0, k=2.0)) <= 4.0 * e.stderr
+    with pytest.raises(DomainError):
+        mc_estimate("sphere", {"x": 1.0}, math.nan, 10_000, 0)
 
 
 def test_negative_seed_is_a_domain_error():
@@ -181,7 +182,7 @@ def test_negative_seed_is_a_domain_error():
         mc.estimate(mc.region_ball(1.0), 10_000, seed=-1)
 
 
-_MARGIN = 1e-4  # in units of k: reference verdicts this close to an edge are skipped
+_MARGIN = 1e-4  # reference verdicts this close to an edge are skipped
 
 
 def _seeded_points(region, count, seed):
@@ -190,39 +191,37 @@ def _seeded_points(region, count, seed):
     lo, hi = np.array(region.lo), np.array(region.hi)
     pad = 0.2 * (hi - lo)
     P = lo - pad + rng.random((4 * count, region.dim)) * (hi - lo + 2.0 * pad)
-    P = P[np.einsum("ij,ij->i", P, P) <= (mc._CAP * region.k) ** 2]
+    P = P[np.einsum("ij,ij->i", P, P) <= mc._CAP ** 2]
     assert len(P) >= count
     return P[:count]
 
 
-def _axis_foot(X, k):
-    """(t, d): the nearest point (k tanh(t/k), 0, 0), |t| <= 3k, of the X1
-    axis and its klein_distance d, by grids of step 0.1k, 0.01k and 0.001k,
-    each around the minimum of the one before (the distance is convex along
-    a geodesic).  A foot beyond 3k lies outside every segment tested here."""
+def _axis_foot(X):
+    """(t, d): the nearest point (tanh t, 0, 0), |t| <= 3, of the X1 axis and
+    its klein_distance d, by grids of step 0.1, 0.01 and 0.001, each around
+    the minimum of the one before (the distance is convex along a geodesic).
+    A foot beyond 3 lies outside every segment tested here."""
 
     def dist(t):
-        return klein_distance(X, (k * math.tanh(t / k), 0.0, 0.0), k)
+        return klein_distance(X, (math.tanh(t), 0.0, 0.0))
 
-    t, half = 0.0, 3.0 * k
-    for step in (0.1 * k, 0.01 * k, 0.001 * k):
+    t, half = 0.0, 3.0
+    for step in (0.1, 0.01, 0.001):
         grid = [t - half + i * step for i in range(int(round(2 * half / step)) + 1)]
         t = min(grid, key=dist)
         half = step
     return t, dist(t)
 
 
-@pytest.mark.parametrize("p, q, k, seed", [
-    (0.8, 0.45, 1.0, 1), (0.5, 0.3, 0.75, 2), (1.4, 0.8, 1.5, 3),
-])
-def test_barrel_membership_matches_scalar_distances(p, q, k, seed):
-    r = mc.region_barrel(p, q, k)
+@pytest.mark.parametrize("p, q, seed", [(0.8, 0.45, 1), (0.5, 0.3, 2), (1.4, 0.8, 3)])
+def test_barrel_membership_matches_scalar_distances(p, q, seed):
+    r = mc.region_barrel(p, q)
     P = _seeded_points(r, 700, seed)
     got = r.contains(P)
     checked = members = 0
     for X, g in zip(P, got):
-        t, d = _axis_foot(tuple(X), k)
-        if min(abs(d - q), abs(t), abs(t - p)) < _MARGIN * k:
+        t, d = _axis_foot(tuple(X))
+        if min(abs(d - q), abs(t), abs(t - p)) < _MARGIN:
             continue
         want = 0.0 <= t <= p and d <= q
         assert bool(g) == want, (tuple(X), t, d)
@@ -232,18 +231,18 @@ def test_barrel_membership_matches_scalar_distances(p, q, k, seed):
     assert 0.05 * checked <= members <= 0.95 * checked
 
 
-@pytest.mark.parametrize("w1, w2, q, k, seed", [
-    (0.6, 0.5, 0.7, 1.0, 4), (0.3, 0.375, 0.2, 0.75, 5), (1.2, 0.75, 1.1, 1.5, 6),
+@pytest.mark.parametrize("w1, w2, q, seed", [
+    (0.6, 0.5, 0.7, 4), (0.3, 0.375, 0.2, 5), (1.2, 0.75, 1.1, 6),
 ])
-def test_slab_membership_matches_scalar_charts(w1, w2, q, k, seed):
-    r = mc.region_slab((w1, w2), q, k)
+def test_slab_membership_matches_scalar_charts(w1, w2, q, seed):
+    r = mc.region_slab((w1, w2), q)
     P = _seeded_points(r, 700, seed)
     got = r.contains(P)
     checked = members = 0
     for X, g in zip(P, got):
-        x1, x2 = models.transform((X[0], X[1]), "klein", "orthogonal", k)
-        d = klein_distance(tuple(X), (X[0], X[1], 0.0), k)
-        if min(abs(d - q), abs(abs(x1) - w1), abs(abs(x2) - w2)) < _MARGIN * k:
+        x1, x2 = models.transform((X[0], X[1]), "klein", "orthogonal")
+        d = klein_distance(tuple(X), (X[0], X[1], 0.0))
+        if min(abs(d - q), abs(abs(x1) - w1), abs(abs(x2) - w2)) < _MARGIN:
             continue
         want = X[2] >= 0.0 and abs(x1) <= w1 and abs(x2) <= w2 and d <= q
         assert bool(g) == want, (tuple(X), x1, x2, d)

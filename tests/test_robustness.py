@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypervol import cli, mc_oracle, models, orthoscheme, quadrature, solids, specfun, tetrahedra
+from hypervol import (cli, mc_oracle, models, orthoscheme, quadrature, shapes, solids, specfun,
+                      tetrahedra)
 from hypervol.errors import DomainError, HypervolError
 from hypervol.shapes import SHAPES
 
@@ -158,7 +159,8 @@ def test_public_functions_return_finite_or_raise_hypervol_error(module, fn):
     'models.paracycle_brick_volume((math.nan, 1, 1))',
     'models.paracycle_brick_volume((1.1, math.inf, 1.3))',
     'mc_oracle.region_ball("1")',
-    'mc_oracle.region_ball(1, k=math.nan)',
+    'shapes.mc_estimate("sphere", {"x": 1}, math.nan, 10_000, 0)',
+    'shapes.mc_estimate("sphere", {"x": 1e300}, 5.5e102, 10_000, 0)',
     'mc_oracle.region_cone(1, "x")',
     'mc_oracle.orthoscheme_vertices("1", 1, 1)',
     'mc_oracle.estimate(mc_oracle.region_ball(1), "x", 0)',

@@ -200,6 +200,10 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
         ["mc", "orthoscheme-edges", "--a", "1e-5", "--b", "1e-5", "--c", "1e-5"],
         # orthoscheme vertices placed in the ball at k != 1
         ["mc", "orthoscheme-edges", "--a", "1.0", "--b", "0.8", "--c", "0.6", "--k", "1.3"],
+        # an area parameter, which rescales by 1/k^2, and a length at k = 2
+        ["mc", "equidistant", "--p", "0.9", "--q", "0.6", "--k", "0.7", "--samples", "100000",
+         "--seed", "11"],
+        ["mc", "sphere", "--x", "1.0", "--k", "2.0", "--samples", "100000", "--seed", "11"],
         ["convert", "edges-to-angles", "--a", "1", "--b", "1", "--c", "1", "--k", "nan"],
         # flags a command does not read
         ["batch", jobs["sphere"], "--k", "2", "--reltol", "1e-3", "--degrees"],
