@@ -18,10 +18,11 @@ phi_{n-1} polar in [0, pi].  ``density`` evaluates a chart's density at a
 point, and ``transform`` maps a point between any two charts but halfspace.
 The transforms meet in one hub, the hyperboloid model: each chart has a
 closed-form map into and one out of u, the spatial part of the hyperboloid
-point (sqrt(1 + |u|^2), u) in units of k (Ratcliffe, *Foundations of
-Hyperbolic Manifolds*), so a transform is two maps and the four charts need
-eight of them.  The curvature constant k scales all lengths; k -> infinity
-recovers Euclidean behaviour.
+point (sqrt(1 + |u|^2), u) (Ratcliffe, *Foundations of Hyperbolic
+Manifolds*), so a transform is two maps and the four charts need eight of
+them.  Points and distances are at curvature 1; ``density`` and
+``coordinate_volume`` take the curvature constant k, which scales all
+lengths (k -> infinity recovers Euclidean behaviour).
 """
 
 from __future__ import annotations
@@ -30,15 +31,14 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from . import quadrature
-from .errors import (SINH_MAX, DomainError, UnsupportedDimensionError, in_float_range,
-                     nonnegative, number, positive, sequence)
-from .quadrature import DEFAULT_TOL, IntegralResult, Tolerance
+from .errors import (DomainError, UnsupportedDimensionError, in_float_range, nonnegative,
+                     number, positive, sequence)
+from .quadrature import DEFAULT_TOL, IntegralResult
 
 __all__ = [
     "transform",
     "density",
     "paracycle_brick_volume",
-    "chord_arc",
     "klein_distance",
     "coordinate_volume",
     "COORDINATE_SYSTEMS",
@@ -121,7 +121,7 @@ def _density_klein(c, n, k):
 
 
 # ---------------------------------------------------------------------------
-# maps into and out of the hyperboloid, u in units of k and x_0 = hypot(1, u)
+# maps into and out of the hyperboloid at curvature 1, x_0 = hypot(1, u)
 # ---------------------------------------------------------------------------
 
 def _walk(n: int) -> tuple[int, ...]:
@@ -131,53 +131,53 @@ def _walk(n: int) -> tuple[int, ...]:
     return (*range(n - 2, -1, -1), n - 1)
 
 
-def _orthogonal_to_u(x, k):
-    """u_i = sinh(x_i/k) times cosh(x_j/k) over the axes j walked before i."""
+def _orthogonal_to_u(x):
+    """u_i = sinh(x_i) times cosh(x_j) over the axes j walked before i."""
     u, c = [0.0] * len(x), 1.0
     for i in _walk(len(x)):
-        u[i] = math.sinh(x[i] / k) * c
-        c *= math.cosh(x[i] / k)
+        u[i] = math.sinh(x[i]) * c
+        c *= math.cosh(x[i])
     return u
 
 
-def _orthogonal_from_u(u, k):
+def _orthogonal_from_u(u):
     """The triangular asinh solve of _orthogonal_to_u; the cosh product over
     the axes walked before i is hypot(1, their u_j)."""
     x, walked = [0.0] * len(u), []
     for i in _walk(len(u)):
-        x[i] = k * math.asinh(u[i] / math.hypot(1.0, *walked))
+        x[i] = math.asinh(u[i] / math.hypot(1.0, *walked))
         walked.append(u[i])
     return x
 
 
-def _paracycle_to_u(xi, k):
-    """u_i = (xi_i/k) e^{-xi_n/k} for i < n and e^{-xi_n/k} = x_0 - u_n, so
-    u_n = (sum_{i<n} u_i^2 - expm1(-2 xi_n/k)) / (2 e^{-xi_n/k})."""
-    e = math.exp(-xi[-1] / k)
-    u = [v / k * e for v in xi[:-1]]
-    u.append((math.fsum(v * v for v in u) - math.expm1(-2.0 * xi[-1] / k)) / (2.0 * e))
+def _paracycle_to_u(xi):
+    """u_i = xi_i e^{-xi_n} for i < n and e^{-xi_n} = x_0 - u_n, so
+    u_n = (sum_{i<n} u_i^2 - expm1(-2 xi_n)) / (2 e^{-xi_n})."""
+    e = math.exp(-xi[-1])
+    u = [v * e for v in xi[:-1]]
+    u.append((math.fsum(v * v for v in u) - math.expm1(-2.0 * xi[-1])) / (2.0 * e))
     return u
 
 
-def _paracycle_from_u(u, k):
+def _paracycle_from_u(u):
     """Inverse of _paracycle_to_u.  x_0 - u_n cancels for u_n > 0, where
-    e^{xi_n/k} = 1/(x_0 - u_n) is (x_0 + u_n) / (1 + sum_{i<n} u_i^2) instead."""
+    e^{xi_n} = 1/(x_0 - u_n) is (x_0 + u_n) / (1 + sum_{i<n} u_i^2) instead."""
     *v, w = u
     x0 = math.hypot(1.0, *u)
     if w < 0.0:
         e = x0 - w
-        return [*(k * a / e for a in v), -k * math.log(e)]
+        return [*(a / e for a in v), -math.log(e)]
     h = math.hypot(1.0, *v)
     f = (x0 + w) / h / h
-    return [*(k * a * f for a in v), k * math.log(f)]
+    return [*(a * f for a in v), math.log(f)]
 
 
-def _spherical_to_u(p, k):
-    """sinh(r/k) times the unit vector of the angles: u_i = |u| cos(phi_i)
+def _spherical_to_u(p):
+    """sinh(r) times the unit vector of the angles: u_i = |u| cos(phi_i)
     prod_{j>i} sin(phi_j) for 1 < i < n, and (u_1, u_n) = |u| (cos phi_1,
     sin phi_1) prod_{j>1} sin(phi_j)."""
     n = len(p)
-    u, s = [0.0] * n, math.sinh(p[-1] / k)
+    u, s = [0.0] * n, math.sinh(p[-1])
     for i in range(n - 2, 0, -1):
         u[i] = s * math.cos(p[i])
         s *= math.sin(p[i])
@@ -185,21 +185,21 @@ def _spherical_to_u(p, k):
     return u
 
 
-def _spherical_from_u(u, k):
+def _spherical_from_u(u):
     n = len(u)
     a = math.atan2(u[n - 1], u[0]) % math.tau  # may round up to 2pi, the azimuth 0
     polar = [math.atan2(math.hypot(*u[:i], u[n - 1]), u[i]) for i in range(1, n - 1)]
-    return [a if a < math.tau else 0.0, *polar, k * math.asinh(math.hypot(*u))]
+    return [a if a < math.tau else 0.0, *polar, math.asinh(math.hypot(*u))]
 
 
-def _klein_to_u(X, k):
-    g = math.sqrt(_ball_gap(X, k))
-    return [x / k / g for x in X]
+def _klein_to_u(X):
+    g = math.sqrt(_ball_gap(X, 1.0))
+    return [x / g for x in X]
 
 
-def _klein_from_u(u, k):
+def _klein_from_u(u):
     x0 = math.hypot(1.0, *u)
-    return [k * v / x0 for v in u]
+    return [v / x0 for v in u]
 
 
 class _Chart(NamedTuple):
@@ -225,8 +225,9 @@ def _chart(system: str) -> _Chart:
 
 
 @in_float_range
-def transform(p, source: str, target: str, k: float = 1.0) -> tuple[float, ...]:
-    """The point p of chart ``source`` in the coordinates of chart ``target``.
+def transform(p, source: str, target: str) -> tuple[float, ...]:
+    """The point p of chart ``source`` in the coordinates of chart ``target``,
+    at curvature 1.
 
     Each of paracycle, orthogonal, spherical and klein maps into and out of
     the hyperboloid in closed form (see the module docstring), and a
@@ -238,10 +239,9 @@ def transform(p, source: str, target: str, k: float = 1.0) -> tuple[float, ...]:
     into, out = _chart(source).to_u, _chart(target).from_u
     if into is None or out is None:
         raise DomainError("the halfspace chart has no point transform")
-    k = positive("k", k)
     c = _point(source, p)
-    u = into(c, k)
-    return c if source == target else tuple(out(u, k))
+    u = into(c)
+    return c if source == target else tuple(out(u))
 
 
 @in_float_range
@@ -278,35 +278,20 @@ def paracycle_brick_volume(sides: Sequence[float], k: float = 1.0) -> float:
 
 
 @in_float_range
-def chord_arc(d: float, k: float = 1.0) -> tuple[float, float]:
-    """Half-arc s and sagitta-style offset z for a paracycle chord of half-length d.
+def klein_distance(p, q) -> float:
+    """Hyperbolic distance between two points of the unit projective ball.
 
-    s = k sinh(d/k) is the paracycle arc length matching chord 2d; z =
-    k ln cosh(d/k) is the distance between the halving points.  s >= d >= z.
-    DomainError for d/k above 710.4759, and where s leaves the float range.
+    sinh d = sqrt((|D|^2 (1 - |P|^2) + (P.D)^2) / ((1 - |P|^2)(1 - |Q|^2)))
+    with D = Q - P.  No term subtracts, so nearby points keep their relative
+    accuracy, which cosh d = (1 - P.Q) / sqrt((1 - |P|^2)(1 - |Q|^2)) loses.
     """
-    k = positive("k", k)
-    d = nonnegative("chord half-length d", d, k * SINH_MAX)
-    return k * math.sinh(d / k), k * math.log(math.cosh(d / k))
-
-
-@in_float_range
-def klein_distance(p, q, k: float = 1.0) -> float:
-    """Hyperbolic distance between two points of the projective ball.
-
-    sinh(d/k) = sqrt((|D|^2 (1 - |P|^2) + (P.D)^2) / ((1 - |P|^2)(1 - |Q|^2)))
-    with P, Q in units of k and D = Q - P.  No term subtracts, so nearby
-    points keep their relative accuracy, which cosh(d/k) = (1 - P.Q) /
-    sqrt((1 - |P|^2)(1 - |Q|^2)) loses.
-    """
-    k = positive("k", k)
     P, Q = _coords(p), _coords(q)
     if len(P) != len(Q):
         raise DomainError("points must have the same dimension")
-    gp, gq = _ball_gap(P, k), _ball_gap(Q, k)
-    D = [(b - a) / k for a, b in zip(P, Q)]
-    pd = math.fsum(a / k * d for a, d in zip(P, D))
-    return k * math.asinh(math.sqrt((math.fsum(d * d for d in D) * gp + pd * pd) / (gp * gq)))
+    gp, gq = _ball_gap(P, 1.0), _ball_gap(Q, 1.0)
+    D = [b - a for a, b in zip(P, Q)]
+    pd = math.fsum(a * d for a, d in zip(P, D))
+    return math.asinh(math.sqrt((math.fsum(d * d for d in D) * gp + pd * pd) / (gp * gq)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +304,6 @@ def coordinate_volume(
     bounds: Sequence[tuple],
     n: int,
     k: float = 1.0,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> IntegralResult:
     """Integrate the chart's density over a coordinate-domain region.
 
@@ -345,4 +329,4 @@ def coordinate_volume(
             coords[ax] = v
         return dens(coords, n, k)
 
-    return quadrature.integrate_region(integrand, spec, tol)
+    return quadrature.integrate_region(integrand, spec, DEFAULT_TOL)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from . import quadrature
 from .errors import (SINH2_MAX, SINH_MAX, DomainError, NotRealizableError,
-                     UnsupportedDimensionError, angle, nonnegative, number, positive, sequence)
+                     UnsupportedDimensionError, angle, number, positive, sequence)
 from .quadrature import DEFAULT_TOL, Tolerance
 from .specfun import lobachevsky
 
@@ -40,7 +40,6 @@ __all__ = [
     "OrthoschemeAngles",
     "edges_to_angles",
     "angles_to_edges",
-    "delta_from_angles",
     "volume_edges",
     "volume_angles",
     "bolyai_integral_1",
@@ -51,7 +50,6 @@ __all__ = [
     "volume_ideal_tetrahedron_b",
     "area_right_triangle",
     "right_triangle_angles",
-    "lemma_angle",
     "volume_ndim",
     "sample_valid_angles",
 ]
@@ -119,14 +117,10 @@ def _as_angles(angles: OrthoschemeAngles | tuple) -> OrthoschemeAngles:
     return OrthoschemeAngles(*sequence("orthoscheme angles", angles, (3, 4)))
 
 
-def delta_from_angles(alpha: float, beta: float, gamma: float) -> float:
-    """Auxiliary angle: tan delta = sqrt(cos^2 b - sin^2 a sin^2 g) / (cos a cos g)."""
-    return _delta(*(angle(name, v, _HALF_PI)
-                    for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma))))
-
-
 def _delta(alpha: float, beta: float, gamma: float) -> float:
-    """delta_from_angles for angles already checked to be floats in (0, pi/2)."""
+    """Auxiliary angle: tan delta = sqrt(cos^2 beta - sin^2 alpha sin^2 gamma)
+    / (cos alpha cos gamma), for angles already checked to be floats in
+    (0, pi/2); NotRealizableError where the root is not real."""
     rad = math.cos(beta) ** 2 - (math.sin(alpha) * math.sin(gamma)) ** 2
     if rad <= 0.0:
         raise NotRealizableError(
@@ -412,14 +406,6 @@ def area_right_triangle(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> flo
     return res.value
 
 
-def lemma_angle(t: float, s: float) -> float:
-    """Angle atan(tanh t / sinh s) of the doubly-perpendicular configuration;
-    independent of where the far point sits on its subspace."""
-    t = nonnegative("t", t)
-    s = positive("s", s, SINH_MAX)
-    return _perp_angle(t, s)
-
-
 def _cosh_power_integral(m: int, u: float) -> float:
     """int_0^{atanh u} cosh^m y dy by the reduction formula.
 
@@ -501,13 +487,9 @@ def sample_valid_angles(count: int, seed: int = 20121023) -> list[OrthoschemeAng
         be = rng.uniform(0.2, 1.2)
         ga = rng.uniform(0.2, 1.2)
         try:
-            d = delta_from_angles(al, be, ga)
-        except NotRealizableError:
-            continue
-        if d >= min(al, ga, _HALF_PI - be) - 0.05:
-            continue
-        ang = OrthoschemeAngles(al, be, ga, d)
-        try:
+            ang = OrthoschemeAngles(al, be, ga)
+            if ang.delta >= min(al, ga, _HALF_PI - be) - 0.05:
+                continue
             angles_to_edges(ang)
         except NotRealizableError:
             continue

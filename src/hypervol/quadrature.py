@@ -16,7 +16,8 @@ levels of the same GK15 rule resolve.
 Nested integration (``integrate_region``) composes 1-D calls over one
 (lo, hi) pair per variable, where either limit may be a function of the
 outer variables; each inner level runs at a tenth of the tolerance of the
-level above it.  All levels draw on one evaluation budget.
+level above it.  All levels draw on one evaluation budget, ``_BUDGET``
+evaluations, which is also the default budget of one 1-D integral.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+_BUDGET = 1_000_000
 
 # Gauss-Kronrod 15(7) abscissae and weights on [-1, 1]: the 33-digit QUADPACK dqk15 values.
 _XGK = (
@@ -155,7 +157,7 @@ def integrate_1d(
     lo: float,
     hi: float,
     tol: Tolerance = DEFAULT_TOL,
-    max_evals: int = 1_000_000,
+    max_evals: int = _BUDGET,
 ) -> IntegralResult:
     """Integrate f on [lo, hi] to the requested tolerance.
 
@@ -264,7 +266,6 @@ def integrate_region(
     integrand: Callable[..., float],
     bounds: Sequence[tuple],
     tol: Tolerance = DEFAULT_TOL,
-    max_evals: int = 1_000_000,
 ) -> IntegralResult:
     """Nested integral over a region described by per-level (lo, hi) bounds.
 
@@ -273,7 +274,7 @@ def integrate_region(
     listed order).  The integrand receives the variables in the same order.
     Each inner level runs at a tenth of the tolerance of its parent.
 
-    ``max_evals`` bounds the integrand evaluations of all levels together:
+    ``_BUDGET`` bounds the integrand evaluations of all levels together:
     every 1-D call gets the budget that remains.  When it runs out,
     ConvergenceError carries in ``best`` the outermost level's estimate so
     far (0 with an infinite error estimate if that level has not finished a
@@ -281,7 +282,7 @@ def integrate_region(
     """
     if len(bounds) < 1:
         raise DomainError("at least one integration variable required")
-    evals = 0
+    budget, evals = _BUDGET, 0
 
     def level(i, fixed, level_tol):
         nonlocal evals
@@ -299,13 +300,13 @@ def integrate_region(
             def f(x):
                 return level(i + 1, fixed + (x,), inner_tol).value
 
-        return integrate_1d(f, lo_v, hi_v, level_tol, max_evals - evals)
+        return integrate_1d(f, lo_v, hi_v, level_tol, budget - evals)
 
     try:
         res = level(0, (), tol)
     except ConvergenceError as exc:
         # every 1-D call ran on what remained, so a budget message names the whole budget
-        msg = f"evaluation budget {max_evals} exhausted" if evals + 30 > max_evals else str(exc)
+        msg = f"evaluation budget {budget} exhausted" if evals + 30 > budget else str(exc)
         best = IntegralResult(exc.best.value, exc.best.error_estimate, evals)
         raise ConvergenceError(msg, best=best) from exc
     return IntegralResult(res.value, res.error_estimate, evals)

@@ -232,9 +232,9 @@ def parse_job(job: dict) -> tuple:
         raise DomainError(f"shape {shape!r} has no Monte-Carlo region")
     k = number("k", job.get("k", 1.0))
     reltol = number("reltol", job.get("reltol", 1e-10))
-    if mc:
+    if mc is not None:
         if not isinstance(mc, dict):
             raise DomainError(f"mc must be an object, got {mc!r}")
         mc = (number("mc samples", mc.get("samples", 10 ** 6), int),
               number("mc seed", mc.get("seed", 0), int))
-    return shape, params, k, reltol, mc or None
+    return shape, params, k, reltol, mc

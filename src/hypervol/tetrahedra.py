@@ -140,9 +140,9 @@ def derevnin_mednykh(t, tol: Tolerance = DEFAULT_TOL) -> float:
     z1 below 0 comes only from rounding at an ideal vertex, whose exact
     root is 0, and is read as 0.
     """
-    t = _dihedrals(t)
+    t = sequence("dihedral angles", t)
     z1, z2 = dm_coefficients(t)
-    log_argument = _log_argument(t)
+    log_argument = _log_argument(tuple(map(float, t)))
     log = math.log
 
     def f(z: float) -> float:
@@ -165,9 +165,9 @@ def murakami_yano(t) -> float:
         + Cl2(B+C+E+F+z) - Cl2(pi+A+B+C+z) - Cl2(pi+A+E+F+z)
         - Cl2(pi+B+D+F+z) - Cl2(pi+C+D+E+z) ].
     """
-    t = _dihedrals(t)
+    t = sequence("dihedral angles", t)
     z1, z2 = dm_coefficients(t)
-    A, B, C, D, E, F = t
+    A, B, C, D, E, F = map(float, t)
 
     def im_u(z: float) -> float:
         pos = (z, A + B + D + E + z, A + C + D + F + z, B + C + E + F + z)

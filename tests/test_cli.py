@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import functools
 import io
 import json
 import math
@@ -23,9 +22,9 @@ from hypervol.cli import (
     EXIT_OK,
     main,
 )
-from hypervol.errors import ConvergenceError
+from hypervol.errors import ConvergenceError, DomainError
 from hypervol.quadrature import Tolerance
-from hypervol.shapes import MC_SHAPES, SHAPES
+from hypervol.shapes import MC_SHAPES, SHAPES, parse_job
 
 SPHERE_11 = 5.11093270570828898
 REGULAR_IDEAL = 1.01494160640965363
@@ -368,6 +367,16 @@ def test_batch_malformed_field_exit_2_before_output(tmp_path, capsys, bad):
     assert err.startswith("error: job 1: ")
 
 
+def test_parse_job_mc_field():
+    # an empty object runs the defaults; a falsy non-object is refused, not ignored
+    job = {"shape": "sphere", "x": 0.5}
+    assert parse_job(job)[-1] is None
+    assert parse_job({**job, "mc": {}})[-1] == (10 ** 6, 0)
+    for bad in (False, 0, "", []):
+        with pytest.raises(DomainError, match="mc must be an object"):
+            parse_job({**job, "mc": bad})
+
+
 def test_batch_out_of_range_value_stays_a_job_error(tmp_path, capsys):
     jobs = [{"shape": "sphere", "x": 1.0}, {"shape": "sphere", "x": 1.0, "k": 0}]
     code, out, err = run_batch(tmp_path, capsys, jobs)
@@ -479,8 +488,7 @@ def test_ndim_integrates_at_the_requested_tolerance(capsys, monkeypatch):
 def test_convergence_failure_reports_best_estimate(tmp_path, capsys, monkeypatch, command):
     # the long-edge reproduction exhausts the shared budget; a smaller one keeps it quick
     budget = 20_000
-    monkeypatch.setattr(quadrature, "integrate_region",
-                        functools.partial(quadrature.integrate_region, max_evals=budget))
+    monkeypatch.setattr(quadrature, "_BUDGET", budget)
     with pytest.raises(ConvergenceError) as exc:
         orthoscheme.volume_ndim((12.0, 0.5, 0.5), Tolerance(rel=1e-10, abs=1e-14))
     best = exc.value.best

@@ -21,9 +21,7 @@ from hypervol.orthoscheme import (
     bolyai_asymptotic_1,
     bolyai_asymptotic_2,
     bolyai_integral_1,
-    delta_from_angles,
     edges_to_angles,
-    lemma_angle,
     right_triangle_angles,
     sample_valid_angles,
     volume_angles,
@@ -90,7 +88,7 @@ def test_angles_to_edges_round_trip():
         back = angles_to_edges(ang)
         assert all(abs(x - y) < 1e-10 for x, y in zip(back, e))
         # delta from angles alone agrees with the conversion delta
-        assert delta_from_angles(ang.alpha, ang.beta, ang.gamma) == pytest.approx(
+        assert OrthoschemeAngles(ang.alpha, ang.beta, ang.gamma).delta == pytest.approx(
             ang.delta, abs=1e-10
         )
 
@@ -112,8 +110,8 @@ def test_delta_approaches_alpha_for_long_first_edge():
 
 
 def test_not_realizable_angle_triples():
-    with pytest.raises(NotRealizableError):
-        delta_from_angles(0.3, 1.5, 0.3)
+    with pytest.raises(NotRealizableError, match="real delta"):
+        OrthoschemeAngles(0.3, 1.5, 0.3)
     # dominated delta but no positive middle edge
     with pytest.raises(NotRealizableError):
         angles_to_edges(OrthoschemeAngles(0.3312, 1.0167, 0.3312, 0.30))
@@ -231,13 +229,14 @@ def test_area_right_triangle_limits():
 
 
 def test_lemma_angle():
-    assert lemma_angle(0.0, 1.0) == 0.0
-    assert lemma_angle(1.0, 1.0) == pytest.approx(0.575006182578411853, abs=1e-14)
-    assert lemma_angle(50.0, 1.0) == pytest.approx(
+    # the angle atan(tanh t / sinh s) opposite leg t of the right triangle with legs t, s
+    assert right_triangle_angles(1.0, 1.0) == pytest.approx((0.575006182578411853,) * 2,
+                                                            abs=1e-14)
+    assert right_triangle_angles(50.0, 1.0)[0] == pytest.approx(
         math.atan(1.0 / math.sinh(1.0)), rel=1e-10
     )
     with pytest.raises(DomainError):
-        lemma_angle(1.0, 0.0)
+        right_triangle_angles(1.0, 0.0)
 
 
 def test_ndim_matches_3d_edge_integral():
@@ -285,7 +284,6 @@ def test_curvature_scaling_against_coordinate_volume():
         ],
         n=3,
         k=k,
-        tol=Tolerance(rel=1e-10, abs=1e-14),
     )
     scaled = k ** 3 * volume_edges((a / k, b / k, c / k))
     assert res.value == pytest.approx(scaled, rel=1e-8)
@@ -481,7 +479,7 @@ def test_wrong_length_or_non_sequence_raises_domain_error(call):
     (volume_angles, (None, 1.0, 0.6), None),
     (lambda a: bolyai_asymptotic_1(*a), ("0.7", "1"), (0.7, 1.0)),
     (lambda a: bolyai_asymptotic_2(*a), ("x", 1.0), None),
-    (lambda a: lemma_angle(*a), ("1", "x"), None),
+    (lambda a: right_triangle_angles(*a), ("1", "x"), None),
     (lambda a: milnor_ideal(*a), ("x", 1.0, 1.0), None),
     (lambda a: lambert_cube(*a), ("0.3", "0.6", "0.9", "1"), (0.3, 0.6, 0.9, 1.0)),
     (lambda a: mohanty_octahedron(*a), ("x", 1.3, 1.4), None),

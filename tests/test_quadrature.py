@@ -192,14 +192,15 @@ def test_region_with_general_lower_limits():
     assert res.value == pytest.approx(1.5, abs=1e-12)
 
 
-def test_nested_budget_is_shared_across_levels():
+def test_nested_budget_is_shared_across_levels(monkeypatch):
     # one GK15 panel per level: 15^3 = 3,375 evaluations, all of which a
-    # budget handed whole to every 1-D call let through at max_evals=100
+    # budget handed whole to every 1-D call let through at a budget of 100
     f = lambda x, y, z: x * y + z
     box = [(0.0, 1.0)] * 3
     assert integrate_region(f, box).evaluations == 3375
+    monkeypatch.setattr(quadrature, "_BUDGET", 100)
     with pytest.raises(ConvergenceError, match="budget 100 exhausted") as exc:
-        integrate_region(f, box, max_evals=100)
+        integrate_region(f, box)
     best = exc.value.best
     assert math.isfinite(best.value)
     assert best.evaluations <= 100
@@ -207,12 +208,13 @@ def test_nested_budget_is_shared_across_levels():
     assert best.error_estimate == math.inf
 
 
-def test_nested_budget_reports_the_outer_estimate():
+def test_nested_budget_reports_the_outer_estimate(monkeypatch):
     # the outer level refines toward x = 0.3; the integral is 2 (sqrt(0.3) + sqrt(0.7))
     exact = 2.0 * (math.sqrt(0.3) + math.sqrt(0.7))
     f = lambda x, y: abs(x - 0.3) ** -0.5
+    monkeypatch.setattr(quadrature, "_BUDGET", 5000)
     with pytest.raises(ConvergenceError) as exc:
-        integrate_region(f, [(0.0, 1.0), (0.0, 1.0)], max_evals=5000)
+        integrate_region(f, [(0.0, 1.0), (0.0, 1.0)])
     best = exc.value.best
     assert 15 <= best.evaluations <= 5000
     assert 0.0 < best.error_estimate < math.inf

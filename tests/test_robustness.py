@@ -85,14 +85,17 @@ CHART_MAPS = (models.transform, models.density)
 @st.composite
 def chart_call(draw, fn):
     """Keyword arguments of ``models.transform`` or ``models.density`` that its
-    checks accept: 2..4 coordinates of a valid point, charts that take it."""
+    checks accept: 2..4 coordinates of a valid point, charts that take it, and
+    for ``density`` a curvature k (``transform`` works at curvature 1)."""
     charts = [c for c in models.COORDINATE_SYSTEMS if fn is models.density or c != "halfspace"]
-    k = draw(st.sampled_from([1.0, 0.5, 2.7]) | st.floats(0.3, 4.0))
+    k = 1.0
+    if fn is models.density:
+        k = draw(st.sampled_from([1.0, 0.5, 2.7]) | st.floats(0.3, 4.0))
     system = draw(st.sampled_from(charts))
     p = draw(st.integers(2, 4).flatmap(lambda n: chart_point(system, n, k)))
     if fn is models.density:
         return {"system": system, "p": p, "k": k}
-    return {"p": p, "source": system, "target": draw(st.sampled_from(charts)), "k": k}
+    return {"p": p, "source": system, "target": draw(st.sampled_from(charts))}
 
 
 def arguments(module, fn):
@@ -151,8 +154,6 @@ def test_public_functions_return_finite_or_raise_hypervol_error(module, fn):
     'solids.sphere_volume_by_quadrature(1e300)',
     'solids.barrel_by_quadrature(0.3, 1e300)',
     'solids.equidistant_body_by_quadrature(0.01, 1e300)',
-    'models.chord_arc("x")',
-    'models.chord_arc(1e300)',
     'models.density("klein", (0.1, 0.1), k="x")',
     'models.transform((0.1, None), "spherical", "klein")',
     'models.coordinate_volume("klein", [(0, 0, 0.1), (1, 0, 0.1)], "x")',

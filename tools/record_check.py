@@ -89,6 +89,7 @@ MALFORMED_JOBS = [
     {"shape": "sphere", "x": [1]},
     {"shape": ["sphere"], "x": 1},
     {"shape": "ndim-orthoscheme", "edges": 5},
+    {"shape": "sphere", "x": 1, "mc": False},
 ]
 FORMATS = (["--format", "json"], ["--format", "csv"])
 WORKERS = 2
@@ -124,6 +125,7 @@ def write_job_files(tmp: Path) -> dict[str, str]:
         "no-tetrahedron": [{"shape": "murakami-yano", **NOT_A_TETRAHEDRON},
                            {"shape": "murakami-yano", **SIX}],
         "sphere": [{"shape": "sphere", "x": 1.0}],
+        "mc-defaults": [{"shape": "sphere", "x": 0.5, "mc": {}}],
         "not-an-array": {"shape": "sphere", "x": 1.0},
         **{f"malformed-{i}": [{"shape": "sphere", "x": 1.0}, bad]
            for i, bad in enumerate(MALFORMED_JOBS)},
@@ -204,6 +206,8 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
         ["mc", "equidistant", "--p", "0.9", "--q", "0.6", "--k", "0.7", "--samples", "100000",
          "--seed", "11"],
         ["mc", "sphere", "--x", "1.0", "--k", "2.0", "--samples", "100000", "--seed", "11"],
+        # an empty mc object, which runs the default 10^6 samples at seed 0
+        ["batch", jobs["mc-defaults"]],
         ["convert", "edges-to-angles", "--a", "1", "--b", "1", "--c", "1", "--k", "nan"],
         # flags a command does not read
         ["batch", jobs["sphere"], "--k", "2", "--reltol", "1e-3", "--degrees"],
