@@ -10,7 +10,16 @@ coordinates set to zero, which gives the barrel's distance to its axis and
 the slab's distance to its base plane by one formula (``_cosh2_to_span``).
 
 Randomness comes from a counter-based Philox stream, the substream spawned
-from (seed, 0), so an estimate is a pure function of (seed, samples).
+from (seed, 0), so an estimate is a pure function of (seed, samples)
+whatever the number of CPUs.  The stream is cut into chunks of ``_CHUNK``
+samples; chunk j starts at sample j * _CHUNK, which a fresh generator
+reaches by advancing its counter, so chunks can be drawn in any order.
+Chunks run on one thread per CPU the process may use (numpy releases the
+GIL in the Philox fill and in its ufunc loops), at most one per chunk, in
+windows of one chunk per thread.  Each window's (sum w, sum w^2) pairs are
+added in chunk order, which is the order of a serial loop over the
+stream, so the sums are the same bit for bit on any number of CPUs; and
+memory does not grow with ``samples``.
 Every region is built at curvature 1 (``shapes.mc_estimate`` scales an
 estimate to curvature k as ``compute_volume`` scales a volume) and is
 radially truncated at the module constant ``_CAP`` = 1 - 1e-9; the
@@ -21,6 +30,8 @@ the ideal boundary.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,7 +53,7 @@ __all__ = [
 ]
 
 _CAP = 1.0 - 1e-9
-_CHUNK = 1 << 17
+_CHUNK = 1 << 15  # a multiple of 4, so every chunk starts on a Philox counter step
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,9 @@ class MCEstimate:
 
 def estimate(region: Region, samples: int, seed: int) -> MCEstimate:
     """Unbiased Monte-Carlo estimate of the region's hyperbolic volume at
-    curvature 1.  Deterministic for fixed (seed, samples); DomainError for a
-    negative seed.
+    curvature 1.  Deterministic for fixed (seed, samples), whatever the
+    number of CPUs; DomainError for a negative seed or a ``contains`` that
+    does not return one boolean per point.
     """
     seed = number("seed", seed, int)
     if seed < 0:
@@ -96,33 +108,80 @@ def estimate(region: Region, samples: int, seed: int) -> MCEstimate:
         raise DomainError(f"at least 10^4 samples required, got {samples}")
     n = region.dim
     lo = np.asarray(region.lo, float)
-    hi = np.asarray(region.hi, float)
-    box_vol = float(np.prod(hi - lo))
+    span = np.asarray(region.hi, float) - lo
+    box_vol = float(np.prod(span))
     cap2 = _CAP ** 2
     expo = -(n + 1) / 2.0
+    stream = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
 
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
+    def chunk(j: int, buf: tuple) -> tuple[float, float]:
+        """(sum w, sum w^2) over samples j*_CHUNK onwards, in the worker's buffers."""
+        start = j * _CHUNK
+        m = min(_CHUNK, samples - start)
+        pts, r2, w, cand = (b[:m] for b in buf)
+        bits = np.random.Philox(stream)
+        bits.advance(start * n // 4)  # four doubles per Philox counter step
+        np.random.Generator(bits).random(out=pts)
+        for i in range(n):  # by column: broadcasting over rows of n is slower
+            col = pts[:, i]
+            col *= span[i]
+            col += lo[i]
+        np.einsum("ij,ij->i", pts, pts, out=r2)
+        idx = np.flatnonzero(r2 <= cap2)
+        w.fill(0.0)
+        if idx.size:
+            mask = np.asarray(region.contains(pts.take(idx, axis=0, out=cand[:idx.size])))
+            if mask.dtype != bool or mask.shape != idx.shape:
+                raise DomainError(
+                    f"region membership must return {idx.size} booleans, one per point, "
+                    f"got dtype {mask.dtype} and shape {mask.shape}")
+            hit = idx.compress(mask)
+            w[hit] = (1.0 - r2.take(hit)) ** expo * box_vol
+        return float(w.sum()), float((w * w).sum())
+
+    chunks = -(-samples // _CHUNK)
+    workers = min(len(os.sched_getaffinity(0)), chunks)
+    # buffers are reused from chunk to chunk: fresh arrays of this size are
+    # mapped and unmapped by malloc each time, and the page faults cost
+    # about a quarter of the run
+    size = min(_CHUNK, samples)
+    bufs = [(np.empty((size, n)), np.empty(size), np.empty(size), np.empty((size, n)))
+            for _ in range(workers)]
     s1 = 0.0
     s2 = 0.0
-    left = samples
-    while left > 0:
-        m = min(left, _CHUNK)
-        left -= m
-        pts = lo + rng.random((m, n)) * (hi - lo)
-        r2 = np.einsum("ij,ij->i", pts, pts)
-        cand = r2 <= cap2
-        if cand.any():
-            member = np.zeros(m, dtype=bool)
-            member[cand] = np.asarray(region.contains(pts[cand]), dtype=bool)
-            w = np.where(member, (1.0 - r2) ** expo * box_vol, 0.0)
-        else:
-            w = np.zeros(m)
-        s1 += float(w.sum())
-        s2 += float((w * w).sum())
+    for first in range(0, chunks, workers):
+        window = zip(range(first, min(first + workers, chunks)), bufs)
+        for a, b in _run_window(chunk, list(window)):
+            s1 += a
+            s2 += b
     mean = s1 / samples
     var = max(0.0, s2 / samples - mean * mean) * (samples / (samples - 1))
     return MCEstimate(mean, math.sqrt(var / samples), samples, seed)
+
+
+def _run_window(fn: Callable, calls: list[tuple]) -> list:
+    """``[fn(*args) for args in calls]``, the first call inline and each other
+    on a thread of its own.  Every thread is joined before the first
+    exception (in call order) is re-raised.
+    """
+    out: list = [None] * len(calls)
+
+    def work(i):
+        try:
+            out[i] = fn(*calls[i])
+        except BaseException as exc:  # re-raised below, in call order
+            out[i] = exc
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, len(calls))]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    for r in out:
+        if isinstance(r, BaseException):
+            raise r
+    return out
 
 
 # ---------------------------------------------------------------------------

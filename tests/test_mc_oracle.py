@@ -2,6 +2,9 @@
 agreement runs live in the acceptance suite)."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +24,125 @@ def test_determinism_bit_identical():
     assert e1.mean == e2.mean and e1.stderr == e2.stderr
     e3 = mc.estimate(r, 100_000, seed=8)
     assert e3.mean != e1.mean
+
+
+def _serial_estimate(region, samples, seed):
+    """The one-stream serial loop: chunks of _CHUNK drawn in turn from one
+    Philox generator, sums accumulated in chunk order."""
+    n, lo, hi = region.dim, np.array(region.lo), np.array(region.hi)
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
+    s1 = s2 = 0.0
+    for start in range(0, samples, mc._CHUNK):
+        pts = lo + rng.random((min(mc._CHUNK, samples - start), n)) * (hi - lo)
+        r2 = np.einsum("ij,ij->i", pts, pts)
+        member = np.zeros(len(pts), bool)
+        member[r2 <= mc._CAP ** 2] = region.contains(pts[r2 <= mc._CAP ** 2])
+        w = np.where(member, (1.0 - r2) ** (-(n + 1) / 2.0) * float(np.prod(hi - lo)), 0.0)
+        s1 += float(w.sum())
+        s2 += float((w * w).sum())
+    mean = s1 / samples
+    var = max(0.0, s2 / samples - mean * mean) * (samples / (samples - 1))
+    return mean, math.sqrt(var / samples)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_chunk_is_whole_philox_steps():
+    # Philox gives four doubles per counter step; a chunk of a multiple of 4
+    # samples ends on a step, so the next chunk can start at its own offset
+    assert mc._CHUNK % 4 == 0 and 100_003 % mc._CHUNK != 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("region", [
+    mc.region_ball(1.0),
+    mc.region_barrel(1.0, 0.5),
+    mc.region_simplex(mc.orthoscheme_vertices(1.0, 0.8, 0.6)),
+], ids=["ball", "barrel", "simplex"])
+def test_estimate_is_the_serial_loop_at_any_cpu_count(region, cpus, monkeypatch):
+    _cpus(monkeypatch, cpus)
+    seen = set()
+
+    def contains(P):
+        seen.add(threading.get_ident())
+        return region.contains(P)
+
+    e = mc.estimate(mc.Region(region.lo, region.hi, contains), 100_003, seed=3)
+    # the calling thread runs a chunk of every window; with two CPUs a worker
+    # thread (one per window) runs the others
+    assert threading.get_ident() in seen and (len(seen) > 1) == (cpus > 1)
+    assert (e.mean, e.stderr) == _serial_estimate(region, 100_003, 3)
+
+
+def test_more_threads_than_cores_with_frequent_switches(monkeypatch):
+    # eight workers on the machine's cores, switching threads every
+    # microsecond: a buffer or result slot shared between two chunks of a
+    # window would change the sums
+    _cpus(monkeypatch, 8)
+    region = mc.region_slab((0.6, 0.4), 0.7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        e = mc.estimate(region, 300_007, seed=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (e.mean, e.stderr) == _serial_estimate(region, 300_007, 5)
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    # membership fails on the worker threads only; the estimate runs on a
+    # thread of its own so that a hang fails the join below
+    _cpus(monkeypatch, 2)
+    boom = RuntimeError("membership failed")
+    caught = []
+
+    def contains(P):
+        if threading.current_thread() is not caller:
+            raise boom
+        return np.ones(len(P), bool)
+
+    def call():
+        try:
+            mc.estimate(mc.Region((-0.1,) * 3, (0.1,) * 3, contains), 100_000, seed=1)
+        except RuntimeError as exc:
+            caught.append(exc)
+
+    before = threading.active_count()
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive() and len(caught) == 1 and caught[0] is boom
+    assert threading.active_count() == before
+    assert mc.estimate(mc.region_ball(1.0), 100_000, seed=1).mean > 0.0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("contains", [
+    lambda P: np.ones(len(P)),                 # floats, not booleans
+    lambda P: np.ones(len(P) - 1, bool),       # one short
+    lambda P: np.ones((len(P), 1), bool),      # a column
+    lambda P: True,                            # a scalar
+], ids=["float", "short", "column", "scalar"])
+def test_malformed_membership_is_a_domain_error(contains, cpus, monkeypatch):
+    _cpus(monkeypatch, cpus)
+    with pytest.raises(DomainError, match="one per point"):
+        mc.estimate(mc.Region((-0.1,) * 3, (0.1,) * 3, contains), 100_000, seed=1)
+
+
+def test_memory_does_not_grow_with_samples():
+    region = mc.region_ball(1.0)
+    peaks = []
+    for samples in (200_000, 2_000_000):
+        tracemalloc.start()
+        try:
+            mc.estimate(region, samples, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 def test_empty_region():

@@ -19,8 +19,14 @@ that runs longer on either tree counts as differing, with exit code
 gives for every numeric field of the differing JSON records, grouped by
 the record's shape (or crosscheck suite), the largest relative change.
 
-Exit status: 0 when every command agrees, 1 when any differs, 2 when the
-new tree's shape table has a shape the list does not cover.
+A second pass reruns every command of the new tree that draws Monte-Carlo
+samples (``mc`` and the batches with ``mc`` jobs) in a child pinned to one
+CPU, and reports each whose stdout or exit code differs from its run on
+all CPUs: an estimate must not depend on the core count.
+
+Exit status: 0 when every command agrees and every pinned rerun matches, 1
+otherwise, 2 when the new tree's shape table has a shape the list does not
+cover.
 """
 
 from __future__ import annotations
@@ -92,6 +98,7 @@ MALFORMED_JOBS = [
     {"shape": "sphere", "x": 1, "mc": False},
 ]
 FORMATS = (["--format", "json"], ["--format", "csv"])
+MC_BATCHES = ("batch200", "mc-defaults")  # job files with mc jobs
 WORKERS = 2
 TIMEOUT_S = 120
 
@@ -255,12 +262,23 @@ def record_changes(out_o: str, out_n: str, changes: dict) -> None:
                 changes[group, field] = (rel, o, n)
 
 
-def run(src: str, argv: list[str], cwd: str) -> tuple[int | str, str]:
-    """(exit code, stdout) of one command; ("timeout", "") past TIMEOUT_S."""
+def uses_mc(argv: list[str]) -> bool:
+    return argv[0] == "mc" or argv[0] == "batch" and Path(argv[1]).stem in MC_BATCHES
+
+
+def one_cpu() -> None:
+    """Pin the calling process (a child, before exec) to its lowest CPU."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run(src: str, argv: list[str], cwd: str, pin: bool = False) -> tuple[int | str, str]:
+    """(exit code, stdout) of one command, on one CPU if ``pin``;
+    ("timeout", "") past TIMEOUT_S."""
     env = {**os.environ, "PYTHONPATH": src}
     try:
         p = subprocess.run([sys.executable, "-m", "hypervol.cli", *argv], cwd=cwd, env=env,
-                           capture_output=True, text=True, timeout=TIMEOUT_S)
+                           capture_output=True, text=True, timeout=TIMEOUT_S,
+                           preexec_fn=one_cpu if pin else None)
     except subprocess.TimeoutExpired:
         return "timeout", ""
     return p.returncode, p.stdout
@@ -286,8 +304,10 @@ def main(argv=None) -> int:
             print(f"shapes without parameters in VOL_PARAMS: {sorted(missing)}")
             return 2
         argvs = argv_list(write_job_files(Path(tmp)))
+        mc_argvs = [a for a in argvs if uses_mc(a)]
         with ThreadPoolExecutor(max_workers=WORKERS) as pool:
             results = list(pool.map(lambda a: (run(old, a, tmp), run(new, a, tmp)), argvs))
+            pinned = list(pool.map(lambda a: run(new, a, tmp, pin=True), mc_argvs))
         differ = 0
         changes: dict = {}
         for a, ((code_o, out_o), (code_n, out_n)) in zip(argvs, results):
@@ -300,12 +320,21 @@ def main(argv=None) -> int:
                                         "old", "new", lineterm="", n=0)
             for line in list(diff)[:12]:
                 print(f"    {line[:200]}")
+        unpinned = {tuple(a): res[1] for a, res in zip(argvs, results)}
+        pin_differ = 0
+        for a, res in zip(mc_argvs, pinned):
+            if res == unpinned[tuple(a)] and res[0] != "timeout":
+                continue
+            pin_differ += 1
+            print(f"DIFF on one CPU, exit {unpinned[tuple(a)][0]} -> {res[0]}: "
+                  f"hypervol {' '.join(a).replace(tmp, '$TMP')}")
     if changes:
         print("largest relative change per numeric field of the differing JSON records:")
         for (group, field), (rel, o, n) in sorted(changes.items()):
             print(f"    {group:24s} {field:32s} {rel:.3g}  ({o!r} -> {n!r})")
     print(f"{len(argvs)} commands, {differ} differ")
-    return 1 if differ else 0
+    print(f"{len(mc_argvs)} Monte-Carlo commands rerun on one CPU, {pin_differ} differ")
+    return 1 if differ or pin_differ else 0
 
 
 if __name__ == "__main__":
