@@ -12,15 +12,19 @@ Submodules:
   shapes       the shape table and ``compute_volume``, its dispatcher
   cli          the ``hypervol`` command-line interface
 
-``mc_oracle`` and ``models`` load on first access (``hypervol.mc_oracle``,
-``from hypervol import models`` or a plain import of the submodule), so
-numpy, which only the Monte-Carlo oracle needs, stays out of the closed-form,
-series and quadrature paths and out of a cold ``hypervol vol``.
+Only ``errors`` and ``quadrature`` load with the package.  Every other
+submodule loads on first access (``hypervol.solids``, ``from hypervol
+import solids`` or a plain import of the submodule), and the shape table
+reaches the library modules through the package when it calls them.  So a
+cold ``hypervol vol`` compiles and runs only the modules of its shape:
+numpy, which only the Monte-Carlo oracle needs, stays out of the
+closed-form, series and quadrature paths, and so does ``dataclasses``,
+which only ``mc_oracle`` uses.
 """
 
 import importlib
 
-from . import orthoscheme, quadrature, shapes, solids, specfun, tetrahedra
+from . import quadrature
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -32,7 +36,7 @@ from .quadrature import IntegralResult, Tolerance
 
 __version__ = "0.1.0"
 
-_LAZY = ("mc_oracle", "models")
+_LAZY = ("cli", "mc_oracle", "models", "orthoscheme", "shapes", "solids", "specfun", "tetrahedra")
 
 
 def __getattr__(name):
@@ -41,6 +45,7 @@ def __getattr__(name):
     if name in _LAZY:
         return importlib.import_module("." + name, __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "models",

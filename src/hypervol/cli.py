@@ -18,8 +18,9 @@ per line, or RFC-4180 CSV with --format csv.  Exit codes: 0 success,
 1 failed check (crosscheck threshold or |z| > 4 in mc), 2 invalid
 parameters, 3 not realizable, 4 quadrature convergence failure, 5 I/O
 failure.  On a convergence failure stderr also gives the best estimate
-the unconverged integral reached (at curvature 1), with its error estimate
-and evaluation count.
+of the volume that the unconverged integral reached, at curvature k and on
+the scale of the volume the command would print, with its error estimate
+and the evaluation count.
 
 Shapes, their parameters and their volume routes, the crosscheck columns
 among them, come from the table in ``hypervol.shapes``; every volume and
@@ -38,7 +39,8 @@ from contextlib import nullcontext
 from functools import cache
 from typing import Sequence
 
-from . import orthoscheme, tetrahedra
+import hypervol
+
 from .errors import ConvergenceError, DomainError, NotRealizableError, positive
 from .quadrature import Tolerance
 from .shapes import MC_SHAPES, SHAPES, collect_params, compute_volume, mc_estimate, parse_job
@@ -180,11 +182,12 @@ def _cmd_convert(args) -> int:
     k = positive("k", args.k)
     if args.direction == "edges-to-angles":
         a, b, c = args.a / k, args.b / k, args.c / k
-        ang = orthoscheme.edges_to_angles((a, b, c))
+        ang = hypervol.orthoscheme.edges_to_angles((a, b, c))
     else:
         conv = math.radians if args.degrees else float
-        ang = orthoscheme.OrthoschemeAngles(conv(args.alpha), conv(args.beta), conv(args.gamma))
-        a, b, c = orthoscheme.angles_to_edges(ang)
+        ang = hypervol.orthoscheme.OrthoschemeAngles(conv(args.alpha), conv(args.beta),
+                                                     conv(args.gamma))
+        a, b, c = hypervol.orthoscheme.angles_to_edges(ang)
     z = math.atanh(math.tan(ang.delta) * math.tan(ang.beta))
     rec = {"a": a * k, "b": b * k, "c": c * k, "z": z * k,
            "alpha": ang.alpha, "beta": ang.beta, "gamma": ang.gamma, "delta": ang.delta}
@@ -212,13 +215,14 @@ _SUITES = {
     "orthoscheme": (
         lambda grid, seed: [
             ("orthoscheme-angles", {"alpha": a.alpha, "beta": a.beta, "gamma": a.gamma})
-            for a in orthoscheme.sample_valid_angles(20 if grid == "coarse" else 40, seed=seed)],
+            for a in hypervol.orthoscheme.sample_valid_angles(20 if grid == "coarse" else 40,
+                                                              seed=seed)],
         lambda reltol: Tolerance(rel=min(reltol, 1e-10), abs=1e-14),
         lambda v: 1e-6 * max(1.0, v)),
     "tetrahedra": (
         lambda grid, seed: [
             ("derevnin-mednykh", dict(zip("ABCDEF", t)))
-            for t in tetrahedra.sample_near_ideal(10 if grid == "coarse" else 25, seed)],
+            for t in hypervol.tetrahedra.sample_near_ideal(10 if grid == "coarse" else 25, seed)],
         lambda reltol: Tolerance(rel=min(reltol, 1e-10), abs=1e-14),
         lambda v: 1e-6),
     # closed forms with a quadrature route: the sphere over its radius, the others over q at p = 1

@@ -39,6 +39,14 @@ class ConvergenceError(HypervolError, RuntimeError):
         super().__init__(message)
         self.best = best
 
+    def rescale(self, factor: float) -> None:
+        """Multiply ``best`` by factor (its error estimate by |factor|): the
+        route that raised returns factor times the integral that failed."""
+        if self.best is not None:
+            b = self.best
+            self.best = b._replace(value=factor * b.value,
+                                   error_estimate=abs(factor) * b.error_estimate)
+
 
 def in_float_range(fn):
     """``fn``, raising DomainError where its value leaves the float range: an

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import quadrature
 from .errors import (SINH2_MAX, SINH_MAX, DomainError, NotRealizableError,
@@ -73,8 +73,14 @@ def _perp_angle(t: float, s: float) -> float:
     return math.atan(math.tanh(t) / math.sinh(s))
 
 
-@dataclass(frozen=True)
-class OrthoschemeAngles:
+class _AngleFields(NamedTuple):
+    alpha: float
+    beta: float
+    gamma: float
+    delta: float
+
+
+class OrthoschemeAngles(_AngleFields):
     """Non-right dihedral angles alpha, beta, gamma and the derived delta.
 
     alpha and gamma sit at the edges a and c; beta sits at the diagonal
@@ -83,22 +89,19 @@ class OrthoschemeAngles:
     gamma and delta < min(alpha, gamma, pi/2 - beta).
     """
 
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float = None  # type: ignore[assignment]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            object.__setattr__(self, name, angle(name, getattr(self, name), _HALF_PI))
-        a, b, g, d = self.alpha, self.beta, self.gamma, self.delta
-        d = _delta(a, b, g) if d is None else number("delta", d)
-        object.__setattr__(self, "delta", d)
+    def __new__(cls, alpha: float, beta: float, gamma: float, delta: float | None = None):
+        a = angle("alpha", alpha, _HALF_PI)
+        b = angle("beta", beta, _HALF_PI)
+        g = angle("gamma", gamma, _HALF_PI)
+        d = _delta(a, b, g) if delta is None else number("delta", delta)
         if not (0.0 < d < _HALF_PI):
             raise NotRealizableError(f"delta must lie in (0, pi/2), got {d!r}")
         if d >= a or d >= g or d >= _HALF_PI - b:
             raise NotRealizableError("delta must be dominated: "
                                      "delta < min(alpha, gamma, pi/2 - beta)")
+        return super().__new__(cls, a, b, g, d)
 
 
 def _as_edges(edges, limits: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -220,8 +223,7 @@ def volume_edges(edges, tol: Tolerance = DEFAULT_TOL) -> float:
         T = math.tanh(lam) / math.hypot(ratio * math.cosh(lam), math.sinh(lam))
         return T * log_ratio(lam, b - lam)
 
-    res = quadrature.integrate_1d(f, 0.0, b, tol)
-    return 0.25 * res.value
+    return quadrature.scaled(0.25, lambda: quadrature.integrate_1d(f, 0.0, b, tol).value)
 
 
 def volume_angles(angles: OrthoschemeAngles | tuple) -> float:
@@ -271,8 +273,8 @@ def bolyai_integral_1(edges, tol: Tolerance = DEFAULT_TOL) -> float:
             raise DomainError(f"bolyai_integral_1 denominator underflows to 0 at t = {t!r}")
         return t * sh / den
 
-    res = quadrature.integrate_1d(f, 0.0, c, tol)
-    return 0.5 * math.tan(gamma_p) / math.tan(beta_p) * res.value
+    return quadrature.scaled(0.5 * math.tan(gamma_p) / math.tan(beta_p),
+                             lambda: quadrature.integrate_1d(f, 0.0, c, tol).value)
 
 
 def _ideal_apex_integral(b: float, c: float, tol: Tolerance) -> float:
@@ -297,7 +299,7 @@ def _ideal_apex_integral(b: float, c: float, tol: Tolerance) -> float:
         lam = b - u
         return log_ratio(lam, u) / math.cosh(lam)
 
-    return 0.25 * quadrature.integrate_from_zero(g, d, b + d, tol).value
+    return quadrature.scaled(0.25, lambda: quadrature.integrate_from_zero(g, d, b + d, tol).value)
 
 
 def volume_one_ideal(b: float, c: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -326,7 +328,7 @@ def volume_two_ideal(b: float, tol: Tolerance = DEFAULT_TOL) -> float:
 def volume_ideal_tetrahedron_b(b: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Tetrahedron with four ideal vertices built by reflecting the two-ideal
     orthoscheme twice: exactly 4x the two-ideal value."""
-    return 4.0 * volume_two_ideal(b, tol)
+    return quadrature.scaled(4.0, lambda: volume_two_ideal(b, tol))
 
 
 def bolyai_asymptotic_1(alpha: float, c: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -349,7 +351,8 @@ def bolyai_asymptotic_1(alpha: float, c: float, tol: Tolerance = DEFAULT_TOL) ->
             raise DomainError(f"bolyai_asymptotic_1 denominator underflows to 0 at t = {t!r}")
         return t / den
 
-    return 0.25 * math.sin(2.0 * alpha) * quadrature.integrate_1d(f, 0.0, c, tol).value
+    return quadrature.scaled(0.25 * math.sin(2.0 * alpha),
+                             lambda: quadrature.integrate_1d(f, 0.0, c, tol).value)
 
 
 def bolyai_asymptotic_2(alpha_max: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -370,7 +373,7 @@ def bolyai_asymptotic_2(alpha_max: float, b: float, tol: Tolerance = DEFAULT_TOL
         c2 = math.cos(p) ** 2
         return 0.5 * math.log(c2 / (c2 - tb2))
 
-    return 0.5 * quadrature.integrate_1d(f, 0.0, alpha_max, tol).value
+    return quadrature.scaled(0.5, lambda: quadrature.integrate_1d(f, 0.0, alpha_max, tol).value)
 
 
 def right_triangle_angles(a: float, b: float) -> tuple[float, float]:

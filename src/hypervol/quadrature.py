@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConvergenceError, DomainError, number
 
@@ -35,6 +34,7 @@ __all__ = [
     "integrate_1d",
     "integrate_from_zero",
     "integrate_region",
+    "scaled",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -69,20 +69,24 @@ _WG = (
 )
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class _ToleranceFields(NamedTuple):
+    rel: float
+    abs: float
+
+
+class Tolerance(_ToleranceFields):
     """Requested accuracy: stop when error <= max(abs, rel * |value|)."""
 
-    rel: float = 1e-10
-    abs: float = 1e-14
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "rel", number("rel tolerance", self.rel))
-        object.__setattr__(self, "abs", number("abs tolerance", self.abs))
-        if not (1e-14 <= self.rel <= 1e-2):
-            raise DomainError(f"rel tolerance {self.rel} outside [1e-14, 1e-2]")
-        if not (self.abs >= 0.0 and math.isfinite(self.abs)):
-            raise DomainError(f"abs tolerance {self.abs} must be finite and >= 0")
+    def __new__(cls, rel: float = 1e-10, abs: float = 1e-14):
+        rel = number("rel tolerance", rel)
+        abs = number("abs tolerance", abs)
+        if not (1e-14 <= rel <= 1e-2):
+            raise DomainError(f"rel tolerance {rel} outside [1e-14, 1e-2]")
+        if not (abs >= 0.0 and math.isfinite(abs)):
+            raise DomainError(f"abs tolerance {abs} must be finite and >= 0")
+        return super().__new__(cls, rel, abs)
 
     def tighter(self) -> "Tolerance":
         """A tenth of this tolerance, for one nesting level further in (rel floored at 1e-14)."""
@@ -92,8 +96,7 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int
@@ -283,8 +286,11 @@ def integrate_region(
     if len(bounds) < 1:
         raise DomainError("at least one integration variable required")
     budget, evals = _BUDGET, 0
+    tols = [tol]
+    for _ in bounds[1:]:
+        tols.append(tols[-1].tighter())
 
-    def level(i, fixed, level_tol):
+    def level(i, fixed):
         nonlocal evals
         lo, hi = bounds[i]
         lo_v = float(lo(*fixed)) if callable(lo) else float(lo)
@@ -295,18 +301,28 @@ def integrate_region(
                 evals += 1
                 return integrand(*fixed, x)
         else:
-            inner_tol = level_tol.tighter()
-
             def f(x):
-                return level(i + 1, fixed + (x,), inner_tol).value
+                return level(i + 1, fixed + (x,)).value
 
-        return integrate_1d(f, lo_v, hi_v, level_tol, budget - evals)
+        return integrate_1d(f, lo_v, hi_v, tols[i], budget - evals)
 
     try:
-        res = level(0, (), tol)
+        res = level(0, ())
     except ConvergenceError as exc:
         # every 1-D call ran on what remained, so a budget message names the whole budget
         msg = f"evaluation budget {budget} exhausted" if evals + 30 > budget else str(exc)
         best = IntegralResult(exc.best.value, exc.best.error_estimate, evals)
         raise ConvergenceError(msg, best=best) from exc
     return IntegralResult(res.value, res.error_estimate, evals)
+
+
+def scaled(factor: float, route: Callable[[], float]) -> float:
+    """factor * route(), for a route that returns a quadrature value or a
+    volume built on one.  A ConvergenceError that route() raises leaves with
+    its best estimate multiplied by factor too, so that the estimate a
+    failure reports is on the scale of the value a success returns."""
+    try:
+        return factor * route()
+    except ConvergenceError as exc:
+        exc.rescale(factor)
+        raise

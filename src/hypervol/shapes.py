@@ -10,20 +10,21 @@ evaluators and the region builders work at curvature 1; ``compute_volume``
 and ``mc_estimate`` rescale the parameters by kind and scale the result by
 k**dim.
 
-Evaluators and builders look their library functions up when called, not
-when this module is imported, so wrappers installed on those module
-attributes see every call.  The region builders also import ``mc_oracle``
-(and with it numpy) only when first called.
+Evaluators and builders look their library modules up through the package
+when called, as ``hypervol.solids.sphere_volume(x)``, not when this module
+is imported.  So a command imports only the modules of the shape it runs
+(``mc_oracle``, and with it numpy, only for a Monte-Carlo region), and
+wrappers installed on those module attributes see every call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import orthoscheme, solids, tetrahedra
-from .errors import DomainError, in_float_range, number, positive, sequence
+import hypervol
+
+from .errors import ConvergenceError, DomainError, in_float_range, number, positive, sequence
 from .quadrature import Tolerance
 
 if TYPE_CHECKING:
@@ -36,8 +37,16 @@ __all__ = ["Shape", "SHAPES", "MC_SHAPES", "compute_volume", "mc_estimate", "col
 EXACT_METHODS = ("closed-form", "lobachevsky-series", "clausen-series")
 
 
-@dataclass(frozen=True)
-class Shape:
+class _ShapeFields(NamedTuple):
+    params: dict[str, str]
+    dim: int | None
+    method: str
+    evaluate: Callable[..., float]
+    mc_region: Callable[..., mc_oracle.Region] | None
+    routes: dict[str, Callable[..., float]]
+
+
+class Shape(_ShapeFields):
     """One shape of the table.
 
     ``params`` maps names to kinds in call and record order; ``dim`` is None
@@ -49,87 +58,85 @@ class Shape:
     ``evaluate``; a route given as None is ``evaluate`` itself.
     """
 
-    params: dict[str, str]
-    dim: int | None
-    method: str
-    evaluate: Callable[..., float]
-    mc_region: Callable[..., mc_oracle.Region] | None = None
-    routes: dict[str, Callable[..., float]] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "routes", {n: r or self.evaluate for n, r in self.routes.items()})
-
-
-def _mc():
-    """The ``mc_oracle`` module, imported on first use: it loads numpy."""
-    from . import mc_oracle
-    return mc_oracle
+    def __new__(cls, params: dict[str, str], dim: int | None, method: str,
+                evaluate: Callable[..., float],
+                mc_region: Callable[..., mc_oracle.Region] | None = None,
+                routes: dict[str, Callable[..., float] | None] | None = None):
+        routes = {n: r or evaluate for n, r in (routes or {}).items()}
+        return super().__new__(cls, params, dim, method, evaluate, mc_region, routes)
 
 
 _SIX = dict.fromkeys("ABCDEF", "R")
 
 SHAPES: dict[str, Shape] = {
-    "sphere": Shape({"x": "L"}, 3, "closed-form", lambda x, tol: solids.sphere_volume(x),
-                    mc_region=lambda x: _mc().region_ball(x),
+    "sphere": Shape({"x": "L"}, 3, "closed-form", lambda x, tol: hypervol.solids.sphere_volume(x),
+                    mc_region=lambda x: hypervol.mc_oracle.region_ball(x),
                     routes={"closed": None, "quadrature": lambda x, tol:
-                            solids.sphere_volume_by_quadrature(x, tol=tol)}),
+                            hypervol.solids.sphere_volume_by_quadrature(x, tol=tol)}),
     "barrel": Shape({"p": "L", "q": "L"}, 3, "closed-form",
-                    lambda p, q, tol: solids.barrel(p, q),
-                    mc_region=lambda p, q: _mc().region_barrel(p, q),
+                    lambda p, q, tol: hypervol.solids.barrel(p, q),
+                    mc_region=lambda p, q: hypervol.mc_oracle.region_barrel(p, q),
                     routes={"closed": None, "quadrature": lambda p, q, tol:
-                            solids.barrel_by_quadrature(p, q, tol=tol)}),
+                            hypervol.solids.barrel_by_quadrature(p, q, tol=tol)}),
     "barrel-wedge": Shape({"p": "L", "T": "A"}, 3, "closed-form",
-                          lambda p, T, tol: solids.barrel_wedge(p, T)),
+                          lambda p, T, tol: hypervol.solids.barrel_wedge(p, T)),
     "cone": Shape({"b": "L", "beta": "R"}, 3, "quadrature",
-                  lambda b, beta, tol: solids.circular_cone(b, beta, tol),
-                  mc_region=lambda b, beta: _mc().region_cone(b, beta)),
+                  lambda b, beta, tol: hypervol.solids.circular_cone(b, beta, tol),
+                  mc_region=lambda b, beta: hypervol.mc_oracle.region_cone(b, beta)),
     "equidistant": Shape({"p": "A", "q": "L"}, 3, "closed-form",
-                         lambda p, q, tol: solids.equidistant_body(p, q),
+                         lambda p, q, tol: hypervol.solids.equidistant_body(p, q),
                          # base box of area p = 4 w2 sinh w1: w2 fixed at 0.5, w1 from p
-                         mc_region=lambda p, q: _mc().region_slab((math.asinh(p / 2), 0.5), q),
+                         mc_region=lambda p, q: hypervol.mc_oracle.region_slab(
+                             (math.asinh(p / 2), 0.5), q),
                          routes={"closed": None, "quadrature": lambda p, q, tol:
-                                 solids.equidistant_body_by_quadrature(p, q, tol=tol)}),
-    "sector": Shape({"p": "A"}, 3, "closed-form", lambda p, tol: solids.paraspherical_sector(p)),
+                                 hypervol.solids.equidistant_body_by_quadrature(p, q, tol=tol)}),
+    "sector": Shape({"p": "A"}, 3, "closed-form",
+                    lambda p, tol: hypervol.solids.paraspherical_sector(p)),
     "asymptotic-cone": Shape({"b": "L"}, 3, "closed-form",
-                             lambda b, tol: solids.asymptotic_cone(b)),
+                             lambda b, tol: hypervol.solids.asymptotic_cone(b)),
     "orthoscheme-edges": Shape({"a": "L", "b": "L", "c": "L"}, 3, "quadrature",
-                               lambda *e, tol: orthoscheme.volume_edges(e, tol),
-                               mc_region=lambda a, b, c: _mc().region_simplex(
-                                   _mc().orthoscheme_vertices(a, b, c))),
+                               lambda *e, tol: hypervol.orthoscheme.volume_edges(e, tol),
+                               mc_region=lambda a, b, c: hypervol.mc_oracle.region_simplex(
+                                   hypervol.mc_oracle.orthoscheme_vertices(a, b, c))),
     "orthoscheme-angles": Shape({"alpha": "R", "beta": "R", "gamma": "R"}, 3, "lobachevsky-series",
-                                lambda *a, tol: orthoscheme.volume_angles(a),
+                                lambda *a, tol: hypervol.orthoscheme.volume_angles(a),
                                 routes={"angles": None,
-                                        "edges": lambda *a, tol: orthoscheme.volume_edges(
-                                            orthoscheme.angles_to_edges(a), tol),
-                                        "bolyai1": lambda *a, tol: orthoscheme.bolyai_integral_1(
-                                            orthoscheme.angles_to_edges(a), tol)}),
-    "orthoscheme-one-ideal": Shape({"b": "L", "c": "L"}, 3, "quadrature",
-                                   lambda b, c, tol: orthoscheme.volume_one_ideal(b, c, tol)),
+                                        "edges": lambda *a, tol:
+                                        hypervol.orthoscheme.volume_edges(
+                                            hypervol.orthoscheme.angles_to_edges(a), tol),
+                                        "bolyai1": lambda *a, tol:
+                                        hypervol.orthoscheme.bolyai_integral_1(
+                                            hypervol.orthoscheme.angles_to_edges(a), tol)}),
+    "orthoscheme-one-ideal": Shape({"b": "L", "c": "L"}, 3, "quadrature", lambda b, c, tol:
+                                   hypervol.orthoscheme.volume_one_ideal(b, c, tol)),
     "orthoscheme-two-ideal": Shape({"b": "L"}, 3, "quadrature",
-                                   lambda b, tol: orthoscheme.volume_two_ideal(b, tol)),
-    "ideal-tetra-b": Shape({"b": "L"}, 3, "quadrature",
-                           lambda b, tol: orthoscheme.volume_ideal_tetrahedron_b(b, tol)),
+                                   lambda b, tol: hypervol.orthoscheme.volume_two_ideal(b, tol)),
+    "ideal-tetra-b": Shape({"b": "L"}, 3, "quadrature", lambda b, tol:
+                           hypervol.orthoscheme.volume_ideal_tetrahedron_b(b, tol)),
     "bolyai-1": Shape({"a": "L", "b": "L", "c": "L"}, 3, "quadrature",
-                      lambda *e, tol: orthoscheme.bolyai_integral_1(e, tol)),
-    "bolyai-asym-1": Shape({"alpha": "R", "c": "L"}, 3, "quadrature",
-                           lambda alpha, c, tol: orthoscheme.bolyai_asymptotic_1(alpha, c, tol)),
-    "bolyai-asym-2": Shape({"amax": "R", "b": "L"}, 3, "quadrature",
-                           lambda amax, b, tol: orthoscheme.bolyai_asymptotic_2(amax, b, tol)),
+                      lambda *e, tol: hypervol.orthoscheme.bolyai_integral_1(e, tol)),
+    "bolyai-asym-1": Shape({"alpha": "R", "c": "L"}, 3, "quadrature", lambda alpha, c, tol:
+                           hypervol.orthoscheme.bolyai_asymptotic_1(alpha, c, tol)),
+    "bolyai-asym-2": Shape({"amax": "R", "b": "L"}, 3, "quadrature", lambda amax, b, tol:
+                           hypervol.orthoscheme.bolyai_asymptotic_2(amax, b, tol)),
     "ndim-orthoscheme": Shape({"edges": "N"}, None, "nested-quadrature",
-                              lambda edges, tol: orthoscheme.volume_ndim(edges, tol)),
+                              lambda edges, tol: hypervol.orthoscheme.volume_ndim(edges, tol)),
     "milnor": Shape({"A": "R", "B": "R", "C": "R"}, 3, "lobachevsky-series",
-                    lambda A, B, C, tol: tetrahedra.milnor_ideal(A, B, C)),
+                    lambda A, B, C, tol: hypervol.tetrahedra.milnor_ideal(A, B, C)),
     "derevnin-mednykh": Shape(_SIX, 3, "quadrature",
-                              lambda *t, tol: tetrahedra.derevnin_mednykh(t, tol),
+                              lambda *t, tol: hypervol.tetrahedra.derevnin_mednykh(t, tol),
                               routes={"derevnin-mednykh": None, "murakami-yano": lambda *t, tol:
-                                      tetrahedra.murakami_yano(t)}),
-    "murakami-yano": Shape(_SIX, 3, "clausen-series", lambda *t, tol: tetrahedra.murakami_yano(t)),
+                                      hypervol.tetrahedra.murakami_yano(t)}),
+    "murakami-yano": Shape(_SIX, 3, "clausen-series",
+                           lambda *t, tol: hypervol.tetrahedra.murakami_yano(t)),
     "lambert-cube": Shape({"w0": "R", "w1": "R", "w2": "R", "theta": "R"}, 3, "lobachevsky-series",
-                          lambda *w, tol: tetrahedra.lambert_cube(*w)),
+                          lambda *w, tol: hypervol.tetrahedra.lambert_cube(*w)),
     "mohanty": Shape({"A": "R", "B": "R", "E": "R"}, 3, "lobachevsky-series",
-                     lambda A, B, E, tol: tetrahedra.mohanty_octahedron(A, B, E)),
+                     lambda A, B, E, tol: hypervol.tetrahedra.mohanty_octahedron(A, B, E)),
     "triangle-2d": Shape({"a": "L", "b": "L"}, 2, "nested-quadrature",
-                         lambda a, b, tol: orthoscheme.area_right_triangle(a, b, tol)),
+                         lambda a, b, tol: hypervol.orthoscheme.area_right_triangle(a, b, tol)),
 }
 
 MC_SHAPES = tuple(name for name, s in SHAPES.items() if s.mc_region is not None)
@@ -162,7 +169,9 @@ def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-
     """Volume of ``shape`` at curvature k. Returns (value, method, error estimate).
 
     The evaluator runs at curvature 1 on the parameters rescaled by kind, and
-    value and error are multiplied by k**dim.  The error estimate is 0 for
+    value and error are multiplied by k**dim, as is the best estimate that a
+    ConvergenceError carries (which each route has already multiplied by its
+    own factor, ``quadrature.scaled``).  The error estimate is 0 for
     ``EXACT_METHODS`` and the requested bound max(abs, rel |v|) otherwise.
     DomainError when a scaled parameter, k**dim or the scaled volume lies
     beyond the float range (about 1.8e308; for dim 3, k above about 5.6e102).
@@ -170,7 +179,11 @@ def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-
     entry = _lookup(shape)
     p1, scale = _at_curvature_1(entry, params, k)
     tol = Tolerance(rel=reltol, abs=min(1e-14, reltol))
-    v1 = entry.evaluate(*p1, tol=tol)
+    try:
+        v1 = entry.evaluate(*p1, tol=tol)
+    except ConvergenceError as exc:
+        exc.rescale(scale)
+        raise
     err1 = 0.0 if entry.method in EXACT_METHODS else max(tol.abs, tol.rel * abs(v1))
     return v1 * scale, entry.method, err1 * scale
 
@@ -188,11 +201,11 @@ def mc_estimate(shape: str, params: dict, k: float, samples: int,
     if entry.mc_region is None:
         raise DomainError(f"shape {shape!r} has no Monte-Carlo region")
     p1, scale = _at_curvature_1(entry, params, k)
-    est = _mc().estimate(entry.mc_region(*p1), samples, seed)
+    est = hypervol.mc_oracle.estimate(entry.mc_region(*p1), samples, seed)
     mean, stderr = est.mean * scale, est.stderr * scale
     if not (math.isfinite(mean) and math.isfinite(stderr)):
         raise DomainError(f"the estimate for {shape!r} at k = {k!r} exceeds the float range")
-    return replace(est, mean=mean, stderr=stderr)
+    return hypervol.mc_oracle.MCEstimate(mean, stderr, est.samples, est.seed)
 
 
 def collect_params(shape: str, src: dict, degrees: bool) -> dict:

@@ -53,8 +53,8 @@ def equidistant_body_by_quadrature(p, q, tol: Tolerance = DEFAULT_TOL) -> float:
     where the closed form raises it."""
     p = nonnegative("base area p", p)
     q = nonnegative("height q", q)
-    res = quadrature.integrate_1d(lambda t: math.cosh(t) ** 2, 0.0, q, tol)
-    return p * res.value
+    return quadrature.scaled(p, lambda: quadrature.integrate_1d(
+        lambda t: math.cosh(t) ** 2, 0.0, q, tol).value)
 
 
 @in_float_range
@@ -89,8 +89,8 @@ def sphere_volume_by_quadrature(x, tol: Tolerance = DEFAULT_TOL) -> float:
     """Same ball (at curvature 1) via the radial shell integral
     4 pi int_0^x sinh^2 r dr; DomainError where the closed form raises it."""
     x = nonnegative("radius x", x)
-    res = quadrature.integrate_1d(lambda r: math.sinh(r) ** 2, 0.0, x, tol)
-    return 4.0 * math.pi * res.value
+    return quadrature.scaled(4.0 * math.pi, lambda: quadrature.integrate_1d(
+        lambda r: math.sinh(r) ** 2, 0.0, x, tol).value)
 
 
 @in_float_range
@@ -112,8 +112,8 @@ def barrel_by_quadrature(p, q, tol: Tolerance = DEFAULT_TOL) -> float:
     where the closed form raises it."""
     p = nonnegative("segment length p", p)
     q = nonnegative("tube radius q", q)
-    res = quadrature.integrate_1d(lambda t: math.sinh(t) * math.cosh(t), 0.0, q, tol)
-    return 2.0 * math.pi * p * res.value
+    return quadrature.scaled(2.0 * math.pi * p, lambda: quadrature.integrate_1d(
+        lambda t: math.sinh(t) * math.cosh(t), 0.0, q, tol).value)
 
 
 @in_float_range
@@ -153,8 +153,7 @@ def circular_cone(b: float, beta: float, tol: Tolerance = DEFAULT_TOL) -> float:
             raise DomainError(f"cone profile denominator underflows to 0 at y = {y!r}")
         return sh2 / den
 
-    res = quadrature.integrate_1d(f, 0.0, b, tol)
-    return math.pi * res.value
+    return quadrature.scaled(math.pi, lambda: quadrature.integrate_1d(f, 0.0, b, tol).value)
 
 
 @in_float_range

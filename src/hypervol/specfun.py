@@ -113,4 +113,5 @@ def lobachevsky_via_integral(x: float) -> float:
     def integrand(t: float) -> float:
         return -math.log(abs(2.0 * math.sin(t)))
 
-    return sign * quadrature.integrate_1d(integrand, 0.0, r, Tolerance(rel=1e-13, abs=1e-15)).value
+    tol = Tolerance(rel=1e-13, abs=1e-15)
+    return quadrature.scaled(sign, lambda: quadrature.integrate_1d(integrand, 0.0, r, tol).value)

@@ -151,8 +151,8 @@ def derevnin_mednykh(t, tol: Tolerance = DEFAULT_TOL) -> float:
         # log zero hit exactly stays finite
         return log(abs(num) or 5e-324) - log(abs(den) or 5e-324)
 
-    res = quadrature.integrate_from_zero(f, max(z1, 0.0), z2, tol)
-    return -0.25 * res.value
+    return quadrature.scaled(-0.25, lambda: quadrature.integrate_from_zero(
+        f, max(z1, 0.0), z2, tol).value)
 
 
 def murakami_yano(t) -> float:

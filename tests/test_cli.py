@@ -1,7 +1,6 @@
 """Command-line interface tests (driving main() in-process)."""
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -24,7 +23,7 @@ from hypervol.cli import (
 )
 from hypervol.errors import ConvergenceError, DomainError
 from hypervol.quadrature import Tolerance
-from hypervol.shapes import MC_SHAPES, SHAPES, parse_job
+from hypervol.shapes import MC_SHAPES, SHAPES, compute_volume, parse_job
 
 SPHERE_11 = 5.11093270570828898
 REGULAR_IDEAL = 1.01494160640965363
@@ -189,8 +188,8 @@ def test_crosscheck_tetrahedra_rows_are_the_two_routes(capsys):
 def test_crosscheck_reads_the_routes_of_the_table(capsys, monkeypatch):
     # a new route is a table entry: the solids rows of the sphere gain its column
     sphere = SHAPES["sphere"]
-    extra = dataclasses.replace(sphere, routes={**sphere.routes, "doubled-half": lambda x, tol:
-                                                2.0 * solids.sphere_volume(x) / 2.0})
+    extra = sphere._replace(routes={**sphere.routes, "doubled-half": lambda x, tol:
+                                    2.0 * solids.sphere_volume(x) / 2.0})
     monkeypatch.setitem(SHAPES, "sphere", extra)
     code, recs = run(capsys, "crosscheck", "solids", "--grid", "coarse")
     assert code == EXIT_OK
@@ -508,7 +507,93 @@ def test_convergence_failure_reports_best_estimate(tmp_path, capsys, monkeypatch
     assert math.isfinite(best.value) and best.evaluations <= budget
 
 
-LAZY = ("numpy", "hypervol.mc_oracle", "hypervol.models")
+def best_estimate(err: str) -> tuple[float, float, int]:
+    """(value, error estimate, evaluations) of the best-estimate line on stderr."""
+    m = re.fullmatch(r"best estimate: (\S+) \(error estimate (\S+), (\d+) evaluations\)",
+                     err.splitlines()[-1])
+    assert m, err
+    return float(m[1]), float(m[2]), int(m[3])
+
+
+def test_convergence_failure_best_estimate_is_a_volume(capsys, monkeypatch):
+    # one panel of the regular ideal tetrahedron's integral already holds its volume
+    # to a few digits; the raw integral is -4 times the volume
+    integrate_1d = quadrature.integrate_1d
+    monkeypatch.setattr(quadrature, "integrate_1d",
+                        lambda f, lo, hi, tol=quadrature.DEFAULT_TOL, max_evals=15:
+                        integrate_1d(f, lo, hi, tol, min(max_evals, 15)))
+    argv = ["vol", "derevnin-mednykh", *(a for n in "ABCDEF" for a in (f"--{n}", "1.0472"))]
+    assert main(argv) == EXIT_NO_CONVERGENCE
+    value, error, evals = best_estimate(capsys.readouterr().err)
+    assert evals == 15
+    assert value == pytest.approx(REGULAR_IDEAL, rel=1e-3)
+    assert 0.0 < error < 0.01
+
+
+def test_convergence_failure_best_estimate_scales_with_k(capsys, monkeypatch):
+    # (24, 1, 1) at k = 2 runs the integral of (12, 0.5, 0.5) at k = 1, times 2^3
+    monkeypatch.setattr(quadrature, "_BUDGET", 20_000)
+    bests = []
+    for edges, k in (("12,0.5,0.5", "1"), ("24,1,1", "2")):
+        assert main(["vol", "ndim-orthoscheme", "--edges", edges, "--k", k]) \
+            == EXIT_NO_CONVERGENCE
+        bests.append(best_estimate(capsys.readouterr().err))
+    (v1, e1, n1), (v2, e2, n2) = bests
+    assert v1 > 0.0 and (v2, e2, n2) == (8.0 * v1, 8.0 * e1, n1)
+
+
+# one parameter set of each shape with a 1-D quadrature route
+QUADRATURE_PARAMS = {
+    "sphere": {"x": 1.0},
+    "barrel": {"p": 1.0, "q": 0.7},
+    "equidistant": {"p": 0.9, "q": 0.6},
+    "cone": {"b": 1.0, "beta": 0.7},
+    "orthoscheme-edges": {"a": 1.0, "b": 0.8, "c": 0.6},
+    "orthoscheme-angles": {"alpha": 0.54, "beta": 1.1, "gamma": 0.71},
+    "orthoscheme-one-ideal": {"b": 1.0, "c": 0.8},
+    "orthoscheme-two-ideal": {"b": 1.0},
+    "ideal-tetra-b": {"b": 1.0},
+    "bolyai-1": {"a": 1.0, "b": 0.8, "c": 0.6},
+    "bolyai-asym-1": {"alpha": 0.7, "c": 1.0},
+    "bolyai-asym-2": {"amax": 0.5, "b": 0.5},
+    "derevnin-mednykh": dict.fromkeys("ABCDEF", 1.1),
+}
+
+
+@pytest.mark.parametrize("shape", QUADRATURE_PARAMS)
+def test_every_route_fails_with_its_value_as_best_estimate(monkeypatch, shape):
+    # every integral converges and then fails with its own result, so each route's
+    # best estimate must be exactly the value it returns on success, at any k
+    entry, params, k = SHAPES[shape], QUADRATURE_PARAMS[shape], 1.3
+    values = tuple(params[name] for name in entry.params)
+    tol = Tolerance()
+    routes = {"evaluate": entry.evaluate, **entry.routes}
+    expected = {name: route(*values, tol=tol) for name, route in routes.items()}
+    volume = compute_volume(shape, params, k)[0]
+    integrate_1d = quadrature.integrate_1d
+
+    def converge_then_fail(*args, **kwargs):
+        raise ConvergenceError("stub", best=integrate_1d(*args, **kwargs))
+
+    monkeypatch.setattr(quadrature, "integrate_1d", converge_then_fail)
+    failed = []
+    for name, route in routes.items():
+        try:
+            got = route(*values, tol=tol)  # a closed form integrates nothing
+        except ConvergenceError as exc:
+            failed.append(name)
+            got = exc.best.value
+        assert got == expected[name], name
+    assert failed
+    if "evaluate" in failed:
+        with pytest.raises(ConvergenceError) as exc:
+            compute_volume(shape, params, k)
+        assert exc.value.best.value == volume
+
+
+# the submodules that load on first access, and the modules only the oracle loads
+LAZY = ("cli", "mc_oracle", "models", "orthoscheme", "shapes", "solids", "specfun", "tetrahedra")
+ORACLE = {"numpy", "hypervol.mc_oracle", "hypervol.models"}
 
 
 def fresh(code: str) -> str:
@@ -522,13 +607,15 @@ def fresh(code: str) -> str:
     return p.stdout
 
 
-def cold_main(argv: list[str]) -> tuple[list[str], list[dict]]:
-    """Modules of LAZY loaded after one ``main(argv)`` in a fresh interpreter, and its records."""
+def cold_main(argv: list[str]) -> tuple[set[str], list[dict]]:
+    """The modules that one ``main(argv)`` in a fresh interpreter adds to those
+    the bare interpreter holds, and its records."""
     out = fresh("import json, sys\n"
+                "bare = set(sys.modules)\n"
                 "from hypervol.cli import main\n"
                 f"main({argv!r})\n"
-                f"print(json.dumps([m for m in {LAZY!r} if m in sys.modules]))\n").splitlines()
-    return json.loads(out[-1]), [json.loads(line) for line in out[:-1]]
+                "print(json.dumps(sorted(set(sys.modules) - bare)))\n").splitlines()
+    return set(json.loads(out[-1])), [json.loads(line) for line in out[:-1]]
 
 
 @pytest.mark.parametrize("argv", [
@@ -538,30 +625,60 @@ def cold_main(argv: list[str]) -> tuple[list[str], list[dict]]:
 ])
 def test_cold_vol_loads_neither_numpy_nor_the_oracle(argv):
     loaded, recs = cold_main(argv)
-    assert loaded == []
+    assert not loaded & ORACLE
     assert len(recs) == 1
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["vol", "sphere", "--x", "1"], ("orthoscheme", "tetrahedra", "specfun")),
+    (["vol", "milnor", "--A", "1", "--B", "1", "--C", repr(math.pi - 2.0)],
+     ("solids", "orthoscheme")),
+    (["vol", "orthoscheme-angles", "--alpha", "0.54", "--beta", "1.1", "--gamma", "0.71"],
+     ("solids", "tetrahedra")),
+    (["vol", "murakami-yano", *(a for n in "ABCDEF" for a in (f"--{n}", "1.1"))],
+     ("solids", "orthoscheme")),
+    (["convert", "edges-to-angles", "--a", "1", "--b", "0.8", "--c", "0.6"],
+     ("solids", "tetrahedra")),
+    (["crosscheck", "orthoscheme"], ("solids", "tetrahedra")),
+], ids=["vol-sphere", "vol-milnor", "vol-orthoscheme-angles", "vol-murakami-yano", "convert",
+        "crosscheck"])
+def test_cold_commands_load_only_the_modules_they_run(argv, unused):
+    loaded, recs = cold_main(argv)
+    assert recs
+    assert not loaded & {"dataclasses", "inspect", *ORACLE}
+    assert not loaded & {f"hypervol.{m}" for m in unused}
 
 
 def test_cold_mc_loads_the_oracle_and_matches_in_process(capsys):
     argv = ["mc", "sphere", "--x", "1", "--samples", "10000", "--seed", "3"]
     loaded, recs = cold_main(argv)
-    assert loaded == list(LAZY)
+    assert ORACLE <= loaded
     assert run(capsys, *argv) == (EXIT_OK, recs)
 
 
+NAMES = ", ".join(LAZY)
+
+
 @pytest.mark.parametrize("code", [
-    "from hypervol import mc_oracle, models",
-    "import hypervol.mc_oracle, hypervol.models\n"
-    "mc_oracle, models = hypervol.mc_oracle, hypervol.models",
-    "import hypervol\nmc_oracle, models = hypervol.mc_oracle, hypervol.models",
+    f"from hypervol import {NAMES}",
+    f"import {', '.join('hypervol.' + m for m in LAZY)}\n"
+    f"{NAMES} = {', '.join('hypervol.' + m for m in LAZY)}",
+    f"import hypervol\n{NAMES} = {', '.join('hypervol.' + m for m in LAZY)}",
 ], ids=["from-import", "import-submodule", "attribute"])
 def test_lazy_submodules_load_on_every_kind_of_access(code):
-    check = ("\nimport sys\n"
-             "assert mc_oracle is sys.modules['hypervol.mc_oracle']\n"
-             "assert models is sys.modules['hypervol.models']\n"
-             "assert 'numpy' in sys.modules\n"
-             "print('ok')\n")
+    check = "".join(f"assert {m} is sys.modules['hypervol.{m}']\n" for m in LAZY)
+    check = f"\nimport sys\n{check}assert 'numpy' in sys.modules\nprint('ok')\n"
     assert fresh(code + check).split() == ["ok"]
+
+
+def test_package_import_loads_no_lazy_submodule():
+    out = fresh("import json, sys\n"
+                "bare = set(sys.modules)\n"
+                "import hypervol\n"
+                "print(json.dumps(sorted(set(sys.modules) - bare)))\n")
+    loaded = set(json.loads(out))
+    assert {"hypervol", "hypervol.errors", "hypervol.quadrature"} <= loaded
+    assert not loaded & {"dataclasses", "inspect", *(f"hypervol.{m}" for m in LAZY)}
 
 
 def test_package_attributes():

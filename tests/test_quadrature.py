@@ -8,6 +8,7 @@ import pytest
 
 from hypervol import quadrature
 from hypervol.errors import ConvergenceError, DomainError
+from hypervol.orthoscheme import OrthoschemeAngles
 from hypervol.quadrature import (
     IntegralResult,
     Tolerance,
@@ -225,3 +226,44 @@ def test_integrate_1d_budget_below_one_panel_raises():
     with pytest.raises(ConvergenceError) as exc:
         integrate_1d(lambda x: x, 0.0, 1.0, max_evals=14)
     assert exc.value.best == IntegralResult(0.0, math.inf, 0)
+
+
+def test_nested_tolerances_are_built_once_per_call(monkeypatch):
+    # each level runs at a tenth of the tolerance outside it: two tighter() calls
+    # for three levels, where one per inner integral made 15 + 15^2 of them
+    seen = []
+    tighter = Tolerance.tighter
+    monkeypatch.setattr(Tolerance, "tighter", lambda self: seen.append(self) or tighter(self))
+    tol = Tolerance(rel=1e-8)
+    assert integrate_region(lambda x, y, z: x * y + z, [(0.0, 1.0)] * 3, tol).evaluations == 3375
+    assert seen == [tol, tighter(tol)]
+
+
+def test_scaled_multiplies_the_value_and_the_best_estimate_of_a_failure():
+    def fail(best=IntegralResult(8.0, 0.5, 45)):
+        raise ConvergenceError("budget exhausted", best=best)
+
+    assert quadrature.scaled(-0.25, lambda: 8.0) == -2.0
+    with pytest.raises(ConvergenceError, match="budget exhausted") as exc:
+        quadrature.scaled(-0.25, fail)
+    assert exc.value.best == IntegralResult(-2.0, 0.125, 45)
+    # scalings nest, and an error without an estimate leaves without one
+    with pytest.raises(ConvergenceError) as exc:
+        quadrature.scaled(4.0, lambda: quadrature.scaled(-0.25, fail))
+    assert exc.value.best == IntegralResult(-8.0, 0.5, 45)
+    with pytest.raises(ConvergenceError) as exc:
+        quadrature.scaled(2.0, lambda: fail(None))
+    assert exc.value.best is None
+
+
+def test_records_are_immutable_and_print_their_fields():
+    tol, res = Tolerance(rel="1e-8", abs=0), IntegralResult(1.5, 0.25, 45)
+    ang = OrthoschemeAngles(0.54, 1.1, 0.71, 0.43)
+    assert repr(tol) == "Tolerance(rel=1e-08, abs=0.0)"
+    assert repr(res) == "IntegralResult(value=1.5, error_estimate=0.25, evaluations=45)"
+    assert repr(ang) == "OrthoschemeAngles(alpha=0.54, beta=1.1, gamma=0.71, delta=0.43)"
+    for record, field in ((tol, "rel"), (res, "value"), (ang, "delta")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1.0)
+        with pytest.raises(AttributeError):
+            record.extra = 1.0

@@ -53,15 +53,24 @@ def public_functions():
 
 
 def check_finite(value):
-    """Every float reachable from ``value`` is finite."""
+    """Every float reachable from ``value`` is finite.  Floats, tuples (named
+    ones included), lists, dataclasses and a region's box are walked; any
+    other value that is not a str, an int, a bool or None fails, so that no
+    returned number goes unchecked."""
     if isinstance(value, float):
         assert math.isfinite(value), value
     elif isinstance(value, (tuple, list)):
         for v in value:
             check_finite(v)
+    elif isinstance(value, mc_oracle.Region):
+        # its membership test is code, not a number
+        assert callable(value.contains), value
+        check_finite((value.lo, value.hi, value.name))
     elif dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
             check_finite(getattr(value, f.name))
+    else:
+        assert value is None or isinstance(value, (str, int)), f"cannot walk {value!r}"
 
 
 def chart_point(system, n, k):
@@ -178,6 +187,21 @@ def test_known_leaks_raise_hypervol_error_or_convert(call):
     except HypervolError:
         return
     check_finite(value)
+
+
+@pytest.mark.parametrize("call", [
+    'orthoscheme.edges_to_angles((1.0, 0.8, 0.6))',
+    'orthoscheme.sample_valid_angles(2, 1)',
+    'models.coordinate_volume("klein", [(0, 0, 0.1), (1, 0, 0.1)], 2, 1.0)',
+    'mc_oracle.region_ball(0.5)',
+    'shapes.mc_estimate("sphere", {"x": 0.5}, 1.0, 10_000, 0)',
+])
+def test_check_finite_walks_every_kind_of_returned_record(call):
+    # the sweep's arbitrary arguments seldom reach a valid call of these, so each
+    # record type is walked here once; a value of no known kind fails the walk
+    check_finite(eval(call))
+    with pytest.raises(AssertionError, match="cannot walk"):
+        check_finite([eval(call), object()])
 
 
 def test_samplers_refuse_a_seed_that_is_not_an_integer():

@@ -5,7 +5,7 @@
 Each SRC is a directory holding the ``hypervol`` package (the ``src`` of a
 checkout).  Every command of a fixed argv list runs as ``python -m
 hypervol.cli`` in a fresh interpreter against each tree, and the script
-reports every command whose stdout or exit code differs.  The list covers
+reports every command whose stdout, stderr or exit code differs.  The list covers
 ``vol`` on every table shape at k = 1 and 1.3 (the singular-end routes at
 a few more parameter sets), both ``convert``
 directions, ``crosscheck`` on every suite, grid and seed of three, ``mc``
@@ -21,7 +21,7 @@ the record's shape (or crosscheck suite), the largest relative change.
 
 A second pass reruns every command of the new tree that draws Monte-Carlo
 samples (``mc`` and the batches with ``mc`` jobs) in a child pinned to one
-CPU, and reports each whose stdout or exit code differs from its run on
+CPU, and reports each whose output or exit code differs from its run on
 all CPUs: an estimate must not depend on the core count.
 
 Exit status: 0 when every command agrees and every pinned rerun matches, 1
@@ -203,8 +203,10 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
         ["vol", "lambert-cube", "--w0", "0.168", "--w1", "1.243", "--w2", "0.354",
          "--theta", "0.0498"],
         ["vol", "sphere", "--x", "1", "--k", "nan"],
-        # a long edge whose nested integral ran past any per-call budget (now exit 4)
+        # a long edge whose nested integral ran past any per-call budget (now exit 4),
+        # and the same integral at k = 2, whose best estimate is 2^3 times as large
         ["vol", "ndim-orthoscheme", "--edges", "12,0.5,0.5"],
+        ["vol", "ndim-orthoscheme", "--edges", "24,1,1", "--k", "2"],
         # a small orthoscheme that an absolute determinant test called degenerate (now exit 0)
         ["mc", "orthoscheme-edges", "--a", "1e-5", "--b", "1e-5", "--c", "1e-5"],
         # orthoscheme vertices placed in the ball at k != 1
@@ -271,17 +273,18 @@ def one_cpu() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
-def run(src: str, argv: list[str], cwd: str, pin: bool = False) -> tuple[int | str, str]:
-    """(exit code, stdout) of one command, on one CPU if ``pin``;
-    ("timeout", "") past TIMEOUT_S."""
+def run(src: str, argv: list[str], cwd: str,
+        pin: bool = False) -> tuple[int | str, str, str]:
+    """(exit code, stdout, stderr) of one command, on one CPU if ``pin``;
+    ("timeout", "", "") past TIMEOUT_S."""
     env = {**os.environ, "PYTHONPATH": src}
     try:
         p = subprocess.run([sys.executable, "-m", "hypervol.cli", *argv], cwd=cwd, env=env,
                            capture_output=True, text=True, timeout=TIMEOUT_S,
                            preexec_fn=one_cpu if pin else None)
     except subprocess.TimeoutExpired:
-        return "timeout", ""
-    return p.returncode, p.stdout
+        return "timeout", "", ""
+    return p.returncode, p.stdout, p.stderr
 
 
 def table_shapes(src: str, cwd: str) -> set[str]:
@@ -310,16 +313,19 @@ def main(argv=None) -> int:
             pinned = list(pool.map(lambda a: run(new, a, tmp, pin=True), mc_argvs))
         differ = 0
         changes: dict = {}
-        for a, ((code_o, out_o), (code_n, out_n)) in zip(argvs, results):
-            if (code_o, out_o) == (code_n, out_n) and code_o != "timeout":
+        for a, (res_o, res_n) in zip(argvs, results):
+            if res_o == res_n and res_o[0] != "timeout":
                 continue
             differ += 1
+            (code_o, out_o, err_o), (code_n, out_n, err_n) = res_o, res_n
             record_changes(out_o, out_n, changes)
             print(f"DIFF exit {code_o} -> {code_n}: hypervol {' '.join(a).replace(tmp, '$TMP')}")
-            diff = difflib.unified_diff(out_o.splitlines(), out_n.splitlines(),
-                                        "old", "new", lineterm="", n=0)
-            for line in list(diff)[:12]:
-                print(f"    {line[:200]}")
+            for stream, old_text, new_text in (("stdout", out_o, out_n),
+                                               ("stderr", err_o, err_n)):
+                diff = difflib.unified_diff(old_text.splitlines(), new_text.splitlines(),
+                                            f"old {stream}", f"new {stream}", lineterm="", n=0)
+                for line in list(diff)[:12]:
+                    print(f"    {line[:200]}")
         unpinned = {tuple(a): res[1] for a, res in zip(argvs, results)}
         pin_differ = 0
         for a, res in zip(mc_argvs, pinned):
