@@ -130,7 +130,9 @@ def estimate(region: Region, samples: int, seed: int) -> MCEstimate:
         idx = np.flatnonzero(r2 <= cap2)
         w.fill(0.0)
         if idx.size:
-            mask = np.asarray(region.contains(pts.take(idx, axis=0, out=cand[:idx.size])))
+            # when every point is a candidate, the points need no copy
+            cands = pts if idx.size == m else pts.take(idx, axis=0, out=cand[:idx.size])
+            mask = np.asarray(region.contains(cands))
             if mask.dtype != bool or mask.shape != idx.shape:
                 raise DomainError(
                     f"region membership must return {idx.size} booleans, one per point, "

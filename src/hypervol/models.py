@@ -28,6 +28,7 @@ lengths (k -> infinity recovers Euclidean behaviour).
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from . import quadrature
@@ -322,11 +323,13 @@ def coordinate_volume(
     if sorted(axes) != list(range(n)):
         raise DomainError(f"axes {axes} must be a permutation of 0..{n - 1}")
     spec = [(b[1], b[2]) for b in bounds]
-    coords = [0.0] * n
+    # the coordinates in slot order from the integration variables in level order
+    slots = [0] * n
+    for level, ax in enumerate(axes):
+        slots[ax] = level
+    order = itemgetter(*slots)
 
     def integrand(*vals):
-        for ax, v in zip(axes, vals):
-            coords[ax] = v
-        return dens(coords, n, k)
+        return dens(order(vals), n, k)
 
     return quadrature.integrate_region(integrand, spec, DEFAULT_TOL)

@@ -2,28 +2,35 @@
 
 The 1-D core is a globally adaptive Gauss-Kronrod 15(7) scheme: the worst
 interval (by error estimate) is bisected until the summed error estimate
-meets the tolerance or the evaluation budget runs out.  Kronrod nodes are
-interior, so an integrable endpoint singularity (log or algebraic) never
-meets a node, and the per-interval error model is the QUADPACK one, which
-keeps refinement honest next to it.  Plain subdivision reaches such an end
-only by halving toward it: for a log singularity at the default tolerance,
-33 halvings and 1,005 evaluations.  A route that knows where its
-singularity sits goes through ``integrate_from_zero`` instead: with the
-singular point at u = 0, at or just below the lower limit, the
-substitution u = hi s^3 turns a log singularity into s^2 ln s, which a few
-levels of the same GK15 rule resolve.
+meets the tolerance or the evaluation budget runs out.  An integral that
+its first panel resolves returns at once, with the value and error
+estimate the refinement loop would sum from that one panel.  Kronrod
+nodes are interior, so an integrable endpoint singularity (log or
+algebraic) never meets a node, and the per-interval error model is the
+QUADPACK one, which keeps refinement honest next to it.  Plain
+subdivision reaches such an end only by halving toward it: for a log
+singularity at the default tolerance, 33 halvings and 1,005 evaluations.
+A route that knows where its singularity sits goes through
+``integrate_from_zero`` instead: with the singular point at u = 0, at or
+just below the lower limit, the substitution u = hi s^3 turns a log
+singularity into s^2 ln s, which a few levels of the same GK15 rule
+resolve.
 
 Nested integration (``integrate_region``) composes 1-D calls over one
 (lo, hi) pair per variable, where either limit may be a function of the
 outer variables; each inner level runs at a tenth of the tolerance of the
 level above it.  All levels draw on one evaluation budget, ``_BUDGET``
-evaluations, which is also the default budget of one 1-D integral.
+evaluations, which is also the default budget of one 1-D integral.  The
+innermost level integrates the integrand with its outer variables bound
+(no wrapper runs per evaluation), and its evaluations are counted per 1-D
+call: from the call's result, or from the best estimate it raises with.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConvergenceError, DomainError, number
@@ -67,6 +74,8 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+# (abscissa, Kronrod weight) of the seven node pairs c -/+ h x
+_NODES = tuple(zip(_XGK[:7], _WGK[:7]))
 
 
 class _ToleranceFields(NamedTuple):
@@ -119,28 +128,28 @@ def _gk15(f, a, b):
     if not math.isfinite(fc):
         raise DomainError(f"integrand returned {fc!r} at x={c!r}")
     resk = _WGK[7] * fc
-    resg = _WG[3] * fc
     resabs = _WGK[7] * abs(fc)
-    fv = [0.0] * 14
-    for j in range(7):
-        x = h * _XGK[j]
+    fv = []  # (Kronrod weight, f(c - x), f(c + x)) per node pair
+    sums = []
+    for x, w in _NODES:
+        x = h * x
         f1 = f(c - x)
         f2 = f(c + x)
         if not (math.isfinite(f1) and math.isfinite(f2)):
             bad = c - x if not math.isfinite(f1) else c + x
             raise DomainError(f"integrand returned a non-finite value at x={bad!r}")
-        fv[j] = f1
-        fv[j + 7] = f2
+        fv.append((w, f1, f2))
         s = f1 + f2
-        resk += _WGK[j] * s
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
-        if j % 2 == 1:  # Kronrod odd indices carry the embedded Gauss rule
-            resg += _WG[j // 2] * s
+        sums.append(s)
+        resk += w * s
+        resabs += w * (abs(f1) + abs(f2))
+    # the odd node pairs carry the embedded Gauss rule
+    resg = _WG[3] * fc + _WG[0] * sums[1] + _WG[1] * sums[3] + _WG[2] * sums[5]
 
     reskh = 0.5 * resk
     resasc = _WGK[7] * abs(fc - reskh)
-    for j in range(7):
-        resasc += _WGK[j] * (abs(fv[j] - reskh) + abs(fv[j + 7] - reskh))
+    for w, f1, f2 in fv:
+        resasc += w * (abs(f1 - reskh) + abs(f2 - reskh))
     resasc *= abs(h)
     resabs *= abs(h)
 
@@ -180,12 +189,14 @@ def integrate_1d(
 
     if max_evals < 15:
         raise ConvergenceError(f"evaluation budget {max_evals} exhausted", best=_UNKNOWN)
-    evals = 0
     try:
         val, err, resabs = _gk15(f, lo, hi)
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), best=_UNKNOWN) from exc
-    evals += 15
+    if err <= max(tol.abs, tol.rel * abs(val)):
+        # finish() of this one panel: math.fsum([val]) is val + 0.0 (-0.0 becomes 0.0)
+        return IntegralResult(val + 0.0, err, 15)
+    evals = 15
     # heap entries: (-err, sequence number, a, b, value, err, resabs)
     seq = 0
     heap = [(-err, seq, lo, hi, val, err, resabs)]
@@ -278,7 +289,9 @@ def integrate_region(
     Each inner level runs at a tenth of the tolerance of its parent.
 
     ``_BUDGET`` bounds the integrand evaluations of all levels together:
-    every 1-D call gets the budget that remains.  When it runs out,
+    every 1-D call gets the budget that remains.  The count is that of the
+    integrand calls, but for the unfinished panel of an innermost integral
+    whose integrand raises ConvergenceError itself.  When it runs out,
     ConvergenceError carries in ``best`` the outermost level's estimate so
     far (0 with an infinite error estimate if that level has not finished a
     panel) and the evaluations made.
@@ -290,21 +303,23 @@ def integrate_region(
     for _ in bounds[1:]:
         tols.append(tols[-1].tighter())
 
+    last = len(bounds) - 1
+
     def level(i, fixed):
         nonlocal evals
         lo, hi = bounds[i]
         lo_v = float(lo(*fixed)) if callable(lo) else float(lo)
         hi_v = float(hi(*fixed)) if callable(hi) else float(hi)
-        if i == len(bounds) - 1:
-            def f(x):
-                nonlocal evals
-                evals += 1
-                return integrand(*fixed, x)
-        else:
-            def f(x):
-                return level(i + 1, fixed + (x,)).value
-
-        return integrate_1d(f, lo_v, hi_v, tols[i], budget - evals)
+        if i < last:
+            return integrate_1d(lambda x: level(i + 1, fixed + (x,)).value,
+                                lo_v, hi_v, tols[i], budget - evals)
+        try:
+            res = integrate_1d(partial(integrand, *fixed), lo_v, hi_v, tols[i], budget - evals)
+        except ConvergenceError as exc:
+            evals += exc.best.evaluations
+            raise
+        evals += res.evaluations
+        return res
 
     try:
         res = level(0, ())

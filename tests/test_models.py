@@ -15,6 +15,7 @@ from hypervol.models import (
     paracycle_brick_volume,
     transform,
 )
+from hypervol.quadrature import DEFAULT_TOL, integrate_region
 
 SPHERE_1 = 5.11093270570828898  # pi sinh 2 - 2 pi (mpmath)
 
@@ -485,6 +486,33 @@ def test_coordinate_volume_klein_box():
     )
     assert res.value > 0.6 * 0.6 * 0.6  # density >= 1 everywhere
     assert res.error_estimate < 1e-8
+
+
+def _scatter_reference(system, bounds, n, k):
+    """coordinate_volume as the plain nested integral of a density that
+    scatters the level-order variables into their slots."""
+    coords = [0.0] * n
+
+    def integrand(*vals):
+        for (ax, _, _), v in zip(bounds, vals):
+            coords[ax] = v
+        return density(system, coords, k=k)
+
+    return integrate_region(integrand, [(lo, hi) for _, lo, hi in bounds], DEFAULT_TOL)
+
+
+def test_coordinate_volume_matches_a_scatter_integrand_bit_for_bit():
+    k = 1.3
+    r0 = math.tanh(0.9 / k) / math.sinh(0.6 / k)
+    r1 = math.tanh(0.7 / k) / math.sinh(0.9 / k)
+    permuted = [(2, 0.0, 0.6),
+                (0, 0.0, lambda x2: k * math.atanh(r0 * math.sinh(x2 / k))),
+                (1, 0.0, lambda x2, x0: k * math.atanh(r1 * math.sinh(x0 / k)))]
+    identity = [(0, -0.4, 0.4), (1, -0.4, lambda x0: 0.3 + x0 / 2), (2, -0.3, 0.4)]
+    for system, bounds in (("orthogonal", permuted), ("klein", identity)):
+        res = coordinate_volume(system, bounds, 3, k)
+        assert res.evaluations > 3375  # at least one level refines
+        assert repr(res) == repr(_scatter_reference(system, bounds, 3, k))
 
 
 def test_coordinate_volume_validation():

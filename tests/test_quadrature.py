@@ -222,6 +222,45 @@ def test_nested_budget_reports_the_outer_estimate(monkeypatch):
     assert abs(best.value - exact) <= best.error_estimate
 
 
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_region_evaluations_are_the_integrand_calls(levels, monkeypatch):
+    # innermost evaluations are counted per 1-D call, from its result or, when
+    # it runs out of budget, from the best estimate it raises with
+    calls = []
+
+    def f(*xs):
+        calls.append(xs)
+        return math.sqrt(abs(xs[-1] - 0.3)) + math.fsum(xs[:-1])
+
+    box = [(0.0, 1.0)] + [(0.0, lambda *outer: 1.0 + outer[-1])] * (levels - 1)
+    res = integrate_region(f, box)
+    assert res.evaluations == len(calls) > 15 ** levels
+    calls.clear()
+    budget = res.evaluations // 2
+    monkeypatch.setattr(quadrature, "_BUDGET", budget)
+    with pytest.raises(ConvergenceError, match=f"budget {budget} exhausted") as exc:
+        integrate_region(f, box)
+    assert exc.value.best.evaluations == len(calls) <= budget
+
+
+def test_one_panel_return_equals_the_heap_path():
+    # what the refinement loop's finish() makes of a single panel
+    def heap_path(f, lo, hi):
+        val, err, _ = quadrature._gk15(f, lo, hi)
+        return IntegralResult(math.fsum([val]), math.fsum([err]), 15)
+
+    for f, lo, hi in ((lambda x: 1.0 + x * x, 0.0, 2.0), (math.cos, -1.0, 0.5),
+                      (lambda x: -x, 0.0, 1.0)):
+        res = integrate_1d(f, lo, hi)
+        ref = heap_path(f, lo, hi)
+        assert res == ref and res.evaluations == 15
+        assert [math.copysign(1.0, v) for v in res] == [math.copysign(1.0, v) for v in ref]
+    # fsum turns -0.0 into 0.0, and so does the one-panel return
+    res = integrate_1d(lambda x: -0.0, 0.0, 1.0)
+    assert res == IntegralResult(0.0, 0.0, 15)
+    assert math.copysign(1.0, res.value) == 1.0
+
+
 def test_integrate_1d_budget_below_one_panel_raises():
     with pytest.raises(ConvergenceError) as exc:
         integrate_1d(lambda x: x, 0.0, 1.0, max_evals=14)

@@ -24,9 +24,16 @@ samples (``mc`` and the batches with ``mc`` jobs) in a child pinned to one
 CPU, and reports each whose output or exit code differs from its run on
 all CPUs: an estimate must not depend on the core count.
 
-Exit status: 0 when every command agrees and every pinned rerun matches, 1
-otherwise, 2 when the new tree's shape table has a shape the list does not
-cover.
+A third pass calls the library directly, in one fresh interpreter per
+tree, and compares the ``repr`` of each result: ``coordinate_volume`` on
+every chart at three boxes (the orthogonal chart with callable bounds and
+permuted axes among them), ``volume_ndim`` at n = 2..5 and
+``area_right_triangle`` at two tolerances.  No CLI command reaches the
+chart integrals.
+
+Exit status: 0 when every command agrees, every pinned rerun matches and
+every library result agrees, 1 otherwise, 2 when the new tree's shape
+table has a shape the list does not cover.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from itertools import zip_longest
 from pathlib import Path
 
 SIX = dict.fromkeys("ABCDEF", 1.1)
@@ -264,6 +272,49 @@ def record_changes(out_o: str, out_n: str, changes: dict) -> None:
                 changes[group, field] = (rel, o, n)
 
 
+def orthogonal_box(e: tuple, k: float) -> list:
+    """The orthogonal-chart bounds of the orthoscheme with edges e at
+    curvature k, integrated over slot 2, then 0, then 1."""
+    r0 = math.tanh(e[0] / k) / math.sinh(e[2] / k)
+    r1 = math.tanh(e[1] / k) / math.sinh(e[0] / k)
+    return [(2, 0.0, e[2]),
+            (0, 0.0, lambda x2: k * math.atanh(r0 * math.sinh(x2 / k))),
+            (1, 0.0, lambda x2, x0: k * math.atanh(r1 * math.sinh(x0 / k)))]
+
+
+def print_library_results() -> None:
+    """Print the repr of every library result of the third pass, one a line."""
+    from hypervol.models import coordinate_volume
+    from hypervol.orthoscheme import area_right_triangle, volume_ndim
+    from hypervol.quadrature import Tolerance
+
+    boxes = {
+        "paracycle": [([(0, 0.0, 0.8), (1, 0.0, 1.1), (2, 0.0, 0.9)], 1.0),
+                      ([(2, 0.0, 0.5), (0, 0.0, 1.3), (1, 0.0, 0.4)], 1.25),
+                      ([(0, -0.4, 0.3), (1, 0.0, 1.0), (2, -0.2, 1.5)], 0.8)],
+        "halfspace": [([(0, 0.0, 1.0), (1, 0.0, 1.0), (2, 1.0, 2.0)], 1.0),
+                      ([(2, 0.4, 1.7), (0, 0.0, 0.6), (1, 0.0, 1.2)], 1.25),
+                      ([(0, 0.0, 0.3), (1, 0.0, 0.9), (2, 0.3, lambda x0, x1: 0.5 + x0)], 0.8)],
+        "orthogonal": [([(0, 0.0, 0.5), (1, 0.0, 0.7), (2, 0.0, 0.3)], 1.0),
+                       (orthogonal_box((0.9, 0.7, 0.6), 1.0), 1.0),
+                       (orthogonal_box((0.5, 1.1, 0.8), 1.25), 1.25)],
+        "spherical": [([(0, 0.0, 2 * math.pi), (1, 0.0, math.pi), (2, 0.0, 1.0)], 1.0),
+                      ([(2, 0.0, 1.4), (1, 0.2, 2.0), (0, 0.0, 3.0)], 1.25),
+                      ([(0, 0.0, 1.0), (1, 0.0, math.pi), (2, 0.0, lambda p0, p1: 0.5 + p1 / 4)],
+                       0.8)],
+        "klein": [([(0, -0.3, 0.3), (1, -0.3, 0.3), (2, -0.2, 0.4)], 1.0),
+                  ([(1, -0.5, 0.1), (2, -0.1, 0.4), (0, -0.2, 0.3)], 1.25),
+                  ([(0, -0.1, 0.3), (1, 0.0, lambda x0: 0.2 + x0), (2, -0.3, 0.2)], 0.8)],
+    }
+    for system, cases in boxes.items():
+        for bounds, k in cases:
+            print(system, k, repr(coordinate_volume(system, bounds, 3, k)))
+    for edges in ((0.6, 0.5), (0.6, 0.5, 0.4), (0.4, 0.5, 0.3, 0.4), (0.3, 0.3, 0.3, 0.3, 0.3)):
+        print("volume_ndim", edges, repr(volume_ndim(edges)))
+    for tol in (Tolerance(rel=1e-6), Tolerance()):
+        print("area_right_triangle", tol, repr(area_right_triangle(1.0, 0.8, tol)))
+
+
 def uses_mc(argv: list[str]) -> bool:
     return argv[0] == "mc" or argv[0] == "batch" and Path(argv[1]).stem in MC_BATCHES
 
@@ -273,18 +324,30 @@ def one_cpu() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
-def run(src: str, argv: list[str], cwd: str,
-        pin: bool = False) -> tuple[int | str, str, str]:
-    """(exit code, stdout, stderr) of one command, on one CPU if ``pin``;
-    ("timeout", "", "") past TIMEOUT_S."""
-    env = {**os.environ, "PYTHONPATH": src}
+def python(path: str, args: list[str], cwd: str,
+           pin: bool = False) -> tuple[int | str, str, str]:
+    """(exit code, stdout, stderr) of ``python args`` on PYTHONPATH ``path``,
+    on one CPU if ``pin``; ("timeout", "", "") past TIMEOUT_S."""
+    env = {**os.environ, "PYTHONPATH": path}
     try:
-        p = subprocess.run([sys.executable, "-m", "hypervol.cli", *argv], cwd=cwd, env=env,
+        p = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                            capture_output=True, text=True, timeout=TIMEOUT_S,
                            preexec_fn=one_cpu if pin else None)
     except subprocess.TimeoutExpired:
         return "timeout", "", ""
     return p.returncode, p.stdout, p.stderr
+
+
+def run(src: str, argv: list[str], cwd: str,
+        pin: bool = False) -> tuple[int | str, str, str]:
+    """The result of one hypervol command (see ``python``)."""
+    return python(src, ["-m", "hypervol.cli", *argv], cwd, pin)
+
+
+def library_results(src: str, cwd: str) -> tuple[int | str, str, str]:
+    """The result of print_library_results() against ``src`` (see ``python``)."""
+    path = os.pathsep.join((src, str(Path(__file__).resolve().parent)))
+    return python(path, ["-c", "import record_check; record_check.print_library_results()"], cwd)
 
 
 def table_shapes(src: str, cwd: str) -> set[str]:
@@ -311,6 +374,7 @@ def main(argv=None) -> int:
         with ThreadPoolExecutor(max_workers=WORKERS) as pool:
             results = list(pool.map(lambda a: (run(old, a, tmp), run(new, a, tmp)), argvs))
             pinned = list(pool.map(lambda a: run(new, a, tmp, pin=True), mc_argvs))
+            lib_o, lib_n = pool.map(lambda src: library_results(src, tmp), (old, new))
         differ = 0
         changes: dict = {}
         for a, (res_o, res_n) in zip(argvs, results):
@@ -334,13 +398,25 @@ def main(argv=None) -> int:
             pin_differ += 1
             print(f"DIFF on one CPU, exit {unpinned[tuple(a)][0]} -> {res[0]}: "
                   f"hypervol {' '.join(a).replace(tmp, '$TMP')}")
+    (lib_code_o, lib_out_o, lib_err_o), (lib_code_n, lib_out_n, lib_err_n) = lib_o, lib_n
+    lib_diffs = [(o, n) for o, n in zip_longest(lib_out_o.splitlines(), lib_out_n.splitlines())
+                 if o != n]
+    for o, n in lib_diffs:
+        print(f"DIFF library result: {o} -> {n}")
+    lib_failed = bool(lib_code_o or lib_code_n)
+    if lib_failed:
+        print(f"DIFF library pass exit {lib_code_o} -> {lib_code_n}")
+        for line in (lib_err_o + lib_err_n).splitlines()[-12:]:
+            print(f"    {line[:200]}")
     if changes:
         print("largest relative change per numeric field of the differing JSON records:")
         for (group, field), (rel, o, n) in sorted(changes.items()):
             print(f"    {group:24s} {field:32s} {rel:.3g}  ({o!r} -> {n!r})")
     print(f"{len(argvs)} commands, {differ} differ")
     print(f"{len(mc_argvs)} Monte-Carlo commands rerun on one CPU, {pin_differ} differ")
-    return 1 if differ or pin_differ else 0
+    print(f"{len(lib_out_n.splitlines())} library results, {len(lib_diffs)} differ"
+          + (", and the pass failed" if lib_failed else ""))
+    return 1 if differ or pin_differ or lib_diffs or lib_failed else 0
 
 
 if __name__ == "__main__":
