@@ -65,8 +65,8 @@ def _failure(exc: Exception) -> tuple[int, str]:
 def _report(prefix: str, exc: Exception) -> None:
     """Print a failure to stderr, and a ConvergenceError's best estimate after it."""
     print(f"error: {prefix}: {exc}", file=sys.stderr)
-    best = exc.best if isinstance(exc, ConvergenceError) else None
-    if best is not None:
+    if isinstance(exc, ConvergenceError):
+        best = exc.best
         print(f"best estimate: {best.value!r} (error estimate {best.error_estimate!r}, "
               f"{best.evaluations} evaluations)", file=sys.stderr)
 
@@ -183,12 +183,16 @@ def _cmd_convert(args) -> int:
     if args.direction == "edges-to-angles":
         a, b, c = args.a / k, args.b / k, args.c / k
         ang = hypervol.orthoscheme.edges_to_angles((a, b, c))
+        # cosh z - 1 = 2 sinh^2(z/2) = S, expanded in u = cosh a - 1 = 2 sinh^2(a/2) and
+        # likewise v, w: no term cancels as the edges shrink or tanh z -> 1
+        u, v, w = (2.0 * math.sinh(0.5 * x) ** 2 for x in (a, b, c))
+        z = 2.0 * math.asinh(math.sqrt(0.5 * (u + v + w + u * v + v * w + w * u + u * v * w)))
     else:
         conv = math.radians if args.degrees else float
         ang = hypervol.orthoscheme.OrthoschemeAngles(conv(args.alpha), conv(args.beta),
                                                      conv(args.gamma))
         a, b, c = hypervol.orthoscheme.angles_to_edges(ang)
-    z = math.atanh(math.tan(ang.delta) * math.tan(ang.beta))
+        z = math.atanh(math.tan(ang.delta) * math.tan(ang.beta))
     rec = {"a": a * k, "b": b * k, "c": c * k, "z": z * k,
            "alpha": ang.alpha, "beta": ang.beta, "gamma": ang.gamma, "delta": ang.delta}
     _write(args, [rec])

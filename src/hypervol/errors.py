@@ -35,22 +35,23 @@ class ConvergenceError(HypervolError, RuntimeError):
     Carries the best estimate obtained so far in ``best``.
     """
 
-    def __init__(self, message, best=None):
+    def __init__(self, message, best):
         super().__init__(message)
         self.best = best
 
     def rescale(self, factor: float) -> None:
         """Multiply ``best`` by factor (its error estimate by |factor|): the
         route that raised returns factor times the integral that failed."""
-        if self.best is not None:
-            b = self.best
-            self.best = b._replace(value=factor * b.value,
-                                   error_estimate=abs(factor) * b.error_estimate)
+        b = self.best
+        self.best = b._replace(value=factor * b.value,
+                               error_estimate=abs(factor) * b.error_estimate)
 
 
 def in_float_range(fn):
     """``fn``, raising DomainError where its value leaves the float range: an
-    OverflowError or ZeroDivisionError of its arithmetic, or a non-finite float."""
+    OverflowError or ZeroDivisionError of its arithmetic (a division by an
+    underflowed 0 among them), or a non-finite float, alone or in a tuple.
+    The package's one rule for these failures: no route checks them itself."""
 
     @functools.wraps(fn)
     def guarded(*args, **kwargs):

@@ -33,7 +33,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,8 +86,7 @@ class Region:
             raise DomainError("bounding box must be finite with positive extent on every axis")
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(NamedTuple):
     mean: float
     stderr: float
     samples: int

@@ -32,7 +32,8 @@ from typing import NamedTuple
 
 from . import quadrature
 from .errors import (SINH2_MAX, SINH_MAX, DomainError, NotRealizableError,
-                     UnsupportedDimensionError, angle, number, positive, sequence)
+                     UnsupportedDimensionError, angle, in_float_range, number, positive,
+                     sequence)
 from .quadrature import DEFAULT_TOL, Tolerance
 from .specfun import lobachevsky
 
@@ -132,6 +133,7 @@ def _delta(alpha: float, beta: float, gamma: float) -> float:
     return math.atan(math.sqrt(rad) / (math.cos(alpha) * math.cos(gamma)))
 
 
+@in_float_range
 def edges_to_angles(edges) -> OrthoschemeAngles:
     """Dihedral angles of the orthoscheme with edges (a, b, c).
 
@@ -139,7 +141,7 @@ def edges_to_angles(edges) -> OrthoschemeAngles:
     tan delta = tanh a tanh c / sinh b, and beta from tan beta =
     tanh z / tan delta with z the long diagonal, cosh z = cosh a cosh b
     cosh c.  DomainError for an edge above 710.4759, where sinh and cosh
-    leave the float range.
+    leave the float range, and where tan delta underflows to 0.
     """
     a, b, c = _as_edges(edges, (SINH_MAX,) * 3)
     sb = math.sinh(b)
@@ -207,13 +209,15 @@ def _log_ratio(b: float, c: float):
     return log_ratio
 
 
+@in_float_range
 def volume_edges(edges, tol: Tolerance = DEFAULT_TOL) -> float:
     """Orthoscheme volume from the edge lengths alone (curvature 1).
 
     v = 1/4 int_0^b  tanh(l) sinh(a) / sqrt(tanh^2 b cosh^2 l + sinh^2 a sinh^2 l)
                      * ln((sinh b + tanh c sinh l)/(sinh b - tanh c sinh l)) dl
 
-    DomainError for a or b above 710.4759, where sinh leaves the float range.
+    DomainError for a or b above 710.4759, where sinh leaves the float range,
+    and where the value does (a denominator underflows to 0).
     """
     a, b, c = _as_edges(edges, (SINH_MAX, SINH_MAX, math.inf))
     ratio = math.tanh(b) / math.sinh(a)
@@ -242,6 +246,7 @@ def volume_angles(angles: OrthoschemeAngles | tuple) -> float:
     )
 
 
+@in_float_range
 def bolyai_integral_1(edges, tol: Tolerance = DEFAULT_TOL) -> float:
     """Orthoscheme volume by the classical single integral along the edge c.
 
@@ -254,9 +259,9 @@ def bolyai_integral_1(edges, tol: Tolerance = DEFAULT_TOL) -> float:
     (z the diagonal with cosh z = cosh a cosh b).  Each cosh^2 t / cos^2 x - 1
     is evaluated as (sinh^2 t + sin^2 x) / cos^2 x, which does not cancel
     when cos^2 x rounds to 1.  DomainError for a or b above 710.4759 and for
-    c above 355.5845, where sinh and sinh^2 leave the float range, and when
-    the denominator underflows to 0 (at a = 1, c = 0.6 for b above about
-    240; at a = b = 1 for c below about 1e-110).
+    c above 355.5845, where sinh and sinh^2 leave the float range, and where
+    the value does (its denominator underflows to 0 at a = 1, c = 0.6 for b
+    above about 240; at a = b = 1 for c below about 1e-110).
     """
     a, b, c = _as_edges(edges, (SINH_MAX, SINH_MAX, SINH2_MAX))
     alpha = _perp_angle(c, b)
@@ -268,10 +273,7 @@ def bolyai_integral_1(edges, tol: Tolerance = DEFAULT_TOL) -> float:
     def f(t: float) -> float:
         sh = math.sinh(t)
         sh2 = sh ** 2
-        den = (sh2 + sa2) / ca2 * math.sqrt((sh2 + sg2) / cg2)
-        if den == 0.0:
-            raise DomainError(f"bolyai_integral_1 denominator underflows to 0 at t = {t!r}")
-        return t * sh / den
+        return t * sh / ((sh2 + sa2) / ca2 * math.sqrt((sh2 + sg2) / cg2))
 
     return quadrature.scaled(0.5 * math.tan(gamma_p) / math.tan(beta_p),
                              lambda: quadrature.integrate_1d(f, 0.0, c, tol).value)
@@ -331,6 +333,7 @@ def volume_ideal_tetrahedron_b(b: float, tol: Tolerance = DEFAULT_TOL) -> float:
     return quadrature.scaled(4.0, lambda: volume_two_ideal(b, tol))
 
 
+@in_float_range
 def bolyai_asymptotic_1(alpha: float, c: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Ideal-apex orthoscheme volume, angle form:
 
@@ -338,18 +341,15 @@ def bolyai_asymptotic_1(alpha: float, c: float, tol: Tolerance = DEFAULT_TOL) ->
 
     The denominator is evaluated as sinh^2 t + sin^2 alpha, which does not
     cancel as t and alpha go to 0.  DomainError for c above 355.5845, where
-    cosh^2 leaves the float range, and when the denominator underflows to 0
-    (for alpha below about 1e-154, as the quadrature closes in on t = 0).
+    cosh^2 leaves the float range, and where the value does (its denominator
+    underflows to 0 for alpha below about 1e-154, near t = 0).
     """
     alpha = angle("alpha", alpha, _HALF_PI)
     c = positive("edge c", c, SINH2_MAX)
     sa2 = math.sin(alpha) ** 2
 
     def f(t: float) -> float:
-        den = math.sinh(t) ** 2 + sa2
-        if den == 0.0:
-            raise DomainError(f"bolyai_asymptotic_1 denominator underflows to 0 at t = {t!r}")
-        return t / den
+        return t / (math.sinh(t) ** 2 + sa2)
 
     return quadrature.scaled(0.25 * math.sin(2.0 * alpha),
                              lambda: quadrature.integrate_1d(f, 0.0, c, tol).value)

@@ -202,10 +202,7 @@ def mc_estimate(shape: str, params: dict, k: float, samples: int,
         raise DomainError(f"shape {shape!r} has no Monte-Carlo region")
     p1, scale = _at_curvature_1(entry, params, k)
     est = hypervol.mc_oracle.estimate(entry.mc_region(*p1), samples, seed)
-    mean, stderr = est.mean * scale, est.stderr * scale
-    if not (math.isfinite(mean) and math.isfinite(stderr)):
-        raise DomainError(f"the estimate for {shape!r} at k = {k!r} exceeds the float range")
-    return hypervol.mc_oracle.MCEstimate(mean, stderr, est.samples, est.seed)
+    return est._replace(mean=est.mean * scale, stderr=est.stderr * scale)
 
 
 def collect_params(shape: str, src: dict, degrees: bool) -> dict:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from . import quadrature
-from .errors import SINH2_MAX, DomainError, angle, in_float_range, nonnegative, positive
+from .errors import SINH2_MAX, angle, in_float_range, nonnegative, positive
 from .quadrature import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -139,8 +139,8 @@ def circular_cone(b: float, beta: float, tol: Tolerance = DEFAULT_TOL) -> float:
 
     with cosh^2 y / cos^2 beta - 1 evaluated as (sinh^2 y + sin^2 beta) /
     cos^2 beta, which does not cancel as y and beta go to 0.  DomainError
-    for b above 355.5845, where sinh^2 y leaves the float range, and when
-    the denominator underflows to 0 (b and beta both below about 1e-154).
+    for b above 355.5845, where sinh^2 y leaves the float range, and where
+    the value does (its denominator underflows to 0 for b, beta < 1e-154).
     """
     b = nonnegative("base radius b", b, SINH2_MAX)
     beta = angle("half-angle beta", beta, 0.5 * math.pi)
@@ -148,10 +148,7 @@ def circular_cone(b: float, beta: float, tol: Tolerance = DEFAULT_TOL) -> float:
 
     def f(y: float) -> float:
         sh2 = math.sinh(y) ** 2
-        den = math.cosh(y) * math.sqrt((sh2 + sb2) / cb2)
-        if den == 0.0:
-            raise DomainError(f"cone profile denominator underflows to 0 at y = {y!r}")
-        return sh2 / den
+        return sh2 / (math.cosh(y) * math.sqrt((sh2 + sb2) / cb2))
 
     return quadrature.scaled(math.pi, lambda: quadrature.integrate_1d(f, 0.0, b, tol).value)
 

@@ -98,7 +98,8 @@ def lobachevsky_via_integral(x: float) -> float:
 
     Independent of the series path; used to cross-check it.  The integrand
     has log singularities at multiples of pi, so the argument is reduced to
-    [-pi/2, pi/2] first (the quadrature nodes themselves never touch 0).
+    [-pi/2, pi/2] first.  A node that rounds to 0 (on [0, r] for a subnormal
+    r) reads 2 sin t as the least subnormal: an integrable log singularity.
     """
     x = number("x", x)
     if not math.isfinite(x):
@@ -111,7 +112,7 @@ def lobachevsky_via_integral(x: float) -> float:
         return 0.0
 
     def integrand(t: float) -> float:
-        return -math.log(abs(2.0 * math.sin(t)))
+        return -math.log(abs(2.0 * math.sin(t)) or 5e-324)
 
     tol = Tolerance(rel=1e-13, abs=1e-15)
     return quadrature.scaled(sign, lambda: quadrature.integrate_1d(integrand, 0.0, r, tol).value)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import hypervol
@@ -101,6 +102,20 @@ def test_convert_symmetric_edges(capsys):
     _, recs = run(capsys, "convert", "edges-to-angles", "--a", "0.8", "--b", "1.1",
                   "--c", "0.8")
     assert recs[0]["alpha"] == pytest.approx(recs[0]["gamma"], abs=1e-14)
+
+
+@pytest.mark.parametrize("edges, k", [((3, 3, 3), 1), ((6, 6, 6), 1), ((15, 2, 15), 1),
+                                      ((0.5, 8, 0.5), 1), ((1e-3, 1e-3, 1e-3), 1),
+                                      ((30, 4, 30), 2), ((12, 16, 4), 2)])
+def test_convert_edges_to_angles_diagonal_against_mpmath(capsys, edges, k):
+    # z was atanh(tan delta tan beta), which cancels as tanh z -> 1: 9.2e-12 relative
+    # at (3, 3, 3), 3.4% at (6, 6, 6), 41% at (15, 2, 15) and 3.3e-7 at (0.5, 8, 0.5)
+    code, recs = run(capsys, "convert", "edges-to-angles",
+                     *(f"--{n}={v!r}" for n, v in zip("abc", edges)), "--k", str(k))
+    assert code == EXIT_OK
+    with mpmath.workdps(50):
+        ref = k * mpmath.acosh(mpmath.fprod(mpmath.cosh(mpmath.mpf(e) / k) for e in edges))
+    assert recs[0]["z"] == pytest.approx(float(ref), rel=1e-15, abs=0.0)
 
 
 def test_convert_not_realizable_exit_3(capsys):

@@ -512,5 +512,5 @@ def test_bolyai_asymptotic_1_does_not_cancel_at_small_angles(alpha, c):
 
 def test_bolyai_asymptotic_1_underflowing_denominator_raises_domain_error():
     # once a ZeroDivisionError traceback from `vol bolyai-asym-1 --alpha 1e-300 --c 2.7`
-    with pytest.raises(DomainError, match="underflows"):
+    with pytest.raises(DomainError, match="exceeds the float range"):
         bolyai_asymptotic_1(1e-300, 2.7)

@@ -208,6 +208,15 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
         # integrands that cancelled to a zero denominator, a negative Lambert cube, NaN k
         ["vol", "bolyai-asym-1", "--alpha", "1e-300", "--c", "2.7"],
         ["vol", "cone", "--b", "1e-160", "--beta", "1e-20"],
+        ["vol", "cone", "--b", "1e-160", "--beta", "1e-300"],
+        # integrands dividing by a quantity that underflowed to 0 (a ZeroDivisionError
+        # traceback in the route, or in convert, before these routes were decorated)
+        ["vol", "orthoscheme-edges", "--a", "19", "--b", "5e-324", "--c", "1"],
+        ["vol", "bolyai-1", "--a", "1e-200", "--b", "1e-200", "--c", "1e-200"],
+        ["convert", "edges-to-angles", "--a", "5e-324", "--b", "5e-324", "--c", "5e-324"],
+        # long diagonals, where atanh(tan delta tan beta) cancelled (3.4% and 41% off)
+        ["convert", "edges-to-angles", "--a", "6", "--b", "6", "--c", "6"],
+        ["convert", "edges-to-angles", "--a", "15", "--b", "2", "--c", "15"],
         ["vol", "lambert-cube", "--w0", "0.168", "--w1", "1.243", "--w2", "0.354",
          "--theta", "0.0498"],
         ["vol", "sphere", "--x", "1", "--k", "nan"],
