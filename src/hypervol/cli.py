@@ -183,10 +183,7 @@ def _cmd_convert(args) -> int:
     if args.direction == "edges-to-angles":
         a, b, c = args.a / k, args.b / k, args.c / k
         ang = hypervol.orthoscheme.edges_to_angles((a, b, c))
-        # cosh z - 1 = 2 sinh^2(z/2) = S, expanded in u = cosh a - 1 = 2 sinh^2(a/2) and
-        # likewise v, w: no term cancels as the edges shrink or tanh z -> 1
-        u, v, w = (2.0 * math.sinh(0.5 * x) ** 2 for x in (a, b, c))
-        z = 2.0 * math.asinh(math.sqrt(0.5 * (u + v + w + u * v + v * w + w * u + u * v * w)))
+        z = hypervol.orthoscheme._diagonal(a, b, c)
     else:
         conv = math.radians if args.degrees else float
         ang = hypervol.orthoscheme.OrthoschemeAngles(conv(args.alpha), conv(args.beta),
@@ -213,22 +210,20 @@ def _cmd_mc(args) -> int:
     return EXIT_OK if abs(rec["z_score"]) <= 4.0 else EXIT_CHECK_FAILED
 
 
-# crosscheck suites: (shape, record inputs) cases of a grid and seed, the route tolerance
-# at --reltol, and the pass threshold on max_delta given the first route's value
+# crosscheck suites: (shape, record inputs) cases of a grid and seed, the routes' rel
+# tolerance (--reltol below it), and the pass threshold on max_delta given the first value
 _SUITES = {
     "orthoscheme": (
         lambda grid, seed: [
             ("orthoscheme-angles", {"alpha": a.alpha, "beta": a.beta, "gamma": a.gamma})
             for a in hypervol.orthoscheme.sample_valid_angles(20 if grid == "coarse" else 40,
                                                               seed=seed)],
-        lambda reltol: Tolerance(rel=min(reltol, 1e-10), abs=1e-14),
-        lambda v: 1e-6 * max(1.0, v)),
+        1e-10, lambda v: 1e-6 * max(1.0, v)),
     "tetrahedra": (
         lambda grid, seed: [
             ("derevnin-mednykh", dict(zip("ABCDEF", t)))
             for t in hypervol.tetrahedra.sample_near_ideal(10 if grid == "coarse" else 25, seed)],
-        lambda reltol: Tolerance(rel=min(reltol, 1e-10), abs=1e-14),
-        lambda v: 1e-6),
+        1e-10, lambda v: 1e-6),
     # closed forms with a quadrature route: the sphere over its radius, the others over q at p = 1
     "solids": (
         lambda grid, seed: [
@@ -236,18 +231,17 @@ _SUITES = {
             for s in ("sphere", "equidistant", "barrel")
             for x in ([0.25, 0.5, 1.0, 1.5, 2.0] if grid == "coarse"
                       else [0.2 * i for i in range(1, 13)])],
-        lambda reltol: Tolerance(rel=1e-12, abs=1e-15),
-        lambda v: 1e-8),
+        1e-12, lambda v: 1e-8),
 }
 
 
 def _cmd_crosscheck(args) -> int:
     """Every route of each case's shape; max_delta is the spread of their values."""
     rows: list[dict] = []
-    for suite, (cases, tolerance, threshold) in _SUITES.items():
+    for suite, (cases, cap, threshold) in _SUITES.items():
         if args.suite not in ("all", suite):
             continue
-        tol = tolerance(args.reltol)
+        tol = Tolerance(rel=min(args.reltol, cap))
         for case, (shape, inputs) in enumerate(cases(args.grid, args.seed)):
             entry = SHAPES[shape]
             values = {name: route(*(inputs[p] for p in entry.params), tol=tol)

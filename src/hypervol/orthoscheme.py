@@ -133,23 +133,28 @@ def _delta(alpha: float, beta: float, gamma: float) -> float:
     return math.atan(math.sqrt(rad) / (math.cos(alpha) * math.cos(gamma)))
 
 
+def _diagonal(a: float, b: float, c: float) -> float:
+    """Long diagonal z = 2 asinh sqrt(S/2), S = cosh z - 1 = u+v+w+uv+vw+wu+uvw, u = cosh a - 1."""
+    u, v, w = (2.0 * math.sinh(0.5 * x) ** 2 for x in (a, b, c))
+    return 2.0 * math.asinh(math.sqrt(0.5 * (u + v + w + u * v + v * w + w * u + u * v * w)))
+
+
 @in_float_range
 def edges_to_angles(edges) -> OrthoschemeAngles:
     """Dihedral angles of the orthoscheme with edges (a, b, c).
 
     alpha = atan(tanh c / sinh b), gamma = atan(tanh a / sinh b),
-    tan delta = tanh a tanh c / sinh b, and beta from tan beta =
-    tanh z / tan delta with z the long diagonal, cosh z = cosh a cosh b
-    cosh c.  DomainError for an edge above 710.4759, where sinh and cosh
-    leave the float range, and where tan delta underflows to 0.
+    tan delta = tanh a tanh c / sinh b, and tan beta = tanh z / tan delta
+    with z the long diagonal, whose ``_diagonal`` form has no term that
+    cancels for short edges or tanh z -> 1.  DomainError for an edge above
+    710.4759, where sinh leaves the float range, and where tan delta
+    underflows to 0.
     """
     a, b, c = _as_edges(edges, (SINH_MAX,) * 3)
-    sb = math.sinh(b)
     alpha = _perp_angle(c, b)
     gamma = _perp_angle(a, b)
-    tan_d = math.tanh(a) * math.tanh(c) / sb
-    z = math.acosh(math.cosh(a) * math.cosh(b) * math.cosh(c))
-    beta = math.atan(math.tanh(z) / tan_d)
+    tan_d = math.tanh(a) * math.tanh(c) / math.sinh(b)
+    beta = math.atan(math.tanh(_diagonal(a, b, c)) / tan_d)
     return OrthoschemeAngles(alpha, beta, gamma, math.atan(tan_d))
 
 
@@ -425,7 +430,7 @@ def _cosh_power_integral(m: int, u: float) -> float:
     return val
 
 
-def volume_ndim(edges, tol: Tolerance | None = None) -> float:
+def volume_ndim(edges, tol: Tolerance = Tolerance(rel=1e-9)) -> float:
     """n-volume of the n-dimensional orthoscheme with edges a_1 .. a_n by
     nested quadrature.
 
@@ -454,7 +459,6 @@ def volume_ndim(edges, tol: Tolerance | None = None) -> float:
         raise DomainError("an orthoscheme needs at least 2 edges")
     if n > 5:
         raise UnsupportedDimensionError(f"volume_ndim supports 2 <= n <= 5, got {n}")
-    tol = tol or Tolerance(rel=1e-9, abs=1e-13)
     if any(math.tanh(v) == 1.0 for v in a[:-1]):
         raise DomainError(f"edges {a[:-1]} include one whose tanh rounds to 1 (above 19.0615)")
     ratios = [math.tanh(a[0]) / math.sinh(a[n - 1])]

@@ -2,7 +2,9 @@
 
 The 1-D core is a globally adaptive Gauss-Kronrod 15(7) scheme: the worst
 interval (by error estimate) is bisected until the summed error estimate
-meets the tolerance or the evaluation budget runs out.  An integral that
+meets the tolerance or the evaluation budget runs out.  The tolerance is
+relative; only an integral that cancels to about 0 stops at the roundoff
+floor ``_FLOOR`` * int |f| instead (QUADPACK's epsabs = 0).  An integral that
 its first panel resolves returns at once, with the value and error
 estimate the refinement loop would sum from that one panel.  Kronrod
 nodes are interior, so an integrable endpoint singularity (log or
@@ -45,6 +47,8 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+# roundoff floor of an error estimate per unit of int |f|, a panel's or an integral's
+_FLOOR = 2.5 * _EPS
 _BUDGET = 1_000_000
 
 # Gauss-Kronrod 15(7) abscissae and weights on [-1, 1]: the 33-digit QUADPACK dqk15 values.
@@ -80,26 +84,22 @@ _NODES = tuple(zip(_XGK[:7], _WGK[:7]))
 
 class _ToleranceFields(NamedTuple):
     rel: float
-    abs: float
 
 
 class Tolerance(_ToleranceFields):
-    """Requested accuracy: stop when error <= max(abs, rel * |value|)."""
+    """Requested accuracy: stop when error <= rel * |value| (or at the roundoff floor)."""
 
     __slots__ = ()
 
-    def __new__(cls, rel: float = 1e-10, abs: float = 1e-14):
+    def __new__(cls, rel: float = 1e-10):
         rel = number("rel tolerance", rel)
-        abs = number("abs tolerance", abs)
         if not (1e-14 <= rel <= 1e-2):
             raise DomainError(f"rel tolerance {rel} outside [1e-14, 1e-2]")
-        if not (abs >= 0.0 and math.isfinite(abs)):
-            raise DomainError(f"abs tolerance {abs} must be finite and >= 0")
-        return super().__new__(cls, rel, abs)
+        return super().__new__(cls, rel)
 
     def tighter(self) -> "Tolerance":
-        """A tenth of this tolerance, for one nesting level further in (rel floored at 1e-14)."""
-        return Tolerance(rel=max(self.rel / 10.0, 1e-14), abs=self.abs / 10.0)
+        """A tenth of this tolerance, for one nesting level further in (floored at 1e-14)."""
+        return Tolerance(rel=max(self.rel / 10.0, 1e-14))
 
 
 DEFAULT_TOL = Tolerance()
@@ -193,7 +193,7 @@ def integrate_1d(
         val, err, resabs = _gk15(f, lo, hi)
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), best=_UNKNOWN) from exc
-    if err <= max(tol.abs, tol.rel * abs(val)):
+    if err <= max(tol.rel * abs(val), _FLOOR * resabs):
         # finish() of this one panel: math.fsum([val]) is val + 0.0 (-0.0 becomes 0.0)
         return IntegralResult(val + 0.0, err, 15)
     evals = 15
@@ -203,6 +203,7 @@ def integrate_1d(
     stalled: list[tuple[float, float]] = []  # (value, err) of unimprovable panels
     total_val = val
     total_err = err
+    mass = resabs  # the integral of |f|, summed over the panels
 
     def finish():
         vals = [entry[4] for entry in heap] + [sv for sv, _ in stalled]
@@ -210,12 +211,12 @@ def integrate_1d(
         return IntegralResult(math.fsum(vals), math.fsum(errs), evals)
 
     while True:
-        if total_err <= max(tol.abs, tol.rel * abs(total_val)):
+        if total_err <= max(tol.rel * abs(total_val), _FLOOR * mass):
             return finish()
         if not heap:
             # every remaining panel is roundoff-limited
             res = finish()
-            if res.error_estimate <= max(tol.abs, tol.rel * abs(res.value)):
+            if res.error_estimate <= max(tol.rel * abs(res.value), _FLOOR * mass):
                 return res
             raise ConvergenceError(
                 "quadrature stalled at roundoff before reaching tolerance", best=res
@@ -226,7 +227,7 @@ def integrate_1d(
             )
         _, _, a, b, v_old, e_old, r_old = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        if m <= a or m >= b or e_old <= 2.5 * _EPS * r_old:
+        if m <= a or m >= b or e_old <= _FLOOR * r_old:
             # panel at floating-point resolution or at the roundoff floor
             stalled.append((v_old, e_old))
             continue
@@ -239,6 +240,7 @@ def integrate_1d(
         evals += 30
         total_val += (v1 + v2) - v_old
         total_err += (e1 + e2) - e_old
+        mass += (r1 + r2) - r_old
         seq += 1
         heapq.heappush(heap, (-e1, seq, a, m, v1, e1, r1))
         seq += 1

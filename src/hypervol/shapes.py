@@ -172,19 +172,19 @@ def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-
     value and error are multiplied by k**dim, as is the best estimate that a
     ConvergenceError carries (which each route has already multiplied by its
     own factor, ``quadrature.scaled``).  The error estimate is 0 for
-    ``EXACT_METHODS`` and the requested bound max(abs, rel |v|) otherwise.
+    ``EXACT_METHODS`` and the requested bound reltol * |v| otherwise.
     DomainError when a scaled parameter, k**dim or the scaled volume lies
     beyond the float range (about 1.8e308; for dim 3, k above about 5.6e102).
     """
     entry = _lookup(shape)
     p1, scale = _at_curvature_1(entry, params, k)
-    tol = Tolerance(rel=reltol, abs=min(1e-14, reltol))
+    tol = Tolerance(rel=reltol)
     try:
         v1 = entry.evaluate(*p1, tol=tol)
     except ConvergenceError as exc:
         exc.rescale(scale)
         raise
-    err1 = 0.0 if entry.method in EXACT_METHODS else max(tol.abs, tol.rel * abs(v1))
+    err1 = 0.0 if entry.method in EXACT_METHODS else tol.rel * abs(v1)
     return v1 * scale, entry.method, err1 * scale
 
 

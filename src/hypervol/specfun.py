@@ -114,5 +114,5 @@ def lobachevsky_via_integral(x: float) -> float:
     def integrand(t: float) -> float:
         return -math.log(abs(2.0 * math.sin(t)) or 5e-324)
 
-    tol = Tolerance(rel=1e-13, abs=1e-15)
+    tol = Tolerance(rel=1e-13)
     return quadrature.scaled(sign, lambda: quadrature.integrate_1d(integrand, 0.0, r, tol).value)

@@ -196,7 +196,7 @@ def sample_near_ideal(count: int, seed: int) -> list[tuple[float, ...]]:
         A = rng.uniform(0.7, 1.2)
         B = rng.uniform(0.7, 1.2)
         C = math.pi - A - B
-        t = _dihedrals([v + rng.uniform(-0.05, 0.05) for v in (A, B, C, A, B, C)])
+        t = tuple(v + rng.uniform(-0.05, 0.05) for v in (A, B, C, A, B, C))
         try:
             dm_coefficients(t)
         except NotRealizableError:

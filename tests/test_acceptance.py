@@ -89,7 +89,7 @@ def test_criterion_04_planar_defect():
 
 
 def test_criterion_05_solids_closed_vs_quadrature():
-    tight = Tolerance(rel=1e-12, abs=1e-15)
+    tight = Tolerance(rel=1e-12)
     worst = 0.0
     for x in (0.25, 0.5, 1.0, 1.5, 2.0):
         worst = max(worst, abs(

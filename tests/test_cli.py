@@ -190,7 +190,7 @@ def test_crosscheck_orthoscheme(capsys):
 def test_crosscheck_tetrahedra_rows_are_the_two_routes(capsys):
     code, recs = run(capsys, "crosscheck", "tetrahedra", "--grid", "coarse")
     assert code == EXIT_OK
-    tol = Tolerance(rel=1e-10, abs=1e-14)
+    tol = Tolerance(rel=1e-10)
     cases = tetrahedra.sample_near_ideal(10, 20121023)
     assert len(recs) == len(cases)
     for rec, t in zip(recs, cases):
@@ -214,6 +214,27 @@ def test_crosscheck_reads_the_routes_of_the_table(capsys, monkeypatch):
             columns.append("doubled-half")
             assert rec["values"]["doubled-half"] == rec["values"]["closed"]
         assert list(rec["values"]) == columns
+
+
+@pytest.mark.parametrize("reltol, rels", [("1e-13", (1e-13, 1e-13, 1e-13)),
+                                          ("1e-8", (1e-10, 1e-10, 1e-12))])
+def test_crosscheck_runs_every_suite_at_reltol_below_its_cap(capsys, monkeypatch, reltol,
+                                                             rels):
+    # the solids suite once ran at 1e-12 whatever --reltol asked for
+    seen = {}
+    for shape in ("orthoscheme-angles", "derevnin-mednykh", "sphere"):
+        entry = SHAPES[shape]
+        first = next(iter(entry.routes.values()))
+
+        def spy(*args, tol, shape=shape, first=first):
+            seen.setdefault(shape, set()).add(tol.rel)
+            return first(*args, tol=tol)
+
+        monkeypatch.setitem(SHAPES, shape, entry._replace(routes={**entry.routes, "spy": spy}))
+    code, _ = run(capsys, "crosscheck", "all", "--grid", "coarse", "--reltol", reltol)
+    assert code == EXIT_OK
+    assert seen == {"orthoscheme-angles": {rels[0]}, "derevnin-mednykh": {rels[1]},
+                    "sphere": {rels[2]}}
 
 
 def test_batch(tmp_path, capsys):
@@ -493,8 +514,8 @@ def test_ndim_integrates_at_the_requested_tolerance(capsys, monkeypatch):
     assert code == EXIT_OK
     assert [t.rel for t in seen] == [1e-12]
     v = recs[0]["volume"]
-    assert recs[0]["error_estimate"] == max(1e-14, 1e-12 * abs(v))
-    reference = orthoscheme.volume_edges((0.4, 0.6, 0.5), Tolerance(rel=1e-14, abs=0.0))
+    assert recs[0]["error_estimate"] == 1e-12 * abs(v)
+    reference = orthoscheme.volume_edges((0.4, 0.6, 0.5), Tolerance(rel=1e-14))
     assert v == pytest.approx(reference, abs=recs[0]["error_estimate"])
 
 
@@ -504,7 +525,7 @@ def test_convergence_failure_reports_best_estimate(tmp_path, capsys, monkeypatch
     budget = 20_000
     monkeypatch.setattr(quadrature, "_BUDGET", budget)
     with pytest.raises(ConvergenceError) as exc:
-        orthoscheme.volume_ndim((12.0, 0.5, 0.5), Tolerance(rel=1e-10, abs=1e-14))
+        orthoscheme.volume_ndim((12.0, 0.5, 0.5), Tolerance(rel=1e-10))
     best = exc.value.best
     if command == "vol":
         argv = ["vol", "ndim-orthoscheme", "--edges", "12,0.5,0.5"]

@@ -256,7 +256,7 @@ def test_ndim_euclidean_limits():
     eps = 0.01
     v = volume_ndim((eps, eps, eps))
     assert v == pytest.approx(eps ** 3 / 6.0, rel=1e-3)
-    v4 = volume_ndim((eps, eps, eps, eps), Tolerance(rel=1e-7, abs=1e-15))
+    v4 = volume_ndim((eps, eps, eps, eps), Tolerance(rel=1e-7))
     assert v4 == pytest.approx(eps ** 4 / 24.0, rel=1e-3)
 
 
@@ -326,13 +326,13 @@ def _tensor_gauss_legendre(edges, m=24):
     (0.3, 0.3, 0.3, 0.3, 0.3), (0.35, 0.25, 0.4, 0.3, 0.2),
 ])
 def test_ndim_matches_tensor_gauss_legendre(edges):
-    v = volume_ndim(edges, Tolerance(rel=1e-13, abs=0.0))
+    v = volume_ndim(edges, Tolerance(rel=1e-13))
     assert v == pytest.approx(_tensor_gauss_legendre(edges), rel=1e-12)
 
 
 def test_ndim_euclidean_limit_n5():
     eps = 0.01
-    v5 = volume_ndim((eps,) * 5, Tolerance(rel=1e-7, abs=1e-22))
+    v5 = volume_ndim((eps,) * 5, Tolerance(rel=1e-7))
     assert v5 == pytest.approx(eps ** 5 / 120.0, rel=1e-3)
 
 
@@ -433,6 +433,60 @@ def test_ideal_apex_routes_match_mpmath(b, c):
         ref = mpmath.quad(integrand, [0, bm]) / 4
     v = volume_two_ideal(b) if c == math.inf else volume_one_ideal(b, c)
     assert v == pytest.approx(float(ref), rel=5e-14, abs=0.0)
+
+
+def _mp_lob(x):
+    return mpmath.clsin(2, 2 * x) / 2
+
+
+def _mp_edge_angles(a, b, c):
+    """(alpha, beta, gamma, delta) of the orthoscheme with edges (a, b, c), in mpmath."""
+    td = mpmath.tanh(a) * mpmath.tanh(c) / mpmath.sinh(b)
+    z = mpmath.acosh(mpmath.cosh(a) * mpmath.cosh(b) * mpmath.cosh(c))
+    return (mpmath.atan(mpmath.tanh(c) / mpmath.sinh(b)), mpmath.atan(mpmath.tanh(z) / td),
+            mpmath.atan(mpmath.tanh(a) / mpmath.sinh(b)), mpmath.atan(td))
+
+
+def _mp_long_edge_volume(shape, b, a=1.0, c=1.0):
+    """The Lobachevsky closed form of each quadrature shape, with Pi(b) = atan(1 / sinh b)."""
+    b, a, c = mpmath.mpf(b), mpmath.mpf(a), mpmath.mpf(c)
+    pi_b = mpmath.atan(1 / mpmath.sinh(b))
+    if shape == "orthoscheme-two-ideal":
+        return _mp_lob(pi_b) / 2
+    if shape == "ideal-tetra-b":
+        return 2 * _mp_lob(pi_b)
+    if shape == "orthoscheme-one-ideal":
+        al = mpmath.atan(mpmath.tanh(c) / mpmath.sinh(b))
+        return (_mp_lob(pi_b + al) - _mp_lob(pi_b - al) + 2 * _mp_lob(mpmath.pi / 2 - al)) / 4
+    al, be, ga, d = _mp_edge_angles(a, b, c)
+    h = mpmath.pi / 2
+    return (_mp_lob(al + d) - _mp_lob(al - d) - _mp_lob(h - be + d) + _mp_lob(h - be - d)
+            + _mp_lob(ga + d) - _mp_lob(ga - d) + 2 * _mp_lob(h - d)) / 4
+
+
+@pytest.mark.parametrize("b", [20.0, 30.0, 100.0, 360.0])
+@pytest.mark.parametrize("shape, params", [
+    ("orthoscheme-one-ideal", {"c": 1.0}), ("ideal-tetra-b", {}),
+    ("orthoscheme-two-ideal", {}), ("orthoscheme-edges", {"a": 1.0, "c": 0.6})])
+def test_long_edge_volumes_are_relative_to_mpmath(shape, params, b):
+    # an absolute floor of 1e-14 once stopped these integrals: 2.0e-3 off at b = 100
+    # against a reported error of 1e-14.  The closed forms cancel like exp(-b), so
+    # mpmath runs at 30 + b/2 digits
+    v, _, err = shapes.compute_volume(shape, {"b": b, **params})
+    with mpmath.workdps(int(30 + b / 2)):
+        ref = _mp_long_edge_volume(shape, b, **params)
+    assert v == pytest.approx(float(ref), rel=1e-10, abs=0.0)
+    assert abs(v - float(ref)) <= err
+
+
+@pytest.mark.parametrize("e", [1e-4, 1e-6, 1e-7, 1e-8])
+def test_edges_to_angles_short_edges_against_mpmath(e):
+    # tanh z from acosh(cosh a cosh b cosh c) cancelled: beta was 2.5e-9 off at 1e-4,
+    # 4.4e-3 at 1e-7, and rounded to 0 (refused) at 1e-8
+    ang = edges_to_angles((e, e, e))
+    with mpmath.workdps(40):
+        ref = _mp_edge_angles(*(mpmath.mpf(e),) * 3)
+    assert ang == pytest.approx([float(r) for r in ref], rel=1e-15, abs=0.0)
 
 
 def _evaluations(monkeypatch, route, *args) -> int:

@@ -30,7 +30,7 @@ SPHERE_11 = 5.11093270570828898       # pi sinh 2 - 2 pi
 BARREL_111 = 4.33884684544285927      # pi sinh^2 1
 ASYM_CONE_1 = 1.36276267031355765     # pi ln cosh 1
 
-TIGHT = Tolerance(rel=1e-12, abs=1e-15)
+TIGHT = Tolerance(rel=1e-12)
 
 
 def test_zero_parameters_give_zero():

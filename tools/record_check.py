@@ -82,7 +82,7 @@ EXTRA_VOL = [
     ("derevnin-mednykh", dict(zip("ABCDEF", (1.0664993100418816, 1.1883434990835442,
                                              0.9269472528999848, 1.0756645687472814,
                                              1.1792317723915802, 0.9710248857545193)))),
-    *(("orthoscheme-two-ideal", {"b": b}) for b in (0.05, 3.0, 10.0)),
+    *(("orthoscheme-two-ideal", {"b": b}) for b in (0.05, 3.0, 10.0, 30.0, 100.0, 360.0)),
 ]
 MC_PARAMS = {
     "sphere": {"x": 1.0},
@@ -220,6 +220,14 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
         ["vol", "lambert-cube", "--w0", "0.168", "--w1", "1.243", "--w2", "0.354",
          "--theta", "0.0498"],
         ["vol", "sphere", "--x", "1", "--k", "nan"],
+        # long edges, where an absolute floor of 1e-14 stopped the integrals (about 1e-3
+        # relative error), and short ones, where tanh z cancelled (beta 4.4e-3 off at
+        # 1e-7, refused at 1e-8)
+        ["vol", "ideal-tetra-b", "--b", "360"],
+        ["vol", "orthoscheme-one-ideal", "--b", "100", "--c", "1"],
+        ["vol", "orthoscheme-edges", "--a", "1", "--b", "360", "--c", "0.6"],
+        ["convert", "edges-to-angles", "--a", "1e-7", "--b", "1e-7", "--c", "1e-7"],
+        ["convert", "edges-to-angles", "--a", "1e-8", "--b", "1e-8", "--c", "1e-8"],
         # a long edge whose nested integral ran past any per-call budget (now exit 4),
         # and the same integral at k = 2, whose best estimate is 2^3 times as large
         ["vol", "ndim-orthoscheme", "--edges", "12,0.5,0.5"],
