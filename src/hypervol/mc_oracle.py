@@ -221,8 +221,14 @@ def region_simplex(vertices: Sequence) -> Region:
     v0 = V[0]
 
     def contains(P: np.ndarray) -> np.ndarray:
-        lam = (P - v0) @ Minv.T
-        return (lam >= -1e-12).all(axis=1) & (lam.sum(axis=1) <= 1.0 + 1e-12)
+        # column by column: a reduction along the short axis costs 2.5x as much
+        lam = ((P - v0) @ Minv.T).T
+        inside = lam[0] >= -1e-12
+        total = lam[0]
+        for col in lam[1:]:
+            inside &= col >= -1e-12
+            total = total + col
+        return inside & (total <= 1.0 + 1e-12)
 
     return Region(
         lo=tuple(V.min(axis=0)),

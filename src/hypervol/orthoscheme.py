@@ -35,7 +35,7 @@ from .errors import (SINH2_MAX, SINH_MAX, DomainError, NotRealizableError,
                      UnsupportedDimensionError, angle, in_float_range, number, positive,
                      sequence)
 from .quadrature import DEFAULT_TOL, Tolerance
-from .specfun import lobachevsky
+from .specfun import _lobachevsky_complement, lobachevsky
 
 __all__ = [
     "OrthoschemeAngles",
@@ -48,6 +48,7 @@ __all__ = [
     "bolyai_asymptotic_2",
     "volume_one_ideal",
     "volume_two_ideal",
+    "volume_two_ideal_closed",
     "volume_ideal_tetrahedron_b",
     "area_right_triangle",
     "right_triangle_angles",
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
+_ASINH_1 = math.asinh(1.0)
 
 
 def _atanh_bound(u: float) -> float:
@@ -197,19 +199,23 @@ def _log_ratio(b: float, c: float):
     lam -> b stays accurate even for t extremely close to 1; a caller that
     holds u itself passes it exactly.  The numerator exceeds the denominator
     by exactly 2 t sinh lam, so the value is log1p(2 t sinh lam / den),
-    which stays >= 0 where the ratio would round below 1.
+    which stays >= 0 where the ratio would round below 1.  2 sinh lam and
+    2 cosh((b + lam)/2) overflow from b = 709.78 on, so from b = 709.4759
+    (1 below the float range of sinh) numerator and denominator are both
+    halved (s = 1).
     """
+    s = 2.0 if b < SINH_MAX - 1.0 else 1.0
     em = math.exp(-2.0 * c)
     t = math.tanh(c)
-    one_minus_t = 2.0 * em / (1.0 + em)
+    s_one_minus_t = s * em / (1.0 + em)  # s (1 - t) / 2
 
     def log_ratio(lam: float, u: float) -> float:
         sl = math.sinh(lam)
-        diff = 2.0 * math.cosh(0.5 * (b + lam)) * math.sinh(0.5 * u)
-        den = diff + one_minus_t * sl
+        diff = s * math.cosh(0.5 * (b + lam)) * math.sinh(0.5 * u)
+        den = diff + s_one_minus_t * sl
         if den <= 0.0:
             raise DomainError("log argument not positive; lam outside [0, b)")
-        return math.log1p(2.0 * t * sl / den)
+        return math.log1p(s * t * sl / den)
 
     return log_ratio
 
@@ -229,7 +235,10 @@ def volume_edges(edges, tol: Tolerance = DEFAULT_TOL) -> float:
     log_ratio = _log_ratio(b, c)
 
     def f(lam: float) -> float:
-        T = math.tanh(lam) / math.hypot(ratio * math.cosh(lam), math.sinh(lam))
+        th = math.tanh(lam)
+        # h overflows where T nears the float range's floor (a tiny or b near 710)
+        h = math.hypot(ratio * math.cosh(lam), math.sinh(lam))
+        T = th / h if h < math.inf else th / math.hypot(ratio, th) / math.cosh(lam)
         return T * log_ratio(lam, b - lam)
 
     return quadrature.scaled(0.25, lambda: quadrature.integrate_1d(f, 0.0, b, tol).value)
@@ -326,10 +335,30 @@ def volume_two_ideal(b: float, tol: Tolerance = DEFAULT_TOL) -> float:
     v = 1/4 int_0^b ln((sinh b + sinh l)/(sinh b - sinh l)) / cosh l dl;
     the integrand has an integrable log singularity at l = b, which the
     integral in u = b - l by quadrature.integrate_from_zero resolves in
-    about 250 evaluations, to about 5e-15 relative against mpmath.
-    DomainError for b above 710.4759, where sinh b leaves the float range.
+    about 250 evaluations, to about 5e-15 relative against mpmath.  The
+    second route to ``volume_two_ideal_closed``.  DomainError for b above
+    710.4759, where sinh b leaves the float range.
     """
     return _ideal_apex_integral(positive("edge b", b, SINH_MAX), math.inf, tol)
+
+
+@in_float_range
+def volume_two_ideal_closed(b: float) -> float:
+    """Volume of the orthoscheme with two ideal vertices by its Lobachevsky
+    closed form, the delta -> alpha limit of ``volume_angles`` (Kellerhals 1989):
+
+    v = 1/2 L(Pi(b)),  Pi(b) = 2 atan(exp(-b)) the angle of parallelism.
+
+    L near pi/2 cancels, so below b = asinh 1 (Pi above pi/4) the complement
+    t = pi/2 - Pi = atan(sinh b) enters L(pi/2 - t) through its cancellation-free
+    series; above it Pi comes from exp(-b), never from pi/2 - atan(sinh b).
+    Within 1e-15 relative of mpmath from b = 1e-300 to 710.4759; DomainError
+    above, where sinh b leaves the float range.
+    """
+    b = positive("edge b", b, SINH_MAX)
+    if b < _ASINH_1:
+        return 0.5 * _lobachevsky_complement(math.atan(math.sinh(b)))
+    return 0.5 * lobachevsky(2.0 * math.atan(math.exp(-b)))
 
 
 def volume_ideal_tetrahedron_b(b: float, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -111,10 +111,15 @@ SHAPES: dict[str, Shape] = {
                                             hypervol.orthoscheme.angles_to_edges(a), tol)}),
     "orthoscheme-one-ideal": Shape({"b": "L", "c": "L"}, 3, "quadrature", lambda b, c, tol:
                                    hypervol.orthoscheme.volume_one_ideal(b, c, tol)),
-    "orthoscheme-two-ideal": Shape({"b": "L"}, 3, "quadrature",
-                                   lambda b, tol: hypervol.orthoscheme.volume_two_ideal(b, tol)),
-    "ideal-tetra-b": Shape({"b": "L"}, 3, "quadrature", lambda b, tol:
-                           hypervol.orthoscheme.volume_ideal_tetrahedron_b(b, tol)),
+    "orthoscheme-two-ideal": Shape({"b": "L"}, 3, "lobachevsky-series",
+                                   lambda b, tol: hypervol.orthoscheme.volume_two_ideal_closed(b),
+                                   routes={"lobachevsky": None, "quadrature": lambda b, tol:
+                                           hypervol.orthoscheme.volume_two_ideal(b, tol)}),
+    # four two-ideal orthoschemes: the reflections of one in two of its faces
+    "ideal-tetra-b": Shape({"b": "L"}, 3, "lobachevsky-series",
+                           lambda b, tol: 4.0 * hypervol.orthoscheme.volume_two_ideal_closed(b),
+                           routes={"lobachevsky": None, "quadrature": lambda b, tol:
+                                   hypervol.orthoscheme.volume_ideal_tetrahedron_b(b, tol)}),
     "bolyai-1": Shape({"a": "L", "b": "L", "c": "L"}, 3, "quadrature",
                       lambda *e, tol: hypervol.orthoscheme.bolyai_integral_1(e, tol)),
     "bolyai-asym-1": Shape({"alpha": "R", "c": "L"}, 3, "quadrature", lambda alpha, c, tol:

@@ -71,6 +71,35 @@ def _cl2_core(t: float) -> float:
     return acc
 
 
+# coefficients (16^m - 4^m) c_m of the complement series, c_m as above
+_COMPLEMENT_COEF = tuple((16.0 ** m - 4.0 ** m) * c for m, c in enumerate(_CL2_COEF, 1))
+_LN2 = math.log(2.0)
+
+
+def _lobachevsky_complement(t: float) -> float:
+    """L(pi/2 - t) for t in [0, pi/4], from t itself.
+
+    L(pi/2 - t) = L(t) - L(2t)/2 = int_0^t ln(2 cos v) dv.  The log terms of
+    the two series cancel exactly, which leaves
+
+        t ln 2 - sum_{m>=1} (16^m - 4^m) c_m t^(2m+1):
+
+    no term cancels, and at t = pi/4 the terms fall by about 4x each.  L at
+    the rounded pi/2 - t would lose ulp(pi/2) / (t ln 2) relative, and
+    L(t) - L(2t)/2 up to a few 1e-15 near t = 0.01.
+    """
+    acc = t * _LN2
+    t2 = t * t
+    p = t
+    for c in _COMPLEMENT_COEF:
+        p *= t2
+        term = c * p
+        acc -= term
+        if term < 1e-17 * acc:
+            break
+    return acc
+
+
 def clausen2(x: float) -> float:
     """Clausen function Cl2(x) = Im Li2(e^{ix}); odd, 2pi-periodic."""
     x = number("x", x)

@@ -296,10 +296,10 @@ VOL_CASES = {
                            lambda: orthoscheme.volume_angles((0.54, 1.1, 0.71))),
     "orthoscheme-one-ideal": ({"b": 1.0, "c": 0.8}, "quadrature", 3,
                               lambda: orthoscheme.volume_one_ideal(1.0 / K, 0.8 / K)),
-    "orthoscheme-two-ideal": ({"b": 1.0}, "quadrature", 3,
-                              lambda: orthoscheme.volume_two_ideal(1.0 / K)),
-    "ideal-tetra-b": ({"b": 1.0}, "quadrature", 3,
-                      lambda: orthoscheme.volume_ideal_tetrahedron_b(1.0 / K)),
+    "orthoscheme-two-ideal": ({"b": 1.0}, "lobachevsky-series", 3,
+                              lambda: orthoscheme.volume_two_ideal_closed(1.0 / K)),
+    "ideal-tetra-b": ({"b": 1.0}, "lobachevsky-series", 3,
+                      lambda: 4.0 * orthoscheme.volume_two_ideal_closed(1.0 / K)),
     "bolyai-1": ({"a": 1.0, "b": 0.8, "c": 0.6}, "quadrature", 3,
                  lambda: orthoscheme.bolyai_integral_1((1.0 / K, 0.8 / K, 0.6 / K))),
     "bolyai-asym-1": ({"alpha": 0.7, "c": 1.0}, "quadrature", 3,

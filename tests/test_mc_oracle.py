@@ -205,6 +205,22 @@ def test_simplex_membership_basics():
     assert got.tolist() == [True, True, False]
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_simplex_membership_is_the_barycentric_reduction(dim):
+    # the column-by-column test against the row reductions it replaced, on points
+    # drawn from the box and from the simplex itself
+    rng = np.random.default_rng(dim)
+    V = rng.uniform(-0.5, 0.5, (dim + 1, dim))
+    r = mc.region_simplex(V)
+    M = (V[1:] - V[0]).T
+    P = np.concatenate([rng.uniform(r.lo, r.hi, (20_000, dim)),
+                        V[0] + rng.dirichlet(np.ones(dim + 1), 2_000)[:, 1:] @ M.T])
+    lam = (P - V[0]) @ np.linalg.inv(M).T
+    ref = (lam >= -1e-12).all(axis=1) & (lam.sum(axis=1) <= 1.0 + 1e-12)
+    assert np.array_equal(r.contains(P), ref)
+    assert 0 < ref.sum() < len(P)
+
+
 def test_simplex_degenerate_rejected():
     V = [(0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (0.2, 0.0, 0.0), (0.3, 0.0, 0.0)]
     with pytest.raises(DomainError):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hypervol import quadrature, shapes
-from hypervol.errors import DomainError, NotRealizableError, UnsupportedDimensionError
+from hypervol.errors import SINH_MAX, DomainError, NotRealizableError, UnsupportedDimensionError
 from hypervol.orthoscheme import (
     _cosh_power_integral,
     OrthoschemeAngles,
@@ -30,6 +30,7 @@ from hypervol.orthoscheme import (
     volume_ndim,
     volume_one_ideal,
     volume_two_ideal,
+    volume_two_ideal_closed,
 )
 from hypervol.quadrature import Tolerance
 from hypervol.tetrahedra import (
@@ -439,6 +440,46 @@ def _mp_lob(x):
     return mpmath.clsin(2, 2 * x) / 2
 
 
+ASINH_1 = math.asinh(1.0)
+
+
+@pytest.mark.parametrize("b", [
+    1e-300, 1e-20, 1e-8, 1e-3, 0.5, math.nextafter(ASINH_1, 0.0), ASINH_1,
+    math.nextafter(ASINH_1, 1.0), 2.0, 30.0, 360.0, 700.0, SINH_MAX])
+def test_two_ideal_closed_form_against_mpmath(b):
+    # L near pi/2 cancelled: the direct form was 1.2e-8 off at b = 1e-8, and the
+    # complement L(t) - L(2t)/2 6.5e-15 at 1e-20.  Pi(b) = pi/2 - t with t about b
+    # needs -log10(b) more digits than the 30 kept
+    with mpmath.workdps(30 + max(0, int(-math.log10(b)))):
+        ref = _mp_lob(2 * mpmath.atan(mpmath.exp(-mpmath.mpf(b)))) / 2
+    assert volume_two_ideal_closed(b) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+
+
+def test_two_ideal_closed_form_matches_the_quadrature_route():
+    rng = random.Random(22)
+    for b in (rng.uniform(0.05, 30.0) for _ in range(30)):
+        assert volume_two_ideal(b) == pytest.approx(volume_two_ideal_closed(b), rel=1e-13, abs=0.0)
+
+
+def test_ideal_tetrahedron_closed_form_is_milnor():
+    # milnor_ideal(2 Pi, pi/2 - Pi, pi/2 - Pi) cancels like exp(-b) (2.3e-5 off at
+    # b = 30) and near Pi = pi/2 (1.2e-14 at b = 0.01), so the draws stay in [0.05, 5]
+    rng = random.Random(23)
+    for b in (rng.uniform(0.05, 5.0) for _ in range(30)):
+        pi_b = 2.0 * math.atan(math.exp(-b))
+        ref = milnor_ideal(2.0 * pi_b, 0.5 * math.pi - pi_b, 0.5 * math.pi - pi_b)
+        assert 4.0 * volume_two_ideal_closed(b) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("b", [710.0, SINH_MAX])
+def test_two_ideal_quadrature_route_at_the_float_range_limit(b):
+    # 2 sinh l and 2 cosh((b + l)/2) in the log ratio overflowed from b = 709.78,
+    # which refused both routes with "integrand returned a non-finite value"
+    v = volume_two_ideal_closed(b)
+    assert volume_two_ideal(b) == pytest.approx(v, rel=1e-13, abs=0.0)
+    assert volume_ideal_tetrahedron_b(b) == pytest.approx(4.0 * v, rel=1e-13, abs=0.0)
+
+
 def _mp_edge_angles(a, b, c):
     """(alpha, beta, gamma, delta) of the orthoscheme with edges (a, b, c), in mpmath."""
     td = mpmath.tanh(a) * mpmath.tanh(c) / mpmath.sinh(b)
@@ -464,19 +505,34 @@ def _mp_long_edge_volume(shape, b, a=1.0, c=1.0):
             + _mp_lob(ga + d) - _mp_lob(ga - d) + 2 * _mp_lob(h - d)) / 4
 
 
-@pytest.mark.parametrize("b", [20.0, 30.0, 100.0, 360.0])
+@pytest.mark.parametrize("b", [20.0, 30.0, 100.0, 360.0, SINH_MAX])
 @pytest.mark.parametrize("shape, params", [
     ("orthoscheme-one-ideal", {"c": 1.0}), ("ideal-tetra-b", {}),
     ("orthoscheme-two-ideal", {}), ("orthoscheme-edges", {"a": 1.0, "c": 0.6})])
 def test_long_edge_volumes_are_relative_to_mpmath(shape, params, b):
     # an absolute floor of 1e-14 once stopped these integrals: 2.0e-3 off at b = 100
     # against a reported error of 1e-14.  The closed forms cancel like exp(-b), so
-    # mpmath runs at 30 + b/2 digits
-    v, _, err = shapes.compute_volume(shape, {"b": b, **params})
+    # mpmath runs at 30 + b/2 digits.  A closed-form record (error estimate 0) is
+    # held to 1e-15, and its shape's quadrature route to the bound it was given
+    v, method, err = shapes.compute_volume(shape, {"b": b, **params})
     with mpmath.workdps(int(30 + b / 2)):
-        ref = _mp_long_edge_volume(shape, b, **params)
-    assert v == pytest.approx(float(ref), rel=1e-10, abs=0.0)
-    assert abs(v - float(ref)) <= err
+        ref = float(_mp_long_edge_volume(shape, b, **params))
+    if method in shapes.EXACT_METHODS:
+        assert v == pytest.approx(ref, rel=1e-15, abs=0.0)
+        tol = Tolerance(rel=1e-10)
+        v = shapes.SHAPES[shape].routes["quadrature"](b, tol=tol)
+        err = tol.rel * abs(v)
+    assert v == pytest.approx(ref, rel=1e-10, abs=0.0)
+    assert abs(v - ref) <= err
+
+
+@pytest.mark.parametrize("a, b", [(1e-3, 705.0), (1.0, 710.4)])
+def test_edge_integral_where_its_denominator_overflows(a, b):
+    # hypot(tanh b / sinh a * cosh l, sinh l) overflowed to inf near l = b, which
+    # dropped the end of the integrand: 2.1e-3 off at (1e-3, 705), 1.8e-3 at (1, 710.4)
+    with mpmath.workdps(int(30 + b / 2)):
+        ref = float(_mp_long_edge_volume("orthoscheme-edges", b, a=a, c=0.6))
+    assert volume_edges((a, b, 0.6)) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("e", [1e-4, 1e-6, 1e-7, 1e-8])

@@ -40,9 +40,9 @@ SKIP = {"MCEstimate"}
 # functions whose value is a volume or area, which must also be >= 0
 VOLUMES = {"volume_edges", "volume_angles", "bolyai_integral_1", "bolyai_asymptotic_1",
            "bolyai_asymptotic_2", "volume_one_ideal", "volume_two_ideal",
-           "volume_ideal_tetrahedron_b", "area_right_triangle", "volume_ndim", "milnor_ideal",
-           "derevnin_mednykh", "murakami_yano", "mohanty_octahedron", "paracycle_brick_volume",
-           *solids.__all__}
+           "volume_two_ideal_closed", "volume_ideal_tetrahedron_b", "area_right_triangle",
+           "volume_ndim", "milnor_ideal", "derevnin_mednykh", "murakami_yano",
+           "mohanty_octahedron", "paracycle_brick_volume", *solids.__all__}
 
 
 def public_functions():
@@ -258,6 +258,7 @@ GRID_ROUTES = {
     "edges_to_angles": (lambda *e: orthoscheme.edges_to_angles(e), product(GRID, repeat=3)),
     "volume_one_ideal": (orthoscheme.volume_one_ideal, product(GRID, repeat=2)),
     "volume_two_ideal": (orthoscheme.volume_two_ideal, product(GRID)),
+    "volume_two_ideal_closed": (orthoscheme.volume_two_ideal_closed, product(GRID)),
     "volume_ideal_tetrahedron_b": (orthoscheme.volume_ideal_tetrahedron_b, product(GRID)),
     "right_triangle_angles": (orthoscheme.right_triangle_angles, product(GRID, repeat=2)),
     "bolyai_asymptotic_1": (orthoscheme.bolyai_asymptotic_1, product(ANGLES, GRID)),

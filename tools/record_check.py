@@ -224,6 +224,13 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
         # relative error), and short ones, where tanh z cancelled (beta 4.4e-3 off at
         # 1e-7, refused at 1e-8)
         ["vol", "ideal-tetra-b", "--b", "360"],
+        # the closed form's two ends (the complement series, the subnormal Pi(b)), and
+        # the quadrature route near its limit, where 2 sinh l overflowed (exit 2): at the
+        # limit 710.4758600739439 itself and just past it
+        ["vol", "orthoscheme-two-ideal", "--b", "1e-300"],
+        ["vol", "orthoscheme-two-ideal", "--b", "710"],
+        ["vol", "ideal-tetra-b", "--b", "710.4758600739439"],
+        ["vol", "ideal-tetra-b", "--b", "710.4759"],
         ["vol", "orthoscheme-one-ideal", "--b", "100", "--c", "1"],
         ["vol", "orthoscheme-edges", "--a", "1", "--b", "360", "--c", "0.6"],
         ["convert", "edges-to-angles", "--a", "1e-7", "--b", "1e-7", "--c", "1e-7"],
