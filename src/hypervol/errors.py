@@ -110,7 +110,7 @@ def nonnegative(name: str, v, limit: float = math.inf) -> float:
         raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
     if v > limit:
         raise DomainError(
-            f"{name} = {v!r} exceeds {limit:.4f}, beyond which the route leaves the float range"
+            f"{name} = {v!r} exceeds {limit!r}, beyond which the route leaves the float range"
         )
     return v
 

@@ -50,24 +50,17 @@ def milnor_ideal(A: float, B: float, C: float) -> float:
     return lobachevsky(A) + lobachevsky(B) + lobachevsky(C)
 
 
-def _log_argument(t: tuple[float, ...]):
-    """z -> (numerator, denominator) of the volume integrand's log argument,
-    prod cos((A+B+C+z)/2) ... and prod sin((A+B+D+E+z)/2) ... sin(z/2).
-
-    The half angle sums are taken once; halving is exact, so each argument
-    is bit for bit the (sum + z) / 2 of the formula.
-    """
-    A, B, C, D, E, F = t
-    p, q, r, s = 0.5 * (A + B + C), 0.5 * (A + E + F), 0.5 * (B + D + F), 0.5 * (C + D + E)
-    w, x, y = 0.5 * (A + B + D + E), 0.5 * (A + C + D + F), 0.5 * (B + C + E + F)
-    cos, sin = math.cos, math.sin
-
-    def log_argument(z: float) -> tuple[float, float]:
-        h = 0.5 * z
-        return (cos(p + h) * cos(q + h) * cos(r + h) * cos(s + h),
-                sin(w + h) * sin(x + h) * sin(y + h) * sin(h))
-
-    return log_argument
+def _mean_log(a: float, b: float) -> float:
+    """The mean of ln|x| over [a, b], a < b: (F(b) - F(a)) / (b - a) with
+    F(x) = x ln|x| - x.  Where 0 lies outside [a, b] that difference cancels,
+    so for 0 < a < b the mean is taken as ln b - 1 + (a / w) ln(1 + w / a),
+    w = b - a, and for b <= 0 on the mirror image [-b, -a]."""
+    if b <= 0.0:
+        a, b = -b, -a
+    w = b - a
+    if a <= 0.0:
+        return (b * math.log(b) - (a * math.log(-a) if a else 0.0)) / w - 1.0
+    return math.log(b) - 1.0 + a / w * math.log1p(w / a)
 
 
 def dm_coefficients(t) -> tuple[float, float]:
@@ -129,30 +122,57 @@ def dm_coefficients(t) -> tuple[float, float]:
 def derevnin_mednykh(t, tol: Tolerance = DEFAULT_TOL) -> float:
     """Tetrahedron volume by the root-interval integral
 
-    -1/4 int_{z1}^{z2} log( prod cos / prod sin ) dz.
+    -1/4 int_{z1}^{z2} log( prod cos / prod sin ) dz
+      = -1/2 int_{h1}^{h2} log |cos(p + h) ... sin(w + h) ... sin(h)| dh,
 
-    The log argument equals 1 at both roots, so for a compact tetrahedron
-    the integrand vanishes at both ends.  The zeros of sin(z/2) and of the
-    cosines, at z = 0 and at pi minus the angle sum of a vertex, are log
-    singularities of the integrand; near the ideal limit they lie just
-    below z1 > 0, and in it they meet z1 = 0.  So the integral runs through
-    quadrature.integrate_from_zero, whose substitution starts at z = 0.  A
-    z1 below 0 comes only from rounding at an ideal vertex, whose exact
-    root is 0, and is read as 0.
+    in h = z/2, where p, q, r, s are the half angle sums of the vertices and
+    w, x, y those of the opposite edge pairs.  Each of the eight factors
+    vanishes on a pi-lattice, cos(p + h) at pi/2 - p + k pi and sin(w + h)
+    at -w + k pi, and each zero is a log singularity of the integrand: for
+    a compact tetrahedron the nearest ones lie just outside [h1, h2], and
+    at an ideal vertex one meets h1 = 0.  The interval is shorter than
+    pi/2, so with c the zero of a factor nearest its midpoint, the factor
+    is +/-sin(h - c) and
+
+        log |sin(h - c)| = log |h - c| + log |sin(h - c) / (h - c)|,
+
+    whose second term is analytic at least pi/4 beyond both ends.  The log
+    terms integrate in closed form (`_mean_log`), and one Gauss-Kronrod
+    panel of integrate_1d resolves the rest, the log of one product of the
+    eight ratios.  The closed-form part enters the integrand as a constant,
+    so the tolerance and a ConvergenceError's best estimate refer to the
+    whole volume.  A z1 below 0 comes only from rounding at an ideal
+    vertex, whose exact root is 0, and is read as 0.
     """
     t = sequence("dihedral angles", t)
     z1, z2 = dm_coefficients(t)
-    log_argument = _log_argument(tuple(map(float, t)))
-    log = math.log
+    A, B, C, D, E, F = map(float, t)
+    h1, h2 = 0.5 * max(z1, 0.0), 0.5 * z2
+    mid, pi = 0.5 * (h1 + h2), math.pi
 
-    def f(z: float) -> float:
-        num, den = log_argument(z)
-        # log|x| with an exact 0 read as the least subnormal: an integrable
-        # log zero hit exactly stays finite
-        return log(abs(num) or 5e-324) - log(abs(den) or 5e-324)
+    def nearest(c: float) -> float:
+        return c + pi * round((mid - c) / pi)
 
-    return quadrature.scaled(-0.25, lambda: quadrature.integrate_from_zero(
-        f, max(z1, 0.0), z2, tol).value)
+    c1, c2, c3, c4 = (nearest(0.5 * (pi - s)) for s in (A + B + C, A + E + F, B + D + F,
+                                                        C + D + E))
+    d1, d2, d3, d4 = (nearest(-0.5 * s) for s in (A + B + D + E, A + C + D + F,
+                                                  B + C + E + F, 0.0))
+    # the integral of the eight terms log|h - c| over [h1, h2], divided by its length
+    mean = (math.fsum(_mean_log(h1 - c, h2 - c) for c in (c1, c2, c3, c4))
+            - math.fsum(_mean_log(h1 - d, h2 - d) for d in (d1, d2, d3, d4)))
+    sin, log = math.sin, math.log
+
+    def f(h: float) -> float:
+        # a node exactly on a zero reads it as 1e-300, where sin(x) / x is its
+        # limit 1; each ratio is taken alone, so no product passes through a tiny x
+        x1, x2, x3, x4 = (h - c1) or 1e-300, (h - c2) or 1e-300, (h - c3) or 1e-300, \
+            (h - c4) or 1e-300
+        y1, y2, y3, y4 = (h - d1) or 1e-300, (h - d2) or 1e-300, (h - d3) or 1e-300, \
+            (h - d4) or 1e-300
+        return mean + log((sin(x1) / x1) * (sin(x2) / x2) * (sin(x3) / x3) * (sin(x4) / x4)
+                          * (y1 / sin(y1)) * (y2 / sin(y2)) * (y3 / sin(y3)) * (y4 / sin(y4)))
+
+    return quadrature.scaled(-0.5, lambda: quadrature.integrate_1d(f, h1, h2, tol).value)
 
 
 def murakami_yano(t) -> float:

@@ -552,17 +552,19 @@ def best_estimate(err: str) -> tuple[float, float, int]:
 
 
 def test_convergence_failure_best_estimate_is_a_volume(capsys, monkeypatch):
-    # one panel of the regular ideal tetrahedron's integral already holds its volume
-    # to a few digits; the raw integral is -4 times the volume
+    # at c = 10 the one-ideal integrand's log singularity sits about 3e-9 beyond the
+    # end of its integral, so one panel cannot meet the tolerance, yet it already
+    # holds the volume to a few digits; the raw integral is 4 times the volume
+    volume = orthoscheme.volume_one_ideal(1.0, 10.0)
     integrate_1d = quadrature.integrate_1d
     monkeypatch.setattr(quadrature, "integrate_1d",
                         lambda f, lo, hi, tol=quadrature.DEFAULT_TOL, max_evals=15:
                         integrate_1d(f, lo, hi, tol, min(max_evals, 15)))
-    argv = ["vol", "derevnin-mednykh", *(a for n in "ABCDEF" for a in (f"--{n}", "1.0472"))]
-    assert main(argv) == EXIT_NO_CONVERGENCE
+    assert main(["vol", "orthoscheme-one-ideal", "--b", "1", "--c", "10"]) \
+        == EXIT_NO_CONVERGENCE
     value, error, evals = best_estimate(capsys.readouterr().err)
     assert evals == 15
-    assert value == pytest.approx(REGULAR_IDEAL, rel=1e-3)
+    assert value == pytest.approx(volume, rel=1e-3)
     assert 0.0 < error < 0.01
 
 

@@ -8,14 +8,15 @@ edge-integral value.
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
+from hypervol import quadrature
 from hypervol.errors import DomainError, NotRealizableError
 from hypervol.orthoscheme import volume_edges
 from hypervol.specfun import lobachevsky, lobachevsky_via_integral
 from hypervol.tetrahedra import (
-    _log_argument,
     derevnin_mednykh,
     dm_coefficients,
     lambert_cube,
@@ -85,11 +86,19 @@ def test_dm_coefficients_regular_ideal():
     assert z2 == pytest.approx(P3, abs=1e-12)
 
 
+def log_argument(t, z):
+    """(numerator, denominator) of the volume integrand's log argument at z."""
+    A, B, C, D, E, F = t
+    num = math.prod(math.cos((s + z) / 2) for s in (A + B + C, A + E + F, B + D + F, C + D + E))
+    den = math.prod(math.sin((s + z) / 2) for s in (A + B + D + E, A + C + D + F, B + C + E + F, 0))
+    return num, den
+
+
 def test_dm_root_residuals_on_realizable_samples():
     for t in sample_near_ideal(10, seed=31):
         z1, z2 = dm_coefficients(t)
         for z in (z1, z2):
-            num, den = _log_argument(t)(z)
+            num, den = log_argument(t, z)
             assert abs(num - den) <= 1e-8 * max(1.0, abs(num), abs(den))
         assert z1 < z2
 
@@ -196,6 +205,147 @@ def test_dm_equals_my_on_realizable_samples():
         my = murakami_yano(pert)
         assert abs(dm - my) <= 1e-12
         assert dm > 0.0
+
+
+def _mp_derevnin_mednykh(t):
+    """-1/4 int_{z1}^{z2} log(prod cos / prod sin) dz at 40 digits, with the roots
+    z1, z2 of the formula computed in mpmath (a z1 below 0 read as 0)."""
+    with mpmath.workdps(40):
+        A, B, C, D, E, F = map(mpmath.mpf, t)
+        cos, sin = mpmath.cos, mpmath.sin
+        S = A + B + C + D + E + F
+        pairs = (A + D, B + E, C + F, D + E + F, D + B + C, A + E + C, A + B + F)
+        k1 = -(cos(S) + sum(cos(x) for x in pairs))
+        k2 = sin(S) + sum(sin(x) for x in pairs)
+        k3 = 2 * (sin(A) * sin(D) + sin(B) * sin(E) + sin(C) * sin(F))
+        center, half = mpmath.atan2(k2, k1), mpmath.atan(mpmath.sqrt(k1**2 + k2**2 - k3**2) / k3)
+
+        def f(z):
+            num = mpmath.fprod(cos((s + z) / 2) for s in (A + B + C, A + E + F, B + D + F,
+                                                          C + D + E))
+            den = mpmath.fprod(sin((s + z) / 2) for s in (A + B + D + E, A + C + D + F,
+                                                          B + C + E + F, 0))
+            return mpmath.log(abs(num / den))
+
+        return float(-mpmath.quad(f, [max(center - half, 0), center + half]) / 4)
+
+
+def _near_ideal_compact(count, seed):
+    """Compact tetrahedra near the ideal limit: an ideal triple (A, B, C) twice,
+    each angle raised by a uniform amount in (0.02, 0.12), kept when compact."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        A = rng.uniform(0.3, 1.5)
+        B = rng.uniform(0.3, math.pi - A - 0.3)
+        t = tuple(x + rng.uniform(0.02, 0.12) for x in (A, B, math.pi - A - B) * 2)
+        try:
+            dm_coefficients(t)
+        except NotRealizableError:
+            continue
+        out.append(t)
+    return out
+
+
+def _with_ideal_vertices(count, seed, ideal):
+    """Tetrahedra whose vertex (A, B, C), and with ideal = 2 also (C, D, E), is ideal."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        A = rng.uniform(0.3, 1.5)
+        B = rng.uniform(0.3, math.pi - A - 0.3)
+        C = math.pi - A - B
+        D, E, F = (rng.uniform(0.3, 2.0) for _ in range(3))
+        if ideal == 2:
+            D = rng.uniform(0.3, math.pi - C - 0.3)
+            E = math.pi - C - D
+        t = (A, B, C, D, E, F)
+        try:
+            dm_coefficients(t)
+        except NotRealizableError:
+            continue
+        out.append(t)
+    return out
+
+
+def _evaluations(route, t) -> int:
+    """Integrand evaluations of route(t), counted at quadrature.integrate_1d."""
+    evals = []
+    integrate_1d = quadrature.integrate_1d
+
+    def counting(*args, **kwargs):
+        res = integrate_1d(*args, **kwargs)
+        evals.append(res.evaluations)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "integrate_1d", counting)
+        route(t)
+    return sum(evals)
+
+
+@pytest.mark.parametrize("t", [*_near_ideal_compact(6, 2024), *sample_near_ideal(2, 3)])
+def test_dm_against_mpmath(t):
+    assert derevnin_mednykh(t) == pytest.approx(_mp_derevnin_mednykh(t), rel=1e-12, abs=0.0)
+
+
+# nearly flat tetrahedra (root interval 0.006 to 0.016 wide, volume 2e-6 to 1e-4),
+# where the integrand cancels: held to an absolute bound
+FLAT = [(1.5425, 0.2837, 1.3823, 1.3181, 1.7889, 1.5999),
+        (1.548, 1.5112, 0.9695, 1.4232, 0.7528, 1.5659),
+        (2.1509, 2.2124, 2.7809, 0.2164, 0.1746, 0.8774)]
+
+
+@pytest.mark.parametrize("t", FLAT)
+def test_dm_against_mpmath_on_flat_tetrahedra(t):
+    assert derevnin_mednykh(t) == pytest.approx(_mp_derevnin_mednykh(t), rel=0.0, abs=1e-14)
+
+
+def test_dm_matches_milnor_on_ideal_tetrahedra():
+    # A, B, C >= 0.2 uniform on the simplex A + B + C = pi, as hypervol's benchmark
+    # draws them; with an angle below 0.2 the rounding of z1 (up to 4e-14 above its
+    # exact 0) puts both integral routes up to 9e-12 off
+    rng = random.Random(11)
+    for _ in range(50):
+        u, v = sorted((rng.random(), rng.random()))
+        A, B = 0.2 + (math.pi - 0.6) * u, 0.2 + (math.pi - 0.6) * (v - u)
+        C = math.pi - A - B
+        ref = milnor_ideal(A, B, C)
+        assert derevnin_mednykh((A, B, C) * 2) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("ideal", [1, 2])
+def test_dm_matches_my_with_ideal_vertices(ideal):
+    # the singularity of the ideal vertex's cosine meets z1 = 0
+    for t in _with_ideal_vertices(20, 17 + ideal, ideal):
+        assert derevnin_mednykh(t) == pytest.approx(murakami_yano(t), rel=0.0, abs=1e-12)
+
+
+def test_dm_takes_one_panel():
+    # subdivision toward the log singularities took 82 evaluations on compact draws
+    # near the ideal limit and 287 in it
+    cases = [*sample_near_ideal(20, seed=5), *_near_ideal_compact(20, 6),
+             *((A, B, math.pi - A - B) * 2 for A, B in [(P3, P3), (0.3, 0.4), (1.4, 1.5)]),
+             *_with_ideal_vertices(5, 7, 1), *_with_ideal_vertices(5, 8, 2), *FLAT]
+    assert max(_evaluations(derevnin_mednykh, t) for t in cases) <= 15
+
+
+def test_dm_integrand_is_finite_on_a_zero():
+    # a node exactly on a factor's zero reads sin(x) / x there as its limit 1: at the
+    # regular ideal tetrahedron the lower limit h = 0 is the zero of sin(h)
+    seen = []
+    integrate_1d = quadrature.integrate_1d
+
+    def probing(f, lo, hi, *args):
+        seen.append((lo, f(lo), f(lo + 1e-9)))
+        return integrate_1d(f, lo, hi, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "integrate_1d", probing)
+        derevnin_mednykh((P3,) * 6)
+    [(lo, on_zero, beside)] = seen
+    assert lo == 0.0
+    assert on_zero == pytest.approx(beside, rel=1e-8, abs=0.0)
 
 
 def test_formulas_reproduce_orthoscheme_volume():

@@ -6,8 +6,8 @@ Each SRC is a directory holding the ``hypervol`` package (the ``src`` of a
 checkout).  Every command of a fixed argv list runs as ``python -m
 hypervol.cli`` in a fresh interpreter against each tree, and the script
 reports every command whose stdout, stderr or exit code differs.  The list covers
-``vol`` on every table shape at k = 1 and 1.3 (the singular-end routes at
-a few more parameter sets), both ``convert``
+``vol`` on every table shape at k = 1 and 1.3 (the singular-end routes and
+``derevnin-mednykh`` at a few more parameter sets), both ``convert``
 directions, ``crosscheck`` on every suite, grid and seed of three, ``mc``
 on the Monte-Carlo shapes, a fixed 200-job batch, the CLI error paths and
 reproductions of defects found earlier.
@@ -82,6 +82,11 @@ EXTRA_VOL = [
     ("derevnin-mednykh", dict(zip("ABCDEF", (1.0664993100418816, 1.1883434990835442,
                                              0.9269472528999848, 1.0756645687472814,
                                              1.1792317723915802, 0.9710248857545193)))),
+    # one ideal vertex (A + B + C = pi), and a flat tetrahedron of volume 2e-6
+    ("derevnin-mednykh", dict(zip("ABCDEF", (0.9893084523104052, 1.1152542354336856,
+                                             1.037029965845702, 1.7877337424748292,
+                                             1.54005699204667, 0.7894942003133171)))),
+    ("derevnin-mednykh", dict(zip("ABCDEF", (1.5425, 0.2837, 1.3823, 1.3181, 1.7889, 1.5999)))),
     *(("orthoscheme-two-ideal", {"b": b}) for b in (0.05, 3.0, 10.0, 30.0, 100.0, 360.0)),
 ]
 MC_PARAMS = {
