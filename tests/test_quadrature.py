@@ -143,6 +143,18 @@ def test_nan_integrand_rejected():
                      0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad, named", [
+    ((0.5,), "integrand returned nan at x=0.5"),  # the centre, node 0
+    ((0.9324322116798845,), "x=0.9324322116798845"),  # node 6, c + h x_2
+    # nodes 5 and 12 (c - h x_2, c + h x_5): the earlier in evaluation order
+    ((0.06756778832011545, 0.7029225756886985), "x=0.06756778832011545"),
+])
+def test_gk15_reports_the_first_non_finite_node(bad, named):
+    f = lambda x: math.nan if x in bad else 1.0
+    with pytest.raises(DomainError, match=named.replace(".", r"\.") + "$"):
+        quadrature._gk15(f, 0.0, 1.0)
+
+
 def test_tolerance_validation():
     with pytest.raises(DomainError):
         Tolerance(rel=1e-15)
