@@ -28,7 +28,6 @@ lengths (k -> infinity recovers Euclidean behaviour).
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from . import quadrature
@@ -80,45 +79,91 @@ def _point(system: str, p) -> tuple[float, ...]:
     return c
 
 
-def _ball_gap(X, k: float) -> float:
-    """1 - |X/k|^2, or DomainError for a point on or outside the projective ball."""
-    s = math.fsum((x / k) ** 2 for x in X)
+def _gap(squares) -> float:
+    """1 - sum(squares), or DomainError when the sum reaches 1: the point lies
+    on or outside the projective ball."""
+    s = math.fsum(squares)
     if s >= 1.0:
         raise DomainError("point lies on or outside the projective ball")
     return 1.0 - s
 
 
+def _ball_gap(X, k: float) -> float:
+    """1 - |X/k|^2, or DomainError for a point on or outside the projective ball."""
+    return _gap([(x / k) ** 2 for x in X])
+
+
 # ---------------------------------------------------------------------------
-# density kernels: coordinates c, their number n and k, unchecked but for the
-# half-space and the ball, whose formulas give a wrong finite value outside
+# density factories: (c, free, n, k) -> f, where f(x) is the density at the
+# coordinates c with c[free] replaced by x.  Work that depends on the other
+# coordinates alone runs once, in the factory.  c, its length n and k are
+# unchecked but for the half-space and the ball, whose formulas give a wrong
+# finite value outside.
 # ---------------------------------------------------------------------------
 
-def _density_paracycle(c, n, k):
-    return math.exp(-(n - 1) * c[n - 1] / k)
+def _product(factors, at, g):
+    """x -> the product of ``factors`` taken left to right from 1.0, with
+    g(x) in place of factors[at] (the constant product when at is None)."""
+    before = 1.0
+    for v in factors[:at]:
+        before *= v
+    if at is None:
+        return lambda x: before
+    after = factors[at + 1:]
+
+    def f(x):
+        d = before * g(x)
+        for v in after:
+            d *= v
+        return d
+
+    return f
 
 
-def _density_halfspace(c, n, k):
-    if c[n - 1] <= 0.0:
-        raise DomainError(f"half-space coordinate x_n must be positive, got {c[n - 1]!r}")
-    return k / c[n - 1] ** n
+def _density_paracycle(c, free, n, k):
+    m = -(n - 1)
+    return lambda x: math.exp(m * (x if free == n - 1 else c[n - 1]) / k)
 
 
-def _density_orthogonal(c, n, k):
-    d = 1.0
-    for i in range(n - 1):
-        d *= math.cosh(c[i] / k) ** (i + 1)
-    return d
+def _density_halfspace(c, free, n, k):
+    def f(x):
+        h = x if free == n - 1 else c[n - 1]
+        if h <= 0.0:
+            raise DomainError(f"half-space coordinate x_n must be positive, got {h!r}")
+        return k / h ** n
+
+    return f
 
 
-def _density_spherical(c, n, k):
-    d = k ** (n - 1) * math.sinh(c[n - 1] / k) ** (n - 1)
-    for i in range(1, n - 1):
-        d *= math.sin(c[i]) ** i
-    return d
+def _density_orthogonal(c, free, n, k):
+    # prod_{i < n-1} cosh^{i+1}(c_i / k); slot n - 1 has no factor
+    factors = [math.cosh(c[i] / k) ** (i + 1) for i in range(n - 1)]
+    p = free + 1
+    return _product(factors, free if free < n - 1 else None,
+                    lambda x: math.cosh(x / k) ** p)
 
 
-def _density_klein(c, n, k):
-    return _ball_gap(c, k) ** (-(n + 1) / 2.0)
+def _density_spherical(c, free, n, k):
+    # k^{n-1} sinh^{n-1}(r/k) sin(phi_2) .. sin^{n-2}(phi_{n-1}); the azimuth phi_1
+    # (slot 0) has no factor, r (slot n - 1) is the second, polar slot i the (i+2)-th
+    factors = [k ** (n - 1), math.sinh(c[n - 1] / k) ** (n - 1)]
+    factors += [math.sin(c[i]) ** i for i in range(1, n - 1)]
+    if free == n - 1:
+        return _product(factors, 1, lambda x: math.sinh(x / k) ** (n - 1))
+    return _product(factors, free + 1 if free else None, lambda x: math.sin(x) ** free)
+
+
+def _density_klein(c, free, n, k):
+    # fsum is exact, so the squares of the other coordinates are computed once
+    # and the free one's is put in their place
+    e = -(n + 1) / 2.0
+    squares = [(v / k) ** 2 for v in c]
+
+    def f(x):
+        squares[free] = (x / k) ** 2
+        return _gap(squares) ** e
+
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +295,11 @@ def density(system: str, p, *, k: float = 1.0) -> float:
     """Volume density of chart ``system`` at its point p (the table of the
     module docstring).  DomainError for an unknown chart, a point outside the
     chart (see transform), and a half-space point with x_n <= 0."""
-    kernel = _chart(system).density
+    factory = _chart(system).density
     k = positive("k", k)
     c = _point(system, p)
-    return kernel(c, len(c), k)
+    n = len(c)
+    return factory(c, n - 1, n, k)(c[n - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +362,20 @@ def coordinate_volume(
     """
     k = positive("k", k)
     n = _check_dim(n)
-    dens = _chart(system).density
+    factory = _chart(system).density
     if len(bounds) != n:
         raise DomainError(f"expected {n} bounds entries, got {len(bounds)}")
     axes = [int(b[0]) for b in bounds]
     if sorted(axes) != list(range(n)):
         raise DomainError(f"axes {axes} must be a permutation of 0..{n - 1}")
     spec = [(b[1], b[2]) for b in bounds]
-    # the coordinates in slot order from the integration variables in level order
-    slots = [0] * n
-    for level, ax in enumerate(axes):
-        slots[ax] = level
-    order = itemgetter(*slots)
+    *outer_axes, free = axes
 
-    def integrand(*vals):
-        return dens(order(vals), n, k)
+    def integrand(*outer):
+        # the outer variables scattered into their slots; the innermost one's is free
+        c = [0.0] * n
+        for ax, v in zip(outer_axes, outer):
+            c[ax] = v
+        return factory(c, free, n, k)
 
     return quadrature.integrate_region(integrand, spec, DEFAULT_TOL)

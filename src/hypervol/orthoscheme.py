@@ -437,9 +437,7 @@ def area_right_triangle(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> flo
     def bound(x: float) -> float:
         return _atanh_bound(ratio * math.sinh(x))
 
-    res = quadrature.integrate_region(
-        lambda x, y: math.cosh(y), [(0.0, a), (0.0, bound)], tol
-    )
+    res = quadrature.integrate_region(lambda x: math.cosh, [(0.0, a), (0.0, bound)], tol)
     return res.value
 
 
@@ -450,12 +448,14 @@ def _cosh_power_integral(m: int, u: float) -> float:
     I_0 = atanh u, I_1 = s, I_m = c^(m-1) s / m + (m-1)/m I_(m-2).
     DomainError when u >= 1.
     """
-    t = _atanh_bound(u)
+    if u >= 1.0:
+        _atanh_bound(u)  # raises
     c = 1.0 / math.sqrt((1.0 - u) * (1.0 + u))
     s = u * c
-    val = t if m % 2 == 0 else s
-    for j in range(2 + m % 2, m + 1, 2):
+    val, j = (s, 3) if m % 2 else (math.atanh(u), 2)
+    while j <= m:
         val = c ** (j - 1) * s / j + (j - 1) / j * val
+        j += 2
     return val
 
 
@@ -496,12 +496,21 @@ def volume_ndim(edges, tol: Tolerance = Tolerance(rel=1e-9)) -> float:
     def bound(i):
         return lambda *vals: _atanh_bound(ratios[i] * math.sinh(vals[-1]))
 
-    def integrand(*vals):
-        # vals = (x_n, x_1, .., x_{n-2}); x_{n-1} is integrated in closed form
-        d = _cosh_power_integral(n - 1, ratios[n - 2] * math.sinh(vals[-1]))
-        for i in range(1, n - 1):
-            d *= math.cosh(vals[i]) ** i
-        return d
+    r, m = ratios[n - 2], n - 2
+
+    def integrand(*outer):
+        # outer = (x_n, x_1, .., x_{n-3}); the innermost variable is x_{n-2} (x_n
+        # for n = 2), and x_{n-1} is integrated in closed form.  The factors
+        # cosh^i(x_i) multiply in the order of i, the innermost one's last.
+        factors = [math.cosh(outer[i]) ** i for i in range(1, m)]
+
+        def f(x):
+            d = _cosh_power_integral(n - 1, r * math.sinh(x))
+            for c in factors:
+                d *= c
+            return d * math.cosh(x) ** m if m else d
+
+        return f
 
     bounds = [(0.0, a[n - 1])] + [(0.0, bound(i)) for i in range(n - 2)]
     res = quadrature.integrate_region(integrand, bounds, tol)

@@ -23,16 +23,17 @@ Nested integration (``integrate_region``) composes 1-D calls over one
 outer variables; each inner level runs at a tenth of the tolerance of the
 level above it.  All levels draw on one evaluation budget, ``_BUDGET``
 evaluations, which is also the default budget of one 1-D integral.  The
-innermost level integrates the integrand with its outer variables bound
-(no wrapper runs per evaluation), and its evaluations are counted per 1-D
-call: from the call's result, or from the best estimate it raises with.
+integrand is curried: called with the outer variables, it returns the 1-D
+function of the innermost one, so that work which depends on the outer
+variables alone runs once per inner integral, not once per evaluation.
+The innermost level's evaluations are counted per 1-D call: from the
+call's result, or from the best estimate it raises with.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConvergenceError, DomainError, number
@@ -279,7 +280,7 @@ def integrate_from_zero(
 
 
 def integrate_region(
-    integrand: Callable[..., float],
+    integrand: Callable[..., Callable[[float], float]],
     bounds: Sequence[tuple],
     tol: Tolerance = DEFAULT_TOL,
 ) -> IntegralResult:
@@ -287,13 +288,16 @@ def integrate_region(
 
     ``bounds`` lists one (lo, hi) pair per variable, outermost first; lo and
     hi may be numbers or callables of the already-fixed outer variables (in
-    listed order).  The integrand receives the variables in the same order.
-    Each inner level runs at a tenth of the tolerance of its parent.
+    listed order).  The integrand is curried: ``integrand(*outer)``, with the
+    outer variables in the same order, returns the function of the innermost
+    variable that one innermost 1-D integral integrates, and is called once
+    per such integral (with no arguments for a single variable).  Each inner
+    level runs at a tenth of the tolerance of its parent.
 
-    ``_BUDGET`` bounds the integrand evaluations of all levels together:
-    every 1-D call gets the budget that remains.  The count is that of the
-    integrand calls, but for the unfinished panel of an innermost integral
-    whose integrand raises ConvergenceError itself.  When it runs out,
+    ``_BUDGET`` bounds the evaluations of all levels together: every 1-D call
+    gets the budget that remains.  The count is that of the calls of the
+    innermost functions, but for the unfinished panel of an innermost
+    integral whose function raises ConvergenceError itself.  When it runs out,
     ConvergenceError carries in ``best`` the outermost level's estimate so
     far (0 with an infinite error estimate if that level has not finished a
     panel) and the evaluations made.
@@ -316,7 +320,7 @@ def integrate_region(
             return integrate_1d(lambda x: level(i + 1, fixed + (x,)).value,
                                 lo_v, hi_v, tols[i], budget - evals)
         try:
-            res = integrate_1d(partial(integrand, *fixed), lo_v, hi_v, tols[i], budget - evals)
+            res = integrate_1d(integrand(*fixed), lo_v, hi_v, tols[i], budget - evals)
         except ConvergenceError as exc:
             evals += exc.best.evaluations
             raise

@@ -492,27 +492,64 @@ def _scatter_reference(system, bounds, n, k):
     """coordinate_volume as the plain nested integral of a density that
     scatters the level-order variables into their slots."""
     coords = [0.0] * n
+    free = bounds[-1][0]
 
-    def integrand(*vals):
-        for (ax, _, _), v in zip(bounds, vals):
+    def integrand(*outer):
+        for (ax, _, _), v in zip(bounds, outer):
             coords[ax] = v
-        return density(system, coords, k=k)
+
+        def f(x):
+            coords[free] = x
+            return density(system, coords, k=k)
+
+        return f
 
     return integrate_region(integrand, [(lo, hi) for _, lo, hi in bounds], DEFAULT_TOL)
 
 
-def test_coordinate_volume_matches_a_scatter_integrand_bit_for_bit():
-    k = 1.3
-    r0 = math.tanh(0.9 / k) / math.sinh(0.6 / k)
-    r1 = math.tanh(0.7 / k) / math.sinh(0.9 / k)
-    permuted = [(2, 0.0, 0.6),
-                (0, 0.0, lambda x2: k * math.atanh(r0 * math.sinh(x2 / k))),
-                (1, 0.0, lambda x2, x0: k * math.atanh(r1 * math.sinh(x0 / k)))]
-    identity = [(0, -0.4, 0.4), (1, -0.4, lambda x0: 0.3 + x0 / 2), (2, -0.3, 0.4)]
-    for system, bounds in (("orthogonal", permuted), ("klein", identity)):
-        res = coordinate_volume(system, bounds, 3, k)
-        assert res.evaluations > 3375  # at least one level refines
-        assert repr(res) == repr(_scatter_reference(system, bounds, 3, k))
+_SCATTER_K = 1.3
+
+
+def _atanh_bound(r):
+    # the orthogonal chart's edge bound k atanh(r sinh(x / k)) in the last outer variable
+    return lambda *outer: _SCATTER_K * math.atanh(r * math.sinh(outer[-1] / _SCATTER_K))
+
+
+# the range of each slot per chart, for the boxes with each slot innermost
+_SLOT_RANGES = {
+    "paracycle": [(0.0, 1.1), (-0.3, 0.8), (0.0, 1.4)],
+    "halfspace": [(0.0, 1.0), (-0.5, 0.6), (0.3, 1.5)],
+    "orthogonal": [(0.0, 1.1), (-0.2, 0.7), (0.0, 1.2)],
+    "spherical": [(0.0, 2 * math.pi), (0.1, 3.0), (0.0, 1.3)],
+    "klein": [(-0.4, 0.4), (-0.4, 0.3), (-0.3, 0.4)],
+}
+
+
+def _innermost(system, free):
+    """A box of chart ``system`` integrated over slot ``free`` innermost, the
+    other two in slot order outside it; the innermost upper limit varies
+    with the outermost variable, so that the outer levels refine."""
+    r = _SLOT_RANGES[system]
+    bounds = [(ax, *r[ax]) for ax in range(3) if ax != free]
+    lo, hi = r[free]
+    return bounds + [(free, lo, lambda x, y: lo + (hi - lo) / (1.0 + 4.0 * x * x))]
+
+
+@pytest.mark.parametrize("system, bounds", [
+    ("orthogonal", [
+        (2, 0.0, 0.6),
+        (0, 0.0, _atanh_bound(math.tanh(0.9 / _SCATTER_K) / math.sinh(0.6 / _SCATTER_K))),
+        (1, 0.0, _atanh_bound(math.tanh(0.7 / _SCATTER_K) / math.sinh(0.9 / _SCATTER_K)))]),
+    ("klein", [(0, -0.4, 0.4), (1, -0.4, lambda x0: 0.3 + x0 / 2), (2, -0.3, 0.4)]),
+    # every chart with each slot innermost: the free factor of a product density
+    # at the start, in the middle or at the end of the product, or in none of it
+    *((system, _innermost(system, free)) for system in _SLOT_RANGES for free in range(3)),
+], ids=["orthogonal-permuted", "klein-identity",
+        *(f"{system}-slot{free}-innermost" for system in _SLOT_RANGES for free in range(3))])
+def test_coordinate_volume_matches_a_scatter_integrand_bit_for_bit(system, bounds):
+    res = coordinate_volume(system, bounds, 3, _SCATTER_K)
+    assert res.evaluations > 3375  # at least one level refines
+    assert repr(res) == repr(_scatter_reference(system, bounds, 3, _SCATTER_K))
 
 
 def test_coordinate_volume_validation():

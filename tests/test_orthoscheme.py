@@ -337,6 +337,35 @@ def test_ndim_euclidean_limit_n5():
     assert v5 == pytest.approx(eps ** 5 / 120.0, rel=1e-3)
 
 
+def _flat_ndim(edges):
+    """volume_ndim as the nested integral of a flat integrand of all its
+    variables, which multiplies prod_i cosh^i(x_i) in the order of i at every
+    evaluation."""
+    n = len(edges)
+    ratios = [math.tanh(edges[0]) / math.sinh(edges[-1])]
+    ratios += [math.tanh(edges[i + 1]) / math.sinh(edges[i]) for i in range(n - 2)]
+
+    def flat(*vals):
+        d = _cosh_power_integral(n - 1, ratios[n - 2] * math.sinh(vals[-1]))
+        for i in range(1, n - 1):
+            d *= math.cosh(vals[i]) ** i
+        return d
+
+    bounds = [(0.0, edges[-1])]
+    bounds += [(0.0, lambda *v, r=r: math.atanh(r * math.sinh(v[-1]))) for r in ratios[:-1]]
+    res = quadrature.integrate_region(lambda *outer: lambda x: flat(*outer, x), bounds,
+                                      Tolerance(rel=1e-9))
+    return res.value
+
+
+@pytest.mark.parametrize("edges", [
+    (0.6, 0.5), (0.6, 0.5, 0.4), (0.4, 0.5, 0.3, 0.4), (0.3, 0.3, 0.3, 0.3, 0.3),
+    (4.0, 0.5, 0.4),  # the bound argument reaches tanh 4 = 1 - 6.7e-4
+])
+def test_ndim_equals_its_flat_integrand_bit_for_bit(edges):
+    assert repr(volume_ndim(edges)) == repr(_flat_ndim(edges))
+
+
 @pytest.mark.parametrize("m", range(6))
 def test_cosh_power_integral_matches_mpmath(m):
     mpmath.mp.dps = 30

@@ -163,7 +163,7 @@ def test_tolerance_validation():
 
 
 def test_nested_triangle():
-    res = integrate_region(lambda x, y: 1.0, [(0.0, 1.0), (0.0, lambda x: x)])
+    res = integrate_region(lambda x: lambda y: 1.0, [(0.0, 1.0), (0.0, lambda x: x)])
     assert res.value == pytest.approx(0.5, abs=1e-12)
 
 
@@ -171,7 +171,7 @@ def test_nested_right_triangle_area_matches_defect():
     a, b = 1.0, 1.0
     ratio = math.tanh(b) / math.sinh(a)
     res = integrate_region(
-        lambda x, y: math.cosh(y),
+        lambda x: lambda y: math.cosh(y),
         [(0.0, a), (0.0, lambda x: math.atanh(ratio * math.sinh(x)))],
     )
     alpha = math.atan(math.tanh(a) / math.sinh(b))
@@ -186,7 +186,7 @@ def test_nested_three_levels_matches_edge_integral():
     r1 = math.tanh(b) / math.sinh(a)
     r2 = math.tanh(c) / math.sinh(b)
     res = integrate_region(
-        lambda x, y, z: math.cosh(z) ** 2 * math.cosh(y),
+        lambda x, y: lambda z: math.cosh(z) ** 2 * math.cosh(y),
         [
             (0.0, a),
             (0.0, lambda x: math.atanh(r1 * math.sinh(x))),
@@ -199,14 +199,14 @@ def test_nested_three_levels_matches_edge_integral():
 
 def test_region_with_general_lower_limits():
     # integral of 1 over the annulus-like box [0,1] x [x, 2]
-    res = integrate_region(lambda x, y: 1.0, [(0.0, 1.0), (lambda x: x, 2.0)])
+    res = integrate_region(lambda x: lambda y: 1.0, [(0.0, 1.0), (lambda x: x, 2.0)])
     assert res.value == pytest.approx(1.5, abs=1e-12)
 
 
 def test_nested_budget_is_shared_across_levels(monkeypatch):
     # one GK15 panel per level: 15^3 = 3,375 evaluations, all of which a
     # budget handed whole to every 1-D call let through at a budget of 100
-    f = lambda x, y, z: x * y + z
+    f = lambda x, y: lambda z: x * y + z
     box = [(0.0, 1.0)] * 3
     assert integrate_region(f, box).evaluations == 3375
     monkeypatch.setattr(quadrature, "_BUDGET", 100)
@@ -222,7 +222,7 @@ def test_nested_budget_is_shared_across_levels(monkeypatch):
 def test_nested_budget_reports_the_outer_estimate(monkeypatch):
     # the outer level refines toward x = 0.3; the integral is 2 (sqrt(0.3) + sqrt(0.7))
     exact = 2.0 * (math.sqrt(0.3) + math.sqrt(0.7))
-    f = lambda x, y: abs(x - 0.3) ** -0.5
+    f = lambda x: lambda y: abs(x - 0.3) ** -0.5
     monkeypatch.setattr(quadrature, "_BUDGET", 5000)
     with pytest.raises(ConvergenceError) as exc:
         integrate_region(f, [(0.0, 1.0), (0.0, 1.0)])
@@ -238,9 +238,12 @@ def test_region_evaluations_are_the_integrand_calls(levels, monkeypatch):
     # it runs out of budget, from the best estimate it raises with
     calls = []
 
-    def f(*xs):
-        calls.append(xs)
-        return math.sqrt(abs(xs[-1] - 0.3)) + math.fsum(xs[:-1])
+    def f(*outer):
+        def inner(x):
+            calls.append((*outer, x))
+            return math.sqrt(abs(x - 0.3)) + math.fsum(outer)
+
+        return inner
 
     box = [(0.0, 1.0)] + [(0.0, lambda *outer: 1.0 + outer[-1])] * (levels - 1)
     res = integrate_region(f, box)
@@ -284,7 +287,8 @@ def test_nested_tolerances_are_built_once_per_call(monkeypatch):
     tighter = Tolerance.tighter
     monkeypatch.setattr(Tolerance, "tighter", lambda self: seen.append(self) or tighter(self))
     tol = Tolerance(rel=1e-8)
-    assert integrate_region(lambda x, y, z: x * y + z, [(0.0, 1.0)] * 3, tol).evaluations == 3375
+    f = lambda x, y: lambda z: x * y + z
+    assert integrate_region(f, [(0.0, 1.0)] * 3, tol).evaluations == 3375
     assert seen == [tol, tighter(tol)]
 
 

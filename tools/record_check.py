@@ -27,7 +27,9 @@ all CPUs: an estimate must not depend on the core count.
 A third pass calls the library directly, in one fresh interpreter per
 tree, and compares the ``repr`` of each result: ``coordinate_volume`` on
 every chart at three boxes (the orthogonal chart with callable bounds and
-permuted axes among them), ``volume_ndim`` at n = 2..5 and
+permuted axes among them) and on the orthogonal and spherical charts at a
+fourth, so that every slot of their product densities is innermost in one
+box, ``volume_ndim`` at n = 2..5 and
 ``area_right_triangle`` at two tolerances.  No CLI command reaches the
 chart integrals.
 
@@ -326,11 +328,15 @@ def print_library_results() -> None:
                       ([(0, 0.0, 0.3), (1, 0.0, 0.9), (2, 0.3, lambda x0, x1: 0.5 + x0)], 0.8)],
         "orthogonal": [([(0, 0.0, 0.5), (1, 0.0, 0.7), (2, 0.0, 0.3)], 1.0),
                        (orthogonal_box((0.9, 0.7, 0.6), 1.0), 1.0),
-                       (orthogonal_box((0.5, 1.1, 0.8), 1.25), 1.25)],
+                       (orthogonal_box((0.5, 1.1, 0.8), 1.25), 1.25),
+                       # slot 0 innermost: the free factor first in the product
+                       ([(1, 0.0, 0.6), (2, 0.0, 0.5), (0, 0.0, lambda x1, x2: 0.4 + x1)], 1.1)],
         "spherical": [([(0, 0.0, 2 * math.pi), (1, 0.0, math.pi), (2, 0.0, 1.0)], 1.0),
                       ([(2, 0.0, 1.4), (1, 0.2, 2.0), (0, 0.0, 3.0)], 1.25),
                       ([(0, 0.0, 1.0), (1, 0.0, math.pi), (2, 0.0, lambda p0, p1: 0.5 + p1 / 4)],
-                       0.8)],
+                       0.8),
+                      # the polar angle innermost: the free factor last in the product
+                      ([(2, 0.0, 1.2), (0, 0.0, 5.0), (1, 0.3, lambda r, p0: 2.0 + r / 2)], 0.9)],
         "klein": [([(0, -0.3, 0.3), (1, -0.3, 0.3), (2, -0.2, 0.4)], 1.0),
                   ([(1, -0.5, 0.1), (2, -0.1, 0.4), (0, -0.2, 0.3)], 1.25),
                   ([(0, -0.1, 0.3), (1, 0.0, lambda x0: 0.2 + x0), (2, -0.3, 0.2)], 0.8)],
