@@ -12,11 +12,8 @@ algebraic) never meets a node, and the per-interval error model is the
 QUADPACK one, which keeps refinement honest next to it.  Plain
 subdivision reaches such an end only by halving toward it: for a log
 singularity at the default tolerance, 33 halvings and 1,005 evaluations.
-A route that knows where its singularity sits goes through
-``integrate_from_zero`` instead: with the singular point at u = 0, at or
-just below the lower limit, the substitution u = hi s^3 turns a log
-singularity into s^2 ln s, which a few levels of the same GK15 rule
-resolve.
+So a route that knows where its singularity sits removes it analytically
+(integration by parts, or a closed-form part) before it integrates.
 
 Nested integration (``integrate_region``) composes 1-D calls over one
 (lo, hi) pair per variable, where either limit may be a function of the
@@ -42,7 +39,6 @@ __all__ = [
     "Tolerance",
     "IntegralResult",
     "integrate_1d",
-    "integrate_from_zero",
     "integrate_region",
     "scaled",
 ]
@@ -120,7 +116,8 @@ def _gk15(f, a, b):
     """One Gauss-Kronrod 15(7) panel on [a, b].
 
     Returns (kronrod value, error estimate, resabs).  Raises DomainError if
-    the integrand produces a non-finite value.
+    the integrand produces a non-finite value, or the panel's value or
+    resabs leaves the float range.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
@@ -155,6 +152,8 @@ def _gk15(f, a, b):
     resabs *= abs(h)
 
     value = resk * h
+    if not (math.isfinite(value) and math.isfinite(resabs)):
+        raise DomainError(f"the integral over [{a!r}, {b!r}] leaves the float range")
     err = abs((resk - resg) * h)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
@@ -246,37 +245,6 @@ def integrate_1d(
         heapq.heappush(heap, (-e1, seq, a, m, v1, e1, r1))
         seq += 1
         heapq.heappush(heap, (-e2, seq, m, b, v2, e2, r2))
-
-
-def integrate_from_zero(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> IntegralResult:
-    """int_lo^hi g(u) du, 0 <= lo <= hi, for g with an integrable singularity
-    at u = 0: at the lower limit when lo = 0, just below it when lo > 0.
-
-    The substitution runs from zero: u = hi s^3, and integrate_1d integrates
-    3 hi s^2 g(hi s^3) over [(lo / hi)^(1/3), 1].  A log singularity becomes
-    s^2 ln s, and u^-p becomes s^(2 - 3p), bounded for p <= 2/3.  g receives
-    the distance u from the singular point itself, so a caller can evaluate
-    a factor that vanishes there (such as sinh(u / 2)) without the
-    cancellation of b - (b - u).  Anchoring at the singular point rather
-    than at lo keeps a singularity that sits a little below lo a
-    singularity at s = 0, which GK15 resolves, not a kink inside the range.
-    """
-    if not (0.0 <= lo <= hi and math.isfinite(hi)):
-        raise DomainError(f"integration limits {lo!r}, {hi!r} must satisfy 0 <= lo <= hi < inf")
-    if lo == hi:
-        return IntegralResult(0.0, 0.0, 0)
-    scale = 3.0 * hi
-
-    def h(s: float) -> float:
-        s2 = s * s
-        return scale * s2 * g(hi * s2 * s)
-
-    return integrate_1d(h, (lo / hi) ** (1.0 / 3.0), 1.0, tol)
 
 
 def integrate_region(

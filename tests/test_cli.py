@@ -552,15 +552,15 @@ def best_estimate(err: str) -> tuple[float, float, int]:
 
 
 def test_convergence_failure_best_estimate_is_a_volume(capsys, monkeypatch):
-    # at c = 10 the one-ideal integrand's log singularity sits about 3e-9 beyond the
-    # end of its integral, so one panel cannot meet the tolerance, yet it already
-    # holds the volume to a few digits; the raw integral is 4 times the volume
-    volume = orthoscheme.volume_one_ideal(1.0, 10.0)
+    # at (b, c) = (5, 10) one panel of the one-ideal edge integral cannot meet the
+    # tolerance (75 evaluations do), yet it already holds the volume to a few digits;
+    # the raw integral is 4 times the volume
+    volume = orthoscheme.volume_one_ideal(5.0, 10.0)
     integrate_1d = quadrature.integrate_1d
     monkeypatch.setattr(quadrature, "integrate_1d",
                         lambda f, lo, hi, tol=quadrature.DEFAULT_TOL, max_evals=15:
                         integrate_1d(f, lo, hi, tol, min(max_evals, 15)))
-    assert main(["vol", "orthoscheme-one-ideal", "--b", "1", "--c", "10"]) \
+    assert main(["vol", "orthoscheme-one-ideal", "--b", "5", "--c", "10"]) \
         == EXIT_NO_CONVERGENCE
     value, error, evals = best_estimate(capsys.readouterr().err)
     assert evals == 15

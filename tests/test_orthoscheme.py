@@ -443,26 +443,45 @@ def test_log_ratio_routes_accurate_for_long_middle_edge(route, integrand):
     assert route() == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("b, c", [
-    (0.05, math.inf), (0.5, math.inf), (2.0, math.inf), (5.0, math.inf),
-    (4.260539645051726, 7.052860893623935), (0.9762385017356596, 10.732089875942735),
+INF = math.inf
+
+
+@pytest.mark.parametrize("a, b, c, rel", [
+    *((a, b, c, 5e-14) for a, b, c in [
+        (INF, 0.05, INF), (INF, 0.5, INF), (INF, 2.0, INF), (INF, 5.0, INF),
+        (INF, 4.260539645051726, 7.052860893623935), (INF, 0.9762385017356596, 10.732089875942735),
+        (1e-8, 1.0, 1.0), (1.0, 1e-8, 1.0), (1.0, 1.0, 1e-8), (1e-8, 1e-8, 1e-8),
+        (1e-3, 1e-3, 1e-3), (0.5, 5.0, 7.0), (2.0, 15.0, 1.0), (5.0, 0.2, 3.0),
+        (INF, 1e-8, 1e-8), (INF, 1e-3, 1e-8), (INF, 1.0, 1e-8), (INF, 20.0, 3.0),
+        (1.0, 1e-300, 1.0), (INF, 1e-300, 1.0)]),
+    *((a, b, c, 2e-14) for a, b, c in [
+        (1.0, 1.0, 19.0), (1.0, 1.0, 30.0), (0.3, 0.3, 12.0), (1.0, 30.0, 30.0)]),
 ])
-def test_ideal_apex_routes_match_mpmath(b, c):
-    # c = inf: the log singularity at l = b cost the plain GK15 route about
-    # 2e-13; large c puts it just beyond l = b, where a substitution anchored
-    # at l = b rather than at the singular point was off by 7.7e-10 and 1.9e-12
+def test_ideal_apex_routes_match_mpmath(a, b, c, rel):
+    # a = inf is the ideal first vertex of volume_one_ideal and volume_two_ideal (c = inf
+    # too).  c = inf: the log singularity at l = b cost the plain GK15 route about 2e-13;
+    # large c puts it just beyond l = b, where a substitution anchored at l = b rather
+    # than at the singular point was off by 7.7e-10 and 1.9e-12, and halving toward it
+    # left volume_edges 1.0e-13 to 2.1e-13 off at the last four edge sets
     with mpmath.workdps(30):
-        bm = mpmath.mpf(b)
-        one_minus_t = 2 / (mpmath.exp(2 * mpmath.mpf(c)) + 1)
+        am, bm, cm = (mpmath.mpf(v) for v in (a, b, c))
+        r = 0 if a == INF else mpmath.tanh(bm) / mpmath.sinh(am)
+        one_minus_t = 2 / (mpmath.exp(2 * cm) + 1)
 
-        def integrand(l):
+        def integrand(s):
+            # in l = b s, so that the integral is not tiny next to mpmath's absolute eps
+            l = bm * s
             sl = mpmath.sinh(l)
-            den = 2 * mpmath.cosh((bm + l) / 2) * mpmath.sinh((bm - l) / 2) + one_minus_t * sl
-            return mpmath.log1p(2 * (1 - one_minus_t) * sl / den) / mpmath.cosh(l)
+            den = 2 * mpmath.cosh((bm + l) / 2) * mpmath.sinh(bm * (1 - s) / 2) + one_minus_t * sl
+            T = mpmath.tanh(l) / mpmath.sqrt((r * mpmath.cosh(l)) ** 2 + sl ** 2)
+            return T * mpmath.log1p(2 * (1 - one_minus_t) * sl / den)
 
-        ref = mpmath.quad(integrand, [0, bm]) / 4
-    v = volume_two_ideal(b) if c == math.inf else volume_one_ideal(b, c)
-    assert v == pytest.approx(float(ref), rel=5e-14, abs=0.0)
+        ref = bm * mpmath.quad(integrand, mpmath.linspace(0, 1, 1 + math.ceil(b))) / 4
+    if a < INF:
+        v = volume_edges((a, b, c))
+    else:
+        v = volume_two_ideal(b) if c == INF else volume_one_ideal(b, c)
+    assert v == pytest.approx(float(ref), rel=rel, abs=0.0)
 
 
 def _mp_lob(x):
@@ -482,6 +501,8 @@ def test_two_ideal_closed_form_against_mpmath(b):
     with mpmath.workdps(30 + max(0, int(-math.log10(b)))):
         ref = _mp_lob(2 * mpmath.atan(mpmath.exp(-mpmath.mpf(b)))) / 2
     assert volume_two_ideal_closed(b) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+    # the edge integral, its second route, over the same range
+    assert volume_two_ideal(b) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
 
 
 def test_two_ideal_closed_form_matches_the_quadrature_route():
@@ -597,9 +618,12 @@ def _evaluations(monkeypatch, route, *args) -> int:
 
 
 def test_singular_end_routes_do_not_bisect_toward_the_singularity(monkeypatch):
-    # halving toward the log singularity took 1,005 evaluations on both; derevnin_mednykh
-    # subtracts its singularities in closed form and takes one panel
-    assert _evaluations(monkeypatch, volume_two_ideal, 1.0) <= 300
+    # halving toward the log singularity took 1,005 evaluations on each; the edge
+    # integral removes it by parts, and derevnin_mednykh subtracts its singularities
+    # in closed form and takes one panel
+    assert _evaluations(monkeypatch, volume_edges, (1.0, 1.0, 19.0)) <= 100
+    assert _evaluations(monkeypatch, volume_one_ideal, 1.0, 1.0) <= 45
+    assert _evaluations(monkeypatch, volume_two_ideal, 1.0) <= 45
     assert _evaluations(monkeypatch, derevnin_mednykh, (math.pi / 3,) * 6) <= 15
 
 

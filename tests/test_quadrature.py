@@ -13,7 +13,6 @@ from hypervol.quadrature import (
     IntegralResult,
     Tolerance,
     integrate_1d,
-    integrate_from_zero,
     integrate_region,
 )
 
@@ -64,35 +63,11 @@ def test_singularity_robustness():
     assert res.value == pytest.approx(2.0, rel=1e-9)
 
 
-@pytest.mark.parametrize("g, exact", [(math.log, -1.0), (lambda u: u ** -0.5, 2.0)])
-def test_integrate_from_zero_resolves_the_singular_end(g, exact):
-    # u = s^3 turns ln u into s^2 ln s: far fewer panels than halving toward 0
-    tol = Tolerance(rel=1e-12)
-    res = integrate_from_zero(g, 0.0, 1.0, tol)
-    assert res.value == pytest.approx(exact, rel=0.0, abs=1e-13)
-    assert res.evaluations < integrate_1d(g, 0.0, 1.0, tol).evaluations
-
-
-def test_integrate_from_zero_passes_the_distance_and_scales():
-    seen = []
-
-    def g(u):
-        seen.append(u)
-        return math.log(u)
-
-    res = integrate_from_zero(g, 0.0, 2.5)
-    assert res.value == pytest.approx(2.5 * (math.log(2.5) - 1.0), abs=1e-12)
-    assert 0.0 < min(seen) and max(seen) < 2.5
-    seen.clear()
-    # a lower limit above the singular point: the substitution still starts at 0
-    res = integrate_from_zero(g, 1e-6, 2.5)
-    exact = 2.5 * (math.log(2.5) - 1.0) - 1e-6 * (math.log(1e-6) - 1.0)
-    assert res.value == pytest.approx(exact, abs=1e-12)
-    assert 1e-6 <= min(seen) and max(seen) < 2.5
-    assert integrate_from_zero(g, 1.0, 1.0) == IntegralResult(0.0, 0.0, 0)
-    for lo, hi in ((-1.0, 1.0), (0.0, -1.0), (2.0, 1.0), (0.0, math.inf)):
-        with pytest.raises(DomainError):
-            integrate_from_zero(g, lo, hi)
+def test_a_panel_beyond_the_float_range_raises_domain_error():
+    # every value is finite, but the panel's sums overflow: this returned
+    # IntegralResult(inf, inf, 15)
+    with pytest.raises(DomainError, match="float range"):
+        integrate_1d(lambda x: 1.7e308, 0.0, 1.0)
 
 
 def test_linearity():

@@ -29,9 +29,11 @@ tree, and compares the ``repr`` of each result: ``coordinate_volume`` on
 every chart at three boxes (the orthogonal chart with callable bounds and
 permuted axes among them) and on the orthogonal and spherical charts at a
 fourth, so that every slot of their product densities is innermost in one
-box, ``volume_ndim`` at n = 2..5 and
-``area_right_triangle`` at two tolerances.  No CLI command reaches the
-chart integrals.
+box, ``volume_ndim`` at n = 2..5, ``area_right_triangle`` at two
+tolerances, ``volume_edges`` at edge sets with a long last edge or short
+edges, and ``volume_one_ideal`` and ``volume_two_ideal`` from b = 1e-300
+to the float-range limit.  No CLI command reaches the chart integrals or
+most of these edge sets.
 
 Exit status: 0 when every command agrees, every pinned rerun matches and
 every library result agrees, 1 otherwise, 2 when the new tree's shape
@@ -315,8 +317,10 @@ def orthogonal_box(e: tuple, k: float) -> list:
 
 def print_library_results() -> None:
     """Print the repr of every library result of the third pass, one a line."""
+    from hypervol.errors import SINH_MAX
     from hypervol.models import coordinate_volume
-    from hypervol.orthoscheme import area_right_triangle, volume_ndim
+    from hypervol.orthoscheme import (area_right_triangle, volume_edges, volume_ndim,
+                                      volume_one_ideal, volume_two_ideal)
     from hypervol.quadrature import Tolerance
 
     boxes = {
@@ -348,6 +352,14 @@ def print_library_results() -> None:
         print("volume_ndim", edges, repr(volume_ndim(edges)))
     for tol in (Tolerance(rel=1e-6), Tolerance()):
         print("area_right_triangle", tol, repr(area_right_triangle(1.0, 0.8, tol)))
+    # the log singularity just beyond the end of the edge integral (large c), and short edges
+    for edges in ((1.0, 1.0, 19.0), (1.0, 1.0, 30.0), (0.3, 0.3, 12.0), (1.0, 30.0, 30.0),
+                  (1e-8, 1.0, 1.0), (1.0, 1e-8, 1.0), (1.0, 1.0, 1e-8), (1e-8, 1e-8, 1e-8),
+                  (1e-3, 1e-3, 1e-3)):
+        print("volume_edges", edges, repr(volume_edges(edges)))
+    for b in (1e-300, 1.0, 360.0, 710.0, SINH_MAX):
+        print("volume_one_ideal", b, repr(volume_one_ideal(b, 1.0)))
+        print("volume_two_ideal", b, repr(volume_two_ideal(b)))
 
 
 def uses_mc(argv: list[str]) -> bool:
