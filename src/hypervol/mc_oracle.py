@@ -14,12 +14,15 @@ from (seed, 0), so an estimate is a pure function of (seed, samples)
 whatever the number of CPUs.  The stream is cut into chunks of ``_CHUNK``
 samples; chunk j starts at sample j * _CHUNK, which a fresh generator
 reaches by advancing its counter, so chunks can be drawn in any order.
-Chunks run on one thread per CPU the process may use (numpy releases the
-GIL in the Philox fill and in its ufunc loops), at most one per chunk, in
-windows of one chunk per thread.  Each window's (sum w, sum w^2) pairs are
-added in chunk order, which is the order of a serial loop over the
-stream, so the sums are the same bit for bit on any number of CPUs; and
-memory does not grow with ``samples``.
+Each call starts one worker per CPU the process may use (numpy releases
+the GIL in the Philox fill and in its ufunc loops), at most one per chunk;
+the calling thread is worker 0.  Of W workers, worker w runs chunks w,
+w + W, w + 2W, ... in buffers of its own and stores each chunk's
+(sum w, sum w^2) in that chunk's slot.  The caller adds the pairs in chunk
+order, which is the order of a serial loop over the stream, so the sums
+are the same bit for bit on any number of CPUs; and memory does not grow
+with ``samples``.  A chunk that raises stops every worker before its next
+chunk, and the caller re-raises the exception of the lowest such chunk.
 Every region is built at curvature 1 (``shapes.mc_estimate`` scales an
 estimate to curvature k as ``compute_volume`` scales a volume) and is
 radially truncated at the module constant ``_CAP`` = 1 - 1e-9; the
@@ -142,47 +145,42 @@ def estimate(region: Region, samples: int, seed: int) -> MCEstimate:
 
     chunks = -(-samples // _CHUNK)
     workers = min(len(os.sched_getaffinity(0)), chunks)
-    # buffers are reused from chunk to chunk: fresh arrays of this size are
-    # mapped and unmapped by malloc each time, and the page faults cost
-    # about a quarter of the run
-    size = min(_CHUNK, samples)
-    bufs = [(np.empty((size, n)), np.empty(size), np.empty(size), np.empty((size, n)))
-            for _ in range(workers)]
-    s1 = 0.0
-    s2 = 0.0
-    for first in range(0, chunks, workers):
-        window = zip(range(first, min(first + workers, chunks)), bufs)
-        for a, b in _run_window(chunk, list(window)):
-            s1 += a
-            s2 += b
-    mean = s1 / samples
-    var = max(0.0, s2 / samples - mean * mean) * (samples / (samples - 1))
-    return MCEstimate(mean, math.sqrt(var / samples), samples, seed)
+    sums: list = [None] * chunks  # chunk j's (sum w, sum w^2), or the exception it raised
+    failed = threading.Event()
 
+    def work(first: int) -> None:
+        """Chunks first, first + workers, ... in buffers of this worker's own;
+        stops before its next chunk once any worker's chunk has raised."""
+        # the buffers are reused from chunk to chunk: fresh arrays of this size
+        # are mapped and unmapped by malloc each time, and the page faults cost
+        # about a quarter of the run
+        size = min(_CHUNK, samples)
+        buf = (np.empty((size, n)), np.empty(size), np.empty(size), np.empty((size, n)))
+        for j in range(first, chunks, workers):
+            if failed.is_set():
+                return
+            try:
+                sums[j] = chunk(j, buf)
+            except BaseException as exc:  # re-raised by the caller, lowest chunk first
+                sums[j] = exc
+                failed.set()
 
-def _run_window(fn: Callable, calls: list[tuple]) -> list:
-    """``[fn(*args) for args in calls]``, the first call inline and each other
-    on a thread of its own.  Every thread is joined before the first
-    exception (in call order) is re-raised.
-    """
-    out: list = [None] * len(calls)
-
-    def work(i):
-        try:
-            out[i] = fn(*calls[i])
-        except BaseException as exc:  # re-raised below, in call order
-            out[i] = exc
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, len(calls))]
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
     for t in threads:
         t.start()
     work(0)
     for t in threads:
         t.join()
-    for r in out:
+    for r in sums:
         if isinstance(r, BaseException):
             raise r
-    return out
+    s1 = s2 = 0.0
+    for a, b in sums:
+        s1 += a
+        s2 += b
+    mean = s1 / samples
+    var = max(0.0, s2 / samples - mean * mean) * (samples / (samples - 1))
+    return MCEstimate(mean, math.sqrt(var / samples), samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,9 @@ def _gap(squares) -> float:
     return 1.0 - s
 
 
-def _ball_gap(X, k: float) -> float:
-    """1 - |X/k|^2, or DomainError for a point on or outside the projective ball."""
-    return _gap([(x / k) ** 2 for x in X])
+def _ball_gap(X) -> float:
+    """1 - |X|^2, or DomainError for a point on or outside the projective ball."""
+    return _gap([x ** 2 for x in X])
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def _spherical_from_u(u):
 
 
 def _klein_to_u(X):
-    g = math.sqrt(_ball_gap(X, 1.0))
+    g = math.sqrt(_ball_gap(X))
     return [x / g for x in X]
 
 
@@ -335,7 +335,7 @@ def klein_distance(p, q) -> float:
     P, Q = _coords(p), _coords(q)
     if len(P) != len(Q):
         raise DomainError("points must have the same dimension")
-    gp, gq = _ball_gap(P, 1.0), _ball_gap(Q, 1.0)
+    gp, gq = _ball_gap(P), _ball_gap(Q)
     D = [b - a for a, b in zip(P, Q)]
     pd = math.fsum(a * d for a, d in zip(P, D))
     return math.asinh(math.sqrt((math.fsum(d * d for d in D) * gp + pd * pd) / (gp * gq)))

@@ -241,7 +241,10 @@ def parse_job(job: dict) -> tuple:
     """(shape, params, k, reltol, (mc samples, mc seed) or None) of one batch job;
     DomainError for any missing or malformed field."""
     shape = job["shape"]
-    params = collect_params(shape, job, bool(job.get("degrees", False)))
+    degrees = job.get("degrees", False)
+    if not isinstance(degrees, bool):
+        raise DomainError(f"degrees must be true or false, got {degrees!r}")
+    params = collect_params(shape, job, degrees)
     mc = job.get("mc")
     if mc is not None and shape not in MC_SHAPES:
         raise DomainError(f"shape {shape!r} has no Monte-Carlo region")

@@ -55,14 +55,12 @@ _CL2_COEF = tuple(
 )
 
 
-def _cl2_core(t: float) -> float:
-    """Cl2 on [0, pi] by the log-plus-power-series expansion."""
-    if t == 0.0:
-        return 0.0
-    acc = t * (1.0 - math.log(t))
+def _series(acc: float, t: float, coef) -> float:
+    """acc + sum_m coef[m-1] t^(2m+1), stopped after the first term below
+    1e-17 |acc|."""
     t2 = t * t
     p = t
-    for c in _CL2_COEF:
+    for c in coef:
         p *= t2
         term = c * p
         acc += term
@@ -71,8 +69,13 @@ def _cl2_core(t: float) -> float:
     return acc
 
 
-# coefficients (16^m - 4^m) c_m of the complement series, c_m as above
-_COMPLEMENT_COEF = tuple((16.0 ** m - 4.0 ** m) * c for m, c in enumerate(_CL2_COEF, 1))
+def _cl2_core(t: float) -> float:
+    """Cl2 on [0, pi] by the log-plus-power-series expansion."""
+    return _series(t * (1.0 - math.log(t)), t, _CL2_COEF) if t else 0.0
+
+
+# coefficients -(16^m - 4^m) c_m of the complement series, c_m as above
+_COMPLEMENT_COEF = tuple((4.0 ** m - 16.0 ** m) * c for m, c in enumerate(_CL2_COEF, 1))
 _LN2 = math.log(2.0)
 
 
@@ -88,38 +91,29 @@ def _lobachevsky_complement(t: float) -> float:
     the rounded pi/2 - t would lose ulp(pi/2) / (t ln 2) relative, and
     L(t) - L(2t)/2 up to a few 1e-15 near t = 0.01.
     """
-    acc = t * _LN2
-    t2 = t * t
-    p = t
-    for c in _COMPLEMENT_COEF:
-        p *= t2
-        term = c * p
-        acc -= term
-        if term < 1e-17 * acc:
-            break
-    return acc
+    return _series(t * _LN2, t, _COMPLEMENT_COEF)
+
+
+def _reduce(name: str, x: float, period: float) -> tuple[float, float]:
+    """(sign, |r|) of r = remainder(x, period), in [-period/2, period/2];
+    DomainError for an argument that is not a finite number."""
+    x = number("x", x)
+    if not math.isfinite(x):
+        raise DomainError(f"{name} requires a finite argument, got {x!r}")
+    r = math.remainder(x, period)
+    return (-1.0, -r) if r < 0.0 else (1.0, r)
 
 
 def clausen2(x: float) -> float:
     """Clausen function Cl2(x) = Im Li2(e^{ix}); odd, 2pi-periodic."""
-    x = number("x", x)
-    if not math.isfinite(x):
-        raise DomainError(f"clausen2 requires a finite argument, got {x!r}")
-    r = math.remainder(x, _TWO_PI)  # in [-pi, pi]
-    if r < 0.0:
-        return -_cl2_core(-r)
-    return _cl2_core(r)
+    sign, r = _reduce("clausen2", x, _TWO_PI)
+    return sign * _cl2_core(r)
 
 
 def lobachevsky(x: float) -> float:
     """Lobachevsky function L(x); odd, pi-periodic, max at pi/6."""
-    x = number("x", x)
-    if not math.isfinite(x):
-        raise DomainError(f"lobachevsky requires a finite argument, got {x!r}")
-    r = math.remainder(x, math.pi)  # in [-pi/2, pi/2]
-    if r < 0.0:
-        return -0.5 * _cl2_core(-2.0 * r)
-    return 0.5 * _cl2_core(2.0 * r)
+    sign, r = _reduce("lobachevsky", x, math.pi)
+    return sign * 0.5 * _cl2_core(2.0 * r)
 
 
 def lobachevsky_via_integral(x: float) -> float:
@@ -130,13 +124,7 @@ def lobachevsky_via_integral(x: float) -> float:
     [-pi/2, pi/2] first.  A node that rounds to 0 (on [0, r] for a subnormal
     r) reads 2 sin t as the least subnormal: an integrable log singularity.
     """
-    x = number("x", x)
-    if not math.isfinite(x):
-        raise DomainError(f"lobachevsky_via_integral requires a finite argument, got {x!r}")
-    r = math.remainder(x, math.pi)
-    sign = 1.0
-    if r < 0.0:
-        sign, r = -1.0, -r
+    sign, r = _reduce("lobachevsky_via_integral", x, math.pi)
     if r == 0.0:
         return 0.0
 

@@ -77,17 +77,10 @@ def dm_coefficients(t) -> tuple[float, float]:
     pi) is accepted down to c_ii = -1e-12, far above rounding at a sum of pi.
     """
     A, B, C, D, E, F = _dihedrals(t)
-    S = A + B + C + D + E + F
-    k1 = -(
-        math.cos(S) + math.cos(A + D) + math.cos(B + E) + math.cos(C + F)
-        + math.cos(D + E + F) + math.cos(D + B + C) + math.cos(A + E + C)
-        + math.cos(A + B + F)
-    )
-    k2 = (
-        math.sin(S) + math.sin(A + D) + math.sin(B + E) + math.sin(C + F)
-        + math.sin(D + E + F) + math.sin(D + B + C) + math.sin(A + E + C)
-        + math.sin(A + B + F)
-    )
+    sums = (A + B + C + D + E + F, A + D, B + E, C + F,
+            D + E + F, D + B + C, A + E + C, A + B + F)
+    k1 = -sum(map(math.cos, sums))
+    k2 = sum(map(math.sin, sums))
     k3 = 2.0 * (
         math.sin(A) * math.sin(D) + math.sin(B) * math.sin(E) + math.sin(C) * math.sin(F)
     )

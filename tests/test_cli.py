@@ -394,6 +394,7 @@ def test_readme_shape_table_lists_the_table():
     {"shape": "sphere", "x": [1]},
     {"shape": ["sphere"], "x": 1},
     {"shape": "ndim-orthoscheme", "edges": 5},
+    {"shape": "milnor", "A": 60, "B": 60, "C": 60, "degrees": "false"},
 ])
 def test_batch_malformed_field_exit_2_before_output(tmp_path, capsys, bad):
     code, out, err = run_batch(tmp_path, capsys, [{"shape": "sphere", "x": 1.0}, bad])
@@ -410,6 +411,17 @@ def test_parse_job_mc_field():
     for bad in (False, 0, "", []):
         with pytest.raises(DomainError, match="mc must be an object"):
             parse_job({**job, "mc": bad})
+
+
+def test_parse_job_degrees_is_a_json_boolean():
+    # only true converts the angles; a string, a number or null is refused, not
+    # read for its truthiness
+    job = {"shape": "milnor", "A": 60, "B": 60, "C": 60}
+    assert parse_job({**job, "degrees": True})[1]["A"] == math.radians(60)
+    assert parse_job({**job, "degrees": False})[1]["A"] == parse_job(job)[1]["A"] == 60.0
+    for bad in ("false", "true", 1, 0, None, [True]):
+        with pytest.raises(DomainError, match="degrees must be true or false"):
+            parse_job({**job, "degrees": bad})
 
 
 def test_batch_out_of_range_value_stays_a_job_error(tmp_path, capsys):

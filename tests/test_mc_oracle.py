@@ -56,7 +56,7 @@ def test_chunk_is_whole_philox_steps():
     assert mc._CHUNK % 4 == 0 and 100_003 % mc._CHUNK != 0
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("region", [
     mc.region_ball(1.0),
     mc.region_barrel(1.0, 0.5),
@@ -64,23 +64,25 @@ def test_chunk_is_whole_philox_steps():
 ], ids=["ball", "barrel", "simplex"])
 def test_estimate_is_the_serial_loop_at_any_cpu_count(region, cpus, monkeypatch):
     _cpus(monkeypatch, cpus)
-    seen = set()
+    seen = {}  # thread -> membership calls
 
     def contains(P):
-        seen.add(threading.get_ident())
+        seen[threading.get_ident()] = seen.get(threading.get_ident(), 0) + 1
         return region.contains(P)
 
     e = mc.estimate(mc.Region(region.lo, region.hi, contains), 100_003, seed=3)
-    # the calling thread runs a chunk of every window; with two CPUs a worker
-    # thread (one per window) runs the others
+    # four chunks: of W = min(cpus, 4) workers, worker w runs chunks w, w + W,
+    # ...; the calling thread is worker 0 (chunks 0 and 3 at three CPUs), and
+    # each other worker is a thread of its own
     assert threading.get_ident() in seen and (len(seen) > 1) == (cpus > 1)
+    assert seen[threading.get_ident()] == len(range(0, 4, cpus))
     assert (e.mean, e.stderr) == _serial_estimate(region, 100_003, 3)
 
 
 def test_more_threads_than_cores_with_frequent_switches(monkeypatch):
     # eight workers on the machine's cores, switching threads every
-    # microsecond: a buffer or result slot shared between two chunks of a
-    # window would change the sums
+    # microsecond: a buffer or result slot shared between two workers would
+    # change the sums
     _cpus(monkeypatch, 8)
     region = mc.region_slab((0.6, 0.4), 0.7)
     interval = sys.getswitchinterval()
@@ -117,6 +119,38 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     assert not caller.is_alive() and len(caught) == 1 and caught[0] is boom
     assert threading.active_count() == before
     assert mc.estimate(mc.region_ball(1.0), 100_000, seed=1).mean > 0.0
+
+
+def test_caller_exception_stops_the_other_worker(monkeypatch):
+    # membership fails on the calling thread only, in chunk 0 of ten: the
+    # other worker finishes the chunk it is in, then stops before its next
+    _cpus(monkeypatch, 2)
+    boom = RuntimeError("membership failed")
+    caught = []
+    failed = threading.Event()
+    after = []
+
+    def contains(P):
+        if threading.current_thread() is caller:
+            failed.set()
+            raise boom
+        if failed.is_set():
+            after.append(len(P))
+        return np.ones(len(P), bool)
+
+    def call():
+        try:
+            mc.estimate(mc.Region((-0.1,) * 3, (0.1,) * 3, contains), 300_000, seed=1)
+        except RuntimeError as exc:
+            caught.append(exc)
+
+    before = threading.active_count()
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive() and len(caught) == 1 and caught[0] is boom
+    assert len(after) <= 1
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

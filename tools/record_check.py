@@ -31,9 +31,12 @@ permuted axes among them) and on the orthogonal and spherical charts at a
 fourth, so that every slot of their product densities is innermost in one
 box, ``volume_ndim`` at n = 2..5, ``area_right_triangle`` at two
 tolerances, ``volume_edges`` at edge sets with a long last edge or short
-edges, and ``volume_one_ideal`` and ``volume_two_ideal`` from b = 1e-300
-to the float-range limit.  No CLI command reaches the chart integrals or
-most of these edge sets.
+edges, ``volume_one_ideal`` and ``volume_two_ideal`` from b = 1e-300
+to the float-range limit, and ``mc_oracle.estimate`` on the five region
+builders at 10^5 samples (four chunks) with ``os.sched_getaffinity``
+patched to report 1, 2 and 3 CPUs, so that the strides of uneven worker
+counts are compared whatever the host's core count.  No CLI command
+reaches the chart integrals or most of these edge sets.
 
 Exit status: 0 when every command agrees, every pinned rerun matches and
 every library result agrees, 1 otherwise, 2 when the new tree's shape
@@ -53,6 +56,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from itertools import zip_longest
 from pathlib import Path
+from unittest.mock import patch
 
 SIX = dict.fromkeys("ABCDEF", 1.1)
 # one parameter set per table shape, at curvature 1
@@ -317,6 +321,7 @@ def orthogonal_box(e: tuple, k: float) -> list:
 
 def print_library_results() -> None:
     """Print the repr of every library result of the third pass, one a line."""
+    from hypervol import mc_oracle as mc
     from hypervol.errors import SINH_MAX
     from hypervol.models import coordinate_volume
     from hypervol.orthoscheme import (area_right_triangle, volume_edges, volume_ndim,
@@ -360,6 +365,14 @@ def print_library_results() -> None:
     for b in (1e-300, 1.0, 360.0, 710.0, SINH_MAX):
         print("volume_one_ideal", b, repr(volume_one_ideal(b, 1.0)))
         print("volume_two_ideal", b, repr(volume_two_ideal(b)))
+    regions = (mc.region_simplex(mc.orthoscheme_vertices(1.0, 0.8, 0.6)), mc.region_ball(1.0),
+               mc.region_barrel(1.0, 0.5), mc.region_cone(1.0, 0.7),
+               mc.region_slab((0.6, 0.4), 0.7))
+    for cpus in (1, 2, 3):
+        with patch.object(mc.os, "sched_getaffinity", lambda pid: set(range(cpus))):
+            for region in regions:
+                print("mc_oracle.estimate", region.name, cpus,
+                      repr(mc.estimate(region, 100_000, 11)))
 
 
 def uses_mc(argv: list[str]) -> bool:
