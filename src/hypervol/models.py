@@ -110,6 +110,8 @@ def _product(factors, at, g):
     if at is None:
         return lambda x: before
     after = factors[at + 1:]
+    if not after:
+        return lambda x: before * g(x)
 
     def f(x):
         d = before * g(x)
@@ -158,10 +160,14 @@ def _density_klein(c, free, n, k):
     # and the free one's is put in their place
     e = -(n + 1) / 2.0
     squares = [(v / k) ** 2 for v in c]
+    fsum = math.fsum
 
     def f(x):
         squares[free] = (x / k) ** 2
-        return _gap(squares) ** e
+        s = fsum(squares)
+        if s >= 1.0:
+            _gap(squares)  # raises
+        return (1.0 - s) ** e
 
     return f
 
@@ -358,17 +364,23 @@ def coordinate_volume(
     integration level first.  ``axis`` is the 0-based coordinate slot
     (for the spherical chart slots 0..n-2 are phi_1..phi_{n-1} and slot
     n-1 is r); lo and hi may be numbers or callables of the outer
-    integration variables, in listed order.
+    integration variables, in listed order.  DomainError for an entry that
+    is not such a triple and for axes that are not a permutation of 0..n-1.
     """
     k = positive("k", k)
     n = _check_dim(n)
     factory = _chart(system).density
+    bounds = sequence("bounds", bounds)
     if len(bounds) != n:
         raise DomainError(f"expected {n} bounds entries, got {len(bounds)}")
-    axes = [int(b[0]) for b in bounds]
+    try:
+        rows = [(axis, (lo, hi)) for axis, lo, hi in bounds]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bounds must be (axis, lo, hi) triples, got {bounds!r}") from exc
+    axes = [number("axis", axis, int) for axis, _ in rows]
     if sorted(axes) != list(range(n)):
         raise DomainError(f"axes {axes} must be a permutation of 0..{n - 1}")
-    spec = [(b[1], b[2]) for b in bounds]
+    spec = [pair for _, pair in rows]
     *outer_axes, free = axes
 
     def integrand(*outer):

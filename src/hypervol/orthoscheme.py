@@ -452,22 +452,29 @@ def area_right_triangle(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> flo
     return res.value
 
 
-def _cosh_power_integral(m: int, u: float) -> float:
-    """int_0^{atanh u} cosh^m y dy by the reduction formula.
+def _cosh_power_integral(m: int):
+    """The function u -> int_0^{atanh u} cosh^m y dy, by the reduction formula.
 
     With c = cosh(atanh u) = 1/sqrt((1-u)(1+u)) and s = sinh(atanh u) = u c:
-    I_0 = atanh u, I_1 = s, I_m = c^(m-1) s / m + (m-1)/m I_(m-2).
-    DomainError when u >= 1.
+    I_0 = atanh u, I_1 = s, I_m = c^(m-1) s / m + (m-1)/m I_(m-2).  The steps
+    (j - 1, j, (j-1)/j) from I_0 or I_1 up to I_m depend on m alone, so they
+    are laid out once, here.  The function raises DomainError when u >= 1.
     """
-    if u >= 1.0:
-        _atanh_bound(u)  # raises
-    c = 1.0 / math.sqrt((1.0 - u) * (1.0 + u))
-    s = u * c
-    val, j = (s, 3) if m % 2 else (math.atanh(u), 2)
-    while j <= m:
-        val = c ** (j - 1) * s / j + (j - 1) / j * val
-        j += 2
-    return val
+    odd = m % 2
+    steps = tuple((j - 1, j, (j - 1) / j) for j in range(2 + odd, m + 1, 2))
+    sqrt, atanh = math.sqrt, math.atanh
+
+    def integral(u: float) -> float:
+        if u >= 1.0:
+            _atanh_bound(u)  # raises
+        c = 1.0 / sqrt((1.0 - u) * (1.0 + u))
+        s = u * c
+        val = s if odd else atanh(u)
+        for p, j, q in steps:
+            val = c ** p * s / j + q * val
+        return val
+
+    return integral
 
 
 def volume_ndim(edges, tol: Tolerance = Tolerance(rel=1e-9)) -> float:
@@ -508,20 +515,16 @@ def volume_ndim(edges, tol: Tolerance = Tolerance(rel=1e-9)) -> float:
         return lambda *vals: _atanh_bound(ratios[i] * math.sinh(vals[-1]))
 
     r, m = ratios[n - 2], n - 2
+    integral, sinh, cosh = _cosh_power_integral(n - 1), math.sinh, math.cosh
 
     def integrand(*outer):
         # outer = (x_n, x_1, .., x_{n-3}); the innermost variable is x_{n-2} (x_n
         # for n = 2), and x_{n-1} is integrated in closed form.  The factors
-        # cosh^i(x_i) multiply in the order of i, the innermost one's last.
-        factors = [math.cosh(outer[i]) ** i for i in range(1, m)]
-
-        def f(x):
-            d = _cosh_power_integral(n - 1, r * math.sinh(x))
-            for c in factors:
-                d *= c
-            return d * math.cosh(x) ** m if m else d
-
-        return f
+        # cosh^i(x_i) multiply in the order of i, the innermost one's last.  The
+        # outer ones fill two slots, 1.0 where n < 5, as a product with 1.0 is
+        # exact (for n = 2 the innermost one is cosh^0 = 1.0 too).
+        f1, f2 = ([cosh(outer[i]) ** i for i in range(1, m)] + [1.0, 1.0])[:2]
+        return lambda x: integral(r * sinh(x)) * f1 * f2 * cosh(x) ** m
 
     bounds = [(0.0, a[n - 1])] + [(0.0, bound(i)) for i in range(n - 2)]
     res = quadrature.integrate_region(integrand, bounds, tol)

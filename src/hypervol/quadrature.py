@@ -13,7 +13,11 @@ QUADPACK one, which keeps refinement honest next to it.  Plain
 subdivision reaches such an end only by halving toward it: for a log
 singularity at the default tolerance, 33 halvings and 1,005 evaluations.
 So a route that knows where its singularity sits removes it analytically
-(integration by parts, or a closed-form part) before it integrates.
+(integration by parts, or a closed-form part) before it integrates.  The
+panel is straight-line code over its seven node pairs, because most inner
+integrals of nested quadrature finish in one panel, where the interpreter's
+work per node outweighs the integrand's; its sums run left to right in the
+order of a loop over the pairs, so its bits are that loop's.
 
 Nested integration (``integrate_region``) composes 1-D calls over one
 (lo, hi) pair per variable, where either limit may be a function of the
@@ -75,8 +79,10 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
-# (abscissa, Kronrod weight) of the seven node pairs c -/+ h x
-_NODES = tuple(zip(_XGK[:7], _WGK[:7]))
+# the same constants by name, for the straight-line panel
+_X0, _X1, _X2, _X3, _X4, _X5, _X6 = _XGK[:7]
+_W0, _W1, _W2, _W3, _W4, _W5, _W6, _W7 = _WGK
+_G0, _G1, _G2, _G3 = _WG
 
 
 class _ToleranceFields(NamedTuple):
@@ -112,12 +118,22 @@ class IntegralResult(NamedTuple):
 _UNKNOWN = IntegralResult(0.0, math.inf, 0)
 
 
+def _non_finite_pair(f1, f2, x1, x2):
+    """DomainError at the first of x1, x2 whose value f1, f2 is not finite;
+    nothing when both are finite (their sum overflowed)."""
+    for v, x in ((f1, x1), (f2, x2)):
+        if not math.isfinite(v):
+            raise DomainError(f"integrand returned a non-finite value at x={x!r}")
+
+
 def _gk15(f, a, b):
     """One Gauss-Kronrod 15(7) panel on [a, b].
 
     Returns (kronrod value, error estimate, resabs).  Raises DomainError if
     the integrand produces a non-finite value, or the panel's value or
-    resabs leaves the float range.
+    resabs leaves the float range.  The centre is evaluated first, then the
+    node pairs c -/+ h x_j from the outermost in; each pair is checked before
+    the next is evaluated, so the first non-finite node is the one reported.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
@@ -125,29 +141,54 @@ def _gk15(f, a, b):
     fc = f(c)
     if not math.isfinite(fc):
         raise DomainError(f"integrand returned {fc!r} at x={c!r}")
-    resk = _WGK[7] * fc
-    resabs = _WGK[7] * abs(fc)
-    fv = []  # (Kronrod weight, f(c - x), f(c + x)) per node pair
-    sums = []
-    for x, w in _NODES:
-        x = h * x
-        f1 = f(c - x)
-        f2 = f(c + x)
-        if not (math.isfinite(f1) and math.isfinite(f2)):
-            bad = c - x if not math.isfinite(f1) else c + x
-            raise DomainError(f"integrand returned a non-finite value at x={bad!r}")
-        fv.append((w, f1, f2))
-        s = f1 + f2
-        sums.append(s)
-        resk += w * s
-        resabs += w * (abs(f1) + abs(f2))
+    # a finite sum of a pair means two finite values
+    x = h * _X0
+    f01, f02 = f(c - x), f(c + x)
+    if not math.isfinite(s0 := f01 + f02):
+        _non_finite_pair(f01, f02, c - x, c + x)
+    x = h * _X1
+    f11, f12 = f(c - x), f(c + x)
+    if not math.isfinite(s1 := f11 + f12):
+        _non_finite_pair(f11, f12, c - x, c + x)
+    x = h * _X2
+    f21, f22 = f(c - x), f(c + x)
+    if not math.isfinite(s2 := f21 + f22):
+        _non_finite_pair(f21, f22, c - x, c + x)
+    x = h * _X3
+    f31, f32 = f(c - x), f(c + x)
+    if not math.isfinite(s3 := f31 + f32):
+        _non_finite_pair(f31, f32, c - x, c + x)
+    x = h * _X4
+    f41, f42 = f(c - x), f(c + x)
+    if not math.isfinite(s4 := f41 + f42):
+        _non_finite_pair(f41, f42, c - x, c + x)
+    x = h * _X5
+    f51, f52 = f(c - x), f(c + x)
+    if not math.isfinite(s5 := f51 + f52):
+        _non_finite_pair(f51, f52, c - x, c + x)
+    x = h * _X6
+    f61, f62 = f(c - x), f(c + x)
+    if not math.isfinite(s6 := f61 + f62):
+        _non_finite_pair(f61, f62, c - x, c + x)
+
+    # sums from the centre outward, left to right
+    resk = (_W7 * fc + _W0 * s0 + _W1 * s1 + _W2 * s2 + _W3 * s3 + _W4 * s4 + _W5 * s5
+            + _W6 * s6)
+    resabs = (_W7 * abs(fc) + _W0 * (abs(f01) + abs(f02)) + _W1 * (abs(f11) + abs(f12))
+              + _W2 * (abs(f21) + abs(f22)) + _W3 * (abs(f31) + abs(f32))
+              + _W4 * (abs(f41) + abs(f42)) + _W5 * (abs(f51) + abs(f52))
+              + _W6 * (abs(f61) + abs(f62)))
     # the odd node pairs carry the embedded Gauss rule
-    resg = _WG[3] * fc + _WG[0] * sums[1] + _WG[1] * sums[3] + _WG[2] * sums[5]
+    resg = _G3 * fc + _G0 * s1 + _G1 * s3 + _G2 * s5
 
     reskh = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - reskh)
-    for w, f1, f2 in fv:
-        resasc += w * (abs(f1 - reskh) + abs(f2 - reskh))
+    resasc = (_W7 * abs(fc - reskh) + _W0 * (abs(f01 - reskh) + abs(f02 - reskh))
+              + _W1 * (abs(f11 - reskh) + abs(f12 - reskh))
+              + _W2 * (abs(f21 - reskh) + abs(f22 - reskh))
+              + _W3 * (abs(f31 - reskh) + abs(f32 - reskh))
+              + _W4 * (abs(f41 - reskh) + abs(f42 - reskh))
+              + _W5 * (abs(f51 - reskh) + abs(f52 - reskh))
+              + _W6 * (abs(f61 - reskh) + abs(f62 - reskh)))
     resasc *= abs(h)
     resabs *= abs(h)
 
@@ -174,13 +215,22 @@ def integrate_1d(
     """Integrate f on [lo, hi] to the requested tolerance.
 
     Deterministic for fixed inputs.  Non-finite integrand values raise
-    DomainError; exceeding the evaluation budget raises ConvergenceError
+    DomainError, as do limits that are not finite numbers and a tol that is
+    not a Tolerance; exceeding the evaluation budget raises ConvergenceError
     with the best estimate attached.  So does a ConvergenceError of the
     integrand itself (a nested integral out of its budget), with this
     integral's own estimate: the sum over its finished panels, or 0 with an
     infinite error estimate before the first panel is finished.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    try:
+        rel = tol.rel
+    except AttributeError:
+        raise DomainError(f"tol must be a Tolerance, got {tol!r}") from None
+    try:
+        finite = math.isfinite(lo) and math.isfinite(hi)
+    except (TypeError, OverflowError):
+        raise DomainError(f"integration limits must be numbers, got {lo!r} and {hi!r}") from None
+    if not finite:
         raise DomainError("integration limits must be finite")
     if lo > hi:
         raise DomainError(f"lo={lo} exceeds hi={hi}")
@@ -193,9 +243,10 @@ def integrate_1d(
         val, err, resabs = _gk15(f, lo, hi)
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), best=_UNKNOWN) from exc
-    if err <= max(tol.rel * abs(val), _FLOOR * resabs):
-        # finish() of this one panel: math.fsum([val]) is val + 0.0 (-0.0 becomes 0.0)
-        return IntegralResult(val + 0.0, err, 15)
+    if err <= rel * abs(val) or err <= _FLOOR * resabs:
+        # finish() of this one panel: math.fsum([val]) is val + 0.0 (-0.0 becomes
+        # 0.0); tuple.__new__ skips the NamedTuple's Python-level __new__
+        return tuple.__new__(IntegralResult, (val + 0.0, err, 15))
     evals = 15
     # heap entries: (-err, sequence number, a, b, value, err, resabs)
     seq = 0
@@ -211,12 +262,12 @@ def integrate_1d(
         return IntegralResult(math.fsum(vals), math.fsum(errs), evals)
 
     while True:
-        if total_err <= max(tol.rel * abs(total_val), _FLOOR * mass):
+        if total_err <= max(rel * abs(total_val), _FLOOR * mass):
             return finish()
         if not heap:
             # every remaining panel is roundoff-limited
             res = finish()
-            if res.error_estimate <= max(tol.rel * abs(res.value), _FLOOR * mass):
+            if res.error_estimate <= max(rel * abs(res.value), _FLOOR * mass):
                 return res
             raise ConvergenceError(
                 "quadrature stalled at roundoff before reaching tolerance", best=res
@@ -256,7 +307,9 @@ def integrate_region(
 
     ``bounds`` lists one (lo, hi) pair per variable, outermost first; lo and
     hi may be numbers or callables of the already-fixed outer variables (in
-    listed order).  The integrand is curried: ``integrand(*outer)``, with the
+    listed order); DomainError for an entry that is not such a pair, a bound
+    that is or returns no number, and a tol that is not a Tolerance.  The
+    integrand is curried: ``integrand(*outer)``, with the
     outer variables in the same order, returns the function of the innermost
     variable that one innermost 1-D integral integrates, and is called once
     per such integral (with no arguments for a single variable).  Each inner
@@ -270,25 +323,43 @@ def integrate_region(
     far (0 with an infinite error estimate if that level has not finished a
     panel) and the evaluations made.
     """
-    if len(bounds) < 1:
+    try:
+        pairs = [(lo, hi) for lo, hi in bounds]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bounds must be (lo, hi) pairs, got {bounds!r}") from exc
+    if not pairs:
         raise DomainError("at least one integration variable required")
+    try:
+        tols = [tol]
+        for _ in pairs[1:]:
+            tols.append(tols[-1].tighter())
+    except AttributeError:
+        raise DomainError(f"tol must be a Tolerance, got {tol!r}") from None
+    # each level's bounds resolved once per call: a number converted, a callable flagged
+    levels = [(lo if callable(lo) else number("integration bound", lo), callable(lo),
+               hi if callable(hi) else number("integration bound", hi), callable(hi), t)
+              for (lo, hi), t in zip(pairs, tols)]
     budget, evals = _BUDGET, 0
-    tols = [tol]
-    for _ in bounds[1:]:
-        tols.append(tols[-1].tighter())
-
-    last = len(bounds) - 1
+    last = len(levels) - 1
 
     def level(i, fixed):
         nonlocal evals
-        lo, hi = bounds[i]
-        lo_v = float(lo(*fixed)) if callable(lo) else float(lo)
-        hi_v = float(hi(*fixed)) if callable(hi) else float(hi)
+        lo, lo_fn, hi, hi_fn, tol_i = levels[i]
+        try:
+            if lo_fn:
+                lo = float(lo(*fixed))
+            if hi_fn:
+                hi = float(hi(*fixed))
+        except DomainError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"a bound of integration variable {i + 1} gave no number: "
+                              f"{exc}") from exc
         if i < last:
             return integrate_1d(lambda x: level(i + 1, fixed + (x,)).value,
-                                lo_v, hi_v, tols[i], budget - evals)
+                                lo, hi, tol_i, budget - evals)
         try:
-            res = integrate_1d(integrand(*fixed), lo_v, hi_v, tols[i], budget - evals)
+            res = integrate_1d(integrand(*fixed), lo, hi, tol_i, budget - evals)
         except ConvergenceError as exc:
             evals += exc.best.evaluations
             raise

@@ -346,7 +346,7 @@ def _flat_ndim(edges):
     ratios += [math.tanh(edges[i + 1]) / math.sinh(edges[i]) for i in range(n - 2)]
 
     def flat(*vals):
-        d = _cosh_power_integral(n - 1, ratios[n - 2] * math.sinh(vals[-1]))
+        d = _cosh_power_integral(n - 1)(ratios[n - 2] * math.sinh(vals[-1]))
         for i in range(1, n - 1):
             d *= math.cosh(vals[i]) ** i
         return d
@@ -366,12 +366,29 @@ def test_ndim_equals_its_flat_integrand_bit_for_bit(edges):
     assert repr(volume_ndim(edges)) == repr(_flat_ndim(edges))
 
 
+def _loop_cosh_power_integral(m, u):
+    """The reduction formula as a loop over its steps at every call: the
+    reference for the steps that _cosh_power_integral(m) lays out once."""
+    c = 1.0 / math.sqrt((1.0 - u) * (1.0 + u))
+    s = u * c
+    val, j = (s, 3) if m % 2 else (math.atanh(u), 2)
+    while j <= m:
+        val = c ** (j - 1) * s / j + (j - 1) / j * val
+        j += 2
+    return val
+
+
 @pytest.mark.parametrize("m", range(6))
 def test_cosh_power_integral_matches_mpmath(m):
     mpmath.mp.dps = 30
+    integral = _cosh_power_integral(m)
     for u in (1e-8, 0.3, 0.9, 0.999999):
         ref = mpmath.quad(lambda y: mpmath.cosh(y) ** m, [0, mpmath.atanh(u)])
-        assert _cosh_power_integral(m, u) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+        assert integral(u) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+    for u in (5e-324, 1e-300, 1e-8, 0.3, 0.5, 0.9, 0.999999, 1.0 - 2.0 ** -53):
+        assert integral(u) == _loop_cosh_power_integral(m, u), u
+    with pytest.raises(DomainError):
+        integral(1.0)
 
 
 @pytest.mark.parametrize("edges", [

@@ -32,6 +32,72 @@ def test_gk15_rule_is_exact_on_polynomials_to_a_few_ulp():
         assert abs(value - 1.0 / (j + 1)) <= 8 * math.ulp(1.0 / (j + 1)), j
 
 
+def _loop_gk15(f, a, b):
+    """The GK15 panel as a loop over the node pairs with per-node lists: the
+    reference for the straight-line _gk15, which must repeat its every float
+    operation in the same order."""
+    xgk, wgk, wg = quadrature._XGK, quadrature._WGK, quadrature._WG
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fc = f(c)
+    if not math.isfinite(fc):
+        raise DomainError(f"integrand returned {fc!r} at x={c!r}")
+    resk = wgk[7] * fc
+    resabs = wgk[7] * abs(fc)
+    fv = []
+    sums = []
+    for x, w in zip(xgk[:7], wgk[:7]):
+        x = h * x
+        f1 = f(c - x)
+        f2 = f(c + x)
+        if not (math.isfinite(f1) and math.isfinite(f2)):
+            bad = c - x if not math.isfinite(f1) else c + x
+            raise DomainError(f"integrand returned a non-finite value at x={bad!r}")
+        fv.append((w, f1, f2))
+        s = f1 + f2
+        sums.append(s)
+        resk += w * s
+        resabs += w * (abs(f1) + abs(f2))
+    resg = wg[3] * fc + wg[0] * sums[1] + wg[1] * sums[3] + wg[2] * sums[5]
+    reskh = 0.5 * resk
+    resasc = wgk[7] * abs(fc - reskh)
+    for w, f1, f2 in fv:
+        resasc += w * (abs(f1 - reskh) + abs(f2 - reskh))
+    resasc *= abs(h)
+    resabs *= abs(h)
+    value = resk * h
+    if not (math.isfinite(value) and math.isfinite(resabs)):
+        raise DomainError(f"the integral over [{a!r}, {b!r}] leaves the float range")
+    err = abs((resk - resg) * h)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > 1e-300:
+        err = max(err, 2.0 * quadrature._EPS * resabs)
+    return value, err, resabs
+
+
+@pytest.mark.parametrize("f, a, b", [
+    *[(lambda x, j=j: x ** j, 0.0, 1.0) for j in (0, 1, 2, 7, 15, 22)],
+    (lambda x: 3.0 * x ** 3 - x + 0.25, -1.0, 2.0),
+    (math.cos, 0.0, 1.0),
+    (math.cos, -3.0, 11.0),
+    (lambda x: math.sin(5.0 * x), -1.0, 2.0),  # changes sign
+    (lambda x: x - 0.3, 0.0, 0.6),  # sums to about 0
+    (lambda x: -0.0, 0.0, 1.0),
+    (lambda x: 0.0, -1.0, 1.0),
+    (lambda x: 5e-324 * (1 + round(4 * x)), 0.0, 1.0),  # subnormal values
+    (lambda x: 1e-310 * math.cos(x), 0.0, 2.0),
+    (math.exp, -745.0, -700.0),
+    (lambda x: 1e300 * (1.5 + math.sin(x)), 0.0, 3.0),  # near 1e300
+    (lambda x: 1e300 * x, 0.0, 100.0),
+    (math.cosh, 0.0, 1e-300),
+])
+def test_gk15_repeats_the_loop_panel_bit_for_bit(f, a, b):
+    new, ref = quadrature._gk15(f, a, b), _loop_gk15(f, a, b)
+    assert new == ref
+    assert [math.copysign(1.0, v) for v in new] == [math.copysign(1.0, v) for v in ref]
+
+
 def test_gk15_constants_match_the_rule_to_double_precision():
     wgk, xgk = quadrature._WGK, quadrature._XGK
     assert abs(math.fsum([*wgk[:7], *wgk[:7], wgk[7]]) - 2.0) <= 2.0 * math.ulp(2.0)

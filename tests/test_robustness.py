@@ -188,6 +188,30 @@ def test_known_leaks_raise_hypervol_error_or_convert(call):
 
 
 @pytest.mark.parametrize("call", [
+    'quadrature.integrate_1d(math.cos, "a", 1.0)',
+    'quadrature.integrate_1d(math.cos, 0.0, None)',
+    'quadrature.integrate_region(lambda: math.cos, [(0.0,)])',
+    'quadrature.integrate_region(lambda: math.cos, 0.5)',
+    'quadrature.integrate_region(lambda x: math.cos, [(0.0, 1.0), (0.0, lambda x: "q")])',
+    'quadrature.integrate_region(lambda: math.cos, [(0.0, "x")])',
+    'models.coordinate_volume("klein", [(0, -0.3), (1, -0.3, 0.3), (2, -0.3, 0.3)], 3)',
+    'models.coordinate_volume("klein", [("x", -0.3, 0.3), (1, -0.3, 0.3), (2, -0.3, 0.3)], 3)',
+    'models.coordinate_volume("klein", [(0, -0.3, 0.3), (1, -0.3, 0.3), '
+    '(2, -0.3, lambda x0, x1: "q")], 3)',
+    'models.coordinate_volume("klein", 0.3, 3)',
+    # a bare float where a Tolerance belongs
+    'quadrature.integrate_1d(math.cos, 0.0, 1.0, 1e-8)',
+    'quadrature.integrate_region(lambda x: math.cos, [(0.0, 1.0)] * 2, 1e-8)',
+    'orthoscheme.volume_ndim((0.5,) * 3, 1e-8)',
+    'orthoscheme.volume_ndim((0.5,) * 2, 1e-8)',
+])
+def test_malformed_quadrature_input_raises_domain_error(call):
+    # each of these leaked TypeError, ValueError, IndexError or AttributeError
+    with pytest.raises(DomainError):
+        eval(call)
+
+
+@pytest.mark.parametrize("call", [
     'orthoscheme.edges_to_angles((1.0, 0.8, 0.6))',
     'orthoscheme.sample_valid_angles(2, 1)',
     'models.coordinate_volume("klein", [(0, 0, 0.1), (1, 0, 0.1)], 2, 1.0)',

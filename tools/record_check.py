@@ -36,7 +36,10 @@ to the float-range limit, and ``mc_oracle.estimate`` on the five region
 builders at 10^5 samples (four chunks) with ``os.sched_getaffinity``
 patched to report 1, 2 and 3 CPUs, so that the strides of uneven worker
 counts are compared whatever the host's core count.  No CLI command
-reaches the chart integrals or most of these edge sets.
+reaches the chart integrals or most of these edge sets.  Two failure paths
+of the nested quadrature are compared too: the message and best estimate of
+the ConvergenceError of ``volume_ndim`` at edges (3, 2, 1, 0.5), and the
+DomainError message of a Klein box that leaves the ball.
 
 Exit status: 0 when every command agrees, every pinned rerun matches and
 every library result agrees, 1 otherwise, 2 when the new tree's shape
@@ -322,7 +325,7 @@ def orthogonal_box(e: tuple, k: float) -> list:
 def print_library_results() -> None:
     """Print the repr of every library result of the third pass, one a line."""
     from hypervol import mc_oracle as mc
-    from hypervol.errors import SINH_MAX
+    from hypervol.errors import SINH_MAX, ConvergenceError, DomainError
     from hypervol.models import coordinate_volume
     from hypervol.orthoscheme import (area_right_triangle, volume_edges, volume_ndim,
                                       volume_one_ideal, volume_two_ideal)
@@ -365,6 +368,16 @@ def print_library_results() -> None:
     for b in (1e-300, 1.0, 360.0, 710.0, SINH_MAX):
         print("volume_one_ideal", b, repr(volume_one_ideal(b, 1.0)))
         print("volume_two_ideal", b, repr(volume_two_ideal(b)))
+    # failure paths: the budget of a nested integral runs out, and a box leaves the ball
+    try:
+        print("volume_ndim", repr(volume_ndim((3, 2, 1, 0.5), Tolerance(rel=1e-10))))
+    except ConvergenceError as exc:
+        print("volume_ndim ConvergenceError", exc, repr(exc.best))
+    try:
+        print("klein", repr(coordinate_volume("klein", [(0, -0.5, 0.9), (1, -0.5, 0.5),
+                                                        (2, -0.3, 0.3)], 3)))
+    except DomainError as exc:
+        print("klein DomainError", exc)
     regions = (mc.region_simplex(mc.orthoscheme_vertices(1.0, 0.8, 0.6)), mc.region_ball(1.0),
                mc.region_barrel(1.0, 0.5), mc.region_cone(1.0, 0.7),
                mc.region_slab((0.6, 0.4), 0.7))
