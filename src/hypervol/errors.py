@@ -70,8 +70,11 @@ def in_float_range(fn):
 
 
 def number(name: str, v, cast=float):
-    """``cast(v)``, or a DomainError naming ``name`` when v is not a number,
-    or, with ``cast=int``, a number that ``int`` would truncate (2.5, 0.3)."""
+    """``cast(v)``, or a DomainError naming ``name`` when v is not a number
+    (a bool, as JSON's true and false, is none), or, with ``cast=int``, a
+    number that ``int`` would truncate (2.5, 0.3)."""
+    if v is True or v is False:  # isinstance(v, bool), as bool has no subclasses, but faster
+        raise DomainError(f"{name} must be a number, got {v!r}")
     try:
         out = cast(v)
     except (TypeError, ValueError, OverflowError) as exc:

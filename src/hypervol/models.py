@@ -79,39 +79,41 @@ def _point(system: str, p) -> tuple[float, ...]:
     return c
 
 
-def _gap(squares) -> float:
-    """1 - sum(squares), or DomainError when the sum reaches 1: the point lies
-    on or outside the projective ball."""
-    s = math.fsum(squares)
-    if s >= 1.0:
-        raise DomainError("point lies on or outside the projective ball")
-    return 1.0 - s
+_OUTSIDE_BALL = "point lies on or outside the projective ball"
 
 
 def _ball_gap(X) -> float:
     """1 - |X|^2, or DomainError for a point on or outside the projective ball."""
-    return _gap([x ** 2 for x in X])
+    s = math.fsum([x ** 2 for x in X])
+    if s >= 1.0:
+        raise DomainError(_OUTSIDE_BALL)
+    return 1.0 - s
 
 
 # ---------------------------------------------------------------------------
-# density factories: (c, free, n, k) -> f, where f(x) is the density at the
-# coordinates c with c[free] replaced by x.  Work that depends on the other
-# coordinates alone runs once, in the factory.  c, its length n and k are
-# unchecked but for the half-space and the ball, whose formulas give a wrong
-# finite value outside.
+# density factories: (c, free, k) -> f, where f(x) is the density at the n =
+# len(c) coordinates c with c[free] replaced by x.  Work that depends on the
+# other coordinates alone runs once, in the factory: the paracycle and
+# half-space densities depend on x_n alone, so a fixed x_n is evaluated (and
+# checked) there.  c and k are unchecked but for the half-space and the ball,
+# whose formulas give a wrong finite value outside.
 # ---------------------------------------------------------------------------
 
-def _product(factors, at, g):
-    """x -> the product of ``factors`` taken left to right from 1.0, with
-    g(x) in place of factors[at] (the constant product when at is None)."""
+def _product(factors):
+    """x -> the product of ``factors`` taken left to right from 1.0, the one
+    callable among them, the free coordinate's factor, evaluated at x (the
+    constant product when there is none).  A free factor that nothing else
+    multiplies is returned as it is: 1.0 * g(x) is g(x)."""
     before = 1.0
-    for v in factors[:at]:
-        before *= v
-    if at is None:
+    for at, g in enumerate(factors):
+        if callable(g):
+            break
+        before *= g
+    else:
         return lambda x: before
     after = factors[at + 1:]
     if not after:
-        return lambda x: before * g(x)
+        return g if at == 0 else lambda x: before * g(x)
 
     def f(x):
         d = before * g(x)
@@ -122,43 +124,47 @@ def _product(factors, at, g):
     return f
 
 
-def _density_paracycle(c, free, n, k):
-    m = -(n - 1)
-    return lambda x: math.exp(m * (x if free == n - 1 else c[n - 1]) / k)
+def _density_paracycle(c, free, k):
+    m = -(len(c) - 1)
 
-
-def _density_halfspace(c, free, n, k):
     def f(x):
-        h = x if free == n - 1 else c[n - 1]
+        return math.exp(m * x / k)
+
+    return f if free == len(c) - 1 else _product([f(c[-1])])
+
+
+def _density_halfspace(c, free, k):
+    n = len(c)
+
+    def f(h):
         if h <= 0.0:
             raise DomainError(f"half-space coordinate x_n must be positive, got {h!r}")
         return k / h ** n
 
-    return f
+    return f if free == n - 1 else _product([f(c[-1])])
 
 
-def _density_orthogonal(c, free, n, k):
+def _density_orthogonal(c, free, k):
     # prod_{i < n-1} cosh^{i+1}(c_i / k); slot n - 1 has no factor
-    factors = [math.cosh(c[i] / k) ** (i + 1) for i in range(n - 1)]
     p = free + 1
-    return _product(factors, free if free < n - 1 else None,
-                    lambda x: math.cosh(x / k) ** p)
+    return _product([(lambda x: math.cosh(x / k) ** p) if i == free
+                     else math.cosh(c[i] / k) ** (i + 1) for i in range(len(c) - 1)])
 
 
-def _density_spherical(c, free, n, k):
+def _density_spherical(c, free, k):
     # k^{n-1} sinh^{n-1}(r/k) sin(phi_2) .. sin^{n-2}(phi_{n-1}); the azimuth phi_1
     # (slot 0) has no factor, r (slot n - 1) is the second, polar slot i the (i+2)-th
-    factors = [k ** (n - 1), math.sinh(c[n - 1] / k) ** (n - 1)]
-    factors += [math.sin(c[i]) ** i for i in range(1, n - 1)]
-    if free == n - 1:
-        return _product(factors, 1, lambda x: math.sinh(x / k) ** (n - 1))
-    return _product(factors, free + 1 if free else None, lambda x: math.sin(x) ** free)
+    n = len(c)
+    r = ((lambda x: math.sinh(x / k) ** (n - 1)) if free == n - 1
+         else math.sinh(c[n - 1] / k) ** (n - 1))
+    return _product([k ** (n - 1), r] + [(lambda x: math.sin(x) ** free) if i == free
+                                         else math.sin(c[i]) ** i for i in range(1, n - 1)])
 
 
-def _density_klein(c, free, n, k):
+def _density_klein(c, free, k):
     # fsum is exact, so the squares of the other coordinates are computed once
     # and the free one's is put in their place
-    e = -(n + 1) / 2.0
+    e = -(len(c) + 1) / 2.0
     squares = [(v / k) ** 2 for v in c]
     fsum = math.fsum
 
@@ -166,7 +172,7 @@ def _density_klein(c, free, n, k):
         squares[free] = (x / k) ** 2
         s = fsum(squares)
         if s >= 1.0:
-            _gap(squares)  # raises
+            raise DomainError(_OUTSIDE_BALL)
         return (1.0 - s) ** e
 
     return f
@@ -304,8 +310,7 @@ def density(system: str, p, *, k: float = 1.0) -> float:
     factory = _chart(system).density
     k = positive("k", k)
     c = _point(system, p)
-    n = len(c)
-    return factory(c, n - 1, n, k)(c[n - 1])
+    return factory(c, len(c) - 1, k)(c[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +393,6 @@ def coordinate_volume(
         c = [0.0] * n
         for ax, v in zip(outer_axes, outer):
             c[ax] = v
-        return factory(c, free, n, k)
+        return factory(c, free, k)
 
     return quadrature.integrate_region(integrand, spec, DEFAULT_TOL)

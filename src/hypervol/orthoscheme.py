@@ -85,27 +85,38 @@ class _AngleFields(NamedTuple):
 
 
 class OrthoschemeAngles(_AngleFields):
-    """Non-right dihedral angles alpha, beta, gamma and the derived delta.
+    """Non-right dihedral angles alpha, beta, gamma and the delta derived
+    from them.
 
     alpha and gamma sit at the edges a and c; beta sits at the diagonal
-    opposite the middle edge.  delta is computed from the other three when
-    not supplied.  Realizability requires cos^2 beta > sin^2 alpha sin^2
-    gamma and delta < min(alpha, gamma, pi/2 - beta).
+    opposite the middle edge.  Realizability requires cos^2 beta > sin^2
+    alpha sin^2 gamma and delta < min(alpha, gamma, pi/2 - beta).
     """
 
     __slots__ = ()
 
-    def __new__(cls, alpha: float, beta: float, gamma: float, delta: float | None = None):
-        a = angle("alpha", alpha, _HALF_PI)
-        b = angle("beta", beta, _HALF_PI)
-        g = angle("gamma", gamma, _HALF_PI)
-        d = _delta(a, b, g) if delta is None else number("delta", delta)
-        if not (0.0 < d < _HALF_PI):
-            raise NotRealizableError(f"delta must lie in (0, pi/2), got {d!r}")
-        if d >= a or d >= g or d >= _HALF_PI - b:
-            raise NotRealizableError("delta must be dominated: "
-                                     "delta < min(alpha, gamma, pi/2 - beta)")
-        return super().__new__(cls, a, b, g, d)
+    def __new__(cls, alpha: float, beta: float, gamma: float):
+        return _angle_record(alpha, beta, gamma)
+
+    def __reduce__(self):
+        # copies and pickles keep delta as it is, not derived anew
+        return _angle_record, tuple(self)
+
+
+def _angle_record(alpha, beta, gamma, delta: float | None = None) -> OrthoschemeAngles:
+    """The record of alpha, beta, gamma, each checked to lie in (0, pi/2), and
+    delta, derived from them unless given (``edges_to_angles`` gives the one
+    it computes from the edges); NotRealizableError unless delta < min(alpha,
+    gamma, pi/2 - beta)."""
+    a = angle("alpha", alpha, _HALF_PI)
+    b = angle("beta", beta, _HALF_PI)
+    g = angle("gamma", gamma, _HALF_PI)
+    d = _delta(a, b, g) if delta is None else delta
+    if d >= a or d >= g or d >= _HALF_PI - b:
+        raise NotRealizableError("delta must be dominated: "
+                                 "delta < min(alpha, gamma, pi/2 - beta)")
+    # tuple.__new__ fills the four fields; OrthoschemeAngles.__new__ takes three angles
+    return tuple.__new__(OrthoschemeAngles, (a, b, g, d))
 
 
 def _as_edges(edges, limits: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -118,10 +129,10 @@ def _as_edges(edges, limits: tuple[float, float, float]) -> tuple[float, float, 
 
 def _as_angles(angles: OrthoschemeAngles | tuple) -> OrthoschemeAngles:
     """angles as given when an OrthoschemeAngles, else built from
-    (alpha, beta, gamma) or (alpha, beta, gamma, delta)."""
+    (alpha, beta, gamma)."""
     if isinstance(angles, OrthoschemeAngles):
         return angles
-    return OrthoschemeAngles(*sequence("orthoscheme angles", angles, (3, 4)))
+    return OrthoschemeAngles(*sequence("orthoscheme angles", angles, (3,)))
 
 
 def _delta(alpha: float, beta: float, gamma: float) -> float:
@@ -154,11 +165,9 @@ def edges_to_angles(edges) -> OrthoschemeAngles:
     underflows to 0.
     """
     a, b, c = _as_edges(edges, (SINH_MAX,) * 3)
-    alpha = _perp_angle(c, b)
-    gamma = _perp_angle(a, b)
     tan_d = math.tanh(a) * math.tanh(c) / math.sinh(b)
     beta = math.atan(math.tanh(_diagonal(a, b, c)) / tan_d)
-    return OrthoschemeAngles(alpha, beta, gamma, math.atan(tan_d))
+    return _angle_record(_perp_angle(c, b), beta, _perp_angle(a, b), math.atan(tan_d))
 
 
 def angles_to_edges(angles: OrthoschemeAngles | tuple) -> tuple[float, float, float]:
@@ -282,8 +291,7 @@ def volume_angles(angles: OrthoschemeAngles | tuple) -> float:
     1/4 [ L(a+d) - L(a-d) - L(pi/2 - b + d) + L(pi/2 - b - d)
           + L(g+d) - L(g-d) + 2 L(pi/2 - d) ].
     """
-    angles = _as_angles(angles)
-    a, b, g, d = angles.alpha, angles.beta, angles.gamma, angles.delta
+    a, b, g, d = _as_angles(angles)
     return 0.25 * (
         lobachevsky(a + d) - lobachevsky(a - d)
         - lobachevsky(_HALF_PI - b + d) + lobachevsky(_HALF_PI - b - d)

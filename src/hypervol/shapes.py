@@ -222,7 +222,7 @@ def collect_params(shape: str, src: dict, degrees: bool) -> dict:
             raise DomainError(f"shape {shape!r} requires parameter --{name}")
         if kind == "N":
             items = v.split(",") if isinstance(v, str) else sequence("edge list", v)
-            v = tuple(number("edge", t) for t in items if not isinstance(t, str) or t.strip())
+            v = tuple(number("edge", t) for t in items)
             if len(v) < 2:
                 raise DomainError("ndim-orthoscheme needs at least 2 edges")
         else:
@@ -237,14 +237,23 @@ def collect_params(shape: str, src: dict, degrees: bool) -> dict:
     return params
 
 
+# the keys of a batch job besides the shape's parameters
+_JOB_KEYS = frozenset(("shape", "k", "reltol", "degrees", "mc"))
+
+
 def parse_job(job: dict) -> tuple:
     """(shape, params, k, reltol, (mc samples, mc seed) or None) of one batch job;
-    DomainError for any missing or malformed field."""
+    DomainError for any missing or malformed field, and for a key the job
+    does not read: one other than shape, the shape's parameters, k, reltol,
+    degrees and mc, or an mc key other than samples and seed."""
     shape = job["shape"]
     degrees = job.get("degrees", False)
     if not isinstance(degrees, bool):
         raise DomainError(f"degrees must be true or false, got {degrees!r}")
     params = collect_params(shape, job, degrees)
+    unread = [key for key in job if key not in _JOB_KEYS and key not in params]
+    if unread:
+        raise DomainError(f"job keys {unread} are not read for shape {shape!r}")
     mc = job.get("mc")
     if mc is not None and shape not in MC_SHAPES:
         raise DomainError(f"shape {shape!r} has no Monte-Carlo region")
@@ -253,6 +262,9 @@ def parse_job(job: dict) -> tuple:
     if mc is not None:
         if not isinstance(mc, dict):
             raise DomainError(f"mc must be an object, got {mc!r}")
+        unread = [key for key in mc if key not in ("samples", "seed")]
+        if unread:
+            raise DomainError(f"mc keys {unread} are not read (only samples and seed are)")
         mc = (number("mc samples", mc.get("samples", 10 ** 6), int),
               number("mc seed", mc.get("seed", 0), int))
     return shape, params, k, reltol, mc

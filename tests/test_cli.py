@@ -395,6 +395,16 @@ def test_readme_shape_table_lists_the_table():
     {"shape": ["sphere"], "x": 1},
     {"shape": "ndim-orthoscheme", "edges": 5},
     {"shape": "milnor", "A": 60, "B": 60, "C": 60, "degrees": "false"},
+    # JSON booleans are not numbers
+    {"shape": "sphere", "x": True, "k": True},
+    {"shape": "sphere", "x": 1, "mc": {"samples": 10000, "seed": True}},
+    # an empty edge-list item is not skipped
+    {"shape": "ndim-orthoscheme", "edges": "0.5,,0.4"},
+    {"shape": "ndim-orthoscheme", "edges": "0.5,0.4,"},
+    # keys the job does not read
+    {"shape": "sphere", "x": 1, "kk": 2},
+    {"shape": "milnor", "A": 60, "B": 60, "C": 60, "degress": True},
+    {"shape": "sphere", "x": 1, "mc": {"samples": 10000, "sede": 3}},
 ])
 def test_batch_malformed_field_exit_2_before_output(tmp_path, capsys, bad):
     code, out, err = run_batch(tmp_path, capsys, [{"shape": "sphere", "x": 1.0}, bad])
@@ -489,6 +499,9 @@ def test_asymptotic_cone_stays_finite_where_cosh_overflows(capsys):
     ["vol", "sphere", "--x", "1", "--k", "1e200"],
     ["vol", "ndim-orthoscheme", "--edges", "20,0.5,0.5"],
     ["mc", "sphere", "--x", "1", "--samples", "10000", "--seed", "-1"],
+    # an empty edge item, which was dropped: 0.5,,0.4 ran as the 2-D orthoscheme
+    ["vol", "ndim-orthoscheme", "--edges", "0.5,,0.4"],
+    ["vol", "ndim-orthoscheme", "--edges", "0.5,0.4,"],
 ])
 def test_leaked_python_errors_exit_2(capsys, argv):
     assert main(argv) == EXIT_INVALID

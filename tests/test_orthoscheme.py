@@ -4,7 +4,9 @@ The frozen edge-integral values were produced before the build with an
 independent adaptive quadrature (scipy QUADPACK at 1e-13 tolerances).
 """
 
+import copy
 import math
+import pickle
 import random
 
 import mpmath
@@ -113,12 +115,22 @@ def test_delta_approaches_alpha_for_long_first_edge():
 def test_not_realizable_angle_triples():
     with pytest.raises(NotRealizableError, match="real delta"):
         OrthoschemeAngles(0.3, 1.5, 0.3)
-    # dominated delta but no positive middle edge
-    with pytest.raises(NotRealizableError):
-        angles_to_edges(OrthoschemeAngles(0.3312, 1.0167, 0.3312, 0.30))
-    # domination violations are rejected at construction
-    with pytest.raises(NotRealizableError):
-        OrthoschemeAngles(0.3, 0.4, 0.9, 0.35)
+    # domination violations are rejected at construction: delta = 0.98 > alpha
+    with pytest.raises(NotRealizableError, match="dominated"):
+        OrthoschemeAngles(0.3, 0.4, 0.9)
+
+
+def test_delta_is_derived_not_supplied():
+    # a fourth angle was once taken as delta unchecked, and gave a wrong volume
+    for fn in (volume_angles, angles_to_edges):
+        with pytest.raises(DomainError, match="takes 3 values, got 4"):
+            fn((0.54, 1.1, 0.71, 0.1))
+    with pytest.raises(TypeError):
+        OrthoschemeAngles(0.54, 1.1, 0.71, 0.1)
+    assert volume_angles((0.54, 1.1, 0.71)) == pytest.approx(0.06119, abs=1e-5)
+    # a copy keeps the delta that edges_to_angles computed from the edges
+    ang = edges_to_angles((1.0, 0.8, 0.6))
+    assert copy.copy(ang) == ang and pickle.loads(pickle.dumps(ang)) == ang
 
 
 def test_flagship_angles_vs_edges():
@@ -131,7 +143,7 @@ def test_flagship_angles_vs_edges():
 
 def test_volume_angles_symmetry_and_degenerate_limit():
     ang = edges_to_angles((0.8, 1.1, 1.4))
-    swapped = OrthoschemeAngles(ang.gamma, ang.beta, ang.alpha, ang.delta)
+    swapped = OrthoschemeAngles(ang.gamma, ang.beta, ang.alpha)
     assert volume_angles(ang) == pytest.approx(volume_angles(swapped), abs=1e-14)
     # shrinking orthoschemes have vanishing volume
     tiny = edges_to_angles((1e-3, 1e-3, 1e-3))

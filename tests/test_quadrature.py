@@ -349,10 +349,11 @@ def test_scaled_multiplies_the_value_and_the_best_estimate_of_a_failure():
 
 def test_records_are_immutable_and_print_their_fields():
     tol, res = Tolerance(rel="1e-8"), IntegralResult(1.5, 0.25, 45)
-    ang = OrthoschemeAngles(0.54, 1.1, 0.71, 0.43)
+    ang = OrthoschemeAngles(0.54, 1.1, 0.71)
     assert repr(tol) == "Tolerance(rel=1e-08)"
     assert repr(res) == "IntegralResult(value=1.5, error_estimate=0.25, evaluations=45)"
-    assert repr(ang) == "OrthoschemeAngles(alpha=0.54, beta=1.1, gamma=0.71, delta=0.43)"
+    assert repr(ang) == ("OrthoschemeAngles(alpha=0.54, beta=1.1, gamma=0.71, "
+                         "delta=0.4393113996974949)")
     for record, field in ((tol, "rel"), (res, "value"), (ang, "delta")):
         with pytest.raises(AttributeError):
             setattr(record, field, 1.0)

@@ -228,9 +228,10 @@ def test_check_finite_walks_every_kind_of_returned_record(call):
 
 def test_samplers_refuse_a_seed_that_is_not_an_integer():
     # random.Random(None) would seed from OS entropy, against the determinism
-    # both promise; int() would truncate 0.3 to seed 0 and 2.5 to count 2
+    # both promise; int() would truncate 0.3 to seed 0 and 2.5 to count 2, and
+    # read True as 1
     for sample in (orthoscheme.sample_valid_angles, tetrahedra.sample_near_ideal):
-        for seed in (None, [1], "x", 0.3):
+        for seed in (None, [1], "x", 0.3, True):
             with pytest.raises(DomainError):
                 sample(2, seed)
         with pytest.raises(DomainError):

@@ -36,10 +36,11 @@ to the float-range limit, and ``mc_oracle.estimate`` on the five region
 builders at 10^5 samples (four chunks) with ``os.sched_getaffinity``
 patched to report 1, 2 and 3 CPUs, so that the strides of uneven worker
 counts are compared whatever the host's core count.  No CLI command
-reaches the chart integrals or most of these edge sets.  Two failure paths
+reaches the chart integrals or most of these edge sets.  Three failure paths
 of the nested quadrature are compared too: the message and best estimate of
 the ConvergenceError of ``volume_ndim`` at edges (3, 2, 1, 0.5), and the
-DomainError message of a Klein box that leaves the ball.
+DomainError messages of a Klein box that leaves the ball and of a
+half-space box whose outermost x_n does not stay positive.
 
 Exit status: 0 when every command agrees, every pinned rerun matches and
 every library result agrees, 1 otherwise, 2 when the new tree's shape
@@ -120,6 +121,13 @@ MALFORMED_JOBS = [
     {"shape": ["sphere"], "x": 1},
     {"shape": "ndim-orthoscheme", "edges": 5},
     {"shape": "sphere", "x": 1, "mc": False},
+    # JSON booleans, an empty edge item, and keys the job does not read
+    {"shape": "sphere", "x": True, "k": True},
+    {"shape": "sphere", "x": 1, "mc": {"samples": 10000, "seed": True}},
+    {"shape": "ndim-orthoscheme", "edges": "0.5,,0.4"},
+    {"shape": "sphere", "x": 1, "kk": 2},
+    {"shape": "orthoscheme-angles", "alpha": 30, "beta": 60, "gamma": 40, "degress": True},
+    {"shape": "sphere", "x": 1, "mc": {"samples": 10000, "sede": 3}},
 ]
 FORMATS = (["--format", "json"], ["--format", "csv"])
 MC_BATCHES = ("batch200", "mc-defaults")  # job files with mc jobs
@@ -201,6 +209,9 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
         ["vol", "triangle-2d", "--a", "800", "--b", "800"],
         ["vol", "sphere", "--x", "1", "--k", "1e200"],
         ["vol", "ndim-orthoscheme", "--edges", "20,0.5,0.5"],
+        # an empty edge item, once dropped (the 2-D orthoscheme 0.5, 0.4 ran)
+        ["vol", "ndim-orthoscheme", "--edges", "0.5,,0.4"],
+        ["vol", "ndim-orthoscheme", "--edges", "0.5,0.4,"],
         ["vol", "murakami-yano", *flags(NOT_A_TETRAHEDRON)],
         ["vol", "derevnin-mednykh", *flags(NOT_A_TETRAHEDRON)],
         ["mc", "sphere", "--x", "1", "--samples", "10000", "--seed", "-1"],
@@ -378,6 +389,12 @@ def print_library_results() -> None:
                                                         (2, -0.3, 0.3)], 3)))
     except DomainError as exc:
         print("klein DomainError", exc)
+    # a half-space box whose outermost x_n leaves the half-space
+    try:
+        print("halfspace", repr(coordinate_volume("halfspace", [(2, -0.5, 1.0), (0, 0.0, 1.0),
+                                                                (1, 0.0, 1.0)], 3)))
+    except DomainError as exc:
+        print("halfspace DomainError", exc)
     regions = (mc.region_simplex(mc.orthoscheme_vertices(1.0, 0.8, 0.6)), mc.region_ball(1.0),
                mc.region_barrel(1.0, 0.5), mc.region_cone(1.0, 0.7),
                mc.region_slab((0.6, 0.4), 0.7))
