@@ -103,7 +103,7 @@ def positive(name: str, v, limit: float = math.inf) -> float:
     v = number(name, v)
     if not (math.isfinite(v) and v > 0.0):
         raise DomainError(f"{name} must be finite and positive, got {v!r}")
-    return nonnegative(name, v, limit)
+    return _at_most(name, v, limit)
 
 
 def nonnegative(name: str, v, limit: float = math.inf) -> float:
@@ -111,6 +111,10 @@ def nonnegative(name: str, v, limit: float = math.inf) -> float:
     v = number(name, v)
     if not (math.isfinite(v) and v >= 0.0):
         raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
+    return _at_most(name, v, limit)
+
+
+def _at_most(name: str, v: float, limit: float) -> float:
     if v > limit:
         raise DomainError(
             f"{name} = {v!r} exceeds {limit!r}, beyond which the route leaves the float range"

@@ -23,10 +23,20 @@ Manifolds*), so a transform is two maps and the four charts need eight of
 them.  Points and distances are at curvature 1; ``density`` and
 ``coordinate_volume`` take the curvature constant k, which scales all
 lengths (k -> infinity recovers Euclidean behaviour).
+
+Each chart also has the exact integral of its density along one coordinate
+between two limits, the other coordinates fixed, and ``coordinate_volume``
+takes its innermost level from it.  The paracycle and half-space x_n and the
+orthogonal cosh^p integrate as sums of exponentials with positive weights,
+and so does the Klein density, which x = sqrt(K) tanh(rho) turns into
+cosh^{n-1}(rho).  The exponential and Fourier sums of sinh^{n-1}(r/k) and
+sin^i(phi) cancel where the integrand is small, next to r = 0 and phi = 0
+or pi, so there these take their Taylor series.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple, Sequence
 
@@ -91,91 +101,179 @@ def _ball_gap(X) -> float:
 
 
 # ---------------------------------------------------------------------------
-# density factories: (c, free, k) -> f, where f(x) is the density at the n =
-# len(c) coordinates c with c[free] replaced by x.  Work that depends on the
-# other coordinates alone runs once, in the factory: the paracycle and
-# half-space densities depend on x_n alone, so a fixed x_n is evaluated (and
-# checked) there.  c and k are unchecked but for the half-space and the ball,
+# densities, (c, k) -> the density at the point c, and their exact integrals
+# along one slot, (c, free, lo, hi, k) -> the integral over c[free] in [lo, hi]
+# with the other coordinates of c fixed, for lo < hi (c[free] is not read, and may
+# be overwritten).  c and k are unchecked but for the half-space and the ball,
 # whose formulas give a wrong finite value outside.
 # ---------------------------------------------------------------------------
 
-def _product(factors):
-    """x -> the product of ``factors`` taken left to right from 1.0, the one
-    callable among them, the free coordinate's factor, evaluated at x (the
-    constant product when there is none).  A free factor that nothing else
-    multiplies is returned as it is: 1.0 * g(x) is g(x)."""
-    before = 1.0
-    for at, g in enumerate(factors):
-        if callable(g):
-            break
-        before *= g
-    else:
-        return lambda x: before
-    after = factors[at + 1:]
-    if not after:
-        return g if at == 0 else lambda x: before * g(x)
-
-    def f(x):
-        d = before * g(x)
-        for v in after:
-            d *= v
-        return d
-
-    return f
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi
+# sinh^p and sin^p take their Taylor series where both limits lie within _SMALL of
+# 0 (sin^p of pi too): their exponential and Fourier sums lose at most a factor
+# coth^7(0.75) = 24 beyond it, and 16 terms reach 1e-17 within it at p <= 7
+_SMALL = 0.75
 
 
-def _density_paracycle(c, free, k):
-    m = -(len(c) - 1)
-
-    def f(x):
-        return math.exp(m * x / k)
-
-    return f if free == len(c) - 1 else _product([f(c[-1])])
+def _height(h):
+    if h <= 0.0:
+        raise DomainError(f"half-space coordinate x_n must be positive, got {h!r}")
+    return h
 
 
-def _density_halfspace(c, free, k):
+def _density_paracycle(c, k):
+    return math.exp(-(len(c) - 1) * c[-1] / k)
+
+
+def _integral_paracycle(c, free, lo, hi, k):
+    if free < len(c) - 1:
+        return (hi - lo) * _density_paracycle(c, k)
+    q = -(len(c) - 1) / k
+    return math.exp(q * lo) * math.expm1(q * (hi - lo)) / q
+
+
+def _density_halfspace(c, k):
+    return k / _height(c[-1]) ** len(c)
+
+
+def _integral_halfspace(c, free, lo, hi, k):
+    # k (lo^(1-n) - hi^(1-n)) / (n - 1), with hi / lo = 1 + w / lo
     n = len(c)
-
-    def f(h):
-        if h <= 0.0:
-            raise DomainError(f"half-space coordinate x_n must be positive, got {h!r}")
-        return k / h ** n
-
-    return f if free == n - 1 else _product([f(c[-1])])
+    if free < n - 1:
+        return (hi - lo) * _density_halfspace(c, k)
+    return k / (n - 1) * _height(lo) ** (1 - n) * -math.expm1((1 - n) * math.log1p((hi - lo) / lo))
 
 
-def _density_orthogonal(c, free, k):
+def _density_orthogonal(c, k):
     # prod_{i < n-1} cosh^{i+1}(c_i / k); slot n - 1 has no factor
-    p = free + 1
-    return _product([(lambda x: math.cosh(x / k) ** p) if i == free
-                     else math.cosh(c[i] / k) ** (i + 1) for i in range(len(c) - 1)])
+    return math.prod([math.cosh(v / k) ** (i + 1) for i, v in enumerate(c[:-1])])
 
 
-def _density_spherical(c, free, k):
+def _integral_orthogonal(c, free, lo, hi, k):
+    if free == len(c) - 1:
+        return (hi - lo) * _density_orthogonal(c, k)
+    c[free] = 0.0  # cosh 0 = 1: the density of the other slots
+    return k * _density_orthogonal(c, k) * _fourier(free + 1, 1, math.cosh, math.sinh,
+                                                    (lo + hi) / (2 * k), (hi - lo) / (2 * k))
+
+
+def _density_spherical(c, k):
     # k^{n-1} sinh^{n-1}(r/k) sin(phi_2) .. sin^{n-2}(phi_{n-1}); the azimuth phi_1
     # (slot 0) has no factor, r (slot n - 1) is the second, polar slot i the (i+2)-th
     n = len(c)
-    r = ((lambda x: math.sinh(x / k) ** (n - 1)) if free == n - 1
-         else math.sinh(c[n - 1] / k) ** (n - 1))
-    return _product([k ** (n - 1), r] + [(lambda x: math.sin(x) ** free) if i == free
-                                         else math.sin(c[i]) ** i for i in range(1, n - 1)])
+    return math.prod([k ** (n - 1), math.sinh(c[-1] / k) ** (n - 1),
+                      *(math.sin(v) ** i for i, v in enumerate(c[1:-1], 1))])
 
 
-def _density_klein(c, free, k):
-    # fsum is exact, so the squares of the other coordinates are computed once
-    # and the free one's is put in their place
-    e = -(len(c) + 1) / 2.0
-    squares = [(v / k) ** 2 for v in c]
-    fsum = math.fsum
+def _integral_spherical(c, free, lo, hi, k):
+    n = len(c)
+    if free == 0:
+        return (hi - lo) * _density_spherical(c, k)
+    if free < n - 1:
+        c[free] = math.pi / 2  # sin(pi/2) = 1: the density of the other slots
+        return _density_spherical(c, k) * _sine_power(free, -1, lo, hi - lo)
+    # r: k^{n-1} times the polar factors, and k from dr = k d(r/k)
+    return (k ** n * math.prod([math.sin(v) ** i for i, v in enumerate(c[1:-1], 1)])
+            * _sine_power(n - 1, 1, lo / k, (hi - lo) / k))
 
-    def f(x):
-        squares[free] = (x / k) ** 2
-        s = fsum(squares)
-        if s >= 1.0:
-            raise DomainError(_OUTSIDE_BALL)
-        return (1.0 - s) ** e
 
-    return f
+def _density_klein(c, k):
+    return _ball_gap([v / k for v in c]) ** (-(len(c) + 1) / 2.0)
+
+
+def _integral_klein(c, free, lo, hi, k):
+    # the density is k^{n+1} (K - x^2)^{-(n+1)/2}, K = k^2 - sum of the other x_i^2,
+    # and x = sqrt(K) tanh(rho) makes it k^{n+1} K^{-n/2} cosh^{n-1}(rho) in rho.  K and
+    # the gaps K - x^2 at the limits are sums of exact squares, so that they keep their
+    # relative accuracy near the sphere
+    n = len(c)
+    rest = _squares(c[:free] + c[free + 1:]) + [-s for s in _squares([k])]  # sums to -K
+    K, ga, gb = [-math.fsum(rest + _squares(x)) for x in ((), (lo,), (hi,))]
+    if ga <= 0.0 or gb <= 0.0:
+        raise DomainError(_OUTSIDE_BALL)
+    rk = math.sqrt(K)
+
+    def plus(x, g):
+        # sqrt(K) + x, through the gap g = K - x^2 where that cancels
+        return rk + x if x >= 0.0 else g / (rk - x)
+
+    # e^rho = (sqrt(K) + x) / sqrt(K - x^2); h is half the rho width, from
+    # e^{2 width} - 1 = 2 w sqrt(K) (sqrt(K) + hi) (sqrt(K) - lo) / (K - lo^2)(K - hi^2)
+    h = 0.25 * math.log1p(2.0 * (hi - lo) * rk * plus(hi, gb) * plus(-lo, ga) / (ga * gb))
+    s = math.log(plus(lo, ga) / math.sqrt(ga)) + h
+    return k * (k * k / K) ** (n / 2) * _fourier(n - 1, 1, math.cosh, math.sinh, s, h)
+
+
+def _squares(values):
+    """Three floats a value whose sum is the sum of their squares, exactly:
+    Dekker's split of v into halves a + b, v^2 = a^2 + 2ab + b^2."""
+    out = []
+    for v in values:
+        c = 134217729.0 * v
+        a = c - (c - v)
+        out += (a * a, 2.0 * a * (v - a), (v - a) ** 2)
+    return out
+
+
+def _fourier(p, sign, centre, half, s, h):
+    """The integral over [s - h, s + h] of ((e^t + sign e^-t) / 2)^p, expanded into
+    exponentials e^{qt}, q = p - 2j, of weight 2^-p C(p, j) sign^j, each integrated
+    as e^{qs} 2 sinh(qh) / q (2h for q = 0); the terms of q and -q are summed
+    together, so centre is cosh or sinh as sign^p is 1 or -1, and half is sinh.  With
+    sign -1, half sin and centre cos (p even) or sin (p odd) the same sum is
+    (-1)^{p // 2} times the integral of sin^p.  For cosh^p every term is positive."""
+    pairs, total = _pairs(p, sign)
+    total *= h
+    for q, coef in pairs:
+        total += coef * centre(q * s) * half(q * h) / q
+    return total
+
+
+@functools.cache
+def _pairs(p, sign):
+    """[(q, 2^{2-p} C(p, j) sign^j) for q = p - 2j > 0], and the weight of h (q = 0)."""
+    return ([(p - 2 * j, 4 * math.comb(p, j) * sign ** j / 2 ** p) for j in range((p + 1) // 2)],
+            0.0 if p % 2 else 2 * math.comb(p, p // 2) * sign ** (p // 2) / 2 ** p)
+
+
+def _sine_power(p, sign, a, w):
+    """The integral of sinh^p (sign 1) or sin^p (sign -1) over [a, a + w]: the
+    Taylor series next to 0 and, for sin^p, to pi, where the sums of _fourier
+    cancel to the size of the integrand; _fourier elsewhere."""
+    if sign < 0 and 2 * a + w > math.pi:  # sin(pi - x) = sin x
+        a = math.pi - a + _PI_LO - w
+    if max(-a, a + w) <= _SMALL:
+        return _near_zero(p, sign, a, w)
+    if sign > 0:
+        return _fourier(p, -1, (math.cosh, math.sinh)[p % 2], math.sinh, a + w / 2, w / 2)
+    return (-1) ** (p // 2) * _fourier(p, -1, (math.cos, math.sin)[p % 2], math.sin, a + w / 2,
+                                       w / 2)
+
+
+def _near_zero(p, sign, a, w):
+    """The integral over [a, a + w], |a|, |a + w| <= _SMALL, of the Taylor series
+    sum_m c_m t^m of sinh^p (sign 1) or sin^p (sign -1), term by term:
+    (b^q - a^q) / q = w D_q / q, with D_q = sum_{i<q} a^i b^{q-1-i} summed as
+    D_{q+1} = b D_q + a^q, whose terms have one sign where a and b do."""
+    b = a + w
+    d = aq = 1.0
+    total = 0.0
+    for coef in _taylor(p, sign):
+        total += coef * d
+        aq *= a
+        d = b * d + aq
+    return total * w
+
+
+@functools.cache
+def _taylor(p, sign):
+    """The coefficients of D_1 .. D_{p+32} in _near_zero: sinh^p t = sum_m c_m t^m
+    with c_m = 2^{-p} sum_j (-1)^j C(p, j) (p - 2j)^m / m!, which is 0 for m < p
+    and odd m - p, and the t^m term of sin^p is (-1)^{(m-p)/2} c_m; the
+    integral of t^{q-1} is (b - a) D_q / q.  Each is rounded once."""
+    return [sign ** ((q - 1 - p) // 2) * sum((-1) ** j * math.comb(p, j) * (p - 2 * j) ** (q - 1)
+                                             for j in range(p + 1)) / (2 ** p * math.factorial(q))
+            for q in range(1, p + 33)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +360,20 @@ def _klein_from_u(u):
 
 class _Chart(NamedTuple):
     density: Callable
+    integral: Callable
     to_u: Callable | None
     from_u: Callable | None
 
 
 _CHARTS = {
-    "paracycle": _Chart(_density_paracycle, _paracycle_to_u, _paracycle_from_u),
-    "halfspace": _Chart(_density_halfspace, None, None),
-    "orthogonal": _Chart(_density_orthogonal, _orthogonal_to_u, _orthogonal_from_u),
-    "spherical": _Chart(_density_spherical, _spherical_to_u, _spherical_from_u),
-    "klein": _Chart(_density_klein, _klein_to_u, _klein_from_u),
+    "paracycle": _Chart(_density_paracycle, _integral_paracycle, _paracycle_to_u,
+                        _paracycle_from_u),
+    "halfspace": _Chart(_density_halfspace, _integral_halfspace, None, None),
+    "orthogonal": _Chart(_density_orthogonal, _integral_orthogonal, _orthogonal_to_u,
+                         _orthogonal_from_u),
+    "spherical": _Chart(_density_spherical, _integral_spherical, _spherical_to_u,
+                        _spherical_from_u),
+    "klein": _Chart(_density_klein, _integral_klein, _klein_to_u, _klein_from_u),
 }
 COORDINATE_SYSTEMS = tuple(_CHARTS)
 
@@ -307,10 +409,9 @@ def density(system: str, p, *, k: float = 1.0) -> float:
     """Volume density of chart ``system`` at its point p (the table of the
     module docstring).  DomainError for an unknown chart, a point outside the
     chart (see transform), and a half-space point with x_n <= 0."""
-    factory = _chart(system).density
+    chart = _chart(system)
     k = positive("k", k)
-    c = _point(system, p)
-    return factory(c, len(c) - 1, k)(c[-1])
+    return chart.density(_point(system, p), k)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +472,17 @@ def coordinate_volume(
     n-1 is r); lo and hi may be numbers or callables of the outer
     integration variables, in listed order.  DomainError for an entry that
     is not such a triple and for axes that are not a permutation of 0..n-1.
+
+    The innermost level is the chart's exact integral of its density along
+    its slot (the chart integrals above), so ``integrate_region`` runs
+    quadrature on the outer n - 1 levels only, and the evaluation count is
+    theirs: each evaluation resolves the innermost limits at its point and
+    returns the closed form.  DomainError there for a bound that gives no
+    number and for limits that are not finite or have lo > hi.
     """
     k = positive("k", k)
     n = _check_dim(n)
-    factory = _chart(system).density
+    integral = _chart(system).integral
     bounds = sequence("bounds", bounds)
     if len(bounds) != n:
         raise DomainError(f"expected {n} bounds entries, got {len(bounds)}")
@@ -385,14 +493,32 @@ def coordinate_volume(
     axes = [number("axis", axis, int) for axis, _ in rows]
     if sorted(axes) != list(range(n)):
         raise DomainError(f"axes {axes} must be a permutation of 0..{n - 1}")
-    spec = [pair for _, pair in rows]
+    *spec, inner = [pair for _, pair in rows]
+    # a number bound as a constant function, checked once
+    lo_at, hi_at = [b if callable(b) else (lambda *_, v=number("integration bound", b): v)
+                    for b in inner]
     *outer_axes, free = axes
 
-    def integrand(*outer):
-        # the outer variables scattered into their slots; the innermost one's is free
+    def integrand(*fixed):
+        # the outer variables scattered into their slots; the last outer one's is set per point
         c = [0.0] * n
-        for ax, v in zip(outer_axes, outer):
+        for ax, v in zip(outer_axes, fixed):
             c[ax] = v
-        return factory(c, free, k)
+
+        def f(x):
+            c[outer_axes[-1]] = x
+            try:
+                lo, hi = float(lo_at(*fixed, x)), float(hi_at(*fixed, x))
+            except DomainError:
+                raise
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DomainError(f"a bound of integration variable {n} gave no number: "
+                                  f"{exc}") from exc
+            if not (lo <= hi and math.isfinite(hi - lo)):
+                raise DomainError(f"innermost limits must be finite with lo <= hi, got {lo!r} "
+                                  f"and {hi!r}")
+            return integral(c, free, lo, hi, k) if lo < hi else 0.0
+
+        return f
 
     return quadrature.integrate_region(integrand, spec, DEFAULT_TOL)

@@ -102,6 +102,20 @@ class OrthoschemeAngles(_AngleFields):
         # copies and pickles keep delta as it is, not derived anew
         return _angle_record, tuple(self)
 
+    @classmethod
+    def _make(cls, iterable):
+        """The record of three angles, as the constructor builds it."""
+        return cls(*sequence("orthoscheme angles", iterable, (3,)))
+
+    def _replace(self, **angles):
+        """This record with some of alpha, beta and gamma replaced, and delta
+        derived anew; DomainError for any other field, delta among them."""
+        new = [angles.pop(name, v) for name, v in zip(("alpha", "beta", "gamma"), self)]
+        if angles:
+            raise DomainError(f"only alpha, beta and gamma can be replaced (delta is "
+                              f"derived), got {sorted(angles)}")
+        return _angle_record(*new)
+
 
 def _angle_record(alpha, beta, gamma, delta: float | None = None) -> OrthoschemeAngles:
     """The record of alpha, beta, gamma, each checked to lie in (0, pi/2), and
@@ -130,9 +144,7 @@ def _as_edges(edges, limits: tuple[float, float, float]) -> tuple[float, float, 
 def _as_angles(angles: OrthoschemeAngles | tuple) -> OrthoschemeAngles:
     """angles as given when an OrthoschemeAngles, else built from
     (alpha, beta, gamma)."""
-    if isinstance(angles, OrthoschemeAngles):
-        return angles
-    return OrthoschemeAngles(*sequence("orthoscheme angles", angles, (3,)))
+    return angles if isinstance(angles, OrthoschemeAngles) else OrthoschemeAngles._make(angles)
 
 
 def _delta(alpha: float, beta: float, gamma: float) -> float:

@@ -133,6 +133,23 @@ def test_delta_is_derived_not_supplied():
     assert copy.copy(ang) == ang and pickle.loads(pickle.dumps(ang)) == ang
 
 
+def test_replace_and_make_check_like_the_constructor():
+    # both once built records unchecked: a replaced delta of 0.1 gave 0.015155991228848392
+    ang = OrthoschemeAngles(0.54, 1.1, 0.71)
+    with pytest.raises(DomainError, match="delta is derived"):
+        ang._replace(delta=0.1)
+    with pytest.raises(DomainError, match="takes 3 values, got 4"):
+        OrthoschemeAngles._make((0.54, 1.1, 0.71, 0.1))
+    assert OrthoschemeAngles._make([0.54, 1.1, 0.71]) == ang
+    assert volume_angles(ang._replace(beta=1.1)) == volume_angles(ang) == 0.0611946252401175
+    # a replaced angle derives delta anew and is checked
+    assert ang._replace(alpha=0.5) == OrthoschemeAngles(0.5, 1.1, 0.71)
+    with pytest.raises(NotRealizableError, match="dominated"):
+        OrthoschemeAngles(0.3, 0.4, 0.5)._replace(gamma=0.9)
+    with pytest.raises(DomainError):
+        ang._replace(beta=2.0)
+
+
 def test_flagship_angles_vs_edges():
     for ang in sample_valid_angles(5, seed=7):
         e = angles_to_edges(ang)

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypervol import (cli, mc_oracle, models, orthoscheme, quadrature, shapes, solids, specfun,
-                      tetrahedra)
+from hypervol import (cli, errors, mc_oracle, models, orthoscheme, quadrature, shapes, solids,
+                      specfun, tetrahedra)
 from hypervol.errors import DomainError, HypervolError
 from hypervol.shapes import SHAPES
 
@@ -237,6 +237,24 @@ def test_samplers_refuse_a_seed_that_is_not_an_integer():
         with pytest.raises(DomainError):
             sample(2.5, 1)
     assert len(orthoscheme.sample_valid_angles(2.0, 1.0)) == 2
+
+
+def test_positive_converts_its_argument_once():
+    # positive once converted through number twice, itself and in nonnegative
+    class Counted:
+        calls = 0
+
+        def __float__(self):
+            Counted.calls += 1
+            return 0.5
+
+    for check in (errors.positive, errors.nonnegative):
+        Counted.calls = 0
+        assert check("x", Counted()) == 0.5 and Counted.calls == 1
+    with pytest.raises(DomainError, match="x = 2.0 exceeds 1.0"):
+        errors.positive("x", 2.0, 1.0)
+    with pytest.raises(DomainError, match="x must be finite and positive, got 0.0"):
+        errors.positive("x", 0.0)
 
 
 def test_numeric_strings_convert_like_their_floats():

@@ -29,7 +29,10 @@ tree, and compares the ``repr`` of each result: ``coordinate_volume`` on
 every chart at three boxes (the orthogonal chart with callable bounds and
 permuted axes among them) and on the orthogonal and spherical charts at a
 fourth, so that every slot of their product densities is innermost in one
-box, ``volume_ndim`` at n = 2..5, ``area_right_triangle`` at two
+box; ``coordinate_volume`` at n = 2 and n = 5 on every chart with each slot
+innermost, a Klein box next to the sphere and a half-space box with x_n
+from 1e-3 (``slot_boxes``), where a ConvergenceError prints with its best
+estimate; ``volume_ndim`` at n = 2..5, ``area_right_triangle`` at two
 tolerances, ``volume_edges`` at edge sets with a long last edge or short
 edges, ``volume_one_ideal`` and ``volume_two_ideal`` from b = 1e-300
 to the float-range limit, and ``mc_oracle.estimate`` on the five region
@@ -54,6 +57,7 @@ import difflib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -132,6 +136,8 @@ MALFORMED_JOBS = [
 FORMATS = (["--format", "json"], ["--format", "csv"])
 MC_BATCHES = ("batch200", "mc-defaults")  # job files with mc jobs
 WORKERS = 2
+# the value of an IntegralResult repr
+VALUE = re.compile(r"value=([^,]+),")
 TIMEOUT_S = 120
 
 
@@ -333,6 +339,29 @@ def orthogonal_box(e: tuple, k: float) -> list:
             (1, 0.0, lambda x2, x0: k * math.atanh(r1 * math.sinh(x0 / k)))]
 
 
+def slot_boxes(n: int):
+    """(system, bounds) of a box at dimension n for every chart with each slot
+    innermost, the other slots outside it in slot order; at n = 2 the innermost
+    upper limit is a function of the outer variable, so that the outer level
+    refines.  Then a Klein box whose far corner is 2e-3 from the sphere in |X|^2
+    and a half-space box whose x_n starts at 1e-3."""
+    # narrow enough that at n = 5 a tree whose innermost level runs quadrature too
+    # mostly finishes each of its five levels in one panel, within the budget
+    ranges = {"paracycle": [(0.0, 0.6)] * (n - 1) + [(-0.2, 0.5)],
+              "halfspace": [(0.0, 0.6)] * (n - 1) + [(0.8, 1.2)],
+              "orthogonal": [(-0.3, 0.5)] * n,
+              "spherical": [(0.0, 2 * math.pi)] + [(0.6, 1.4)] * (n - 2) + [(0.0, 0.6)],
+              "klein": [(-0.2, 0.25)] * n}
+    for system, r in ranges.items():
+        for free in range(n):
+            lo, hi = r[free]
+            if n == 2:
+                hi = lambda x, lo=lo, hi=hi: lo + (hi - lo) / (1.0 + x * x)
+            yield system, [(ax, *r[ax]) for ax in range(n) if ax != free] + [(free, lo, hi)]
+    yield "klein", [(0, 0.6, 0.7), *((ax, 0.0, 0.01) for ax in range(1, n - 1)), (n - 1, 0.7, 0.712)]
+    yield "halfspace", [*((ax, 0.0, 0.5) for ax in range(n - 1)), (n - 1, 1e-3, 2e-3)]
+
+
 def print_library_results() -> None:
     """Print the repr of every library result of the third pass, one a line."""
     from hypervol import mc_oracle as mc
@@ -367,6 +396,13 @@ def print_library_results() -> None:
     for system, cases in boxes.items():
         for bounds, k in cases:
             print(system, k, repr(coordinate_volume(system, bounds, 3, k)))
+    for n in (2, 5):
+        for system, bounds in slot_boxes(n):
+            axes = [ax for ax, _, _ in bounds]
+            try:
+                print(system, n, axes, repr(coordinate_volume(system, bounds, n, 1.25)))
+            except ConvergenceError as exc:
+                print(system, n, axes, "ConvergenceError", exc, repr(exc.best))
     for edges in ((0.6, 0.5), (0.6, 0.5, 0.4), (0.4, 0.5, 0.3, 0.4), (0.3, 0.3, 0.3, 0.3, 0.3)):
         print("volume_ndim", edges, repr(volume_ndim(edges)))
     for tol in (Tolerance(rel=1e-6), Tolerance()):
@@ -498,6 +534,14 @@ def main(argv=None) -> int:
         print(f"DIFF library pass exit {lib_code_o} -> {lib_code_n}")
         for line in (lib_err_o + lib_err_n).splitlines()[-12:]:
             print(f"    {line[:200]}")
+    lib_changes = []
+    for o_line, n_line in lib_diffs:
+        o, n = VALUE.search(o_line or ""), VALUE.search(n_line or "")
+        if o and n and float(o[1]):
+            lib_changes.append((abs(float(n[1]) - float(o[1])) / abs(float(o[1])), n_line))
+    if lib_changes:
+        rel, line = max(lib_changes)
+        print(f"largest relative change of a differing library value: {rel:.3g}  ({line[:160]})")
     if changes:
         print("largest relative change per numeric field of the differing JSON records:")
         for (group, field), (rel, o, n) in sorted(changes.items()):
