@@ -21,9 +21,10 @@ order of a loop over the pairs, so its bits are that loop's.
 
 Nested integration (``integrate_region``) composes 1-D calls over one
 (lo, hi) pair per variable, where either limit may be a function of the
-outer variables; each inner level runs at a tenth of the tolerance of the
-level above it.  All levels draw on one evaluation budget, ``_BUDGET``
-evaluations, which is also the default budget of one 1-D integral.  The
+outer variables; every level runs at the caller's tolerance (inner values
+that each meet it move an integral of one sign by at most as much).  All
+levels draw on one evaluation budget, ``_BUDGET`` evaluations, which is
+also the default budget of one 1-D integral.  The
 integrand is curried: called with the outer variables, it returns the 1-D
 function of the innermost one, so that work which depends on the outer
 variables alone runs once per inner integral, not once per evaluation.
@@ -99,10 +100,6 @@ class Tolerance(_ToleranceFields):
         if not (1e-14 <= rel <= 1e-2):
             raise DomainError(f"rel tolerance {rel} outside [1e-14, 1e-2]")
         return super().__new__(cls, rel)
-
-    def tighter(self) -> "Tolerance":
-        """A tenth of this tolerance, for one nesting level further in (floored at 1e-14)."""
-        return Tolerance(rel=max(self.rel / 10.0, 1e-14))
 
 
 DEFAULT_TOL = Tolerance()
@@ -312,8 +309,8 @@ def integrate_region(
     integrand is curried: ``integrand(*outer)``, with the
     outer variables in the same order, returns the function of the innermost
     variable that one innermost 1-D integral integrates, and is called once
-    per such integral (with no arguments for a single variable).  Each inner
-    level runs at a tenth of the tolerance of its parent.
+    per such integral (with no arguments for a single variable).  Every
+    level runs at ``tol``.
 
     ``_BUDGET`` bounds the evaluations of all levels together: every 1-D call
     gets the budget that remains.  The count is that of the calls of the
@@ -329,22 +326,16 @@ def integrate_region(
         raise DomainError(f"bounds must be (lo, hi) pairs, got {bounds!r}") from exc
     if not pairs:
         raise DomainError("at least one integration variable required")
-    try:
-        tols = [tol]
-        for _ in pairs[1:]:
-            tols.append(tols[-1].tighter())
-    except AttributeError:
-        raise DomainError(f"tol must be a Tolerance, got {tol!r}") from None
     # each level's bounds resolved once per call: a number converted, a callable flagged
     levels = [(lo if callable(lo) else number("integration bound", lo), callable(lo),
-               hi if callable(hi) else number("integration bound", hi), callable(hi), t)
-              for (lo, hi), t in zip(pairs, tols)]
+               hi if callable(hi) else number("integration bound", hi), callable(hi))
+              for lo, hi in pairs]
     budget, evals = _BUDGET, 0
     last = len(levels) - 1
 
     def level(i, fixed):
         nonlocal evals
-        lo, lo_fn, hi, hi_fn, tol_i = levels[i]
+        lo, lo_fn, hi, hi_fn = levels[i]
         try:
             if lo_fn:
                 lo = float(lo(*fixed))
@@ -357,9 +348,9 @@ def integrate_region(
                               f"{exc}") from exc
         if i < last:
             return integrate_1d(lambda x: level(i + 1, fixed + (x,)).value,
-                                lo, hi, tol_i, budget - evals)
+                                lo, hi, tol, budget - evals)
         try:
-            res = integrate_1d(integrand(*fixed), lo, hi, tol_i, budget - evals)
+            res = integrate_1d(integrand(*fixed), lo, hi, tol, budget - evals)
         except ConvergenceError as exc:
             evals += exc.best.evaluations
             raise

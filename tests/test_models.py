@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -488,6 +489,39 @@ def test_coordinate_volume_klein_box():
     assert res.error_estimate < 1e-8
 
 
+def test_coordinate_volume_n5_spherical_box_within_the_budget():
+    # four quadrature levels that each take three panels: with every inner level at a
+    # tenth of its parent's tolerance (down to 1e-13) this box ran out of the 10^6
+    # evaluations; the exact value is the product of its one-slot integrals
+    k = mp.mpf(1.25)
+    with mp.workdps(30):
+        exact = 2 * mp.pi * k ** 4 * mp.quad(lambda r: mp.sinh(r / k) ** 4, [0, 1.2])
+        for p in (1, 2, 3):
+            exact *= mp.quad(lambda x: mp.sin(x) ** p, [0.2, 2.9])
+    bounds = [(1, 0.2, 2.9), (2, 0.2, 2.9), (3, 0.2, 2.9), (4, 0.0, 1.2), (0, 0.0, 2 * math.pi)]
+    res = coordinate_volume("spherical", bounds, 5, 1.25)
+    assert res.value == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+
+def test_coordinate_volume_klein_box_next_to_the_sphere():
+    # |X|^2 reaches 0.9998 at the far corner, where the density is 2.5e7 times its
+    # value at 0; the value is the one the tenth-per-level cascade gave
+    bounds = [(0, 0.0, 0.7), (1, 0.0, 0.7), (2, 0.0, 0.1407)]
+    res = coordinate_volume("klein", bounds, 3)
+    assert res.value == pytest.approx(0.3630073436773341, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("outermost", [True, False])
+def test_coordinate_volume_halfspace_box_from_near_the_boundary(outermost):
+    # the density x_3^-3 grows 10^9-fold from x_3 = 1 down to 1e-3, in an outer level
+    side = [(0, 0.0, 0.5), (1, 0.0, 0.5)]
+    xn = (2, 1e-3, 1.0)
+    bounds = [xn, *side] if outermost else [side[0], xn, side[1]]
+    exact = float(Fraction(1, 4) * (Fraction(1e-3) ** -2 - 1) / 2)
+    res = coordinate_volume("halfspace", bounds, 3)
+    assert res.value == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
 def _scatter_reference(system, bounds, n, k):
     """coordinate_volume as the plain nested integral of a density that
     scatters the level-order variables into their slots."""
@@ -648,12 +682,13 @@ def _nested_quad_boxes():
 
 
 @pytest.mark.parametrize("system, evaluations", [
-    ("paracycle", 225), ("halfspace", 225), ("orthogonal", 885), ("spherical", 225),
-    ("klein", 2025)])
+    ("paracycle", 225), ("halfspace", 225), ("orthogonal", 765), ("spherical", 225),
+    ("klein", 1605)])
 def test_coordinate_volume_evaluations_on_the_benchmark_boxes(system, evaluations):
     # only the outer two levels run quadrature: 15 x 15 evaluations where each
     # finishes in one panel; with the innermost level in quadrature too these took
-    # 3,375 (paracycle, spherical), 16,875, 13,275 and 37,905
+    # 3,375 (paracycle, spherical), 16,875, 13,275 and 37,905, and with the inner
+    # level at a tenth of the outer tolerance orthogonal took 885 and klein 2,025
     bounds, k = _nested_quad_boxes()[system]
     assert coordinate_volume(system, bounds, 3, k).evaluations == evaluations
 

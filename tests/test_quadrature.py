@@ -321,16 +321,18 @@ def test_integrate_1d_budget_below_one_panel_raises():
     assert exc.value.best == IntegralResult(0.0, math.inf, 0)
 
 
-def test_nested_tolerances_are_built_once_per_call(monkeypatch):
-    # each level runs at a tenth of the tolerance outside it: two tighter() calls
-    # for three levels, where one per inner integral made 15 + 15^2 of them
+def test_every_level_runs_at_the_callers_tolerance(monkeypatch):
+    # the caller's Tolerance object reaches every 1-D call: 1 + 15 + 15^2 of them
     seen = []
-    tighter = Tolerance.tighter
-    monkeypatch.setattr(Tolerance, "tighter", lambda self: seen.append(self) or tighter(self))
+    integrate = quadrature.integrate_1d
+    monkeypatch.setattr(quadrature, "integrate_1d",
+                        lambda f, lo, hi, tol, max_evals: seen.append(tol)
+                        or integrate(f, lo, hi, tol, max_evals))
     tol = Tolerance(rel=1e-8)
     f = lambda x, y: lambda z: x * y + z
     assert integrate_region(f, [(0.0, 1.0)] * 3, tol).evaluations == 3375
-    assert seen == [tol, tighter(tol)]
+    assert len(seen) == 1 + 15 + 15 ** 2
+    assert all(t is tol for t in seen)
 
 
 def test_scaled_multiplies_the_value_and_the_best_estimate_of_a_failure():

@@ -30,11 +30,16 @@ every chart at three boxes (the orthogonal chart with callable bounds and
 permuted axes among them) and on the orthogonal and spherical charts at a
 fourth, so that every slot of their product densities is innermost in one
 box; ``coordinate_volume`` at n = 2 and n = 5 on every chart with each slot
-innermost, a Klein box next to the sphere and a half-space box with x_n
-from 1e-3 (``slot_boxes``), where a ConvergenceError prints with its best
-estimate; ``volume_ndim`` at n = 2..5, ``area_right_triangle`` at two
-tolerances, ``volume_edges`` at edge sets with a long last edge or short
-edges, ``volume_one_ideal`` and ``volume_two_ideal`` from b = 1e-300
+innermost, a Klein box next to the sphere, a half-space box with x_n
+from 1e-3 and at n = 5 the spherical box [(1, 0.2, 2.9), (2, 0.2, 2.9),
+(3, 0.2, 2.9), (4, 0, 1.2), (0, 0, 2 pi)], whose four quadrature levels
+take three panels each (``slot_boxes``), where a ConvergenceError prints
+with its best estimate; ``volume_ndim`` at
+n = 2..5, ``area_right_triangle`` at two tolerances, ``volume_edges`` at
+edge sets with a long last edge or short edges and at the sets with a long
+first edge (11, 3, 0.5), (12, 0.5, 0.5), (15, 0.5, 0.5) and (12, 1, 14),
+where the first edge's small scale l ~ tanh b / sinh a is hard to resolve,
+``volume_one_ideal`` and ``volume_two_ideal`` from b = 1e-300
 to the float-range limit, and ``mc_oracle.estimate`` on the five region
 builders at 10^5 samples (four chunks) with ``os.sched_getaffinity``
 patched to report 1, 2 and 3 CPUs, so that the strides of uneven worker
@@ -136,8 +141,8 @@ MALFORMED_JOBS = [
 FORMATS = (["--format", "json"], ["--format", "csv"])
 MC_BATCHES = ("batch200", "mc-defaults")  # job files with mc jobs
 WORKERS = 2
-# the value of an IntegralResult repr
-VALUE = re.compile(r"value=([^,]+),")
+# the value of an IntegralResult repr, or a float that ends the line
+VALUE = re.compile(r"value=([^,]+),| (-?[0-9.]+(?:e[-+][0-9]+)?)$")
 TIMEOUT_S = 120
 
 
@@ -266,6 +271,8 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
         ["vol", "ideal-tetra-b", "--b", "710.4759"],
         ["vol", "orthoscheme-one-ideal", "--b", "100", "--c", "1"],
         ["vol", "orthoscheme-edges", "--a", "1", "--b", "360", "--c", "0.6"],
+        # a long first edge, where the edge integral was 1.1e-9 off with exit 0
+        ["vol", "orthoscheme-edges", "--a", "11", "--b", "3", "--c", "0.5"],
         ["convert", "edges-to-angles", "--a", "1e-7", "--b", "1e-7", "--c", "1e-7"],
         ["convert", "edges-to-angles", "--a", "1e-8", "--b", "1e-8", "--c", "1e-8"],
         # a long edge whose nested integral ran past any per-call budget (now exit 4),
@@ -344,7 +351,8 @@ def slot_boxes(n: int):
     innermost, the other slots outside it in slot order; at n = 2 the innermost
     upper limit is a function of the outer variable, so that the outer level
     refines.  Then a Klein box whose far corner is 2e-3 from the sphere in |X|^2
-    and a half-space box whose x_n starts at 1e-3."""
+    and a half-space box whose x_n starts at 1e-3; at n = 5 also a spherical box
+    whose four quadrature levels take three panels each."""
     # narrow enough that at n = 5 a tree whose innermost level runs quadrature too
     # mostly finishes each of its five levels in one panel, within the budget
     ranges = {"paracycle": [(0.0, 0.6)] * (n - 1) + [(-0.2, 0.5)],
@@ -360,6 +368,9 @@ def slot_boxes(n: int):
             yield system, [(ax, *r[ax]) for ax in range(n) if ax != free] + [(free, lo, hi)]
     yield "klein", [(0, 0.6, 0.7), *((ax, 0.0, 0.01) for ax in range(1, n - 1)), (n - 1, 0.7, 0.712)]
     yield "halfspace", [*((ax, 0.0, 0.5) for ax in range(n - 1)), (n - 1, 1e-3, 2e-3)]
+    if n == 5:
+        yield "spherical", [(1, 0.2, 2.9), (2, 0.2, 2.9), (3, 0.2, 2.9), (4, 0.0, 1.2),
+                            (0, 0.0, 2 * math.pi)]
 
 
 def print_library_results() -> None:
@@ -410,7 +421,9 @@ def print_library_results() -> None:
     # the log singularity just beyond the end of the edge integral (large c), and short edges
     for edges in ((1.0, 1.0, 19.0), (1.0, 1.0, 30.0), (0.3, 0.3, 12.0), (1.0, 30.0, 30.0),
                   (1e-8, 1.0, 1.0), (1.0, 1e-8, 1.0), (1.0, 1.0, 1e-8), (1e-8, 1e-8, 1e-8),
-                  (1e-3, 1e-3, 1e-3)):
+                  (1e-3, 1e-3, 1e-3),
+                  # a long first edge, and both end edges long
+                  (11.0, 3.0, 0.5), (12.0, 0.5, 0.5), (15.0, 0.5, 0.5), (12.0, 1.0, 14.0)):
         print("volume_edges", edges, repr(volume_edges(edges)))
     for b in (1e-300, 1.0, 360.0, 710.0, SINH_MAX):
         print("volume_one_ideal", b, repr(volume_one_ideal(b, 1.0)))
@@ -439,6 +452,12 @@ def print_library_results() -> None:
             for region in regions:
                 print("mc_oracle.estimate", region.name, cpus,
                       repr(mc.estimate(region, 100_000, 11)))
+
+
+def line_value(line: str | None) -> float | None:
+    """The value of a library result line: its IntegralResult's, or the float that ends it."""
+    m = VALUE.search(line or "")
+    return float(m[1] or m[2]) if m else None
 
 
 def uses_mc(argv: list[str]) -> bool:
@@ -536,9 +555,10 @@ def main(argv=None) -> int:
             print(f"    {line[:200]}")
     lib_changes = []
     for o_line, n_line in lib_diffs:
-        o, n = VALUE.search(o_line or ""), VALUE.search(n_line or "")
-        if o and n and float(o[1]):
-            lib_changes.append((abs(float(n[1]) - float(o[1])) / abs(float(o[1])), n_line))
+        o, n = line_value(o_line), line_value(n_line)
+        # a failure's best estimate is no returned value
+        if o and n is not None and "ConvergenceError" not in f"{o_line}{n_line}":
+            lib_changes.append((abs(n - o) / abs(o), n_line))
     if lib_changes:
         rel, line = max(lib_changes)
         print(f"largest relative change of a differing library value: {rel:.3g}  ({line[:160]})")
