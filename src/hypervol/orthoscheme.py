@@ -292,11 +292,11 @@ def volume_edges(edges, tol: Tolerance = DEFAULT_TOL) -> float:
     integrates the mirror (c, b, a), the same orthoscheme read from its other
     end: a first edge of about 11-18 makes r tiny, and T turns from l/r to 1
     within l ~ r of 0, a scale the panels miss (1.1e-9 off at (11, 3, 0.5),
-    3.3e-16 through the mirror).  DomainError for a or b above 710.4759,
-    where sinh leaves the float range, and where the value does (at
-    b = 5e-324, sinh b - tanh c sinh l underflows to 0).
+    3.3e-16 through the mirror).  DomainError for b above 710.4759, or a and
+    c both above it, where sinh leaves the float range, and where the value
+    does (at b = 5e-324, sinh b - tanh c sinh l underflows to 0).
     """
-    a, b, c = _as_edges(edges, (SINH_MAX, SINH_MAX, math.inf))
+    a, b, c = _as_edges(edges, (math.inf, SINH_MAX, math.inf))
     if a > c:
         a, c = c, a
     # tanh b / sinh a leaves the float range only for a subnormal a, where the volume underflows

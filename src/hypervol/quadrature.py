@@ -17,7 +17,9 @@ So a route that knows where its singularity sits removes it analytically
 panel is straight-line code over its seven node pairs, because most inner
 integrals of nested quadrature finish in one panel, where the interpreter's
 work per node outweighs the integrand's; its sums run left to right in the
-order of a loop over the pairs, so its bits are that loop's.
+order of a loop over the pairs, so its bits are that loop's.  It checks its
+values for finiteness once, through the sum of w |f|, which is non-finite
+whenever one of them is, and still names the first non-finite node.
 
 Nested integration (``integrate_region``) composes 1-D calls over one
 (lo, hi) pair per variable, where either limit may be a function of the
@@ -115,12 +117,16 @@ class IntegralResult(NamedTuple):
 _UNKNOWN = IntegralResult(0.0, math.inf, 0)
 
 
-def _non_finite_pair(f1, f2, x1, x2):
-    """DomainError at the first of x1, x2 whose value f1, f2 is not finite;
-    nothing when both are finite (their sum overflowed)."""
-    for v, x in ((f1, x1), (f2, x2)):
+def _first_non_finite(c, h, values):
+    """DomainError at the first non-finite of a panel's 15 values, if any, in
+    evaluation order: the centre c, then c -/+ h x_j from the outermost pair in."""
+    if not math.isfinite(values[0]):
+        raise DomainError(f"integrand returned {values[0]!r} at x={c!r}")
+    for i, v in enumerate(values[1:]):
         if not math.isfinite(v):
-            raise DomainError(f"integrand returned a non-finite value at x={x!r}")
+            x = h * _XGK[i // 2]
+            raise DomainError("integrand returned a non-finite value at "
+                              f"x={(c + x if i % 2 else c - x)!r}")
 
 
 def _gk15(f, a, b):
@@ -129,44 +135,35 @@ def _gk15(f, a, b):
     Returns (kronrod value, error estimate, resabs).  Raises DomainError if
     the integrand produces a non-finite value, or the panel's value or
     resabs leaves the float range.  The centre is evaluated first, then the
-    node pairs c -/+ h x_j from the outermost in; each pair is checked before
-    the next is evaluated, so the first non-finite node is the one reported.
+    node pairs c -/+ h x_j from the outermost in; the values are checked once,
+    through resabs, and only a failed check walks them in that order, so the
+    first non-finite node is the one reported.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
 
     fc = f(c)
-    if not math.isfinite(fc):
-        raise DomainError(f"integrand returned {fc!r} at x={c!r}")
-    # a finite sum of a pair means two finite values
     x = h * _X0
     f01, f02 = f(c - x), f(c + x)
-    if not math.isfinite(s0 := f01 + f02):
-        _non_finite_pair(f01, f02, c - x, c + x)
+    s0 = f01 + f02
     x = h * _X1
     f11, f12 = f(c - x), f(c + x)
-    if not math.isfinite(s1 := f11 + f12):
-        _non_finite_pair(f11, f12, c - x, c + x)
+    s1 = f11 + f12
     x = h * _X2
     f21, f22 = f(c - x), f(c + x)
-    if not math.isfinite(s2 := f21 + f22):
-        _non_finite_pair(f21, f22, c - x, c + x)
+    s2 = f21 + f22
     x = h * _X3
     f31, f32 = f(c - x), f(c + x)
-    if not math.isfinite(s3 := f31 + f32):
-        _non_finite_pair(f31, f32, c - x, c + x)
+    s3 = f31 + f32
     x = h * _X4
     f41, f42 = f(c - x), f(c + x)
-    if not math.isfinite(s4 := f41 + f42):
-        _non_finite_pair(f41, f42, c - x, c + x)
+    s4 = f41 + f42
     x = h * _X5
     f51, f52 = f(c - x), f(c + x)
-    if not math.isfinite(s5 := f51 + f52):
-        _non_finite_pair(f51, f52, c - x, c + x)
+    s5 = f51 + f52
     x = h * _X6
     f61, f62 = f(c - x), f(c + x)
-    if not math.isfinite(s6 := f61 + f62):
-        _non_finite_pair(f61, f62, c - x, c + x)
+    s6 = f61 + f62
 
     # sums from the centre outward, left to right
     resk = (_W7 * fc + _W0 * s0 + _W1 * s1 + _W2 * s2 + _W3 * s3 + _W4 * s4 + _W5 * s5
@@ -191,6 +188,8 @@ def _gk15(f, a, b):
 
     value = resk * h
     if not (math.isfinite(value) and math.isfinite(resabs)):
+        _first_non_finite(c, h, (fc, f01, f02, f11, f12, f21, f22, f31, f32, f41, f42,
+                                 f51, f52, f61, f62))
         raise DomainError(f"the integral over [{a!r}, {b!r}] leaves the float range")
     err = abs((resk - resg) * h)
     if resasc != 0.0 and err != 0.0:

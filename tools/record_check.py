@@ -39,8 +39,13 @@ n = 2..5, ``area_right_triangle`` at two tolerances, ``volume_edges`` at
 edge sets with a long last edge or short edges and at the sets with a long
 first edge (11, 3, 0.5), (12, 0.5, 0.5), (15, 0.5, 0.5) and (12, 1, 14),
 where the first edge's small scale l ~ tanh b / sinh a is hard to resolve,
+and at (800, 1, 1), a first edge past sinh's float range, ``volume_angles``
+at a small orthoscheme whose Lobachevsky terms cancel to a volume of 1.8e-9,
 ``volume_one_ideal`` and ``volume_two_ideal`` from b = 1e-300
-to the float-range limit, and ``mc_oracle.estimate`` on the five region
+to the float-range limit, the DomainError messages of ``integrate_1d`` on
+integrands that are NaN at a GK15 panel's centre, at one node pair and at
+two, and whose finite values sum past the float range, which no CLI command
+reaches, and ``mc_oracle.estimate`` on the five region
 builders at 10^5 samples (four chunks) with ``os.sched_getaffinity``
 patched to report 1, 2 and 3 CPUs, so that the strides of uneven worker
 counts are compared whatever the host's core count.  No CLI command
@@ -273,6 +278,10 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
         ["vol", "orthoscheme-edges", "--a", "1", "--b", "360", "--c", "0.6"],
         # a long first edge, where the edge integral was 1.1e-9 off with exit 0
         ["vol", "orthoscheme-edges", "--a", "11", "--b", "3", "--c", "0.5"],
+        # a first edge past sinh's float range, whose mirror (c, b, a) is in range (refused
+        # before), and both end edges past it (refused)
+        ["vol", "orthoscheme-edges", "--a", "800", "--b", "1", "--c", "1"],
+        ["vol", "orthoscheme-edges", "--a", "800", "--b", "1", "--c", "900"],
         ["convert", "edges-to-angles", "--a", "1e-7", "--b", "1e-7", "--c", "1e-7"],
         ["convert", "edges-to-angles", "--a", "1e-8", "--b", "1e-8", "--c", "1e-8"],
         # a long edge whose nested integral ran past any per-call budget (now exit 4),
@@ -378,9 +387,9 @@ def print_library_results() -> None:
     from hypervol import mc_oracle as mc
     from hypervol.errors import SINH_MAX, ConvergenceError, DomainError
     from hypervol.models import coordinate_volume
-    from hypervol.orthoscheme import (area_right_triangle, volume_edges, volume_ndim,
-                                      volume_one_ideal, volume_two_ideal)
-    from hypervol.quadrature import Tolerance
+    from hypervol.orthoscheme import (area_right_triangle, volume_angles, volume_edges,
+                                      volume_ndim, volume_one_ideal, volume_two_ideal)
+    from hypervol.quadrature import Tolerance, integrate_1d
 
     boxes = {
         "paracycle": [([(0, 0.0, 0.8), (1, 0.0, 1.1), (2, 0.0, 0.9)], 1.0),
@@ -425,6 +434,25 @@ def print_library_results() -> None:
                   # a long first edge, and both end edges long
                   (11.0, 3.0, 0.5), (12.0, 0.5, 0.5), (15.0, 0.5, 0.5), (12.0, 1.0, 14.0)):
         print("volume_edges", edges, repr(volume_edges(edges)))
+    # a first edge past sinh's float range, whose mirror (1, 1, 800) is in range
+    try:
+        print("volume_edges", (800.0, 1.0, 1.0), repr(volume_edges((800.0, 1.0, 1.0))))
+    except DomainError as exc:
+        print("volume_edges DomainError", exc)
+    # a small orthoscheme, where the Lobachevsky terms cancel to a volume of 1.8e-9
+    print("volume_angles", repr(volume_angles((0.9523280858329219, 1.0862960938896389,
+                                               0.6085201856818294))))
+    # a GK15 panel's messages: NaN at the centre, at one node of a pair, at nodes of two
+    # pairs (the earlier in evaluation order is named), and finite values whose sum overflows
+    for bad in ((0.5,), (0.9324322116798845,), (0.06756778832011545, 0.7029225756886985)):
+        try:
+            integrate_1d(lambda x: math.nan if x in bad else 1.0, 0.0, 1.0)
+        except DomainError as exc:
+            print("integrate_1d DomainError", bad, exc)
+    try:
+        integrate_1d(lambda x: 1e308, 0.0, 4.0)
+    except DomainError as exc:
+        print("integrate_1d DomainError", exc)
     for b in (1e-300, 1.0, 360.0, 710.0, SINH_MAX):
         print("volume_one_ideal", b, repr(volume_one_ideal(b, 1.0)))
         print("volume_two_ideal", b, repr(volume_two_ideal(b)))
