@@ -461,21 +461,17 @@ def right_triangle_angles(a: float, b: float) -> tuple[float, float]:
 def area_right_triangle(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Area of the right triangle with legs a, b by the nested integral
 
-    int_0^a int_0^{phi(x)} cosh y dy dx,  tanh phi(x) = (tanh b / sinh a) sinh x.
+    int_0^a int_0^{phi(x)} cosh y dy dx,  tanh phi(x) = (tanh b / sinh a) sinh x,
 
-    Equals the angle defect pi/2 - alpha - beta of the same triangle.
-    DomainError for a above 710.4759, where sinh a leaves the float range,
-    and when a bound argument reaches 1 (see volume_ndim).
+    which is ``volume_ndim((b, a), tol)``: its inner level is taken in closed
+    form, and the outer one runs along the longer leg.  Equals the angle
+    defect pi/2 - alpha - beta of the same triangle.  DomainError for a leg
+    above 710.4759, where sinh leaves the float range, and for both legs
+    above 19.0615 (see volume_ndim).
     """
     a = positive("leg a", a, SINH_MAX)
-    b = positive("leg b", b)
-    ratio = math.tanh(b) / math.sinh(a)
-
-    def bound(x: float) -> float:
-        return _atanh_bound(ratio * math.sinh(x))
-
-    res = quadrature.integrate_region(lambda x: math.cosh, [(0.0, a), (0.0, bound)], tol)
-    return res.value
+    b = positive("leg b", b, SINH_MAX)
+    return volume_ndim((b, a), tol)
 
 
 def _cosh_power_integral(m: int):
@@ -508,7 +504,8 @@ def volume_ndim(edges, tol: Tolerance = Tolerance(rel=1e-9)) -> float:
     nested quadrature.
 
     The build path visits the edges in the order a_n, a_1, a_2, ...; for
-    n = 3 the edges (a_1, a_2, a_3) = (b, c, a) match the 3-D path (a, b, c).
+    n = 3 the edges (a_1, a_2, a_3) = (b, c, a) match the 3-D path (a, b, c),
+    and for n = 2 the edges (b, a) are the right triangle with legs a, b.
 
     Integration order is x_n (outer, over [0, a_n]) then x_1 .. x_{n-1},
     each bounded by tanh(phi_{k+1}) = (tanh a_{k+1} / sinh a_k) sinh x_k
@@ -518,13 +515,21 @@ def volume_ndim(edges, tol: Tolerance = Tolerance(rel=1e-9)) -> float:
     int cosh^m = cosh^{m-1} sinh / m + (m-1)/m int cosh^{m-2}, so only n - 1
     levels are integrated numerically (one 1-D integral for n = 2).
 
-    Supported for 2 <= n <= 5; for n = 3 this reproduces volume_edges, for
-    n = 2 area_right_triangle.
+    When the path's last edge a_{n-1} is longer than its first a_n, the
+    reversed path (a_{n-2}, .., a_1, a_n, a_{n-1}) is integrated: the same
+    orthoscheme built from its other end.  So the longer end edge is the
+    outer x_n, whose tanh is never taken; read as a bound's tanh a, an edge
+    of about 12 or more loses 1 - tanh a in floats (at rel 1e-10 the triangle
+    with legs (0.2, 17) is 1.4e-9 off read from its short leg, 1.9e-16
+    through the mirror).
+
+    Supported for 2 <= n <= 5; for n = 3 this reproduces volume_edges.
 
     DomainError for an edge above 710.4759, where sinh leaves the float
-    range; for an edge a_1 .. a_{n-1} above 19.0615 (curvature 1), where
-    tanh a rounds to 1 and the bounds atanh(u), u = ratio * sinh x, blow up
-    at the end of their range; and whenever rounding makes such a u reach 1.
+    range; for a middle edge a_1 .. a_{n-2}, or both end edges, above
+    19.0615 (curvature 1), where tanh a rounds to 1 and the bounds atanh(u),
+    u = ratio * sinh x, blow up at the end of their range; and whenever
+    rounding makes such a u reach 1.
     """
     a = tuple(positive("edge", v, SINH_MAX) for v in sequence("edges", edges))
     n = len(a)
@@ -532,10 +537,12 @@ def volume_ndim(edges, tol: Tolerance = Tolerance(rel=1e-9)) -> float:
         raise DomainError("an orthoscheme needs at least 2 edges")
     if n > 5:
         raise UnsupportedDimensionError(f"volume_ndim supports 2 <= n <= 5, got {n}")
+    if a[-2] > a[-1]:  # the same orthoscheme read from the other end of its path
+        a = (*a[-3::-1], a[-1], a[-2])
     if any(math.tanh(v) == 1.0 for v in a[:-1]):
         raise DomainError(f"edges {a[:-1]} include one whose tanh rounds to 1 (above 19.0615)")
-    ratios = [math.tanh(a[0]) / math.sinh(a[n - 1])]
-    ratios += [math.tanh(a[i + 1]) / math.sinh(a[i]) for i in range(n - 2)]
+    # tanh a_{k+1} / sinh a_k along the path a_n, a_1, .., a_{n-1}
+    ratios = [math.tanh(a[i + 1]) / math.sinh(a[i]) for i in range(-1, n - 2)]
 
     def bound(i):
         return lambda *vals: _atanh_bound(ratios[i] * math.sinh(vals[-1]))

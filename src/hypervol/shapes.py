@@ -141,7 +141,9 @@ SHAPES: dict[str, Shape] = {
     "mohanty": Shape({"A": "R", "B": "R", "E": "R"}, 3, "lobachevsky-series",
                      lambda A, B, E, tol: hypervol.tetrahedra.mohanty_octahedron(A, B, E)),
     "triangle-2d": Shape({"a": "L", "b": "L"}, 2, "nested-quadrature",
-                         lambda a, b, tol: hypervol.orthoscheme.area_right_triangle(a, b, tol)),
+                         lambda a, b, tol: hypervol.orthoscheme.area_right_triangle(a, b, tol),
+                         routes={"nested": None, "defect": lambda a, b, tol: math.pi / 2 - sum(
+                             hypervol.orthoscheme.right_triangle_angles(a, b))}),
 }
 
 MC_SHAPES = tuple(name for name, s in SHAPES.items() if s.mc_region is not None)

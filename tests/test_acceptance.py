@@ -178,7 +178,8 @@ def test_criterion_10_dimension_coherence():
     for (a, b, c) in [(1.0, 1.0, 1.0), (0.5, 1.0, 1.5)]:
         worst = max(worst, abs(volume_ndim((b, c, a)) - volume_edges((a, b, c))))
     for (a, b) in [(1.0, 1.0), (0.7, 1.4)]:
-        worst = max(worst, abs(volume_ndim((b, a)) - area_right_triangle(a, b)))
+        alpha, beta = right_triangle_angles(a, b)
+        worst = max(worst, abs(volume_ndim((b, a)) - (math.pi / 2 - alpha - beta)))
     _report(10, "n-dimensional integral coherence", worst <= 1e-8,
             f"worst |delta| {worst:.2e}")
 

@@ -258,6 +258,49 @@ def test_area_right_triangle_limits():
     assert math.pi / 2 - big < 0.01
 
 
+def test_triangle_table_routes_agree():
+    # the angle defect cancels at tiny legs (area about ab/2), so the legs stay in [0.2, 2]
+    routes = shapes.SHAPES["triangle-2d"].routes
+    assert list(routes) == ["nested", "defect"]
+    rng = random.Random(2)
+    tol = Tolerance(rel=1e-10)
+    for _ in range(30):
+        a, b = rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0)
+        nested, defect = (route(a, b, tol=tol) for route in routes.values())
+        assert nested == pytest.approx(defect, rel=1e-13, abs=0.0)
+
+
+def _mp_defect(a, b):
+    """pi/2 - alpha - beta of the right triangle with legs a, b, at 40 digits."""
+    with mpmath.workdps(40):
+        am, bm = mpmath.mpf(a), mpmath.mpf(b)
+        return float(mpmath.pi / 2 - mpmath.atan(mpmath.tanh(am) / mpmath.sinh(bm))
+                     - mpmath.atan(mpmath.tanh(bm) / mpmath.sinh(am)))
+
+
+@pytest.mark.parametrize("a, b", [(0.2, 17.0), (1.0, 25.0), (2.0, 700.0)])
+def test_area_right_triangle_with_a_long_leg_matches_the_defect(a, b):
+    # the long leg b entered the bound as tanh b, whose 1 - tanh b is lost in floats:
+    # (0.2, 17) ran out of evaluations and (1, 25) was refused.  The outer level now
+    # runs along the longer leg, whose tanh is never taken
+    v = area_right_triangle(a, b, Tolerance(rel=1e-10))
+    assert v == pytest.approx(_mp_defect(a, b), rel=1e-14, abs=0.0)
+
+
+def test_ndim_triangle_with_a_long_first_built_edge_matches_the_defect():
+    # edges (17, 0.2) are the triangle with legs (0.2, 17); read from the short leg it
+    # returned 1.4e-9 off while asked for 1e-10
+    v = volume_ndim((17.0, 0.2), Tolerance(rel=1e-10))
+    assert v == pytest.approx(_mp_defect(0.2, 17.0), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="both legs are long, so the bound's ratio carries "
+                   "the shorter leg's tanh, whose 1 - tanh is lost in floats: 3.7e-8 off")
+def test_area_right_triangle_with_both_legs_long_matches_the_defect():
+    v = area_right_triangle(18.0, 18.0, Tolerance(rel=1e-10))
+    assert v == pytest.approx(_mp_defect(18.0, 18.0), rel=1e-13, abs=0.0)
+
+
 def test_lemma_angle():
     # the angle atan(tanh t / sinh s) opposite leg t of the right triangle with legs t, s
     assert right_triangle_angles(1.0, 1.0) == pytest.approx((0.575006182578411853,) * 2,
@@ -277,9 +320,17 @@ def test_ndim_matches_3d_edge_integral():
 
 
 def test_ndim_matches_2d_area():
+    # edges (b, a) are the right triangle with legs a, b, whose area is its angle defect
     for (a, b) in [(1.0, 1.0), (0.7, 1.4)]:
-        v2 = volume_ndim((b, a))
-        assert v2 == pytest.approx(area_right_triangle(a, b), abs=1e-8)
+        alpha, beta = right_triangle_angles(a, b)
+        assert volume_ndim((b, a)) == pytest.approx(math.pi / 2 - alpha - beta, abs=1e-8)
+
+
+def test_ndim_with_a_long_last_edge_matches_volume_edges():
+    # the path (0.5, 0.5, 15) ends in its long edge, which entered a bound as tanh 15 and
+    # exhausted the evaluation budget; it is now the outer variable
+    v = volume_ndim((0.5, 15.0, 0.5), Tolerance(rel=1e-10))
+    assert v == pytest.approx(volume_edges((0.5, 0.5, 15.0)), rel=1e-14, abs=0.0)
 
 
 def test_ndim_euclidean_limits():
@@ -330,17 +381,20 @@ def test_sampler_is_deterministic_and_valid():
         angles_to_edges(ang)  # must not raise
 
 
-def _tensor_gauss_legendre(edges, m=24):
+def _tensor_gauss_legendre(edges, m=24, panels=1):
     """n-orthoscheme volume by an m-point Gauss-Legendre rule on every level
-    (bounds and density as in volume_ndim, no closed-form level); the outer
-    level is a Python loop so each step holds m^(n-1) points."""
+    (bounds and density as in volume_ndim, no closed-form level, and no
+    choice of path end), the outer one on each of ``panels`` equal parts of
+    [0, a_n]; the outer level is a Python loop so each step holds m^(n-1)
+    points."""
     t, w = np.polynomial.legendre.leggauss(m)
     t, w = (t + 1.0) / 2.0, w / 2.0
     n = len(edges)
     ratios = [math.tanh(edges[0]) / math.sinh(edges[-1])]
     ratios += [math.tanh(edges[i + 1]) / math.sinh(edges[i]) for i in range(n - 2)]
+    h = edges[-1] / panels
     total = 0.0
-    for x_out, w_out in zip(edges[-1] * t, edges[-1] * w):
+    for x_out, w_out in zip((np.arange(panels)[:, None] + t).ravel() * h, np.tile(w, panels) * h):
         x, weight = np.array(x_out), np.array(w_out)
         for i in range(n - 1):
             top = np.arctanh(ratios[i] * np.sinh(x))[..., None]
@@ -358,6 +412,18 @@ def _tensor_gauss_legendre(edges, m=24):
 def test_ndim_matches_tensor_gauss_legendre(edges):
     v = volume_ndim(edges, Tolerance(rel=1e-13))
     assert v == pytest.approx(_tensor_gauss_legendre(edges), rel=1e-12)
+
+
+def test_ndim_with_a_long_last_edge_at_n4_matches_tensor_gauss_legendre():
+    # the path (0.5, 0.5, 0.5, 12) ends in its long edge, whose bound blew up into the
+    # closed-form innermost level and exhausted the evaluation budget.  The reference
+    # runs the reversed path, whose outer level is split into panels: one 80-point
+    # panel over [0, 12] scatters by 1e-13 with m
+    rev = (0.5, 0.5, 0.5, 12.0)
+    refs = [_tensor_gauss_legendre(rev, m, panels) for m, panels in ((24, 24), (30, 12))]
+    assert refs[0] == pytest.approx(refs[1], rel=1e-14, abs=0.0)
+    v = volume_ndim((0.5, 0.5, 12.0, 0.5), Tolerance(rel=1e-10))
+    assert v == pytest.approx(refs[1], rel=1e-13, abs=0.0)
 
 
 def test_ndim_euclidean_limit_n5():
@@ -392,7 +458,10 @@ def _flat_ndim(edges):
     (4.0, 0.5, 0.4),  # the bound argument reaches tanh 4 = 1 - 6.7e-4
 ])
 def test_ndim_equals_its_flat_integrand_bit_for_bit(edges):
-    assert repr(volume_ndim(edges)) == repr(_flat_ndim(edges))
+    # volume_ndim integrates the reversed path (e_{n-2}, .., e_1, e_n, e_{n-1}) when the
+    # path's last edge e_{n-1} is longer than its first e_n
+    path = (*edges[-3::-1], edges[-1], edges[-2]) if edges[-2] > edges[-1] else edges
+    assert repr(volume_ndim(edges)) == repr(_flat_ndim(path))
 
 
 def _coxeter_edges(p):
@@ -426,11 +495,14 @@ def test_ndim_coxeter_orthoschemes_match_their_exact_volumes(p, exact):
 ], ids=["n3", "n4"])
 def test_ndim_path_reversal(n, lo, hi, reverse):
     # the same orthoscheme built from the other end of its path, which takes a
-    # different numerical path through the nested integral
+    # different numerical path through the nested integral.  volume_ndim itself
+    # integrates the order whose path starts with the longer end edge, so both orders
+    # run through _flat_ndim, the same nested integral without that choice
     rng = random.Random(n)
     for _ in range(12):
         edges = tuple(rng.uniform(lo, hi) for _ in range(n))
-        assert volume_ndim(reverse(edges)) == pytest.approx(volume_ndim(edges), rel=1e-13, abs=0.0)
+        assert volume_ndim(reverse(edges)) == volume_ndim(edges)
+        assert _flat_ndim(reverse(edges)) == pytest.approx(_flat_ndim(edges), rel=1e-13, abs=0.0)
 
 
 def _loop_cosh_power_integral(m, u):
@@ -459,12 +531,13 @@ def test_cosh_power_integral_matches_mpmath(m):
 
 
 @pytest.mark.parametrize("edges", [
-    (20.0, 0.5, 0.5), (20.0, 0.5), (25.0, 0.5, 0.5, 0.5), (0.5, 20.0, 0.5, 0.5),
+    (20.0, 0.5, 0.5), (20.0, 25.0), (25.0, 0.5, 0.5, 0.5), (0.5, 20.0, 0.5, 0.5),
 ])
 def test_ndim_saturated_edge_raises_domain_error(edges):
-    # tanh rounds to 1: a bound argument reaches 1 (math.atanh's ValueError before),
-    # or the bound's blow-up at the end of its range is not resolved (a silent 2e-22
-    # for the 25-edge, minutes of quadrature for the middle 20-edge)
+    # a middle edge, or both end edges, whose tanh rounds to 1: a bound argument reaches
+    # 1 (math.atanh's ValueError before), or the bound's blow-up at the end of its range
+    # is not resolved (a silent 2e-22 for the 25-edge, minutes of quadrature for the
+    # middle 20-edge).  One long end edge is the outer variable, read from that end
     with pytest.raises(DomainError):
         volume_ndim(edges)
 

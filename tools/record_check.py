@@ -10,7 +10,9 @@ reports every command whose stdout, stderr or exit code differs.  The list cover
 ``derevnin-mednykh`` at a few more parameter sets), both ``convert``
 directions, ``crosscheck`` on every suite, grid and seed of three, ``mc``
 on the Monte-Carlo shapes, a fixed 200-job batch, the CLI error paths and
-reproductions of defects found earlier.
+reproductions of defects found earlier, among them ``vol triangle-2d --a
+0.2 --b 17`` and ``vol ndim-orthoscheme --edges 0.5,15,0.5``, whose long
+end edge is built last.
 Output goes to JSON and CSV where a command writes records.  Job files go
 to a temporary directory, which is also the working directory of every
 command.  Two commands run at a time, each for at most 120 s; a command
@@ -35,7 +37,11 @@ from 1e-3 and at n = 5 the spherical box [(1, 0.2, 2.9), (2, 0.2, 2.9),
 (3, 0.2, 2.9), (4, 0, 1.2), (0, 0, 2 pi)], whose four quadrature levels
 take three panels each (``slot_boxes``), where a ConvergenceError prints
 with its best estimate; ``volume_ndim`` at
-n = 2..5, ``area_right_triangle`` at two tolerances, ``volume_edges`` at
+n = 2..5, ``area_right_triangle`` at two tolerances, ``volume_ndim`` at
+rel 1e-10 on paths whose last edge is long, (17, 0.2), (0.5, 15, 0.5)
+and (0.5, 0.5, 12, 0.5), and ``area_right_triangle`` at legs (0.2, 17),
+(1, 25) and (18, 18), where a ConvergenceError prints with its best
+estimate and a DomainError with its message, ``volume_edges`` at
 edge sets with a long last edge or short edges and at the sets with a long
 first edge (11, 3, 0.5), (12, 0.5, 0.5), (15, 0.5, 0.5) and (12, 1, 14),
 where the first edge's small scale l ~ tanh b / sinh a is hard to resolve,
@@ -53,7 +59,10 @@ reaches the chart integrals or most of these edge sets.  Three failure paths
 of the nested quadrature are compared too: the message and best estimate of
 the ConvergenceError of ``volume_ndim`` at edges (3, 2, 1, 0.5), and the
 DomainError messages of a Klein box that leaves the ball and of a
-half-space box whose outermost x_n does not stay positive.
+half-space box whose outermost x_n does not stay positive.  After the
+differences it prints the largest relative change of a library value that
+returned on both trees; a line that reports an error on either tree is
+left out.
 
 Exit status: 0 when every command agrees, every pinned rerun matches and
 every library result agrees, 1 otherwise, 2 when the new tree's shape
@@ -288,6 +297,10 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
         # and the same integral at k = 2, whose best estimate is 2^3 times as large
         ["vol", "ndim-orthoscheme", "--edges", "12,0.5,0.5"],
         ["vol", "ndim-orthoscheme", "--edges", "24,1,1", "--k", "2"],
+        # a long end edge built last, which ran out of evaluations while it entered a
+        # bound as tanh; the integral now runs along it
+        ["vol", "triangle-2d", "--a", "0.2", "--b", "17"],
+        ["vol", "ndim-orthoscheme", "--edges", "0.5,15,0.5"],
         # a small orthoscheme that an absolute determinant test called degenerate (now exit 0)
         ["mc", "orthoscheme-edges", "--a", "1e-5", "--b", "1e-5", "--c", "1e-5"],
         # orthoscheme vertices placed in the ball at k != 1
@@ -427,6 +440,17 @@ def print_library_results() -> None:
         print("volume_ndim", edges, repr(volume_ndim(edges)))
     for tol in (Tolerance(rel=1e-6), Tolerance()):
         print("area_right_triangle", tol, repr(area_right_triangle(1.0, 0.8, tol)))
+    # a long end edge built last (the integral runs along it), and both triangle legs long
+    long_end = [(volume_ndim, (edges,)) for edges in ((17.0, 0.2), (0.5, 15.0, 0.5),
+                                                      (0.5, 0.5, 12.0, 0.5))]
+    long_end += [(area_right_triangle, legs) for legs in ((0.2, 17.0), (1.0, 25.0), (18.0, 18.0))]
+    for route, args in long_end:
+        try:
+            print(route.__name__, *args, repr(route(*args, tol=Tolerance(rel=1e-10))))
+        except ConvergenceError as exc:
+            print(route.__name__, *args, "ConvergenceError", exc, repr(exc.best))
+        except DomainError as exc:
+            print(route.__name__, *args, "DomainError", exc)
     # the log singularity just beyond the end of the edge integral (large c), and short edges
     for edges in ((1.0, 1.0, 19.0), (1.0, 1.0, 30.0), (0.3, 0.3, 12.0), (1.0, 30.0, 30.0),
                   (1e-8, 1.0, 1.0), (1.0, 1e-8, 1.0), (1.0, 1.0, 1e-8), (1e-8, 1e-8, 1e-8),
@@ -584,8 +608,8 @@ def main(argv=None) -> int:
     lib_changes = []
     for o_line, n_line in lib_diffs:
         o, n = line_value(o_line), line_value(n_line)
-        # a failure's best estimate is no returned value
-        if o and n is not None and "ConvergenceError" not in f"{o_line}{n_line}":
+        # a failure's best estimate, or a number ending its message, is no returned value
+        if o and n is not None and "Error" not in f"{o_line}{n_line}":
             lib_changes.append((abs(n - o) / abs(o), n_line))
     if lib_changes:
         rel, line = max(lib_changes)
