@@ -2,15 +2,15 @@
 
 One ``Shape`` entry per name holds the shape's parameters with their kinds
 (L = length, scales 1/k; A = area, 1/k^2; R = angle; N = list of lengths),
-its dimension, the method label of its volume route, the evaluator at
-curvature 1, and, where they exist, the Monte-Carlo region builder and the
-named routes that ``crosscheck`` compares: the shape's own evaluator under
-its column name next to independent routes to the same volume.  Both the
-evaluators and the region builders work at curvature 1; ``compute_volume``
-and ``mc_estimate`` rescale the parameters by kind and scale the result by
-k**dim.
+its dimension, the method label of its evaluator, its named volume routes
+and, where it exists, the Monte-Carlo region builder.  The first route is
+the shape's evaluator, which ``compute_volume`` calls; the others are
+independent routes to the same volume, and ``crosscheck`` compares them
+all.  Both the routes and the region builders work at curvature 1;
+``compute_volume`` and ``mc_estimate`` rescale the parameters by kind and
+scale the result by k**dim.
 
-Evaluators and builders look their library modules up through the package
+Routes and builders look their library modules up through the package
 when called, as ``hypervol.solids.sphere_volume(x)``, not when this module
 is imported.  So a command imports only the modules of the shape it runs
 (``mc_oracle``, and with it numpy, only for a Monte-Carlo region), and
@@ -37,113 +37,97 @@ __all__ = ["Shape", "SHAPES", "MC_SHAPES", "compute_volume", "mc_estimate", "col
 EXACT_METHODS = ("closed-form", "lobachevsky-series", "clausen-series")
 
 
-class _ShapeFields(NamedTuple):
-    params: dict[str, str]
-    dim: int | None
-    method: str
-    evaluate: Callable[..., float]
-    mc_region: Callable[..., mc_oracle.Region] | None
-    routes: dict[str, Callable[..., float]]
-
-
-class Shape(_ShapeFields):
+class Shape(NamedTuple):
     """One shape of the table.
 
     ``params`` maps names to kinds in call and record order; ``dim`` is None
-    when the dimension is the number of edges.  The callables take the
-    parameter values positionally: ``evaluate(*values, tol=tol)`` is the
-    volume at curvature 1, and ``mc_region(*values)`` builds the
-    Monte-Carlo region at curvature 1.  ``routes`` maps crosscheck
-    column names, in record order, to volume routes called like
-    ``evaluate``; a route given as None is ``evaluate`` itself.
+    when the dimension is the number of edges.  ``routes`` maps route names,
+    in record order, to callables that take the parameter values
+    positionally, ``route(*values, tol=tol)``, and return the volume at
+    curvature 1; the first route is the shape's evaluator, and ``crosscheck``
+    compares them all.  ``mc_region(*values)`` builds the Monte-Carlo region
+    at curvature 1.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, params: dict[str, str], dim: int | None, method: str,
-                evaluate: Callable[..., float],
-                mc_region: Callable[..., mc_oracle.Region] | None = None,
-                routes: dict[str, Callable[..., float] | None] | None = None):
-        routes = {n: r or evaluate for n, r in (routes or {}).items()}
-        return super().__new__(cls, params, dim, method, evaluate, mc_region, routes)
+    params: dict[str, str]
+    dim: int | None
+    method: str
+    routes: dict[str, Callable[..., float]]
+    mc_region: Callable[..., mc_oracle.Region] | None = None
 
 
 _SIX = dict.fromkeys("ABCDEF", "R")
 
 SHAPES: dict[str, Shape] = {
-    "sphere": Shape({"x": "L"}, 3, "closed-form", lambda x, tol: hypervol.solids.sphere_volume(x),
-                    mc_region=lambda x: hypervol.mc_oracle.region_ball(x),
-                    routes={"closed": None, "quadrature": lambda x, tol:
-                            hypervol.solids.sphere_volume_by_quadrature(x, tol=tol)}),
-    "barrel": Shape({"p": "L", "q": "L"}, 3, "closed-form",
-                    lambda p, q, tol: hypervol.solids.barrel(p, q),
-                    mc_region=lambda p, q: hypervol.mc_oracle.region_barrel(p, q),
-                    routes={"closed": None, "quadrature": lambda p, q, tol:
-                            hypervol.solids.barrel_by_quadrature(p, q, tol=tol)}),
-    "barrel-wedge": Shape({"p": "L", "T": "A"}, 3, "closed-form",
-                          lambda p, T, tol: hypervol.solids.barrel_wedge(p, T)),
-    "cone": Shape({"b": "L", "beta": "R"}, 3, "quadrature",
-                  lambda b, beta, tol: hypervol.solids.circular_cone(b, beta, tol),
-                  mc_region=lambda b, beta: hypervol.mc_oracle.region_cone(b, beta)),
-    "equidistant": Shape({"p": "A", "q": "L"}, 3, "closed-form",
-                         lambda p, q, tol: hypervol.solids.equidistant_body(p, q),
-                         # base box of area p = 4 w2 sinh w1: w2 fixed at 0.5, w1 from p
-                         mc_region=lambda p, q: hypervol.mc_oracle.region_slab(
-                             (math.asinh(p / 2), 0.5), q),
-                         routes={"closed": None, "quadrature": lambda p, q, tol:
-                                 hypervol.solids.equidistant_body_by_quadrature(p, q, tol=tol)}),
-    "sector": Shape({"p": "A"}, 3, "closed-form",
-                    lambda p, tol: hypervol.solids.paraspherical_sector(p)),
-    "asymptotic-cone": Shape({"b": "L"}, 3, "closed-form",
-                             lambda b, tol: hypervol.solids.asymptotic_cone(b)),
-    "orthoscheme-edges": Shape({"a": "L", "b": "L", "c": "L"}, 3, "quadrature",
-                               lambda *e, tol: hypervol.orthoscheme.volume_edges(e, tol),
-                               mc_region=lambda a, b, c: hypervol.mc_oracle.region_simplex(
-                                   hypervol.mc_oracle.orthoscheme_vertices(a, b, c))),
-    "orthoscheme-angles": Shape({"alpha": "R", "beta": "R", "gamma": "R"}, 3, "lobachevsky-series",
-                                lambda *a, tol: hypervol.orthoscheme.volume_angles(a),
-                                routes={"angles": None,
-                                        "edges": lambda *a, tol:
-                                        hypervol.orthoscheme.volume_edges(
-                                            hypervol.orthoscheme.angles_to_edges(a), tol),
-                                        "bolyai1": lambda *a, tol:
-                                        hypervol.orthoscheme.bolyai_integral_1(
-                                            hypervol.orthoscheme.angles_to_edges(a), tol)}),
-    "orthoscheme-one-ideal": Shape({"b": "L", "c": "L"}, 3, "quadrature", lambda b, c, tol:
-                                   hypervol.orthoscheme.volume_one_ideal(b, c, tol)),
-    "orthoscheme-two-ideal": Shape({"b": "L"}, 3, "lobachevsky-series",
-                                   lambda b, tol: hypervol.orthoscheme.volume_two_ideal_closed(b),
-                                   routes={"lobachevsky": None, "quadrature": lambda b, tol:
-                                           hypervol.orthoscheme.volume_two_ideal(b, tol)}),
+    "sphere": Shape({"x": "L"}, 3, "closed-form", {
+        "closed": lambda x, tol: hypervol.solids.sphere_volume(x),
+        "quadrature": lambda x, tol: hypervol.solids.sphere_volume_by_quadrature(x, tol=tol)},
+        mc_region=lambda x: hypervol.mc_oracle.region_ball(x)),
+    "barrel": Shape({"p": "L", "q": "L"}, 3, "closed-form", {
+        "closed": lambda p, q, tol: hypervol.solids.barrel(p, q),
+        "quadrature": lambda p, q, tol: hypervol.solids.barrel_by_quadrature(p, q, tol=tol)},
+        mc_region=lambda p, q: hypervol.mc_oracle.region_barrel(p, q)),
+    "barrel-wedge": Shape({"p": "L", "T": "A"}, 3, "closed-form", {
+        "closed": lambda p, T, tol: hypervol.solids.barrel_wedge(p, T)}),
+    "cone": Shape({"b": "L", "beta": "R"}, 3, "quadrature", {
+        "quadrature": lambda b, beta, tol: hypervol.solids.circular_cone(b, beta, tol)},
+        mc_region=lambda b, beta: hypervol.mc_oracle.region_cone(b, beta)),
+    "equidistant": Shape({"p": "A", "q": "L"}, 3, "closed-form", {
+        "closed": lambda p, q, tol: hypervol.solids.equidistant_body(p, q),
+        "quadrature": lambda p, q, tol:
+            hypervol.solids.equidistant_body_by_quadrature(p, q, tol=tol)},
+        # base box of area p = 4 w2 sinh w1: w2 fixed at 0.5, w1 from p
+        mc_region=lambda p, q: hypervol.mc_oracle.region_slab((math.asinh(p / 2), 0.5), q)),
+    "sector": Shape({"p": "A"}, 3, "closed-form", {
+        "closed": lambda p, tol: hypervol.solids.paraspherical_sector(p)}),
+    "asymptotic-cone": Shape({"b": "L"}, 3, "closed-form", {
+        "closed": lambda b, tol: hypervol.solids.asymptotic_cone(b)}),
+    "orthoscheme-edges": Shape({"a": "L", "b": "L", "c": "L"}, 3, "quadrature", {
+        "edges": lambda *e, tol: hypervol.orthoscheme.volume_edges(e, tol)},
+        mc_region=lambda a, b, c: hypervol.mc_oracle.region_simplex(
+            hypervol.mc_oracle.orthoscheme_vertices(a, b, c))),
+    "orthoscheme-angles": Shape({"alpha": "R", "beta": "R", "gamma": "R"}, 3,
+                                "lobachevsky-series", {
+        "angles": lambda *a, tol: hypervol.orthoscheme.volume_angles(a),
+        "edges": lambda *a, tol: hypervol.orthoscheme.volume_edges(
+            hypervol.orthoscheme.angles_to_edges(a), tol),
+        "bolyai1": lambda *a, tol: hypervol.orthoscheme.bolyai_integral_1(
+            hypervol.orthoscheme.angles_to_edges(a), tol)}),
+    "orthoscheme-one-ideal": Shape({"b": "L", "c": "L"}, 3, "quadrature", {
+        "edges": lambda b, c, tol: hypervol.orthoscheme.volume_one_ideal(b, c, tol)}),
+    "orthoscheme-two-ideal": Shape({"b": "L"}, 3, "lobachevsky-series", {
+        "lobachevsky": lambda b, tol: hypervol.orthoscheme.volume_two_ideal_closed(b),
+        "quadrature": lambda b, tol: hypervol.orthoscheme.volume_two_ideal(b, tol)}),
     # four two-ideal orthoschemes: the reflections of one in two of its faces
-    "ideal-tetra-b": Shape({"b": "L"}, 3, "lobachevsky-series",
-                           lambda b, tol: 4.0 * hypervol.orthoscheme.volume_two_ideal_closed(b),
-                           routes={"lobachevsky": None, "quadrature": lambda b, tol:
-                                   hypervol.orthoscheme.volume_ideal_tetrahedron_b(b, tol)}),
-    "bolyai-1": Shape({"a": "L", "b": "L", "c": "L"}, 3, "quadrature",
-                      lambda *e, tol: hypervol.orthoscheme.bolyai_integral_1(e, tol)),
-    "bolyai-asym-1": Shape({"alpha": "R", "c": "L"}, 3, "quadrature", lambda alpha, c, tol:
-                           hypervol.orthoscheme.bolyai_asymptotic_1(alpha, c, tol)),
-    "bolyai-asym-2": Shape({"amax": "R", "b": "L"}, 3, "quadrature", lambda amax, b, tol:
-                           hypervol.orthoscheme.bolyai_asymptotic_2(amax, b, tol)),
-    "ndim-orthoscheme": Shape({"edges": "N"}, None, "nested-quadrature",
-                              lambda edges, tol: hypervol.orthoscheme.volume_ndim(edges, tol)),
-    "milnor": Shape({"A": "R", "B": "R", "C": "R"}, 3, "lobachevsky-series",
-                    lambda A, B, C, tol: hypervol.tetrahedra.milnor_ideal(A, B, C)),
-    "derevnin-mednykh": Shape(_SIX, 3, "quadrature",
-                              lambda *t, tol: hypervol.tetrahedra.derevnin_mednykh(t, tol),
-                              routes={"derevnin-mednykh": None, "murakami-yano": lambda *t, tol:
-                                      hypervol.tetrahedra.murakami_yano(t)}),
-    "murakami-yano": Shape(_SIX, 3, "clausen-series",
-                           lambda *t, tol: hypervol.tetrahedra.murakami_yano(t)),
-    "lambert-cube": Shape({"w0": "R", "w1": "R", "w2": "R", "theta": "R"}, 3, "lobachevsky-series",
-                          lambda *w, tol: hypervol.tetrahedra.lambert_cube(*w)),
-    "mohanty": Shape({"A": "R", "B": "R", "E": "R"}, 3, "lobachevsky-series",
-                     lambda A, B, E, tol: hypervol.tetrahedra.mohanty_octahedron(A, B, E)),
-    "triangle-2d": Shape({"a": "L", "b": "L"}, 2, "nested-quadrature",
-                         lambda a, b, tol: hypervol.orthoscheme.area_right_triangle(a, b, tol),
-                         routes={"nested": None, "defect": lambda a, b, tol: math.pi / 2 - sum(
-                             hypervol.orthoscheme.right_triangle_angles(a, b))}),
+    "ideal-tetra-b": Shape({"b": "L"}, 3, "lobachevsky-series", {
+        "lobachevsky": lambda b, tol: 4.0 * hypervol.orthoscheme.volume_two_ideal_closed(b),
+        "quadrature": lambda b, tol: hypervol.orthoscheme.volume_ideal_tetrahedron_b(b, tol)}),
+    "bolyai-1": Shape({"a": "L", "b": "L", "c": "L"}, 3, "quadrature", {
+        "bolyai1": lambda *e, tol: hypervol.orthoscheme.bolyai_integral_1(e, tol)}),
+    "bolyai-asym-1": Shape({"alpha": "R", "c": "L"}, 3, "quadrature", {
+        "bolyai-asym": lambda alpha, c, tol:
+            hypervol.orthoscheme.bolyai_asymptotic_1(alpha, c, tol)}),
+    "bolyai-asym-2": Shape({"amax": "R", "b": "L"}, 3, "quadrature", {
+        "bolyai-asym2": lambda amax, b, tol:
+            hypervol.orthoscheme.bolyai_asymptotic_2(amax, b, tol)}),
+    "ndim-orthoscheme": Shape({"edges": "N"}, None, "nested-quadrature", {
+        "nested": lambda edges, tol: hypervol.orthoscheme.volume_ndim(edges, tol)}),
+    "milnor": Shape({"A": "R", "B": "R", "C": "R"}, 3, "lobachevsky-series", {
+        "lobachevsky": lambda A, B, C, tol: hypervol.tetrahedra.milnor_ideal(A, B, C)}),
+    "derevnin-mednykh": Shape(_SIX, 3, "quadrature", {
+        "derevnin-mednykh": lambda *t, tol: hypervol.tetrahedra.derevnin_mednykh(t, tol),
+        "murakami-yano": lambda *t, tol: hypervol.tetrahedra.murakami_yano(t)}),
+    "murakami-yano": Shape(_SIX, 3, "clausen-series", {
+        "murakami-yano": lambda *t, tol: hypervol.tetrahedra.murakami_yano(t)}),
+    "lambert-cube": Shape({"w0": "R", "w1": "R", "w2": "R", "theta": "R"}, 3,
+                          "lobachevsky-series", {
+        "lobachevsky": lambda *w, tol: hypervol.tetrahedra.lambert_cube(*w)}),
+    "mohanty": Shape({"A": "R", "B": "R", "E": "R"}, 3, "lobachevsky-series", {
+        "lobachevsky": lambda A, B, E, tol: hypervol.tetrahedra.mohanty_octahedron(A, B, E)}),
+    "triangle-2d": Shape({"a": "L", "b": "L"}, 2, "nested-quadrature", {
+        "nested": lambda a, b, tol: hypervol.orthoscheme.area_right_triangle(a, b, tol),
+        "defect": lambda a, b, tol:
+            math.pi / 2 - sum(hypervol.orthoscheme.right_triangle_angles(a, b))}),
 }
 
 MC_SHAPES = tuple(name for name, s in SHAPES.items() if s.mc_region is not None)
@@ -175,7 +159,8 @@ def _at_curvature_1(entry: Shape, params: dict, k) -> tuple[tuple, float]:
 def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-10):
     """Volume of ``shape`` at curvature k. Returns (value, method, error estimate).
 
-    The evaluator runs at curvature 1 on the parameters rescaled by kind, and
+    The shape's first route, its evaluator, runs at curvature 1 on the
+    parameters rescaled by kind, and
     value and error are multiplied by k**dim, as is the best estimate that a
     ConvergenceError carries (which each route has already multiplied by its
     own factor, ``quadrature.scaled``).  The error estimate is 0 for
@@ -187,7 +172,7 @@ def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-
     p1, scale = _at_curvature_1(entry, params, k)
     tol = Tolerance(rel=reltol)
     try:
-        v1 = entry.evaluate(*p1, tol=tol)
+        v1 = next(iter(entry.routes.values()))(*p1, tol=tol)
     except ConvergenceError as exc:
         exc.rescale(scale)
         raise
