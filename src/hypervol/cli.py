@@ -42,8 +42,9 @@ from typing import Sequence
 import hypervol
 
 from .errors import ConvergenceError, DomainError, NotRealizableError, positive
-from .quadrature import Tolerance
-from .shapes import MC_SHAPES, SHAPES, collect_params, compute_volume, mc_estimate, parse_job
+from .quadrature import DEFAULT_TOL, Tolerance
+from .shapes import (MC_DEFAULTS, MC_SHAPES, SHAPES, collect_params, compute_volume, mc_estimate,
+                     parse_job)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -111,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     output = option("--format", choices=("json", "csv"), default="json")
     output.add_argument("--out", default=None, help="write records to this file")
     k = option("--k", type=float, default=1.0, help="curvature constant (default 1)")
-    reltol = option("--reltol", type=float, default=1e-10,
+    reltol = option("--reltol", type=float, default=DEFAULT_TOL.rel,
                     help="relative tolerance for quadrature-backed shapes")
     degrees = option("--degrees", action="store_true", help="interpret angle parameters as degrees")
 
@@ -145,8 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("mc", parents=[shape, k, reltol, degrees, output],
                         help="Monte-Carlo check of one shape")
-    pm.add_argument("--samples", type=int, default=1_000_000)
-    pm.add_argument("--seed", type=int, default=0)
+    for name, default in MC_DEFAULTS.items():
+        pm.add_argument(f"--{name}", type=int, default=default)
 
     pb = sub.add_parser("batch", parents=[output],
                         help="run an array of job objects from a JSON file")

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import hypervol
 
 from .errors import ConvergenceError, DomainError, in_float_range, number, positive, sequence
-from .quadrature import Tolerance
+from .quadrature import DEFAULT_TOL, Tolerance
 
 if TYPE_CHECKING:
     from . import mc_oracle
@@ -35,6 +35,8 @@ __all__ = ["Shape", "SHAPES", "MC_SHAPES", "compute_volume", "mc_estimate", "col
 
 # methods whose value carries no truncation error: their error estimate is 0
 EXACT_METHODS = ("closed-form", "lobachevsky-series", "clausen-series")
+# the Monte-Carlo settings of a run that names none: the CLI's mc flags and a job's mc keys
+MC_DEFAULTS = {"samples": 10 ** 6, "seed": 0}
 
 
 class Shape(NamedTuple):
@@ -94,7 +96,10 @@ SHAPES: dict[str, Shape] = {
         "bolyai1": lambda *a, tol: hypervol.orthoscheme.bolyai_integral_1(
             hypervol.orthoscheme.angles_to_edges(a), tol)}),
     "orthoscheme-one-ideal": Shape({"b": "L", "c": "L"}, 3, "quadrature", {
-        "edges": lambda b, c, tol: hypervol.orthoscheme.volume_one_ideal(b, c, tol)}),
+        "edges": lambda b, c, tol: hypervol.orthoscheme.volume_one_ideal(b, c, tol),
+        # alpha is the angle at the ideal vertex: tan alpha = tanh c / sinh b
+        "bolyai-asym": lambda b, c, tol: hypervol.orthoscheme.bolyai_asymptotic_1(
+            math.atan(math.tanh(c) / math.sinh(b)), c, tol)}),
     "orthoscheme-two-ideal": Shape({"b": "L"}, 3, "lobachevsky-series", {
         "lobachevsky": lambda b, tol: hypervol.orthoscheme.volume_two_ideal_closed(b),
         "quadrature": lambda b, tol: hypervol.orthoscheme.volume_two_ideal(b, tol)}),
@@ -103,22 +108,30 @@ SHAPES: dict[str, Shape] = {
         "lobachevsky": lambda b, tol: 4.0 * hypervol.orthoscheme.volume_two_ideal_closed(b),
         "quadrature": lambda b, tol: hypervol.orthoscheme.volume_ideal_tetrahedron_b(b, tol)}),
     "bolyai-1": Shape({"a": "L", "b": "L", "c": "L"}, 3, "quadrature", {
-        "bolyai1": lambda *e, tol: hypervol.orthoscheme.bolyai_integral_1(e, tol)}),
+        "bolyai1": lambda *e, tol: hypervol.orthoscheme.bolyai_integral_1(e, tol),
+        "edges": lambda *e, tol: hypervol.orthoscheme.volume_edges(e, tol)}),
     "bolyai-asym-1": Shape({"alpha": "R", "c": "L"}, 3, "quadrature", {
         "bolyai-asym": lambda alpha, c, tol:
-            hypervol.orthoscheme.bolyai_asymptotic_1(alpha, c, tol)}),
+            hypervol.orthoscheme.bolyai_asymptotic_1(alpha, c, tol),
+        "edges": lambda alpha, c, tol: hypervol.orthoscheme.volume_one_ideal(
+            math.asinh(math.tanh(c) / math.tan(alpha)), c, tol)}),
     "bolyai-asym-2": Shape({"amax": "R", "b": "L"}, 3, "quadrature", {
         "bolyai-asym2": lambda amax, b, tol:
-            hypervol.orthoscheme.bolyai_asymptotic_2(amax, b, tol)}),
+            hypervol.orthoscheme.bolyai_asymptotic_2(amax, b, tol),
+        "edges": lambda amax, b, tol: hypervol.orthoscheme.volume_one_ideal(
+            b, math.atanh(math.tan(amax) * math.sinh(b)), tol)}),
     "ndim-orthoscheme": Shape({"edges": "N"}, None, "nested-quadrature", {
         "nested": lambda edges, tol: hypervol.orthoscheme.volume_ndim(edges, tol)}),
     "milnor": Shape({"A": "R", "B": "R", "C": "R"}, 3, "lobachevsky-series", {
-        "lobachevsky": lambda A, B, C, tol: hypervol.tetrahedra.milnor_ideal(A, B, C)}),
+        "lobachevsky": lambda A, B, C, tol: hypervol.tetrahedra.milnor_ideal(A, B, C),
+        # opposite edges of an ideal tetrahedron have equal dihedral angles
+        "murakami-yano": lambda *a, tol: hypervol.tetrahedra.murakami_yano(a * 2)}),
     "derevnin-mednykh": Shape(_SIX, 3, "quadrature", {
         "derevnin-mednykh": lambda *t, tol: hypervol.tetrahedra.derevnin_mednykh(t, tol),
         "murakami-yano": lambda *t, tol: hypervol.tetrahedra.murakami_yano(t)}),
     "murakami-yano": Shape(_SIX, 3, "clausen-series", {
-        "murakami-yano": lambda *t, tol: hypervol.tetrahedra.murakami_yano(t)}),
+        "murakami-yano": lambda *t, tol: hypervol.tetrahedra.murakami_yano(t),
+        "derevnin-mednykh": lambda *t, tol: hypervol.tetrahedra.derevnin_mednykh(t, tol)}),
     "lambert-cube": Shape({"w0": "R", "w1": "R", "w2": "R", "theta": "R"}, 3,
                           "lobachevsky-series", {
         "lobachevsky": lambda *w, tol: hypervol.tetrahedra.lambert_cube(*w)}),
@@ -156,7 +169,7 @@ def _at_curvature_1(entry: Shape, params: dict, k) -> tuple[tuple, float]:
 
 
 @in_float_range
-def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = 1e-10):
+def compute_volume(shape: str, params: dict, k: float = 1.0, reltol: float = DEFAULT_TOL.rel):
     """Volume of ``shape`` at curvature k. Returns (value, method, error estimate).
 
     The shape's first route, its evaluator, runs at curvature 1 on the
@@ -245,13 +258,13 @@ def parse_job(job: dict) -> tuple:
     if mc is not None and shape not in MC_SHAPES:
         raise DomainError(f"shape {shape!r} has no Monte-Carlo region")
     k = number("k", job.get("k", 1.0))
-    reltol = number("reltol", job.get("reltol", 1e-10))
+    reltol = number("reltol", job.get("reltol", DEFAULT_TOL.rel))
     if mc is not None:
         if not isinstance(mc, dict):
             raise DomainError(f"mc must be an object, got {mc!r}")
-        unread = [key for key in mc if key not in ("samples", "seed")]
+        unread = [key for key in mc if key not in MC_DEFAULTS]
         if unread:
             raise DomainError(f"mc keys {unread} are not read (only samples and seed are)")
-        mc = (number("mc samples", mc.get("samples", 10 ** 6), int),
-              number("mc seed", mc.get("seed", 0), int))
+        mc = tuple(number(f"mc {key}", mc.get(key, default), int)
+                   for key, default in MC_DEFAULTS.items())
     return shape, params, k, reltol, mc

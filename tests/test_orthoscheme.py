@@ -258,18 +258,6 @@ def test_area_right_triangle_limits():
     assert math.pi / 2 - big < 0.01
 
 
-def test_triangle_table_routes_agree():
-    # the angle defect cancels at tiny legs (area about ab/2), so the legs stay in [0.2, 2]
-    routes = shapes.SHAPES["triangle-2d"].routes
-    assert list(routes) == ["nested", "defect"]
-    rng = random.Random(2)
-    tol = Tolerance(rel=1e-10)
-    for _ in range(30):
-        a, b = rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0)
-        nested, defect = (route(a, b, tol=tol) for route in routes.values())
-        assert nested == pytest.approx(defect, rel=1e-13, abs=0.0)
-
-
 def _mp_defect(a, b):
     """pi/2 - alpha - beta of the right triangle with legs a, b, at 40 digits."""
     with mpmath.workdps(40):

@@ -54,7 +54,10 @@ two, and whose finite values sum past the float range, which no CLI command
 reaches, and ``mc_oracle.estimate`` on the five region
 builders at 10^5 samples (four chunks) with ``os.sched_getaffinity``
 patched to report 1, 2 and 3 CPUs, so that the strides of uneven worker
-counts are compared whatever the host's core count.  No CLI command
+counts are compared whatever the host's core count, and last every route
+of every table shape at the shape's ``VOL_PARAMS`` point, at curvature 1
+and rel 1e-10, so that drift shows in any route, not only in the
+evaluator that ``vol`` runs.  No CLI command
 reaches the chart integrals or most of these edge sets.  Three failure paths
 of the nested quadrature are compared too: the message and best estimate of
 the ConvergenceError of ``volume_ndim`` at edges (3, 2, 1, 0.5), and the
@@ -403,6 +406,7 @@ def print_library_results() -> None:
     from hypervol.orthoscheme import (area_right_triangle, volume_angles, volume_edges,
                                       volume_ndim, volume_one_ideal, volume_two_ideal)
     from hypervol.quadrature import Tolerance, integrate_1d
+    from hypervol.shapes import SHAPES, collect_params
 
     boxes = {
         "paracycle": [([(0, 0.0, 0.8), (1, 0.0, 1.1), (2, 0.0, 0.9)], 1.0),
@@ -504,6 +508,11 @@ def print_library_results() -> None:
             for region in regions:
                 print("mc_oracle.estimate", region.name, cpus,
                       repr(mc.estimate(region, 100_000, 11)))
+    # every route of every table shape, not only the evaluator that vol runs
+    for shape, params in VOL_PARAMS.items():
+        values = collect_params(shape, params, False).values()
+        for name, route in SHAPES[shape].routes.items():
+            print("route", shape, name, repr(route(*values, tol=Tolerance())))
 
 
 def line_value(line: str | None) -> float | None:
