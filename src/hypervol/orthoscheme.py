@@ -499,6 +499,46 @@ def _cosh_power_integral(m: int):
     return integral
 
 
+def _first_edge_level(a1: float, an: float):
+    """The outer level of ``volume_ndim`` for n >= 3: (top, x_1, weight), where
+    x_1(u) maps u in [0, top] onto [0, a_1] and weight(x_1) is
+    cosh x_1 w_1(x_1) dx_1/du.
+
+    w_1(x_1) = a_n - asinh(q), q = p tanh x_1 / tanh a_1 and p = sinh a_n, is
+    the length of the x_n range that reaches x_1.  It is taken as
+    asinh((p - q)(p + q) / (p sqrt(1 + q^2) + q sqrt(1 + p^2))), with
+    p - q = p sinh(a_1 - x_1) / (sinh a_1 cosh x_1), which does not cancel as
+    x_1 -> a_1; numerator and denominator are divided by 2p, so that neither
+    overflows up to a_n = 710.4759.
+
+    w_1 turns from flat to logarithmic at q = 1, near x_1 = s = tanh a_1 /
+    sinh a_n, a knee that a long a_n moves toward 0 (s < 1e-8 at a_n = 19).
+    So where s < a_1 the level runs in u, x_1 = s expm1(u), u in
+    [0, log1p(a_1 / s)], written through top = log1p(a_1 / s) as
+    a_1 (exp(u - top) - exp(-top)) / -expm1(-top), so that no factor
+    overflows; dx_1/du = x_1 + s.  Elsewhere u is x_1 itself.
+    """
+    p, t1, sh1 = math.sinh(an), math.tanh(a1), math.sinh(a1)
+    h = 0.5 * p
+    hh = math.hypot(0.5, h)
+    sinh, cosh, tanh, asinh, hypot, exp = (math.sinh, math.cosh, math.tanh, math.asinh,
+                                           math.hypot, math.exp)
+
+    def cosh_w(x: float) -> float:
+        cx = cosh(x)
+        r = tanh(x) / t1  # q / p
+        return cx * asinh(sinh(a1 - x) / (sh1 * cx) * (1.0 + r) * h / (hypot(0.5, h * r) + r * hh))
+
+    if a1 / t1 * p <= 1.0:  # s >= a_1: no knee inside [0, a_1]
+        return a1, lambda u: u, cosh_w
+    # log1p(a_1 / s) = log(p (a_1 / tanh a_1 + 1 / p)), with 1 / p < a_1 / tanh a_1 < 19.1
+    top = math.log(p) + math.log(a1 / t1 + 1.0 / p)
+    c = a1 / -math.expm1(-top)
+    s = c * math.exp(-top)
+    return (top, lambda u: min(a1, c * exp(u - top) - s),
+            lambda x: (x + s) * cosh_w(x))
+
+
 def volume_ndim(edges, tol: Tolerance = Tolerance(rel=1e-9)) -> float:
     """n-volume of the n-dimensional orthoscheme with edges a_1 .. a_n by
     nested quadrature.
@@ -507,29 +547,36 @@ def volume_ndim(edges, tol: Tolerance = Tolerance(rel=1e-9)) -> float:
     n = 3 the edges (a_1, a_2, a_3) = (b, c, a) match the 3-D path (a, b, c),
     and for n = 2 the edges (b, a) are the right triangle with legs a, b.
 
-    Integration order is x_n (outer, over [0, a_n]) then x_1 .. x_{n-1},
-    each bounded by tanh(phi_{k+1}) = (tanh a_{k+1} / sinh a_k) sinh x_k
-    (x_0 read as x_n), with density prod_i cosh^i(x_i).  The innermost level
-    has a closed form: with u = (tanh a_{n-1} / sinh a_{n-2}) sinh x_{n-2},
-    int_0^{atanh u} cosh^{n-1} y dy follows from the reduction formula
-    int cosh^m = cosh^{m-1} sinh / m + (m-1)/m int cosh^{m-2}, so only n - 1
-    levels are integrated numerically (one 1-D integral for n = 2).
+    The volume is the integral of prod_i cosh^i(x_i) over x_n in [0, a_n]
+    and x_k in [0, phi_k], tanh(phi_k) = (tanh a_k / sinh a_{k-1}) sinh x_{k-1}
+    (x_0 read as x_n).  The innermost level x_{n-1} has a closed form: with
+    u = (tanh a_{n-1} / sinh a_{n-2}) sinh x_{n-2}, int_0^{atanh u}
+    cosh^{n-1} y dy follows from the reduction formula int cosh^m =
+    cosh^{m-1} sinh / m + (m-1)/m int cosh^{m-2}.  For n = 2 that leaves one
+    1-D integral, over x_n.  For n >= 3 the outer x_n has density cosh^0 = 1
+    and enters only phi_1, so by Fubini its level is a length: x_1 runs over
+    [0, a_1], outermost, with weight cosh x_1 w_1(x_1), w_1(x_1) = a_n -
+    asinh(sinh a_n tanh x_1 / tanh a_1) (``_first_edge_level``, which also
+    substitutes x_1 = s expm1(u), s = tanh a_1 / sinh a_n, where a long a_n
+    puts w_1's knee near 0).  Then x_2 .. x_{n-2} follow as before, so one
+    level is integrated numerically for n = 2 and 3, two for n = 4 and three
+    for n = 5.
 
     When the path's last edge a_{n-1} is longer than its first a_n, the
     reversed path (a_{n-2}, .., a_1, a_n, a_{n-1}) is integrated: the same
-    orthoscheme built from its other end.  So the longer end edge is the
-    outer x_n, whose tanh is never taken; read as a bound's tanh a, an edge
-    of about 12 or more loses 1 - tanh a in floats (at rel 1e-10 the triangle
-    with legs (0.2, 17) is 1.4e-9 off read from its short leg, 1.9e-16
-    through the mirror).
+    orthoscheme built from its other end.  So the longer end edge is a_n,
+    whose tanh is never taken; read as a bound's tanh a, an edge of about 12
+    or more loses 1 - tanh a in floats (at rel 1e-10 the triangle with legs
+    (0.2, 17) is 1.4e-9 off read from its short leg, 1.9e-16 through the
+    mirror).
 
     Supported for 2 <= n <= 5; for n = 3 this reproduces volume_edges.
 
     DomainError for an edge above 710.4759, where sinh leaves the float
     range; for a middle edge a_1 .. a_{n-2}, or both end edges, above
     19.0615 (curvature 1), where tanh a rounds to 1 and the bounds atanh(u),
-    u = ratio * sinh x, blow up at the end of their range; and whenever
-    rounding makes such a u reach 1.
+    u = tanh a_{k+1} sinh x_k / sinh a_k, blow up at the end of their range;
+    and whenever rounding makes such a u reach 1.
     """
     a = tuple(positive("edge", v, SINH_MAX) for v in sequence("edges", edges))
     n = len(a)
@@ -541,27 +588,38 @@ def volume_ndim(edges, tol: Tolerance = Tolerance(rel=1e-9)) -> float:
         a = (*a[-3::-1], a[-1], a[-2])
     if any(math.tanh(v) == 1.0 for v in a[:-1]):
         raise DomainError(f"edges {a[:-1]} include one whose tanh rounds to 1 (above 19.0615)")
-    # tanh a_{k+1} / sinh a_k along the path a_n, a_1, .., a_{n-1}
-    ratios = [math.tanh(a[i + 1]) / math.sinh(a[i]) for i in range(-1, n - 2)]
+    sinh, cosh = math.sinh, math.cosh
+    integral = _cosh_power_integral(n - 1)
+    if n == 2:
+        r = math.tanh(a[0]) / sinh(a[1])
+        return quadrature.integrate_region(lambda: lambda x: integral(r * sinh(x)),
+                                           [(0.0, a[1])], tol).value
+    top, x1, weight = _first_edge_level(a[0], a[-1])
+    # the bound of x_{k+1} takes u = tanh a_{k+1} (sinh x_k / sinh a_k), a ratio that
+    # stays finite for a subnormal a_k and at most tanh a_{k+1} for x_k <= a_k (a_k is
+    # a[k - 1]); x_{n-2}'s u is the closed-form level's argument
+    t, sh = math.tanh(a[n - 2]), math.sinh(a[n - 3])
+    if n == 3:
+        def outer(u):
+            x = x1(u)
+            return weight(x) * integral(t * (sinh(x) / sh))
 
-    def bound(i):
-        return lambda *vals: _atanh_bound(ratios[i] * math.sinh(vals[-1]))
+        return quadrature.integrate_region(lambda: outer, [(0.0, top)], tol).value
 
-    r, m = ratios[n - 2], n - 2
-    integral, sinh, cosh = _cosh_power_integral(n - 1), math.sinh, math.cosh
+    def integrand(u, *middle):
+        # middle = (x_2, .., x_{n-3}); the innermost variable is x_{n-2}
+        w = weight(x1(u))
+        for i, y in enumerate(middle, 2):
+            w *= cosh(y) ** i
+        return lambda y: integral(t * (sinh(y) / sh)) * cosh(y) ** (n - 2) * w
 
-    def integrand(*outer):
-        # outer = (x_n, x_1, .., x_{n-3}); the innermost variable is x_{n-2} (x_n
-        # for n = 2), and x_{n-1} is integrated in closed form.  The factors
-        # cosh^i(x_i) multiply in the order of i, the innermost one's last.  The
-        # outer ones fill two slots, 1.0 where n < 5, as a product with 1.0 is
-        # exact (for n = 2 the innermost one is cosh^0 = 1.0 too).
-        f1, f2 = ([cosh(outer[i]) ** i for i in range(1, m)] + [1.0, 1.0])[:2]
-        return lambda x: integral(r * sinh(x)) * f1 * f2 * cosh(x) ** m
+    def bound(k, x_k=lambda *vals: vals[-1]):
+        # x_{k+1}'s bound, with x_k read from the outer variables (the last by default)
+        tk, shk = math.tanh(a[k]), math.sinh(a[k - 1])
+        return lambda *vals: _atanh_bound(tk * (sinh(x_k(*vals)) / shk))
 
-    bounds = [(0.0, a[n - 1])] + [(0.0, bound(i)) for i in range(n - 2)]
-    res = quadrature.integrate_region(integrand, bounds, tol)
-    return res.value
+    bounds = [(0.0, top), (0.0, bound(1, x1))] + [(0.0, bound(k)) for k in range(2, n - 2)]
+    return quadrature.integrate_region(integrand, bounds, tol).value
 
 
 def sample_valid_angles(count: int, seed: int = 20121023) -> list[OrthoschemeAngles]:

@@ -546,17 +546,18 @@ def test_ndim_integrates_at_the_requested_tolerance(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["vol", "batch"])
 def test_convergence_failure_reports_best_estimate(tmp_path, capsys, monkeypatch, command):
-    # the long-edge reproduction exhausts the shared budget; a smaller one keeps it quick
+    # the 5-edge path takes about 80,000 evaluations, so a budget of 20,000 runs out
     budget = 20_000
     monkeypatch.setattr(quadrature, "_BUDGET", budget)
     with pytest.raises(ConvergenceError) as exc:
-        orthoscheme.volume_ndim((12.0, 0.5, 0.5), Tolerance(rel=1e-10))
+        orthoscheme.volume_ndim((1.0, 0.8, 0.6, 0.7, 0.9), Tolerance(rel=1e-10))
     best = exc.value.best
     if command == "vol":
-        argv = ["vol", "ndim-orthoscheme", "--edges", "12,0.5,0.5"]
+        argv = ["vol", "ndim-orthoscheme", "--edges", "1,0.8,0.6,0.7,0.9"]
     else:
         jobs = tmp_path / "jobs.json"
-        jobs.write_text(json.dumps([{"shape": "ndim-orthoscheme", "edges": [12, 0.5, 0.5]}]))
+        jobs.write_text(json.dumps([{"shape": "ndim-orthoscheme",
+                                     "edges": [1, 0.8, 0.6, 0.7, 0.9]}]))
         argv = ["batch", str(jobs)]
     assert main(argv) == EXIT_NO_CONVERGENCE
     out = capsys.readouterr()
@@ -594,15 +595,16 @@ def test_convergence_failure_best_estimate_is_a_volume(capsys, monkeypatch):
 
 
 def test_convergence_failure_best_estimate_scales_with_k(capsys, monkeypatch):
-    # (24, 1, 1) at k = 2 runs the integral of (12, 0.5, 0.5) at k = 1, times 2^3
+    # (2, 1.6, 1.2, 1.4, 1.8) at k = 2 runs the integral of (1, 0.8, 0.6, 0.7, 0.9) at
+    # k = 1, times 2^5
     monkeypatch.setattr(quadrature, "_BUDGET", 20_000)
     bests = []
-    for edges, k in (("12,0.5,0.5", "1"), ("24,1,1", "2")):
+    for edges, k in (("1,0.8,0.6,0.7,0.9", "1"), ("2,1.6,1.2,1.4,1.8", "2")):
         assert main(["vol", "ndim-orthoscheme", "--edges", edges, "--k", k]) \
             == EXIT_NO_CONVERGENCE
         bests.append(best_estimate(capsys.readouterr().err))
     (v1, e1, n1), (v2, e2, n2) = bests
-    assert v1 > 0.0 and (v2, e2, n2) == (8.0 * v1, 8.0 * e1, n1)
+    assert v1 > 0.0 and (v2, e2, n2) == (32.0 * v1, 32.0 * e1, n1)
 
 
 # one parameter set of each shape with a 1-D quadrature route

@@ -39,7 +39,10 @@ take three panels each (``slot_boxes``), where a ConvergenceError prints
 with its best estimate; ``volume_ndim`` at
 n = 2..5, ``area_right_triangle`` at two tolerances, ``volume_ndim`` at
 rel 1e-10 on paths whose last edge is long, (17, 0.2), (0.5, 15, 0.5)
-and (0.5, 0.5, 12, 0.5), and ``area_right_triangle`` at legs (0.2, 17),
+and (0.5, 0.5, 12, 0.5), on paths that exhausted the evaluation budget
+while the x_n level was integrated numerically, (12, 0.5, 0.5),
+(10, 0.5, 0.5), (3, 2, 1, 0.5), (2, 2, 2, 2) and (1, 0.8, 0.6, 0.7, 0.9),
+and at the Coxeter orthoscheme [5,3,3,5], and ``area_right_triangle`` at legs (0.2, 17),
 (1, 25) and (18, 18), where a ConvergenceError prints with its best
 estimate and a DomainError with its message, ``volume_edges`` at
 edge sets with a long last edge or short edges and at the sets with a long
@@ -60,12 +63,16 @@ and rel 1e-10, so that drift shows in any route, not only in the
 evaluator that ``vol`` runs.  No CLI command
 reaches the chart integrals or most of these edge sets.  Three failure paths
 of the nested quadrature are compared too: the message and best estimate of
-the ConvergenceError of ``volume_ndim`` at edges (3, 2, 1, 0.5), and the
+the ConvergenceError of ``volume_ndim`` at edges (1, 19, 1, 1), whose
+long middle edge exhausts the budget, and the
 DomainError messages of a Klein box that leaves the ball and of a
-half-space box whose outermost x_n does not stay positive.  After the
-differences it prints the largest relative change of a library value that
-returned on both trees; a line that reports an error on either tree is
-left out.
+half-space box whose outermost x_n does not stay positive.  Library lines
+are paired by their label, the text before the result that ends them,
+through ``difflib.SequenceMatcher``: a line whose label only one tree
+prints is reported as inserted or removed, apart from the changed lines,
+and shifts no other pair.  After the differences it prints the largest
+relative change of a library value that returned on both trees; a line
+that reports an error on either tree is left out.
 
 Exit status: 0 when every command agrees, every pinned rerun matches and
 every library result agrees, 1 otherwise, 2 when the new tree's shape
@@ -84,7 +91,6 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from itertools import zip_longest
 from pathlib import Path
 from unittest.mock import patch
 
@@ -160,6 +166,8 @@ MC_BATCHES = ("batch200", "mc-defaults")  # job files with mc jobs
 WORKERS = 2
 # the value of an IntegralResult repr, or a float that ends the line
 VALUE = re.compile(r"value=([^,]+),| (-?[0-9.]+(?:e[-+][0-9]+)?)$")
+# the result that ends a library line: a float, or a repr such as IntegralResult(...)
+RESULT = re.compile(r" (-?[0-9.]+(?:e[-+][0-9]+)?|\w+\(.*\))$")
 TIMEOUT_S = 120
 
 
@@ -296,8 +304,8 @@ def argv_list(jobs: dict[str, str]) -> list[list[str]]:
         ["vol", "orthoscheme-edges", "--a", "800", "--b", "1", "--c", "900"],
         ["convert", "edges-to-angles", "--a", "1e-7", "--b", "1e-7", "--c", "1e-7"],
         ["convert", "edges-to-angles", "--a", "1e-8", "--b", "1e-8", "--c", "1e-8"],
-        # a long edge whose nested integral ran past any per-call budget (now exit 4),
-        # and the same integral at k = 2, whose best estimate is 2^3 times as large
+        # a long first edge whose nested integral ran past any per-call budget (exit 4,
+        # now exit 0), and the same integral at k = 2, whose volume is 2^3 times as large
         ["vol", "ndim-orthoscheme", "--edges", "12,0.5,0.5"],
         ["vol", "ndim-orthoscheme", "--edges", "24,1,1", "--k", "2"],
         # a long end edge built last, which ran out of evaluations while it entered a
@@ -444,9 +452,15 @@ def print_library_results() -> None:
         print("volume_ndim", edges, repr(volume_ndim(edges)))
     for tol in (Tolerance(rel=1e-6), Tolerance()):
         print("area_right_triangle", tol, repr(area_right_triangle(1.0, 0.8, tol)))
-    # a long end edge built last (the integral runs along it), and both triangle legs long
-    long_end = [(volume_ndim, (edges,)) for edges in ((17.0, 0.2), (0.5, 15.0, 0.5),
-                                                      (0.5, 0.5, 12.0, 0.5))]
+    # a long end edge built last (the integral runs along it), both triangle legs long,
+    # paths that exhausted the evaluation budget while x_1's bound blew up at the end of
+    # the x_n range (a long first edge among them), and the Coxeter orthoscheme [5,3,3,5]
+    # of volume 13 pi^2 / 5400
+    long_end = [(volume_ndim, (edges,)) for edges in (
+        (17.0, 0.2), (0.5, 15.0, 0.5), (0.5, 0.5, 12.0, 0.5),
+        (12.0, 0.5, 0.5), (10.0, 0.5, 0.5), (3.0, 2.0, 1.0, 0.5), (2.0, 2.0, 2.0, 2.0),
+        (1.0, 0.8, 0.6, 0.7, 0.9),
+        (1.0612750619050368, 1.0612750619050364, 1.6169216675118945, 1.616921667511897))]
     long_end += [(area_right_triangle, legs) for legs in ((0.2, 17.0), (1.0, 25.0), (18.0, 18.0))]
     for route, args in long_end:
         try:
@@ -484,9 +498,10 @@ def print_library_results() -> None:
     for b in (1e-300, 1.0, 360.0, 710.0, SINH_MAX):
         print("volume_one_ideal", b, repr(volume_one_ideal(b, 1.0)))
         print("volume_two_ideal", b, repr(volume_two_ideal(b)))
-    # failure paths: the budget of a nested integral runs out, and a box leaves the ball
+    # failure paths: the budget of a nested integral runs out (x_2's bound blows up at the
+    # end of the x_1 range, under a long middle edge), and a box leaves the ball
     try:
-        print("volume_ndim", repr(volume_ndim((3, 2, 1, 0.5), Tolerance(rel=1e-10))))
+        print("volume_ndim", repr(volume_ndim((1.0, 19.0, 1.0, 1.0), Tolerance(rel=1e-10))))
     except ConvergenceError as exc:
         print("volume_ndim ConvergenceError", exc, repr(exc.best))
     try:
@@ -513,6 +528,29 @@ def print_library_results() -> None:
         values = collect_params(shape, params, False).values()
         for name, route in SHAPES[shape].routes.items():
             print("route", shape, name, repr(route(*values, tol=Tolerance())))
+
+
+def line_label(line: str) -> str:
+    """A library result line without its result: the float or the repr that ends it."""
+    m = RESULT.search(line)
+    return line[:m.start()] if m else line
+
+
+def pair_lines(old: list[str], new: list[str]) -> tuple[list, list[str], list[str]]:
+    """(changed, removed, inserted): the (old, new) pairs of differing lines with
+    the same label, and the lines of either pass whose label the other lacks.
+    Lines are aligned by label (``difflib.SequenceMatcher``), so a line inserted
+    or removed anywhere moves no other line's pairing."""
+    changed, removed, inserted = [], [], []
+    matcher = difflib.SequenceMatcher(None, [line_label(o) for o in old],
+                                      [line_label(n) for n in new], autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag == "equal":
+            changed += [(o, n) for o, n in zip(old[i1:i2], new[j1:j2]) if o != n]
+        else:
+            removed += old[i1:i2]
+            inserted += new[j1:j2]
+    return changed, removed, inserted
 
 
 def line_value(line: str | None) -> float | None:
@@ -605,10 +643,13 @@ def main(argv=None) -> int:
             print(f"DIFF on one CPU, exit {unpinned[tuple(a)][0]} -> {res[0]}: "
                   f"hypervol {' '.join(a).replace(tmp, '$TMP')}")
     (lib_code_o, lib_out_o, lib_err_o), (lib_code_n, lib_out_n, lib_err_n) = lib_o, lib_n
-    lib_diffs = [(o, n) for o, n in zip_longest(lib_out_o.splitlines(), lib_out_n.splitlines())
-                 if o != n]
+    lib_diffs, removed, inserted = pair_lines(lib_out_o.splitlines(), lib_out_n.splitlines())
     for o, n in lib_diffs:
         print(f"DIFF library result: {o} -> {n}")
+    for line in removed:
+        print(f"DIFF library result removed: {line}")
+    for line in inserted:
+        print(f"DIFF library result inserted: {line}")
     lib_failed = bool(lib_code_o or lib_code_n)
     if lib_failed:
         print(f"DIFF library pass exit {lib_code_o} -> {lib_code_n}")
@@ -629,9 +670,10 @@ def main(argv=None) -> int:
             print(f"    {group:24s} {field:32s} {rel:.3g}  ({o!r} -> {n!r})")
     print(f"{len(argvs)} commands, {differ} differ")
     print(f"{len(mc_argvs)} Monte-Carlo commands rerun on one CPU, {pin_differ} differ")
-    print(f"{len(lib_out_n.splitlines())} library results, {len(lib_diffs)} differ"
+    print(f"{len(lib_out_n.splitlines())} library results, {len(lib_diffs)} differ, "
+          f"{len(inserted)} inserted, {len(removed)} removed"
           + (", and the pass failed" if lib_failed else ""))
-    return 1 if differ or pin_differ or lib_diffs or lib_failed else 0
+    return 1 if differ or pin_differ or lib_diffs or removed or inserted or lib_failed else 0
 
 
 if __name__ == "__main__":
