@@ -150,11 +150,16 @@ def _density_orthogonal(c, k):
 
 
 def _integral_orthogonal(c, free, lo, hi, k):
-    if free == len(c) - 1:
-        return (hi - lo) * _density_orthogonal(c, k)
-    c[free] = 0.0  # cosh 0 = 1: the density of the other slots
-    return k * _density_orthogonal(c, k) * _fourier(free + 1, 1, math.cosh, math.sinh,
-                                                    (lo + hi) / (2 * k), (hi - lo) / (2 * k))
+    # the density of the other slots, their factors multiplied in slot order
+    n = len(c)
+    d = 1.0
+    for i in range(n - 1):
+        if i != free:
+            d *= math.cosh(c[i] / k) ** (i + 1)
+    if free == n - 1:
+        return (hi - lo) * d
+    return k * d * _fourier(free + 1, 1, math.cosh, math.sinh, (lo + hi) / (2 * k),
+                            (hi - lo) / (2 * k))
 
 
 def _density_spherical(c, k):
@@ -185,10 +190,20 @@ def _integral_klein(c, free, lo, hi, k):
     # the density is k^{n+1} (K - x^2)^{-(n+1)/2}, K = k^2 - sum of the other x_i^2,
     # and x = sqrt(K) tanh(rho) makes it k^{n+1} K^{-n/2} cosh^{n-1}(rho) in rho.  K and
     # the gaps K - x^2 at the limits are sums of exact squares, so that they keep their
-    # relative accuracy near the sphere
+    # relative accuracy near the sphere.  One pass splits the other slots, k, lo and hi,
+    # each v into halves a + b (Dekker), v^2 = a^2 + 2ab + b^2 exactly: the other
+    # slots' terms less k's sum to -K, and with lo's or hi's after them to -(K - x^2)
     n = len(c)
-    rest = _squares(c[:free] + c[free + 1:]) + [-s for s in _squares([k])]  # sums to -K
-    K, ga, gb = [-math.fsum(rest + _squares(x)) for x in ((), (lo,), (hi,))]
+    terms = []
+    for i, v in enumerate((*c, k, lo, hi)):
+        if i != free:
+            a = 134217729.0 * v
+            a -= a - v
+            b = v - a
+            terms += (-a * a, -2.0 * a * b, -b ** 2) if i == n else (a * a, 2.0 * a * b, b ** 2)
+    K, ga = -math.fsum(terms[:-6]), -math.fsum(terms[:-3])
+    del terms[-6:-3]  # lo's
+    gb = -math.fsum(terms)
     if ga <= 0.0 or gb <= 0.0:
         raise DomainError(_OUTSIDE_BALL)
     rk = math.sqrt(K)
@@ -202,17 +217,6 @@ def _integral_klein(c, free, lo, hi, k):
     h = 0.25 * math.log1p(2.0 * (hi - lo) * rk * plus(hi, gb) * plus(-lo, ga) / (ga * gb))
     s = math.log(plus(lo, ga) / math.sqrt(ga)) + h
     return k * (k * k / K) ** (n / 2) * _fourier(n - 1, 1, math.cosh, math.sinh, s, h)
-
-
-def _squares(values):
-    """Three floats a value whose sum is the sum of their squares, exactly:
-    Dekker's split of v into halves a + b, v^2 = a^2 + 2ab + b^2."""
-    out = []
-    for v in values:
-        c = 134217729.0 * v
-        a = c - (c - v)
-        out += (a * a, 2.0 * a * (v - a), (v - a) ** 2)
-    return out
 
 
 def _fourier(p, sign, centre, half, s, h):
@@ -477,8 +481,10 @@ def coordinate_volume(
     its slot (the chart integrals above), so ``integrate_region`` runs
     quadrature on the outer n - 1 levels only, and the evaluation count is
     theirs: each evaluation resolves the innermost limits at its point and
-    returns the closed form.  DomainError there for a bound that gives no
-    number and for limits that are not finite or have lo > hi.
+    returns the closed form.  A number limit is checked and converted once
+    per call, a callable one at each evaluation.  DomainError there for a
+    bound that gives no number and for limits that are not finite or have
+    lo > hi.
     """
     k = positive("k", k)
     n = _check_dim(n)
@@ -494,9 +500,9 @@ def coordinate_volume(
     if sorted(axes) != list(range(n)):
         raise DomainError(f"axes {axes} must be a permutation of 0..{n - 1}")
     *spec, inner = [pair for _, pair in rows]
-    # a number bound as a constant function, checked once
-    lo_at, hi_at = [b if callable(b) else (lambda *_, v=number("integration bound", b): v)
-                    for b in inner]
+    lo_at, hi_at = inner
+    # a number limit is checked and converted once, a callable one at each point
+    lo_num, hi_num = [None if callable(b) else number("integration bound", b) for b in inner]
     *outer_axes, free = axes
 
     def integrand(*fixed):
@@ -507,8 +513,12 @@ def coordinate_volume(
 
         def f(x):
             c[outer_axes[-1]] = x
+            lo, hi = lo_num, hi_num
             try:
-                lo, hi = float(lo_at(*fixed, x)), float(hi_at(*fixed, x))
+                if lo is None:
+                    lo = float(lo_at(*fixed, x))
+                if hi is None:
+                    hi = float(hi_at(*fixed, x))
             except DomainError:
                 raise
             except (TypeError, ValueError, OverflowError) as exc:

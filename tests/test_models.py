@@ -712,6 +712,144 @@ def test_coordinate_volume_validation():
         coordinate_volume("klein", [(0, 0, 1), (0, 0, 1)], n=2)
 
 
+def _float_message(v):
+    """The message of float(v)'s TypeError or ValueError, as this Python words it."""
+    try:
+        float(v)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError(f"float({v!r}) is a number")
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    (lambda x2, x0: "x", 0.4,
+     "a bound of integration variable 3 gave no number: " + _float_message("x")),
+    (0.0, lambda x2, x0: None,
+     "a bound of integration variable 3 gave no number: " + _float_message(None)),
+    (0.0, lambda x2, x0: math.exp(1000.0),
+     "a bound of integration variable 3 gave no number: math range error"),
+    (0.0, lambda x2, x0: math.inf, "innermost limits must be finite with lo <= hi, got 0.0 and inf"),
+    (0.5, 0.2, "innermost limits must be finite with lo <= hi, got 0.5 and 0.2"),
+], ids=["callable-gives-a-string", "callable-gives-none", "callable-overflows",
+        "callable-gives-inf", "constant-lo-above-hi"])
+def test_coordinate_volume_innermost_limit_errors(lo, hi, message):
+    # the innermost limits are resolved at each evaluation of the outer levels
+    with pytest.raises(DomainError) as exc:
+        coordinate_volume("orthogonal", [(2, 0.0, 0.6), (0, 0.0, 0.5), (1, lo, hi)], 3)
+    assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the orthogonal and Klein kernels against their list-building bodies
+# ---------------------------------------------------------------------------
+# _density_orthogonal, _integral_orthogonal, _integral_klein and _squares as they
+# read when each node built its lists, verbatim: the references that the one-pass
+# kernels of models must repeat float operation for float operation, the fsum terms
+# in the same order
+
+_OUTSIDE_BALL = "point lies on or outside the projective ball"
+_fourier = models._fourier
+
+
+def _density_orthogonal(c, k):
+    # prod_{i < n-1} cosh^{i+1}(c_i / k); slot n - 1 has no factor
+    return math.prod([math.cosh(v / k) ** (i + 1) for i, v in enumerate(c[:-1])])
+
+
+def _integral_orthogonal(c, free, lo, hi, k):
+    if free == len(c) - 1:
+        return (hi - lo) * _density_orthogonal(c, k)
+    c[free] = 0.0  # cosh 0 = 1: the density of the other slots
+    return k * _density_orthogonal(c, k) * _fourier(free + 1, 1, math.cosh, math.sinh,
+                                                    (lo + hi) / (2 * k), (hi - lo) / (2 * k))
+
+
+def _integral_klein(c, free, lo, hi, k):
+    # the density is k^{n+1} (K - x^2)^{-(n+1)/2}, K = k^2 - sum of the other x_i^2,
+    # and x = sqrt(K) tanh(rho) makes it k^{n+1} K^{-n/2} cosh^{n-1}(rho) in rho.  K and
+    # the gaps K - x^2 at the limits are sums of exact squares, so that they keep their
+    # relative accuracy near the sphere
+    n = len(c)
+    rest = _squares(c[:free] + c[free + 1:]) + [-s for s in _squares([k])]  # sums to -K
+    K, ga, gb = [-math.fsum(rest + _squares(x)) for x in ((), (lo,), (hi,))]
+    if ga <= 0.0 or gb <= 0.0:
+        raise DomainError(_OUTSIDE_BALL)
+    rk = math.sqrt(K)
+
+    def plus(x, g):
+        # sqrt(K) + x, through the gap g = K - x^2 where that cancels
+        return rk + x if x >= 0.0 else g / (rk - x)
+
+    # e^rho = (sqrt(K) + x) / sqrt(K - x^2); h is half the rho width, from
+    # e^{2 width} - 1 = 2 w sqrt(K) (sqrt(K) + hi) (sqrt(K) - lo) / (K - lo^2)(K - hi^2)
+    h = 0.25 * math.log1p(2.0 * (hi - lo) * rk * plus(hi, gb) * plus(-lo, ga) / (ga * gb))
+    s = math.log(plus(lo, ga) / math.sqrt(ga)) + h
+    return k * (k * k / K) ** (n / 2) * _fourier(n - 1, 1, math.cosh, math.sinh, s, h)
+
+
+def _squares(values):
+    """Three floats a value whose sum is the sum of their squares, exactly:
+    Dekker's split of v into halves a + b, v^2 = a^2 + 2ab + b^2."""
+    out = []
+    for v in values:
+        c = 134217729.0 * v
+        a = c - (c - v)
+        out += (a * a, 2.0 * a * (v - a), (v - a) ** 2)
+    return out
+
+
+def _outcome(kernel, c, free, lo, hi, k):
+    # the kernel's value, or the type and message of its error; c is copied, as the
+    # reference overwrites c[free]
+    try:
+        return kernel(list(c), free, lo, hi, k)
+    except (DomainError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _kernel_cases(system, n, free, k, rng):
+    """(c, lo, hi) for slot ``free``: the intervals of _innermost_cases (Klein ones
+    within 1e-3 of the sphere among them) and intervals with negative lower limits;
+    for Klein also intervals that cross the sphere and a point whose other slots leave
+    the ball, for the orthogonal chart a point whose other slot's cosh overflows."""
+    cases = _innermost_cases(system, n, free, k, rng)
+    if system == "klein":
+        c = cases[0][0]
+        R = math.sqrt(k * k - math.fsum([v * v for v in c]))
+        cases += [(c, -0.5 * R, 1.001 * R), (c, -R, 0.5 * R), (c, -1.2 * R, -0.3 * R),
+                  ([3.0 * v for v in c], -0.1 * R, 0.1 * R)]
+        return cases
+    c = cases[0][0]
+    c[free] = rng.uniform(-1.0, 1.0)  # not read
+    cases = [(c, lo, hi) for _, lo, hi in cases]
+    cases += [(c, -2.5 * k, -1.2 * k), (c, -0.7 * k, 0.2 * k), (c, -1e-3 * k, 1e-3 * k)]
+    other = next((i for i in range(n - 1) if i != free), None)
+    if other is not None:
+        big = list(c)
+        big[other] = 800.0 * k
+        cases.append((big, 0.0, 0.5 * k))
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("system", ["orthogonal", "klein"])
+def test_orthogonal_and_klein_kernels_repeat_their_list_bodies_bit_for_bit(system, n):
+    new = models._chart(system).integral
+    ref = {"orthogonal": _integral_orthogonal, "klein": _integral_klein}[system]
+    rng = random.Random(10 * n + len(system))
+    outcomes = []
+    for free in range(n):
+        for k in (0.7, 1.0, 1.3, 2.5):
+            for c, lo, hi in _kernel_cases(system, n, free, k, rng):
+                want = _outcome(ref, c, free, lo, hi, k)
+                assert _outcome(new, c, free, lo, hi, k) == want, (free, k, c, lo, hi)
+                outcomes.append(want)
+    # both values and errors were compared
+    assert sum(isinstance(o, float) for o in outcomes) >= 5 * 4 * n
+    assert {o for o in outcomes if isinstance(o, tuple)} == (
+        {(DomainError, _OUTSIDE_BALL)} if system == "klein" else {(OverflowError, "math range error")})
+
+
 # ---------------------------------------------------------------------------
 # type validation
 # ---------------------------------------------------------------------------

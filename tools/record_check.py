@@ -66,7 +66,13 @@ of the nested quadrature are compared too: the message and best estimate of
 the ConvergenceError of ``volume_ndim`` at edges (1, 19, 1, 1), whose
 long middle edge exhausts the budget, and the
 DomainError messages of a Klein box that leaves the ball and of a
-half-space box whose outermost x_n does not stay positive.  Library lines
+half-space box whose outermost x_n does not stay positive, and those of
+``coordinate_volume``'s innermost limits: "a bound of integration
+variable n gave no number" for a callable bound that returns a string or
+None or overflows, "innermost limits must be finite with lo <= hi" for one
+that returns inf and for a constant pair with lo > hi, and the Klein
+box [(0, 0, 0.5), (1, 0, 0.5), (2, -0.3, 0.9)], whose innermost segment
+crosses the sphere where its outer slots stay inside.  Library lines
 are paired by their label, the text before the result that ends them,
 through ``difflib.SequenceMatcher``: a line whose label only one tree
 prints is reported as inserted or removed, apart from the changed lines,
@@ -515,6 +521,22 @@ def print_library_results() -> None:
                                                                 (1, 0.0, 1.0)], 3)))
     except DomainError as exc:
         print("halfspace DomainError", exc)
+    # the innermost limits, resolved at each evaluation: a callable bound that gives a
+    # string, None or an overflow, or inf, a constant pair with lo > hi, and a Klein box
+    # whose innermost segment crosses the sphere where its outer slots stay inside
+    for name, lo, hi in (("string", lambda x2, x0: "x", 0.4), ("none", 0.0, lambda x2, x0: None),
+                         ("overflow", 0.0, lambda x2, x0: math.exp(1000.0)),
+                         ("inf", 0.0, lambda x2, x0: math.inf), ("lo-above-hi", 0.5, 0.2)):
+        try:
+            print("orthogonal innermost", name, repr(coordinate_volume(
+                "orthogonal", [(2, 0.0, 0.6), (0, 0.0, 0.5), (1, lo, hi)], 3)))
+        except DomainError as exc:
+            print("orthogonal innermost", name, "DomainError", exc)
+    try:
+        print("klein crossing", repr(coordinate_volume("klein", [(0, 0.0, 0.5), (1, 0.0, 0.5),
+                                                                 (2, -0.3, 0.9)], 3)))
+    except DomainError as exc:
+        print("klein crossing DomainError", exc)
     regions = (mc.region_simplex(mc.orthoscheme_vertices(1.0, 0.8, 0.6)), mc.region_ball(1.0),
                mc.region_barrel(1.0, 0.5), mc.region_cone(1.0, 0.7),
                mc.region_slab((0.6, 0.4), 0.7))
