@@ -25,25 +25,26 @@ them.  Points and distances are at curvature 1; ``density`` and
 lengths (k -> infinity recovers Euclidean behaviour).
 
 Each chart also has the exact integral of its density along one coordinate
-between two limits, the other coordinates fixed, and ``coordinate_volume``
-takes its innermost level from it.  The paracycle and half-space x_n and the
-orthogonal cosh^p integrate as sums of exponentials with positive weights,
-and so does the Klein density, which x = sqrt(K) tanh(rho) turns into
-cosh^{n-1}(rho).  The exponential and Fourier sums of sinh^{n-1}(r/k) and
-sin^i(phi) cancel where the integrand is small, next to r = 0 and phi = 0
-or pi, so there these take their Taylor series.
+between two limits, curried in the other coordinates, which it takes once per
+integral, and ``coordinate_volume`` takes its innermost level from it.  The
+paracycle and half-space x_n and the orthogonal cosh^p integrate as sums of
+exponentials with positive weights, and so does the Klein density, which
+x = sqrt(K) tanh(rho) turns into cosh^{n-1}(rho).  The exponential and Fourier
+sums of sinh^{n-1}(r/k) and sin^i(phi) cancel where the integrand is small,
+next to r = 0 and phi = 0 or pi, so there these take their Taylor series.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from math import isfinite
 from typing import Callable, NamedTuple, Sequence
 
 from . import quadrature
 from .errors import (DomainError, UnsupportedDimensionError, in_float_range, nonnegative,
                      number, positive, sequence)
-from .quadrature import DEFAULT_TOL, IntegralResult
+from .quadrature import DEFAULT_TOL, IntegralResult, bound_value
 
 __all__ = [
     "transform",
@@ -101,11 +102,12 @@ def _ball_gap(X) -> float:
 
 
 # ---------------------------------------------------------------------------
-# densities, (c, k) -> the density at the point c, and their exact integrals
-# along one slot, (c, free, lo, hi, k) -> the integral over c[free] in [lo, hi]
-# with the other coordinates of c fixed, for lo < hi (c[free] is not read, and may
-# be overwritten).  c and k are unchecked but for the half-space and the ball,
-# whose formulas give a wrong finite value outside.
+# densities, (c, k) -> the density at the point c, and their exact integrals along one
+# slot, curried: (c, free, last, k, lo, hi) -> at(x, lo, hi), the integral over c[free]
+# in [lo, hi], lo < hi, with c[last] = x.  The first stage does the work on the other
+# slots and on number limits (None where they vary); at does the rest, each float
+# operation in the order of one call doing all.  c[free] and c[last] are not read and
+# may be overwritten.  c and k are unchecked but for the half-space and the ball.
 # ---------------------------------------------------------------------------
 
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
@@ -121,27 +123,45 @@ def _height(h):
     return h
 
 
+def _product(rest, reads, factor, c, last, k, lo, hi):
+    """at for rest(c, k) * factor(lo, hi): the other slots' density, at c[last] = x
+    if it reads that slot, else once, times the free slot's factor, once for numbers."""
+    d = None if reads else rest(c, k)
+    f = None if lo is None or hi is None else factor(lo, hi)
+
+    def at(x, lo, hi):
+        if d is None:
+            c[last] = x
+        return (rest(c, k) if d is None else d) * (factor(lo, hi) if f is None else f)
+
+    return at
+
+
 def _density_paracycle(c, k):
     return math.exp(-(len(c) - 1) * c[-1] / k)
 
 
-def _integral_paracycle(c, free, lo, hi, k):
-    if free < len(c) - 1:
-        return (hi - lo) * _density_paracycle(c, k)
-    q = -(len(c) - 1) / k
-    return math.exp(q * lo) * math.expm1(q * (hi - lo)) / q
+def _integral_paracycle(c, free, last, k, lo, hi):
+    n, q = len(c), -(len(c) - 1) / k
+    if free < n - 1:
+        return _product(_density_paracycle, last == n - 1, lambda lo, hi: hi - lo, c, last, k,
+                        lo, hi)
+    return _product(lambda c, k: 1.0, False, lambda lo, hi: math.exp(q * lo)
+                    * math.expm1(q * (hi - lo)) / q, c, last, k, lo, hi)
 
 
 def _density_halfspace(c, k):
     return k / _height(c[-1]) ** len(c)
 
 
-def _integral_halfspace(c, free, lo, hi, k):
+def _integral_halfspace(c, free, last, k, lo, hi):
     # k (lo^(1-n) - hi^(1-n)) / (n - 1), with hi / lo = 1 + w / lo
     n = len(c)
     if free < n - 1:
-        return (hi - lo) * _density_halfspace(c, k)
-    return k / (n - 1) * _height(lo) ** (1 - n) * -math.expm1((1 - n) * math.log1p((hi - lo) / lo))
+        return _product(_density_halfspace, last == n - 1, lambda lo, hi: hi - lo, c, last, k,
+                        lo, hi)
+    return _product(lambda c, k: 1.0, False, lambda lo, hi: k / (n - 1) * _height(lo) ** (1 - n)
+                    * -math.expm1((1 - n) * math.log1p((hi - lo) / lo)), c, last, k, lo, hi)
 
 
 def _density_orthogonal(c, k):
@@ -149,17 +169,31 @@ def _density_orthogonal(c, k):
     return math.prod([math.cosh(v / k) ** (i + 1) for i, v in enumerate(c[:-1])])
 
 
-def _integral_orthogonal(c, free, lo, hi, k):
-    # the density of the other slots, their factors multiplied in slot order
-    n = len(c)
-    d = 1.0
-    for i in range(n - 1):
-        if i != free:
-            d *= math.cosh(c[i] / k) ** (i + 1)
-    if free == n - 1:
-        return (hi - lo) * d
-    return k * d * _fourier(free + 1, 1, math.cosh, math.sinh, (lo + hi) / (2 * k),
-                            (hi - lo) / (2 * k))
+def _integral_orthogonal(c, free, last, k, lo, hi):
+    # the other slots' factors in slot order from 1.0: before last once, x's and after it per call
+    n, cosh, sinh = len(c), math.cosh, math.sinh
+    pre = math.prod([cosh(c[i] / k) ** (i + 1) for i in range(last) if i != free], start=1.0)
+    post = [cosh(c[i] / k) ** (i + 1) for i in range(last + 1, n - 1) if i != free]
+    p, width, k2 = last + 1 if last < n - 1 else 0, free == n - 1, 2 * k
+    pairs, w0 = _pairs(free + 1, 1)
+    F = None if width or lo is None or hi is None else _fourier(
+        free + 1, 1, cosh, sinh, (lo + hi) / k2, (hi - lo) / k2)
+
+    def at(x, lo, hi):
+        d = pre * cosh(x / k) ** p if p else pre
+        for v in post:
+            d *= v
+        if width:
+            return (hi - lo) * d
+        if F is not None:
+            return k * d * F
+        s, h = (lo + hi) / k2, (hi - lo) / k2
+        total = w0 * h  # _fourier's sum, its pairs looked up once
+        for q, coef in pairs:
+            total += coef * cosh(q * s) * sinh(q * h) / q
+        return k * d * total
+
+    return at
 
 
 def _density_spherical(c, k):
@@ -170,53 +204,61 @@ def _density_spherical(c, k):
                       *(math.sin(v) ** i for i, v in enumerate(c[1:-1], 1))])
 
 
-def _integral_spherical(c, free, lo, hi, k):
+def _integral_spherical(c, free, last, k, lo, hi):
     n = len(c)
-    if free == 0:
-        return (hi - lo) * _density_spherical(c, k)
-    if free < n - 1:
+    if free == n - 1:  # r: k^{n-1} times the polar factors, and k from dr = k d(r/k)
+        return _product(lambda c, k: k ** n * math.prod([math.sin(v) ** i for i, v in enumerate(
+            c[1:-1], 1)]), last > 0, lambda lo, hi: _sine_power(n - 1, 1, lo / k, (hi - lo) / k),
+            c, last, k, lo, hi)
+    if free:
         c[free] = math.pi / 2  # sin(pi/2) = 1: the density of the other slots
-        return _density_spherical(c, k) * _sine_power(free, -1, lo, hi - lo)
-    # r: k^{n-1} times the polar factors, and k from dr = k d(r/k)
-    return (k ** n * math.prod([math.sin(v) ** i for i, v in enumerate(c[1:-1], 1)])
-            * _sine_power(n - 1, 1, lo / k, (hi - lo) / k))
+    return _product(_density_spherical, last > 0, lambda lo, hi: _sine_power(
+        free, -1, lo, hi - lo) if free else hi - lo, c, last, k, lo, hi)
 
 
 def _density_klein(c, k):
     return _ball_gap([v / k for v in c]) ** (-(len(c) + 1) / 2.0)
 
 
-def _integral_klein(c, free, lo, hi, k):
+def _squares(v):
+    """a^2, 2ab and b^2 of Dekker's split of v into halves a + b: v^2, summed exactly."""
+    a = 134217729.0 * v
+    a -= a - v
+    b = v - a
+    return [a * a, 2.0 * a * b, b ** 2]
+
+
+def _integral_klein(c, free, last, k, lo, hi):
     # the density is k^{n+1} (K - x^2)^{-(n+1)/2}, K = k^2 - sum of the other x_i^2,
     # and x = sqrt(K) tanh(rho) makes it k^{n+1} K^{-n/2} cosh^{n-1}(rho) in rho.  K and
-    # the gaps K - x^2 at the limits are sums of exact squares, so that they keep their
-    # relative accuracy near the sphere.  One pass splits the other slots, k, lo and hi,
-    # each v into halves a + b (Dekker), v^2 = a^2 + 2ab + b^2 exactly: the other
-    # slots' terms less k's sum to -K, and with lo's or hi's after them to -(K - x^2)
+    # the gaps K - x^2 at the limits are sums of exact squares (the other slots' in slot
+    # order, less k's, then lo's or hi's), to keep their relative accuracy near the sphere
     n = len(c)
-    terms = []
-    for i, v in enumerate((*c, k, lo, hi)):
-        if i != free:
-            a = 134217729.0 * v
-            a -= a - v
-            b = v - a
-            terms += (-a * a, -2.0 * a * b, -b ** 2) if i == n else (a * a, 2.0 * a * b, b ** 2)
-    K, ga = -math.fsum(terms[:-6]), -math.fsum(terms[:-3])
-    del terms[-6:-3]  # lo's
-    gb = -math.fsum(terms)
-    if ga <= 0.0 or gb <= 0.0:
-        raise DomainError(_OUTSIDE_BALL)
-    rk = math.sqrt(K)
+    pre = [t for i in range(last) if i != free for t in _squares(c[i])]
+    post = [t for i in range(last + 1, n) if i != free for t in _squares(c[i])]
+    post += [-t for t in _squares(k)]
+    lo_sq, hi_sq = [None if v is None else _squares(v) for v in (lo, hi)]
+    pairs, w0 = _pairs(n - 1, 1)
 
-    def plus(x, g):
-        # sqrt(K) + x, through the gap g = K - x^2 where that cancels
-        return rk + x if x >= 0.0 else g / (rk - x)
+    def at(x, lo, hi):
+        terms = [*pre, *_squares(x), *post]
+        K = -math.fsum(terms)
+        ga = -math.fsum(terms + (lo_sq or _squares(lo)))
+        gb = -math.fsum(terms + (hi_sq or _squares(hi)))
+        if ga <= 0.0 or gb <= 0.0:
+            raise DomainError(_OUTSIDE_BALL)
+        rk = math.sqrt(K)
+        # e^rho = (sqrt(K) + x) / sqrt(K - x^2), sqrt(K) + x through K - x^2 where that cancels;
+        # h is half the rho width: e^{2 width} - 1 = 2 w sqrt(K)(sqrt(K) + hi)(sqrt(K) - lo) / ga gb
+        h = 0.25 * math.log1p(2.0 * (hi - lo) * rk * (rk + hi if hi >= 0.0 else gb / (rk - hi))
+                              * (rk - lo if lo <= 0.0 else ga / (rk + lo)) / (ga * gb))
+        s = math.log((rk + lo if lo >= 0.0 else ga / (rk - lo)) / math.sqrt(ga)) + h
+        total = w0 * h  # _fourier's sum, its pairs looked up once
+        for q, coef in pairs:
+            total += coef * math.cosh(q * s) * math.sinh(q * h) / q
+        return k * (k * k / K) ** (n / 2) * total
 
-    # e^rho = (sqrt(K) + x) / sqrt(K - x^2); h is half the rho width, from
-    # e^{2 width} - 1 = 2 w sqrt(K) (sqrt(K) + hi) (sqrt(K) - lo) / (K - lo^2)(K - hi^2)
-    h = 0.25 * math.log1p(2.0 * (hi - lo) * rk * plus(hi, gb) * plus(-lo, ga) / (ga * gb))
-    s = math.log(plus(lo, ga) / math.sqrt(ga)) + h
-    return k * (k * k / K) ** (n / 2) * _fourier(n - 1, 1, math.cosh, math.sinh, s, h)
+    return at
 
 
 def _fourier(p, sign, centre, half, s, h):
@@ -480,11 +522,12 @@ def coordinate_volume(
     The innermost level is the chart's exact integral of its density along
     its slot (the chart integrals above), so ``integrate_region`` runs
     quadrature on the outer n - 1 levels only, and the evaluation count is
-    theirs: each evaluation resolves the innermost limits at its point and
-    returns the closed form.  A number limit is checked and converted once
-    per call, a callable one at each evaluation.  DomainError there for a
-    bound that gives no number and for limits that are not finite or have
-    lo > hi.
+    theirs.  That integral is curried as ``integrate_region``'s integrand is:
+    its work on the fixed slots and number limits runs once per innermost
+    integral, at its first evaluation over a nonempty interval.  A number
+    limit is checked and converted once per call, a callable one at each
+    evaluation.  DomainError there for a bound that gives no number (a bool
+    is none) and for limits that are not finite or have lo > hi.
     """
     k = positive("k", k)
     n = _check_dim(n)
@@ -504,30 +547,27 @@ def coordinate_volume(
     # a number limit is checked and converted once, a callable one at each point
     lo_num, hi_num = [None if callable(b) else number("integration bound", b) for b in inner]
     *outer_axes, free = axes
+    last = outer_axes[-1]
 
     def integrand(*fixed):
-        # the outer variables scattered into their slots; the last outer one's is set per point
+        # the outer variables scattered into their slots, but the last, which f passes
         c = [0.0] * n
         for ax, v in zip(outer_axes, fixed):
             c[ax] = v
+        at = None
 
         def f(x):
-            c[outer_axes[-1]] = x
-            lo, hi = lo_num, hi_num
-            try:
-                if lo is None:
-                    lo = float(lo_at(*fixed, x))
-                if hi is None:
-                    hi = float(hi_at(*fixed, x))
-            except DomainError:
-                raise
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise DomainError(f"a bound of integration variable {n} gave no number: "
-                                  f"{exc}") from exc
-            if not (lo <= hi and math.isfinite(hi - lo)):
+            nonlocal at
+            lo = lo_num if lo_num is not None else bound_value(n, lo_at, (*fixed, x))
+            hi = hi_num if hi_num is not None else bound_value(n, hi_at, (*fixed, x))
+            if not (lo <= hi and isfinite(hi - lo)):
                 raise DomainError(f"innermost limits must be finite with lo <= hi, got {lo!r} "
                                   f"and {hi!r}")
-            return integral(c, free, lo, hi, k) if lo < hi else 0.0
+            if lo == hi:
+                return 0.0
+            if at is None:
+                at = integral(c, free, last, k, lo_num, hi_num)
+            return at(x, lo, hi)
 
         return f
 

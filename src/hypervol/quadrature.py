@@ -294,6 +294,22 @@ def integrate_1d(
         heapq.heappush(heap, (-e2, seq, m, b, v2, e2, r2))
 
 
+def bound_value(i: int, bound: Callable[..., float], args: tuple) -> float:
+    """float(bound(*args)), the value of a callable bound of integration variable i
+    (1-based) at the outer variables args.  DomainError where the bound raises
+    TypeError, ValueError or OverflowError, where float() refuses its value, and
+    where the value is a bool, which float() would take for 0 or 1."""
+    try:
+        v = bound(*args)
+        if v is True or v is False:
+            raise DomainError(f"a bound of integration variable {i} gave {v!r}, not a number")
+        return float(v)
+    except DomainError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"a bound of integration variable {i} gave no number: {exc}") from exc
+
+
 def integrate_region(
     integrand: Callable[..., Callable[[float], float]],
     bounds: Sequence[tuple],
@@ -304,8 +320,8 @@ def integrate_region(
     ``bounds`` lists one (lo, hi) pair per variable, outermost first; lo and
     hi may be numbers or callables of the already-fixed outer variables (in
     listed order); DomainError for an entry that is not such a pair, a bound
-    that is or returns no number, and a tol that is not a Tolerance.  The
-    integrand is curried: ``integrand(*outer)``, with the
+    that is or returns no number (a bool is none), and a tol that is not a
+    Tolerance.  The integrand is curried: ``integrand(*outer)``, with the
     outer variables in the same order, returns the function of the innermost
     variable that one innermost 1-D integral integrates, and is called once
     per such integral (with no arguments for a single variable).  Every
@@ -335,16 +351,10 @@ def integrate_region(
     def level(i, fixed):
         nonlocal evals
         lo, lo_fn, hi, hi_fn = levels[i]
-        try:
-            if lo_fn:
-                lo = float(lo(*fixed))
-            if hi_fn:
-                hi = float(hi(*fixed))
-        except DomainError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"a bound of integration variable {i + 1} gave no number: "
-                              f"{exc}") from exc
+        if lo_fn:
+            lo = bound_value(i + 1, lo, fixed)
+        if hi_fn:
+            hi = bound_value(i + 1, hi, fixed)
         if i < last:
             return integrate_1d(lambda x: level(i + 1, fixed + (x,)).value,
                                 lo, hi, tol, budget - evals)

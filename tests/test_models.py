@@ -1,5 +1,7 @@
 """Coordinate chart tests: densities, transforms, distances, volumes."""
 
+import contextlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +9,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from hypervol import models, solids
+from hypervol import models, quadrature, solids
 from hypervol.errors import DomainError, UnsupportedDimensionError
 from hypervol.models import (
     coordinate_volume,
@@ -653,6 +655,7 @@ def test_innermost_integral_matches_mpmath(system, n):
     with mp.workdps(40):
         for free in range(n):
             k = (1.0, 1.3)[free % 2]
+            last = (free + 1) % n  # the slot of the last outer variable
             for c, lo, hi in _innermost_cases(system, n, free, k, rng):
                 # the Klein density with the other coordinates summed once, for speed
                 gap = 1 - mp.fsum((mp.mpf(v) / k) ** 2 for v in c[:free] + c[free + 1:])
@@ -663,7 +666,7 @@ def test_innermost_integral_matches_mpmath(system, n):
                     return _mp_density(system, c[:free] + [x] + c[free + 1:], k)
 
                 ref = mp.quad(f, [mp.mpf(lo), mp.mpf(hi)])
-                got = integral(list(c), free, lo, hi, k)
+                got = integral(list(c), free, last, k, lo, hi)(c[last], lo, hi)
                 assert abs(got - ref) <= 1e-13 * abs(ref), (free, k, c, lo, hi, got)
 
 
@@ -739,16 +742,111 @@ def test_coordinate_volume_innermost_limit_errors(lo, hi, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_coordinate_volume_refuses_a_callable_bound_that_gives_a_bool(value):
+    # float() would take the bool for 1 or 0: at the innermost level, which the chart
+    # integral takes, and at an outer one, which integrate_region runs
+    for bounds, i in (([(0, 0, 1), (1, 0, 1), (2, 0, lambda *a: value)], 3),
+                      ([(0, 0, 1), (1, 0, lambda x: value), (2, 0, 1)], 2)):
+        with pytest.raises(DomainError) as exc:
+            coordinate_volume("paracycle", bounds, 3)
+        assert str(exc.value) == f"a bound of integration variable {i} gave {value}, not a number"
+
+
 # ---------------------------------------------------------------------------
-# the orthogonal and Klein kernels against their list-building bodies
+# the curried chart integrals against their one-call and list-building bodies
 # ---------------------------------------------------------------------------
-# _density_orthogonal, _integral_orthogonal, _integral_klein and _squares as they
-# read when each node built its lists, verbatim: the references that the one-pass
-# kernels of models must repeat float operation for float operation, the fsum terms
-# in the same order
+# The chart integrals as they read when each call did the whole work, verbatim but
+# for their names: the references that the curried kernels of models must repeat
+# float operation for float operation.  After them _density_orthogonal,
+# _integral_orthogonal, _integral_klein and _squares as they read when each node
+# built its lists, verbatim: the fsum terms in the same order.
 
 _OUTSIDE_BALL = "point lies on or outside the projective ball"
 _fourier = models._fourier
+_sine_power = models._sine_power
+_height = models._height
+_density_paracycle = models._density_paracycle
+_density_halfspace = models._density_halfspace
+_density_spherical = models._density_spherical
+
+
+def _one_call_paracycle(c, free, lo, hi, k):
+    if free < len(c) - 1:
+        return (hi - lo) * _density_paracycle(c, k)
+    q = -(len(c) - 1) / k
+    return math.exp(q * lo) * math.expm1(q * (hi - lo)) / q
+
+
+def _one_call_halfspace(c, free, lo, hi, k):
+    # k (lo^(1-n) - hi^(1-n)) / (n - 1), with hi / lo = 1 + w / lo
+    n = len(c)
+    if free < n - 1:
+        return (hi - lo) * _density_halfspace(c, k)
+    return k / (n - 1) * _height(lo) ** (1 - n) * -math.expm1((1 - n) * math.log1p((hi - lo) / lo))
+
+
+def _one_call_orthogonal(c, free, lo, hi, k):
+    # the density of the other slots, their factors multiplied in slot order
+    n = len(c)
+    d = 1.0
+    for i in range(n - 1):
+        if i != free:
+            d *= math.cosh(c[i] / k) ** (i + 1)
+    if free == n - 1:
+        return (hi - lo) * d
+    return k * d * _fourier(free + 1, 1, math.cosh, math.sinh, (lo + hi) / (2 * k),
+                            (hi - lo) / (2 * k))
+
+
+def _one_call_spherical(c, free, lo, hi, k):
+    n = len(c)
+    if free == 0:
+        return (hi - lo) * _density_spherical(c, k)
+    if free < n - 1:
+        c[free] = math.pi / 2  # sin(pi/2) = 1: the density of the other slots
+        return _density_spherical(c, k) * _sine_power(free, -1, lo, hi - lo)
+    # r: k^{n-1} times the polar factors, and k from dr = k d(r/k)
+    return (k ** n * math.prod([math.sin(v) ** i for i, v in enumerate(c[1:-1], 1)])
+            * _sine_power(n - 1, 1, lo / k, (hi - lo) / k))
+
+
+def _one_call_klein(c, free, lo, hi, k):
+    # the density is k^{n+1} (K - x^2)^{-(n+1)/2}, K = k^2 - sum of the other x_i^2,
+    # and x = sqrt(K) tanh(rho) makes it k^{n+1} K^{-n/2} cosh^{n-1}(rho) in rho.  K and
+    # the gaps K - x^2 at the limits are sums of exact squares, so that they keep their
+    # relative accuracy near the sphere.  One pass splits the other slots, k, lo and hi,
+    # each v into halves a + b (Dekker), v^2 = a^2 + 2ab + b^2 exactly: the other
+    # slots' terms less k's sum to -K, and with lo's or hi's after them to -(K - x^2)
+    n = len(c)
+    terms = []
+    for i, v in enumerate((*c, k, lo, hi)):
+        if i != free:
+            a = 134217729.0 * v
+            a -= a - v
+            b = v - a
+            terms += (-a * a, -2.0 * a * b, -b ** 2) if i == n else (a * a, 2.0 * a * b, b ** 2)
+    K, ga = -math.fsum(terms[:-6]), -math.fsum(terms[:-3])
+    del terms[-6:-3]  # lo's
+    gb = -math.fsum(terms)
+    if ga <= 0.0 or gb <= 0.0:
+        raise DomainError(_OUTSIDE_BALL)
+    rk = math.sqrt(K)
+
+    def plus(x, g):
+        # sqrt(K) + x, through the gap g = K - x^2 where that cancels
+        return rk + x if x >= 0.0 else g / (rk - x)
+
+    # e^rho = (sqrt(K) + x) / sqrt(K - x^2); h is half the rho width, from
+    # e^{2 width} - 1 = 2 w sqrt(K) (sqrt(K) + hi) (sqrt(K) - lo) / (K - lo^2)(K - hi^2)
+    h = 0.25 * math.log1p(2.0 * (hi - lo) * rk * plus(hi, gb) * plus(-lo, ga) / (ga * gb))
+    s = math.log(plus(lo, ga) / math.sqrt(ga)) + h
+    return k * (k * k / K) ** (n / 2) * _fourier(n - 1, 1, math.cosh, math.sinh, s, h)
+
+
+_ONE_CALL = {"paracycle": _one_call_paracycle, "halfspace": _one_call_halfspace,
+             "orthogonal": _one_call_orthogonal, "spherical": _one_call_spherical,
+             "klein": _one_call_klein}
 
 
 def _density_orthogonal(c, k):
@@ -798,9 +896,27 @@ def _squares(values):
     return out
 
 
+def _curried(system, last, numbers):
+    """The chart's curried integral as a one-call kernel (c, free, lo, hi, k).  Its
+    first stage sees c with NaN in slot ``last``, which it must not read, and lo and
+    hi as numbers or as None, as ``numbers`` (lo's, hi's) says; the function it
+    returns is called at x = c[last] / 2 first, and what it returns at c[last] is
+    the outcome."""
+    integral = models._chart(system).integral
+
+    def kernel(c, free, lo, hi, k):
+        x, c[last] = c[last], math.nan
+        at = integral(c, free, last, k, lo if numbers[0] else None, hi if numbers[1] else None)
+        with contextlib.suppress(DomainError, ArithmeticError):
+            at(0.5 * x, lo, hi)
+        return at(x, lo, hi)
+
+    return kernel
+
+
 def _outcome(kernel, c, free, lo, hi, k):
     # the kernel's value, or the type and message of its error; c is copied, as the
-    # reference overwrites c[free]
+    # kernels overwrite it
     try:
         return kernel(list(c), free, lo, hi, k)
     except (DomainError, OverflowError) as exc:
@@ -831,23 +947,76 @@ def _kernel_cases(system, n, free, k, rng):
     return cases
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
-@pytest.mark.parametrize("system", ["orthogonal", "klein"])
-def test_orthogonal_and_klein_kernels_repeat_their_list_bodies_bit_for_bit(system, n):
-    new = models._chart(system).integral
-    ref = {"orthogonal": _integral_orthogonal, "klein": _integral_klein}[system]
+def _compare_kernels(system, n, ref):
+    """Compare the curried kernel, at every last slot and with the limits as numbers
+    and as None, with the reference on every _kernel_cases case at k in {0.7, 1,
+    1.3, 2.5}; the outcomes."""
     rng = random.Random(10 * n + len(system))
     outcomes = []
     for free in range(n):
         for k in (0.7, 1.0, 1.3, 2.5):
             for c, lo, hi in _kernel_cases(system, n, free, k, rng):
                 want = _outcome(ref, c, free, lo, hi, k)
-                assert _outcome(new, c, free, lo, hi, k) == want, (free, k, c, lo, hi)
+                for last in (s for s in range(n) if s != free):
+                    for numbers in itertools.product((True, False), repeat=2):
+                        got = _outcome(_curried(system, last, numbers), c, free, lo, hi, k)
+                        assert got == want, (free, last, numbers, k, c, lo, hi)
                 outcomes.append(want)
+    return outcomes
+
+
+# the errors of _kernel_cases, their messages up to the first comma
+_KERNEL_ERRORS = {"orthogonal": {(OverflowError, "math range error")},
+                  "klein": {(DomainError, _OUTSIDE_BALL)},
+                  "halfspace": {(DomainError, "half-space coordinate x_n must be positive")}}
+
+
+def _errors(outcomes):
+    return {(o[0], o[1].split(",")[0]) for o in outcomes if isinstance(o, tuple)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("system", models.COORDINATE_SYSTEMS)
+def test_curried_integrals_repeat_their_one_call_bodies_bit_for_bit(system, n):
+    outcomes = _compare_kernels(system, n, _ONE_CALL[system])
+    # both values and, where the chart has them, errors were compared
+    assert sum(isinstance(o, float) for o in outcomes) >= 4 * 4 * n
+    assert _errors(outcomes) == _KERNEL_ERRORS.get(system, set())
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("system", ["orthogonal", "klein"])
+def test_orthogonal_and_klein_kernels_repeat_their_list_bodies_bit_for_bit(system, n):
+    ref = {"orthogonal": _integral_orthogonal, "klein": _integral_klein}[system]
+    outcomes = _compare_kernels(system, n, ref)
     # both values and errors were compared
     assert sum(isinstance(o, float) for o in outcomes) >= 5 * 4 * n
-    assert {o for o in outcomes if isinstance(o, tuple)} == (
-        {(DomainError, _OUTSIDE_BALL)} if system == "klein" else {(OverflowError, "math range error")})
+    assert _errors(outcomes) == _KERNEL_ERRORS[system]
+
+
+@pytest.mark.parametrize("system", models.COORDINATE_SYSTEMS)
+def test_the_fixed_slot_work_runs_once_per_innermost_integral(system, monkeypatch):
+    # the chart integral's first stage runs once per innermost 1-D integral, and
+    # those integrals make all the evaluations
+    bounds, k = _nested_quad_boxes()[system]
+    chart = models._chart(system)
+    stage_one, innermost, integrate_1d_ = [], [], quadrature.integrate_1d
+
+    def integral(c, *args):
+        stage_one.append(c)  # kept, so that no two calls' c share an id
+        return chart.integral(c, *args)
+
+    def integrate_1d(f, *args):
+        res = integrate_1d_(f, *args)
+        if f.__qualname__ == "coordinate_volume.<locals>.integrand.<locals>.f":
+            innermost.append(res.evaluations)
+        return res
+
+    monkeypatch.setitem(models._CHARTS, system, chart._replace(integral=integral))
+    monkeypatch.setattr(quadrature, "integrate_1d", integrate_1d)
+    res = coordinate_volume(system, bounds, 3, k)
+    assert len({id(c) for c in stage_one}) == len(stage_one) == len(innermost) >= 15
+    assert sum(innermost) == res.evaluations
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,16 @@ def test_nested_triangle():
     assert res.value == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_region_refuses_a_callable_bound_that_gives_a_bool(value):
+    # float() takes a bool for 1 or 0, as a constant bound a bool is refused already
+    with pytest.raises(DomainError) as exc:
+        integrate_region(lambda x: lambda y: 1.0, [(0.0, 1.0), (0.0, lambda x: value)])
+    assert str(exc.value) == f"a bound of integration variable 2 gave {value}, not a number"
+    with pytest.raises(DomainError, match="integration bound must be a number"):
+        integrate_region(lambda x: lambda y: 1.0, [(0.0, 1.0), (0.0, value)])
+
+
 def test_nested_right_triangle_area_matches_defect():
     a, b = 1.0, 1.0
     ratio = math.tanh(b) / math.sinh(a)

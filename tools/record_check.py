@@ -36,7 +36,11 @@ innermost, a Klein box next to the sphere, a half-space box with x_n
 from 1e-3 and at n = 5 the spherical box [(1, 0.2, 2.9), (2, 0.2, 2.9),
 (3, 0.2, 2.9), (4, 0, 1.2), (0, 0, 2 pi)], whose four quadrature levels
 take three panels each (``slot_boxes``), where a ConvergenceError prints
-with its best estimate; ``volume_ndim`` at
+with its best estimate; ``coordinate_volume`` at n = 4 on the orthogonal,
+spherical and Klein charts with the last outer slot before, between and
+after the other fixed slots, so that the products and fsum terms that the
+chart integral keeps before and after that slot are compared
+(``last_slot_boxes``); ``volume_ndim`` at
 n = 2..5, ``area_right_triangle`` at two tolerances, ``volume_ndim`` at
 rel 1e-10 on paths whose last edge is long, (17, 0.2), (0.5, 15, 0.5)
 and (0.5, 0.5, 12, 0.5), on paths that exhausted the evaluation budget
@@ -72,7 +76,10 @@ variable n gave no number" for a callable bound that returns a string or
 None or overflows, "innermost limits must be finite with lo <= hi" for one
 that returns inf and for a constant pair with lo > hi, and the Klein
 box [(0, 0, 0.5), (1, 0, 0.5), (2, -0.3, 0.9)], whose innermost segment
-crosses the sphere where its outer slots stay inside.  Library lines
+crosses the sphere where its outer slots stay inside, and the DomainError
+of a callable bound that gives a bool, which float() would take for 1 or 0:
+``coordinate_volume``'s innermost bound and an outer one giving True, and
+an ``integrate_region`` bound giving False.  Library lines
 are paired by their label, the text before the result that ends them,
 through ``difflib.SequenceMatcher``: a line whose label only one tree
 prints is reported as inserted or removed, apart from the changed lines,
@@ -412,6 +419,22 @@ def slot_boxes(n: int):
                             (0, 0.0, 2 * math.pi)]
 
 
+def last_slot_boxes():
+    """(system, bounds) of n = 4 boxes of the orthogonal, spherical and Klein
+    charts, the last outer slot before, between and after the other fixed
+    slots: slot 1 innermost at each of last slots 0, 2 and 3, and for the
+    orthogonal chart also slot 3 (no factor) innermost at last slots 0, 1, 2."""
+    # (system, slot ranges, innermost slots)
+    charts = (("orthogonal", [(-0.3, 0.5)] * 4, (1, 3)),
+              ("spherical", [(0.0, 2 * math.pi), (0.6, 1.4), (0.6, 1.4), (0.0, 0.6)], (1,)),
+              ("klein", [(-0.2, 0.25)] * 4, (1,)))
+    for system, r, frees in charts:
+        for free in frees:
+            for last in (ax for ax in range(4) if ax != free):
+                axes = [ax for ax in range(4) if ax not in (free, last)] + [last, free]
+                yield system, [(ax, *r[ax]) for ax in axes]
+
+
 def print_library_results() -> None:
     """Print the repr of every library result of the third pass, one a line."""
     from hypervol import mc_oracle as mc
@@ -419,7 +442,7 @@ def print_library_results() -> None:
     from hypervol.models import coordinate_volume
     from hypervol.orthoscheme import (area_right_triangle, volume_angles, volume_edges,
                                       volume_ndim, volume_one_ideal, volume_two_ideal)
-    from hypervol.quadrature import Tolerance, integrate_1d
+    from hypervol.quadrature import Tolerance, integrate_1d, integrate_region
     from hypervol.shapes import SHAPES, collect_params
 
     boxes = {
@@ -454,6 +477,9 @@ def print_library_results() -> None:
                 print(system, n, axes, repr(coordinate_volume(system, bounds, n, 1.25)))
             except ConvergenceError as exc:
                 print(system, n, axes, "ConvergenceError", exc, repr(exc.best))
+    for system, bounds in last_slot_boxes():
+        axes = [ax for ax, _, _ in bounds]
+        print(system, 4, axes, repr(coordinate_volume(system, bounds, 4, 1.25)))
     for edges in ((0.6, 0.5), (0.6, 0.5, 0.4), (0.4, 0.5, 0.3, 0.4), (0.3, 0.3, 0.3, 0.3, 0.3)):
         print("volume_ndim", edges, repr(volume_ndim(edges)))
     for tol in (Tolerance(rel=1e-6), Tolerance()):
@@ -537,6 +563,19 @@ def print_library_results() -> None:
                                                                  (2, -0.3, 0.9)], 3)))
     except DomainError as exc:
         print("klein crossing DomainError", exc)
+    # a callable bound that gives a bool: coordinate_volume's innermost bound and an outer
+    # one, and a bound of integrate_region
+    for name, route in (
+            ("innermost", lambda: coordinate_volume("paracycle", [(0, 0, 1), (1, 0, 1),
+                                                                  (2, 0, lambda *a: True)], 3)),
+            ("outer", lambda: coordinate_volume("paracycle", [(0, 0, 1), (1, 0, lambda x: True),
+                                                              (2, 0, 1)], 3)),
+            ("integrate_region", lambda: integrate_region(lambda x: (lambda y: 1.0),
+                                                          [(0, 1), (0, lambda x: False)]))):
+        try:
+            print("bool bound", name, repr(route()))
+        except DomainError as exc:
+            print("bool bound", name, "DomainError", exc)
     regions = (mc.region_simplex(mc.orthoscheme_vertices(1.0, 0.8, 0.6)), mc.region_ball(1.0),
                mc.region_barrel(1.0, 0.5), mc.region_cone(1.0, 0.7),
                mc.region_slab((0.6, 0.4), 0.7))
