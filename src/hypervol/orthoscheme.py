@@ -499,44 +499,145 @@ def _cosh_power_integral(m: int):
     return integral
 
 
-def _first_edge_level(a1: float, an: float):
-    """The outer level of ``volume_ndim`` for n >= 3: (top, x_1, weight), where
-    x_1(u) maps u in [0, top] onto [0, a_1] and weight(x_1) is
-    cosh x_1 w_1(x_1) dx_1/du.
+def _edge_length(a1: float, an: float):
+    """The function (x, y) -> cosh x w_1(x), y = a_1 - x, where
 
-    w_1(x_1) = a_n - asinh(q), q = p tanh x_1 / tanh a_1 and p = sinh a_n, is
-    the length of the x_n range that reaches x_1.  It is taken as
-    asinh((p - q)(p + q) / (p sqrt(1 + q^2) + q sqrt(1 + p^2))), with
-    p - q = p sinh(a_1 - x_1) / (sinh a_1 cosh x_1), which does not cancel as
-    x_1 -> a_1; numerator and denominator are divided by 2p, so that neither
-    overflows up to a_n = 710.4759.
-
-    w_1 turns from flat to logarithmic at q = 1, near x_1 = s = tanh a_1 /
-    sinh a_n, a knee that a long a_n moves toward 0 (s < 1e-8 at a_n = 19).
-    So where s < a_1 the level runs in u, x_1 = s expm1(u), u in
-    [0, log1p(a_1 / s)], written through top = log1p(a_1 / s) as
-    a_1 (exp(u - top) - exp(-top)) / -expm1(-top), so that no factor
-    overflows; dx_1/du = x_1 + s.  Elsewhere u is x_1 itself.
+    w_1(x) = a_n - asinh(q), q = p tanh x / tanh a_1 and p = sinh a_n, is the
+    length of the x_n range of ``volume_ndim`` that reaches x_1 = x.  It is
+    taken as asinh((p - q)(p + q) / (p sqrt(1 + q^2) + q sqrt(1 + p^2))), with
+    p - q = p sinh y / (sinh a_1 cosh x), which does not cancel as x -> a_1
+    when y is exact; numerator and denominator are divided by 2p, so that
+    neither overflows up to a_n = 710.4759.
     """
     p, t1, sh1 = math.sinh(an), math.tanh(a1), math.sinh(a1)
     h = 0.5 * p
     hh = math.hypot(0.5, h)
-    sinh, cosh, tanh, asinh, hypot, exp = (math.sinh, math.cosh, math.tanh, math.asinh,
-                                           math.hypot, math.exp)
+    sinh, cosh, tanh, asinh, hypot = math.sinh, math.cosh, math.tanh, math.asinh, math.hypot
 
-    def cosh_w(x: float) -> float:
+    def cosh_w(x: float, y: float) -> float:
         cx = cosh(x)
         r = tanh(x) / t1  # q / p
-        return cx * asinh(sinh(a1 - x) / (sh1 * cx) * (1.0 + r) * h / (hypot(0.5, h * r) + r * hh))
+        return cx * asinh(sinh(y) / (sh1 * cx) * (1.0 + r) * h / (hypot(0.5, h * r) + r * hh))
 
-    if a1 / t1 * p <= 1.0:  # s >= a_1: no knee inside [0, a_1]
-        return a1, lambda u: u, cosh_w
-    # log1p(a_1 / s) = log(p (a_1 / tanh a_1 + 1 / p)), with 1 / p < a_1 / tanh a_1 < 19.1
-    top = math.log(p) + math.log(a1 / t1 + 1.0 / p)
-    c = a1 / -math.expm1(-top)
+    return cosh_w
+
+
+def _log_map(a: float, m: float, p: float, least: float = 1.0):
+    """(top, x, dx): x(u) maps u in [0, top] onto [0, a], and dx(x) = dx/du.
+
+    Where a / s = m p > least, the map is x = s expm1(u), u in [0, log1p(m p)],
+    written through top = log(p) + log(m + 1 / p) as
+    a (exp(u - top) - exp(-top)) / -expm1(-top), so that no factor
+    overflows for a large p; dx/du = x + s.  Elsewhere x is u itself.  So a
+    function that turns near x = s is resolved on [0, a] in steps that grow
+    with x.
+    """
+    if m * p <= least:
+        return a, lambda u: u, lambda x: 1.0
+    top = math.log(p) + math.log(m + 1.0 / p)
+    c = a / -math.expm1(-top)
     s = c * math.exp(-top)
-    return (top, lambda u: min(a1, c * exp(u - top) - s),
-            lambda x: (x + s) * cosh_w(x))
+    exp = math.exp
+    return top, lambda u: min(a, c * exp(u - top) - s), lambda x: x + s
+
+
+def _first_edge_level(a1: float, an: float):
+    """The outer level of ``volume_ndim`` for n = 3: (top, level), where
+    level(u) = (sinh x_1 / sinh a_1, cosh x_1 w_1(x_1) dx_1/du) for u in
+    [0, top] (w_1 of ``_edge_length``).
+
+    w_1 turns from flat to logarithmic at q = 1, near x_1 = s = tanh a_1 /
+    sinh a_n, a knee that a long a_n moves toward 0 (s < 1e-8 at a_n = 19).
+    So where s < a_1, x_1 runs through ``_log_map`` with that s; elsewhere
+    u is x_1 itself.
+    """
+    cosh_w = _edge_length(a1, an)
+    # a_1 / s = (a_1 / tanh a_1) sinh a_n, with a_1 / tanh a_1 < 19.1
+    top, x1, dx = _log_map(a1, a1 / math.tanh(a1), math.sinh(an))
+    sinh, sh1 = math.sinh, math.sinh(a1)
+
+    def level(u):
+        x = x1(u)
+        return sinh(x) / sh1, dx(x) * cosh_w(x, a1 - x)
+
+    return top, level
+
+
+# 10-point Gauss-Legendre rule on [-1, 1]: the positive nodes and their weights
+_GL10 = ((0.14887433898163122, 0.29552422471475287), (0.4333953941292472, 0.26926671930999635),
+         (0.6794095682990244, 0.21908636251598204), (0.8650633666889845, 0.1494513491505806),
+         (0.9739065285171717, 0.06667134430868814))
+# a GK15 panel on [0, a] has its first node at 0.00427 a, so the first panel of a 1-D
+# integral does not see a turn of its integrand below a / _UNSEEN
+_UNSEEN = 234.0
+
+
+def _edge_area(a1: float, an: float):
+    """The function (sigma, y) -> H = int_sigma^{a_1} cosh x w_1(x) dx,
+    y = a_1 - sigma, with w_1 of ``_edge_length``.
+
+    By parts, H = D - sinh sigma w_1(sigma) with
+    D = asin(sech sigma / kappa) - asin(sech a_1 / kappa),
+    kappa^2 = 1 + (tanh a_1 / sinh a_n)^2.  D is taken by its tangent,
+    k' sinh(a_1 + sigma) sinh y / ((U_s + U_a)(U_s U_a + k'^2)), with
+    k = tanh a_1 / g, k' = sinh a_n / g, g = hypot(sinh a_n, tanh a_1), and
+    U = hypot(k cosh, k' sinh) at sigma and a_1, whose factors are divided
+    before they are multiplied: so D neither cancels as y -> 0 nor leaves
+    the float range for a subnormal edge.  The two terms of H still cancel,
+    by about 2 sigma / y for a short sigma and coth(y / 2) for a long one,
+    so where y < min(sigma, 2) / 4 H is a 10-point Gauss-Legendre sum
+    instead.
+    """
+    cosh_w = _edge_length(a1, an)
+    sinh, cosh, tanh, atan, hypot = math.sinh, math.cosh, math.tanh, math.atan, math.hypot
+    t1, p = tanh(a1), sinh(an)
+    g = hypot(p, t1)
+    k, kp = t1 / g, p / g
+    kp2, ua = kp * kp, hypot(k * cosh(a1), kp * sinh(a1))
+
+    def area(sig: float, y: float) -> float:
+        if y < 0.25 * min(sig, 2.0):
+            h = 0.5 * y
+            return h * sum(w * (cosh_w(sig + h * (1.0 - z), h * (1.0 + z))
+                                + cosh_w(sig + h * (1.0 + z), h * (1.0 - z))) for z, w in _GL10)
+        us = hypot(k * cosh(sig), kp * sinh(sig))
+        d = atan(kp * (sinh(a1 + sig) / (us + ua)) * (sinh(y) / (us * ua + kp2)))
+        return d - tanh(sig) * cosh_w(sig, y)
+
+    return area
+
+
+def _second_edge_level(a1: float, a2: float, an: float):
+    """The outer level of ``volume_ndim`` for n >= 4: (top, level), where
+    level(v) = (sinh x_2 / sinh a_2, cosh^2 x_2 H(sigma) dx_2/dv) for v in
+    [0, top], x_2 = x(v) of ``_log_map`` over [0, a_2], and x_1 = sigma
+    where x_1's bound reaches x_2, sinh sigma = tanh x_2 sinh a_1 / tanh a_2,
+    so that the x_1 level is H of ``_edge_area``.  a_1 - sigma is taken
+    from sinh a_1 - sinh sigma = sinh a_1 sinh(a_2 - x_2) /
+    (sinh a_2 cosh x_2), which does not cancel as x_2 -> a_2.
+
+    H turns where sigma does: at sigma = 1, near x_2 = tanh a_2 / sinh a_1,
+    which a long a_1 moves toward 0 (1e-8 at a_1 = 18, where the first
+    panel missed it by 5e-8 of the volume), and at w_1's knee sigma = s,
+    s = tanh a_1 / sinh a_n.  So x_2 runs through ``_log_map`` with its s
+    at c = min(1, s) tanh a_2 / sinh a_1 where c lies below a_2 / _UNSEEN.
+    """
+    area = _edge_area(a1, an)
+    sinh, cosh, tanh, asinh = math.sinh, math.cosh, math.tanh, math.asinh
+    sh1, sh2, t1, t2, p = sinh(a1), sinh(a2), tanh(a1), tanh(a2), sinh(an)
+    # a_2 / c = m p for c = min(1, s) tanh a_2 / sinh a_1, with s < 1 where tanh a_1 < p
+    m = a2 / t2 * sh1
+    top, x2, dx = (_log_map(a2, m / t1, p, _UNSEEN) if t1 < p else
+                   _log_map(a2, m, 1.0, _UNSEEN))
+
+    def level(v):
+        x = x2(v)
+        sig = asinh(tanh(x) / t2 * sh1)
+        cx = cosh(x)
+        y = 2.0 * asinh(sinh(a2 - x) / sh2 * sh1 / cx / (2.0 * cosh(0.5 * (a1 + sig))))
+        return sinh(x) / sh2, cx * cx * dx(x) * area(sig, y)
+
+    return top, level
 
 
 def volume_ndim(edges, tol: Tolerance = Tolerance(rel=1e-9)) -> float:
@@ -558,9 +659,14 @@ def volume_ndim(edges, tol: Tolerance = Tolerance(rel=1e-9)) -> float:
     [0, a_1], outermost, with weight cosh x_1 w_1(x_1), w_1(x_1) = a_n -
     asinh(sinh a_n tanh x_1 / tanh a_1) (``_first_edge_level``, which also
     substitutes x_1 = s expm1(u), s = tanh a_1 / sinh a_n, where a long a_n
-    puts w_1's knee near 0).  Then x_2 .. x_{n-2} follow as before, so one
-    level is integrated numerically for n = 2 and 3, two for n = 4 and three
-    for n = 5.
+    puts w_1's knee near 0).  For n >= 4 the x_1 level swaps with x_2 and is
+    a closed form too: x_2 runs over [0, a_2], outermost, with weight
+    cosh^2 x_2 int_sigma^{a_1} cosh x_1 w_1(x_1) dx_1, x_1 = sigma where
+    phi_2 reaches x_2 (``_edge_area``, by parts, and ``_second_edge_level``,
+    which substitutes x_2 = c expm1(u) where a long a_1 or a long a_n puts
+    the turns of that weight below the first node of the first panel).
+    Then x_3 .. x_{n-2} follow, so one level is integrated numerically for
+    n = 2, 3 and 4, and two for n = 5.
 
     When the path's last edge a_{n-1} is longer than its first a_n, the
     reversed path (a_{n-2}, .., a_1, a_n, a_{n-1}) is integrated: the same
@@ -594,31 +700,26 @@ def volume_ndim(edges, tol: Tolerance = Tolerance(rel=1e-9)) -> float:
         r = math.tanh(a[0]) / sinh(a[1])
         return quadrature.integrate_region(lambda: lambda x: integral(r * sinh(x)),
                                            [(0.0, a[1])], tol).value
-    top, x1, weight = _first_edge_level(a[0], a[-1])
-    # the bound of x_{k+1} takes u = tanh a_{k+1} (sinh x_k / sinh a_k), a ratio that
-    # stays finite for a subnormal a_k and at most tanh a_{k+1} for x_k <= a_k (a_k is
-    # a[k - 1]); x_{n-2}'s u is the closed-form level's argument
-    t, sh = math.tanh(a[n - 2]), math.sinh(a[n - 3])
-    if n == 3:
-        def outer(u):
-            x = x1(u)
-            return weight(x) * integral(t * (sinh(x) / sh))
+    # the outer level gives r = sinh x_k / sinh a_k for k = 1 (n = 3) or 2 (n >= 4), a
+    # ratio that stays finite for a subnormal a_k and at most 1; the bound of x_{k+1}
+    # is atanh(tanh a_{k+1} r), and the closed-form level's argument is u = t r at
+    # k = n - 2
+    top, level = (_first_edge_level(a[0], a[-1]) if n == 3 else
+                  _second_edge_level(a[0], a[1], a[-1]))
+    t = math.tanh(a[n - 2])
+    if n < 5:
+        def outer(v):
+            r, w = level(v)
+            return w * integral(t * r)
 
         return quadrature.integrate_region(lambda: outer, [(0.0, top)], tol).value
+    t3, sh3 = math.tanh(a[2]), sinh(a[2])
 
-    def integrand(u, *middle):
-        # middle = (x_2, .., x_{n-3}); the innermost variable is x_{n-2}
-        w = weight(x1(u))
-        for i, y in enumerate(middle, 2):
-            w *= cosh(y) ** i
-        return lambda y: integral(t * (sinh(y) / sh)) * cosh(y) ** (n - 2) * w
+    def integrand(v):
+        w = level(v)[1]
+        return lambda y: integral(t * (sinh(y) / sh3)) * cosh(y) ** 3 * w
 
-    def bound(k, x_k=lambda *vals: vals[-1]):
-        # x_{k+1}'s bound, with x_k read from the outer variables (the last by default)
-        tk, shk = math.tanh(a[k]), math.sinh(a[k - 1])
-        return lambda *vals: _atanh_bound(tk * (sinh(x_k(*vals)) / shk))
-
-    bounds = [(0.0, top), (0.0, bound(1, x1))] + [(0.0, bound(k)) for k in range(2, n - 2)]
+    bounds = [(0.0, top), (0.0, lambda v: _atanh_bound(t3 * level(v)[0]))]
     return quadrature.integrate_region(integrand, bounds, tol).value
 
 

@@ -82,6 +82,13 @@ def test_vol_ndim(capsys):
     assert recs[0]["volume"] == pytest.approx(0.098404718929, abs=1e-7)
 
 
+def test_vol_ndim_with_a_long_middle_edge(capsys):
+    # exited 4 when x_1 ran outermost: x_2's bound blew up and the budget ran out
+    code, recs = run(capsys, "vol", "ndim-orthoscheme", "--edges", "1,19,1,1")
+    assert code == EXIT_OK
+    assert recs[0]["volume"] == pytest.approx(6.786925261114261e-10, rel=1e-12)
+
+
 def test_convert_round_trip(capsys):
     code, recs = run(capsys, "convert", "edges-to-angles",
                      "--a", "1", "--b", "1", "--c", "1")
@@ -546,8 +553,8 @@ def test_ndim_integrates_at_the_requested_tolerance(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["vol", "batch"])
 def test_convergence_failure_reports_best_estimate(tmp_path, capsys, monkeypatch, command):
-    # the 5-edge path takes about 80,000 evaluations, so a budget of 20,000 runs out
-    budget = 20_000
+    # the 5-edge path takes about 1,600 evaluations, so a budget of 500 runs out
+    budget = 500
     monkeypatch.setattr(quadrature, "_BUDGET", budget)
     with pytest.raises(ConvergenceError) as exc:
         orthoscheme.volume_ndim((1.0, 0.8, 0.6, 0.7, 0.9), Tolerance(rel=1e-10))
@@ -596,8 +603,8 @@ def test_convergence_failure_best_estimate_is_a_volume(capsys, monkeypatch):
 
 def test_convergence_failure_best_estimate_scales_with_k(capsys, monkeypatch):
     # (2, 1.6, 1.2, 1.4, 1.8) at k = 2 runs the integral of (1, 0.8, 0.6, 0.7, 0.9) at
-    # k = 1, times 2^5
-    monkeypatch.setattr(quadrature, "_BUDGET", 20_000)
+    # k = 1, times 2^5; it takes about 1,600 evaluations
+    monkeypatch.setattr(quadrature, "_BUDGET", 500)
     bests = []
     for edges, k in (("1,0.8,0.6,0.7,0.9", "1"), ("2,1.6,1.2,1.4,1.8", "2")):
         assert main(["vol", "ndim-orthoscheme", "--edges", edges, "--k", k]) \

@@ -17,6 +17,7 @@ from hypervol import quadrature, shapes
 from hypervol.errors import SINH_MAX, DomainError, NotRealizableError, UnsupportedDimensionError
 from hypervol.orthoscheme import (
     _cosh_power_integral,
+    _edge_area,
     OrthoschemeAngles,
     angles_to_edges,
     area_right_triangle,
@@ -337,6 +338,68 @@ def test_ndim_returns_where_the_outer_blow_up_exhausted_the_budget(edges):
     # each of these exhausted the 10^6-evaluation budget at rel 1e-10, or took most of it
     v = volume_ndim(edges, Tolerance(rel=1e-10))
     assert math.isfinite(v) and v > 0.0
+
+
+def _mp_ndim4(edges):
+    """volume_ndim at n = 4 in 50-digit mpmath, for a path whose a_3 <= a_4 and whose
+    a_1 is not long: x_2 outermost over [0, a_2]; the x_1 level
+    int_sigma^{a_1} cosh x w_1(x) dx, sinh sigma = tanh x_2 sinh a_1 / tanh a_2, as
+    asin(sech sigma / kappa) - asin(sech a_1 / kappa) - sinh sigma w_1(sigma), whose
+    terms cancel by up to e^(2 a_2) toward x_2 = a_2; x_3 in closed form."""
+    with mpmath.workdps(50):
+        a1, a2, a3, a4 = map(mpmath.mpf, edges)
+        p, t1 = mpmath.sinh(a4), mpmath.tanh(a1)
+        kappa = mpmath.sqrt(1 + (t1 / p) ** 2)
+
+        def f(x):
+            sig = mpmath.asinh(mpmath.tanh(x) * mpmath.sinh(a1) / mpmath.tanh(a2))
+            w1 = a4 - mpmath.asinh(p * mpmath.tanh(sig) / t1)
+            h = (mpmath.asin(mpmath.sech(sig) / kappa) - mpmath.asin(mpmath.sech(a1) / kappa)
+                 - mpmath.sinh(sig) * w1)
+            u = mpmath.tanh(a3) * mpmath.sinh(x) / mpmath.sinh(a2)
+            s = u / mpmath.sqrt(1 - u * u)
+            return mpmath.cosh(x) ** 2 * (s + s ** 3 / 3) * h
+
+        return float(mpmath.quad(f, [0, a2 / 8, a2 / 2, a2]))
+
+
+@pytest.mark.parametrize("edges", [(1.0, 19.0, 1.0, 1.0), (0.5, 18.0, 0.5, 0.5)])
+def test_ndim_with_a_long_middle_edge_at_n4_matches_mpmath(edges):
+    # with x_1 outermost, x_2's bound atanh(tanh a_2 sinh x_1 / sinh a_1) blew up at the
+    # end of the x_1 range and the evaluation budget ran out; x_2 is now the outer
+    # variable and the x_1 level a closed form
+    v = volume_ndim(edges, Tolerance(rel=1e-10))
+    assert v == pytest.approx(_mp_ndim4(edges), rel=1e-13, abs=0.0)
+
+
+def test_ndim_with_a_long_first_edge_at_n4_matches_its_40_digit_value():
+    # a long a_1 packs the x_1 level's range into x_2 < 1e-8, where the first panel of
+    # a plain x_2 variable missed 5e-8 of the volume; x_2 runs through a log map there
+    v = volume_ndim((18.0, 0.05, 0.05, 0.05), Tolerance(rel=1e-10))
+    assert v == pytest.approx(6.327350283662115e-13, rel=1e-13, abs=0.0)
+
+
+def test_ndim_at_n4_with_subnormal_scale_edges():
+    # the closed-form x_1 level divides before it multiplies two factors of size a_1,
+    # whose product would underflow; multiplied first, the level returns -7.7e-303 here
+    assert volume_ndim((1e-300, 0.5, 0.5, 0.5)) == pytest.approx(4.403878183826133e-303,
+                                                                 rel=1e-13, abs=0.0)
+    assert volume_ndim((1e-300, 0.3, 1e-300, 5e-324)) == 0.0
+
+
+@pytest.mark.parametrize("a1", [1e-3, 0.5, 3.0, 18.0])
+@pytest.mark.parametrize("an", [1e-3, 1.0, 19.0])
+def test_edge_area_matches_mpmath(a1, an):
+    # H(sigma) = int_sigma^{a_1} cosh x w_1(x) dx, by parts in closed form where
+    # y = a_1 - sigma >= min(sigma, 2) / 4 and by a Gauss-Legendre sum below
+    area = _edge_area(a1, an)
+    with mpmath.workdps(30):
+        p, t1 = mpmath.sinh(an), mpmath.tanh(a1)
+        for f in (0.0, 0.3, 0.79, 0.81, 0.97, 0.999):
+            sig = a1 * f
+            ref = mpmath.quad(lambda x: mpmath.cosh(x) * (an - mpmath.asinh(p * mpmath.tanh(x) / t1)),
+                              [sig, a1])
+            assert area(sig, a1 - sig) == pytest.approx(float(ref), rel=2e-14, abs=0.0), f
 
 
 def test_ndim_euclidean_limits():

@@ -5,7 +5,9 @@ acceptance test, or is listed in ``EXEMPT`` with the reason it stays.
 A name counts as used where the code loads it outside its own definition:
 as a bare name in its own module, through ``from ... import name``, or as
 ``<module>.name`` (``import ... as`` aliases resolved, and ``x.<module>.name``
-accepted for any x).  The walk reads the source with ``ast``; it imports
+accepted for any x).  A bare name that a parameter or an assignment binds in
+an enclosing function is that function's local, not the public name, and
+does not count.  The walk reads the source with ``ast``; it imports
 nothing."""
 
 import ast
@@ -48,6 +50,29 @@ def _imported_module(node: ast.ImportFrom) -> str | None:
     return None
 
 
+def _locals(node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> set[str]:
+    """The names that the function ``node`` binds in its own scope: its
+    parameters, and the targets of its assignments, loops, ``with ... as``,
+    ``except ... as`` and nested definitions, outside nested functions."""
+    args = node.args
+    names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                             args.vararg, args.kwarg) if a is not None}
+    stack = list(node.body) if isinstance(node.body, list) else [node.body]
+    while stack:
+        child = stack.pop()
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(child.name)  # its body is a scope of its own
+            continue
+        if isinstance(child, ast.Lambda):
+            continue
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store):
+            names.add(child.id)
+        elif isinstance(child, ast.ExceptHandler) and child.name:
+            names.add(child.name)
+        stack.extend(ast.iter_child_nodes(child))
+    return names
+
+
 def uses(path: Path) -> set[tuple[str, str]]:
     """(module, name) pairs loaded in the file at ``path``."""
     tree = ast.parse(path.read_text(), str(path))
@@ -68,8 +93,11 @@ def uses(path: Path) -> set[tuple[str, str]]:
                     found.add((module, a.name))
 
     def visit(node, inside: frozenset):
+        # inside: the definitions that enclose node, and the locals of the functions among them
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            inside = inside | _locals(node)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             if own is not None and node.id not in inside:
                 found.add((own, node.id))

@@ -308,6 +308,9 @@ GRID_ROUTES = {
     "volume_angles": (lambda *t: orthoscheme.volume_angles(t), product(ANGLES, repeat=3)),
     "angles_to_edges": (lambda *t: orthoscheme.angles_to_edges(t), product(ANGLES, repeat=3)),
     "volume_ndim": (lambda *e: orthoscheme.volume_ndim(e), product(GRID, repeat=3)),
+    # n = 4 on the values that reach its closed-form x_1 level's subnormal and overflow ends
+    "volume_ndim n=4": (lambda *e: orthoscheme.volume_ndim(e),
+                        product((5e-324, 1e-300, 1e-17, 0.3, 1.0, 700.0), repeat=4)),
     "area_right_triangle": (orthoscheme.area_right_triangle, product(GRID, repeat=2)),
     "circular_cone": (solids.circular_cone, product(GRID, ANGLES)),
     "sphere_volume_by_quadrature": (solids.sphere_volume_by_quadrature, product(GRID)),
@@ -329,7 +332,7 @@ def test_extreme_value_grid_returns_finite_or_raises_hypervol_error(name, fn, gr
         try:
             value = fn(*args)
             check_finite(value)
-            assert name not in VOLUMES or value >= 0.0, value
+            assert name.split()[0] not in VOLUMES or value >= 0.0, value
         except HypervolError:
             pass
         except Exception as exc:  # a leaked exception or a failed check

@@ -46,7 +46,10 @@ rel 1e-10 on paths whose last edge is long, (17, 0.2), (0.5, 15, 0.5)
 and (0.5, 0.5, 12, 0.5), on paths that exhausted the evaluation budget
 while the x_n level was integrated numerically, (12, 0.5, 0.5),
 (10, 0.5, 0.5), (3, 2, 1, 0.5), (2, 2, 2, 2) and (1, 0.8, 0.6, 0.7, 0.9),
-and at the Coxeter orthoscheme [5,3,3,5], and ``area_right_triangle`` at legs (0.2, 17),
+at the Coxeter orthoscheme [5,3,3,5], and at n = 4 on (1, 19, 1, 1) and
+(0.5, 18, 0.5, 0.5), whose long middle edge exhausted the budget while x_1
+ran outermost, (18, 0.5, 0.5, 0.5), a long first edge, (0.5, 0.5, 0.5, 700)
+and (1e-300, 0.5, 0.5, 0.5), and ``area_right_triangle`` at legs (0.2, 17),
 (1, 25) and (18, 18), where a ConvergenceError prints with its best
 estimate and a DomainError with its message, ``volume_edges`` at
 edge sets with a long last edge or short edges and at the sets with a long
@@ -67,8 +70,9 @@ and rel 1e-10, so that drift shows in any route, not only in the
 evaluator that ``vol`` runs.  No CLI command
 reaches the chart integrals or most of these edge sets.  Three failure paths
 of the nested quadrature are compared too: the message and best estimate of
-the ConvergenceError of ``volume_ndim`` at edges (1, 19, 1, 1), whose
-long middle edge exhausts the budget, and the
+the ConvergenceError of ``coordinate_volume`` on the n = 5 half-space box
+[(4, 1e-3, 1), (0, 0, 0.5), (1, 0, 0.5), (2, 0, 0.5), (3, 0, 0.5)], whose
+outer x_n exhausts the budget, and the
 DomainError messages of a Klein box that leaves the ball and of a
 half-space box whose outermost x_n does not stay positive, and those of
 ``coordinate_volume``'s innermost limits: "a bound of integration
@@ -487,12 +491,16 @@ def print_library_results() -> None:
     # a long end edge built last (the integral runs along it), both triangle legs long,
     # paths that exhausted the evaluation budget while x_1's bound blew up at the end of
     # the x_n range (a long first edge among them), and the Coxeter orthoscheme [5,3,3,5]
-    # of volume 13 pi^2 / 5400
+    # of volume 13 pi^2 / 5400; at n = 4, long middle edges, whose x_2 bound blew up at
+    # the end of the x_1 range, a long first edge, which packs the closed-form x_1
+    # level's range into x_2 < 1e-8, a long last edge, and a first edge of 1e-300
     long_end = [(volume_ndim, (edges,)) for edges in (
         (17.0, 0.2), (0.5, 15.0, 0.5), (0.5, 0.5, 12.0, 0.5),
         (12.0, 0.5, 0.5), (10.0, 0.5, 0.5), (3.0, 2.0, 1.0, 0.5), (2.0, 2.0, 2.0, 2.0),
         (1.0, 0.8, 0.6, 0.7, 0.9),
-        (1.0612750619050368, 1.0612750619050364, 1.6169216675118945, 1.616921667511897))]
+        (1.0612750619050368, 1.0612750619050364, 1.6169216675118945, 1.616921667511897),
+        (1.0, 19.0, 1.0, 1.0), (0.5, 18.0, 0.5, 0.5), (18.0, 0.5, 0.5, 0.5),
+        (0.5, 0.5, 0.5, 700.0), (1e-300, 0.5, 0.5, 0.5))]
     long_end += [(area_right_triangle, legs) for legs in ((0.2, 17.0), (1.0, 25.0), (18.0, 18.0))]
     for route, args in long_end:
         try:
@@ -530,12 +538,15 @@ def print_library_results() -> None:
     for b in (1e-300, 1.0, 360.0, 710.0, SINH_MAX):
         print("volume_one_ideal", b, repr(volume_one_ideal(b, 1.0)))
         print("volume_two_ideal", b, repr(volume_two_ideal(b)))
-    # failure paths: the budget of a nested integral runs out (x_2's bound blows up at the
-    # end of the x_1 range, under a long middle edge), and a box leaves the ball
+    # failure paths: the budget of a nested integral runs out (an n = 5 half-space box whose
+    # outer x_n spans three decades of x_n^-5, each node paying 15^3 inner evaluations),
+    # and a box leaves the ball
     try:
-        print("volume_ndim", repr(volume_ndim((1.0, 19.0, 1.0, 1.0), Tolerance(rel=1e-10))))
+        print("halfspace 5", repr(coordinate_volume(
+            "halfspace", [(4, 1e-3, 1.0), (0, 0.0, 0.5), (1, 0.0, 0.5), (2, 0.0, 0.5),
+                          (3, 0.0, 0.5)], 5)))
     except ConvergenceError as exc:
-        print("volume_ndim ConvergenceError", exc, repr(exc.best))
+        print("halfspace 5 ConvergenceError", exc, repr(exc.best))
     try:
         print("klein", repr(coordinate_volume("klein", [(0, -0.5, 0.9), (1, -0.5, 0.5),
                                                         (2, -0.3, 0.3)], 3)))
