@@ -522,54 +522,35 @@ def _edge_length(a1: float, an: float):
     return cosh_w
 
 
-def _log_map(a: float, m: float, p: float, least: float = 1.0):
+# a GK15 panel on [0, a] has its first node at 0.00427 a, so the first panel of a 1-D
+# integral does not see a turn of its integrand below a / _UNSEEN
+_UNSEEN = 234.0
+# 7-point Gauss-Legendre rule on [-1, 1], as (1 + z, 1 - z, weight) at each node z
+_GL7 = tuple((1.0 + z, 1.0 - z, w) for z, w in (
+    (-0.9491079123427585, 0.1294849661688697), (-0.7415311855993945, 0.27970539148927664),
+    (-0.4058451513773972, 0.3818300505051189), (0.0, 0.4179591836734694),
+    (0.4058451513773972, 0.3818300505051189), (0.7415311855993945, 0.27970539148927664),
+    (0.9491079123427585, 0.1294849661688697)))
+
+
+def _log_map(a: float, m: float, p: float):
     """(top, x, dx): x(u) maps u in [0, top] onto [0, a], and dx(x) = dx/du.
 
-    Where a / s = m p > least, the map is x = s expm1(u), u in [0, log1p(m p)],
-    written through top = log(p) + log(m + 1 / p) as
+    Where a / s = m p > _UNSEEN, so that the first GK15 panel on [0, a]
+    would not see a turn at x = s, the map is x = s expm1(u), u in
+    [0, log1p(m p)], written through top = log(p) + log(m + 1 / p) as
     a (exp(u - top) - exp(-top)) / -expm1(-top), so that no factor
     overflows for a large p; dx/du = x + s.  Elsewhere x is u itself.  So a
     function that turns near x = s is resolved on [0, a] in steps that grow
     with x.
     """
-    if m * p <= least:
+    if m * p <= _UNSEEN:
         return a, lambda u: u, lambda x: 1.0
     top = math.log(p) + math.log(m + 1.0 / p)
     c = a / -math.expm1(-top)
     s = c * math.exp(-top)
     exp = math.exp
     return top, lambda u: min(a, c * exp(u - top) - s), lambda x: x + s
-
-
-def _first_edge_level(a1: float, an: float):
-    """The outer level of ``volume_ndim`` for n = 3: (top, level), where
-    level(u) = (sinh x_1 / sinh a_1, cosh x_1 w_1(x_1) dx_1/du) for u in
-    [0, top] (w_1 of ``_edge_length``).
-
-    w_1 turns from flat to logarithmic at q = 1, near x_1 = s = tanh a_1 /
-    sinh a_n, a knee that a long a_n moves toward 0 (s < 1e-8 at a_n = 19).
-    So where s < a_1, x_1 runs through ``_log_map`` with that s; elsewhere
-    u is x_1 itself.
-    """
-    cosh_w = _edge_length(a1, an)
-    # a_1 / s = (a_1 / tanh a_1) sinh a_n, with a_1 / tanh a_1 < 19.1
-    top, x1, dx = _log_map(a1, a1 / math.tanh(a1), math.sinh(an))
-    sinh, sh1 = math.sinh, math.sinh(a1)
-
-    def level(u):
-        x = x1(u)
-        return sinh(x) / sh1, dx(x) * cosh_w(x, a1 - x)
-
-    return top, level
-
-
-# 10-point Gauss-Legendre rule on [-1, 1]: the positive nodes and their weights
-_GL10 = ((0.14887433898163122, 0.29552422471475287), (0.4333953941292472, 0.26926671930999635),
-         (0.6794095682990244, 0.21908636251598204), (0.8650633666889845, 0.1494513491505806),
-         (0.9739065285171717, 0.06667134430868814))
-# a GK15 panel on [0, a] has its first node at 0.00427 a, so the first panel of a 1-D
-# integral does not see a turn of its integrand below a / _UNSEEN
-_UNSEEN = 234.0
 
 
 def _edge_area(a1: float, an: float):
@@ -585,7 +566,7 @@ def _edge_area(a1: float, an: float):
     before they are multiplied: so D neither cancels as y -> 0 nor leaves
     the float range for a subnormal edge.  The two terms of H still cancel,
     by about 2 sigma / y for a short sigma and coth(y / 2) for a long one,
-    so where y < min(sigma, 2) / 4 H is a 10-point Gauss-Legendre sum
+    so where y < min(sigma, 2) / 4 H is a 7-point Gauss-Legendre sum
     instead.
     """
     cosh_w = _edge_length(a1, an)
@@ -598,8 +579,10 @@ def _edge_area(a1: float, an: float):
     def area(sig: float, y: float) -> float:
         if y < 0.25 * min(sig, 2.0):
             h = 0.5 * y
-            return h * sum(w * (cosh_w(sig + h * (1.0 - z), h * (1.0 + z))
-                                + cosh_w(sig + h * (1.0 + z), h * (1.0 - z))) for z, w in _GL10)
+            total = 0.0
+            for zp, zm, w in _GL7:
+                total += w * cosh_w(sig + h * zp, h * zm)
+            return h * total
         us = hypot(k * cosh(sig), kp * sinh(sig))
         d = atan(kp * (sinh(a1 + sig) / (us + ua)) * (sinh(y) / (us * ua + kp2)))
         return d - tanh(sig) * cosh_w(sig, y)
@@ -608,7 +591,7 @@ def _edge_area(a1: float, an: float):
 
 
 def _second_edge_level(a1: float, a2: float, an: float):
-    """The outer level of ``volume_ndim`` for n >= 4: (top, level), where
+    """The outer level of ``volume_ndim`` for n >= 3: (top, level), where
     level(v) = (sinh x_2 / sinh a_2, cosh^2 x_2 H(sigma) dx_2/dv) for v in
     [0, top], x_2 = x(v) of ``_log_map`` over [0, a_2], and x_1 = sigma
     where x_1's bound reaches x_2, sinh sigma = tanh x_2 sinh a_1 / tanh a_2,
@@ -627,8 +610,7 @@ def _second_edge_level(a1: float, a2: float, an: float):
     sh1, sh2, t1, t2, p = sinh(a1), sinh(a2), tanh(a1), tanh(a2), sinh(an)
     # a_2 / c = m p for c = min(1, s) tanh a_2 / sinh a_1, with s < 1 where tanh a_1 < p
     m = a2 / t2 * sh1
-    top, x2, dx = (_log_map(a2, m / t1, p, _UNSEEN) if t1 < p else
-                   _log_map(a2, m, 1.0, _UNSEEN))
+    top, x2, dx = _log_map(a2, m / t1, p) if t1 < p else _log_map(a2, m, 1.0)
 
     def level(v):
         x = x2(v)
@@ -655,18 +637,16 @@ def volume_ndim(edges, tol: Tolerance = Tolerance(rel=1e-9)) -> float:
     cosh^{n-1} y dy follows from the reduction formula int cosh^m =
     cosh^{m-1} sinh / m + (m-1)/m int cosh^{m-2}.  For n = 2 that leaves one
     1-D integral, over x_n.  For n >= 3 the outer x_n has density cosh^0 = 1
-    and enters only phi_1, so by Fubini its level is a length: x_1 runs over
-    [0, a_1], outermost, with weight cosh x_1 w_1(x_1), w_1(x_1) = a_n -
-    asinh(sinh a_n tanh x_1 / tanh a_1) (``_first_edge_level``, which also
-    substitutes x_1 = s expm1(u), s = tanh a_1 / sinh a_n, where a long a_n
-    puts w_1's knee near 0).  For n >= 4 the x_1 level swaps with x_2 and is
-    a closed form too: x_2 runs over [0, a_2], outermost, with weight
-    cosh^2 x_2 int_sigma^{a_1} cosh x_1 w_1(x_1) dx_1, x_1 = sigma where
-    phi_2 reaches x_2 (``_edge_area``, by parts, and ``_second_edge_level``,
-    which substitutes x_2 = c expm1(u) where a long a_1 or a long a_n puts
-    the turns of that weight below the first node of the first panel).
-    Then x_3 .. x_{n-2} follow, so one level is integrated numerically for
-    n = 2, 3 and 4, and two for n = 5.
+    and enters only phi_1, so by Fubini its level is a length, and the x_1
+    level that it leaves is a closed form too: x_2 runs over [0, a_2],
+    outermost, with weight cosh^2 x_2 int_sigma^{a_1} cosh x_1 w_1(x_1) dx_1,
+    w_1(x_1) = a_n - asinh(sinh a_n tanh x_1 / tanh a_1) and x_1 = sigma
+    where phi_2 reaches x_2 (``_edge_length``, ``_edge_area``, by parts, and
+    ``_second_edge_level``, which substitutes x_2 = c expm1(u) where a long
+    a_1 or a long a_n puts the turns of that weight below the first node of
+    the first panel).  At n = 3 x_2 is the last variable, so that weight is
+    the whole integrand; then x_3 .. x_{n-2} follow, so one level is
+    integrated numerically for n = 2, 3 and 4, and two for n = 5.
 
     When the path's last edge a_{n-1} is longer than its first a_n, the
     reversed path (a_{n-2}, .., a_1, a_n, a_{n-1}) is integrated: the same
@@ -700,14 +680,15 @@ def volume_ndim(edges, tol: Tolerance = Tolerance(rel=1e-9)) -> float:
         r = math.tanh(a[0]) / sinh(a[1])
         return quadrature.integrate_region(lambda: lambda x: integral(r * sinh(x)),
                                            [(0.0, a[1])], tol).value
-    # the outer level gives r = sinh x_k / sinh a_k for k = 1 (n = 3) or 2 (n >= 4), a
-    # ratio that stays finite for a subnormal a_k and at most 1; the bound of x_{k+1}
-    # is atanh(tanh a_{k+1} r), and the closed-form level's argument is u = t r at
-    # k = n - 2
-    top, level = (_first_edge_level(a[0], a[-1]) if n == 3 else
-                  _second_edge_level(a[0], a[1], a[-1]))
+    # the outer level gives r = sinh x_2 / sinh a_2, a ratio that stays finite for a
+    # subnormal a_2 and at most 1; the bound of x_3 is atanh(tanh a_3 r), and the
+    # closed-form level's argument is u = t r at n = 4
+    top, level = _second_edge_level(a[0], a[1], a[-1])
+    if n == 3:
+        return quadrature.integrate_region(lambda: lambda v: level(v)[1], [(0.0, top)],
+                                           tol).value
     t = math.tanh(a[n - 2])
-    if n < 5:
+    if n == 4:
         def outer(v):
             r, w = level(v)
             return w * integral(t * r)

@@ -305,7 +305,7 @@ def test_ndim_matches_3d_edge_integral():
     # subscript order (a1, a2, a3) = (b, c, a) for path edges (a, b, c)
     for (a, b, c) in [(1.0, 1.0, 1.0), (0.5, 1.0, 1.5)]:
         v3 = volume_ndim((b, c, a))
-        assert v3 == pytest.approx(volume_edges((a, b, c)), abs=1e-8)
+        assert v3 == pytest.approx(volume_edges((a, b, c)), rel=1e-13, abs=0.0)
 
 
 def test_ndim_matches_2d_area():
@@ -325,11 +325,27 @@ def test_ndim_with_a_long_last_edge_matches_volume_edges():
 @pytest.mark.parametrize("edges", [(12.0, 0.5, 0.5), (10.0, 0.5, 0.5)])
 def test_ndim_with_a_long_first_edge_matches_mpmath(edges):
     # a long first edge a_1 sent the x_1 bound atanh(rho sinh x_n) through its blow-up
-    # at the end of the x_n range, and the evaluation budget ran out; x_1 is now the
-    # outer variable, and the x_n level a length in closed form
+    # at the end of the x_n range, and the evaluation budget ran out; the x_n level is
+    # now a length in closed form, and the x_1 level the closed form H of _edge_area
     b, c, a = edges
     v = volume_ndim(edges, Tolerance(rel=1e-10))
     assert v == pytest.approx(_mp_volume_edges(a, b, c), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("edges", [(6.0, 12.0, 18.0), (6.0, 12.0, 12.0), (12.0, 12.0, 12.0),
+                                   (18.0, 0.05, 12.0)])
+def test_ndim_at_n3_with_long_edges_matches_mpmath(edges):
+    # with x_1 outermost, the x_2 bound atanh(tanh a_2 sinh x_1 / sinh a_1) lost
+    # 1 - tanh a_2 for a long a_2, and the volume came out up to 3.4e-11 off; x_2 now
+    # runs outermost, so that bound is not taken.  A long a_1 moves the turns of H
+    # toward x_2 = 0, into _log_map.  Where both end edges are long, the 40-digit
+    # reference is confirmed at 30 digits
+    a1, a2, a3 = edges
+    ref = _mp_volume_edges(a3, a1, a2)
+    if min(a2, a3) > 11.0:
+        assert _mp_volume_edges(a3, a1, a2, dps=30) == pytest.approx(ref, rel=1e-15, abs=0.0)
+    v = volume_ndim(edges, Tolerance(rel=1e-10))
+    assert v == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("edges", [(3.0, 2.0, 1.0, 0.5), (2.0, 2.0, 2.0, 2.0),
@@ -529,8 +545,8 @@ def _flat_ndim(edges):
 def test_ndim_matches_its_flat_integrand(edges):
     # volume_ndim integrates the reversed path (e_{n-2}, .., e_1, e_n, e_{n-1}) when the
     # path's last edge e_{n-1} is longer than its first e_n.  For n >= 3 it takes the
-    # x_n level in closed form and runs x_1 outermost, so it is no longer the flat
-    # integral's bits
+    # x_n and x_1 levels in closed form and runs x_2 outermost, so it is no longer the
+    # flat integral's bits
     path = (*edges[-3::-1], edges[-1], edges[-2]) if edges[-2] > edges[-1] else edges
     assert volume_ndim(edges) == pytest.approx(_flat_ndim(path), rel=1e-13, abs=0.0)
 
@@ -681,13 +697,13 @@ def test_log_ratio_routes_accurate_for_long_middle_edge(route, integrand):
 INF = math.inf
 
 
-def _mp_volume_edges(a, b, c):
-    """The edge integral 1/4 int_0^b T R dl at 40 digits (a = inf gives r = 0,
+def _mp_volume_edges(a, b, c, dps=40):
+    """The edge integral 1/4 int_0^b T R dl at dps digits (a = inf gives r = 0,
     c = inf gives t = 1).  It runs in l = b s, so that the integral is not
     tiny next to mpmath's absolute eps, with breakpoints at every unit of l
     and at r 4^j, j = -1 .. 3, where T = tanh l / hypot(r cosh l, sinh l)
     turns from l / r to 1 (r = tanh b / sinh a, tiny for a long first edge)."""
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         am, bm, cm = (mpmath.mpf(v) for v in (a, b, c))
         r = 0 if a == INF else mpmath.tanh(bm) / mpmath.sinh(am)
         one_minus_t = 2 / (mpmath.exp(2 * cm) + 1)

@@ -49,7 +49,9 @@ while the x_n level was integrated numerically, (12, 0.5, 0.5),
 at the Coxeter orthoscheme [5,3,3,5], and at n = 4 on (1, 19, 1, 1) and
 (0.5, 18, 0.5, 0.5), whose long middle edge exhausted the budget while x_1
 ran outermost, (18, 0.5, 0.5, 0.5), a long first edge, (0.5, 0.5, 0.5, 700)
-and (1e-300, 0.5, 0.5, 0.5), and ``area_right_triangle`` at legs (0.2, 17),
+and (1e-300, 0.5, 0.5, 0.5), at n = 3 on (6, 12, 18), (12, 12, 12) and
+(18, 0.05, 12), long edges on which the x_1-outer level was up to 3.4e-11
+off, and (1e-300, 0.5, 0.5), and ``area_right_triangle`` at legs (0.2, 17),
 (1, 25) and (18, 18), where a ConvergenceError prints with its best
 estimate and a DomainError with its message, ``volume_edges`` at
 edge sets with a long last edge or short edges and at the sets with a long
@@ -493,14 +495,16 @@ def print_library_results() -> None:
     # the x_n range (a long first edge among them), and the Coxeter orthoscheme [5,3,3,5]
     # of volume 13 pi^2 / 5400; at n = 4, long middle edges, whose x_2 bound blew up at
     # the end of the x_1 range, a long first edge, which packs the closed-form x_1
-    # level's range into x_2 < 1e-8, a long last edge, and a first edge of 1e-300
+    # level's range into x_2 < 1e-8, a long last edge, and a first edge of 1e-300; at
+    # n = 3, long edges and a first edge of 1e-300
     long_end = [(volume_ndim, (edges,)) for edges in (
         (17.0, 0.2), (0.5, 15.0, 0.5), (0.5, 0.5, 12.0, 0.5),
         (12.0, 0.5, 0.5), (10.0, 0.5, 0.5), (3.0, 2.0, 1.0, 0.5), (2.0, 2.0, 2.0, 2.0),
         (1.0, 0.8, 0.6, 0.7, 0.9),
         (1.0612750619050368, 1.0612750619050364, 1.6169216675118945, 1.616921667511897),
         (1.0, 19.0, 1.0, 1.0), (0.5, 18.0, 0.5, 0.5), (18.0, 0.5, 0.5, 0.5),
-        (0.5, 0.5, 0.5, 700.0), (1e-300, 0.5, 0.5, 0.5))]
+        (0.5, 0.5, 0.5, 700.0), (1e-300, 0.5, 0.5, 0.5),
+        (6.0, 12.0, 18.0), (12.0, 12.0, 12.0), (18.0, 0.05, 12.0), (1e-300, 0.5, 0.5))]
     long_end += [(area_right_triangle, legs) for legs in ((0.2, 17.0), (1.0, 25.0), (18.0, 18.0))]
     for route, args in long_end:
         try:
