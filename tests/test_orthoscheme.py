@@ -121,6 +121,16 @@ def test_not_realizable_angle_triples():
         OrthoschemeAngles(0.3, 0.4, 0.9)
 
 
+@pytest.mark.parametrize("angles, message", [
+    ((1.2, 1.4, 1.2), "cos^2 beta must exceed sin^2 alpha sin^2 gamma for a real delta"),
+    ((1.0, 0.5, 1.0), "delta must be dominated: delta < min(alpha, gamma, pi/2 - beta)"),
+])
+def test_angle_refusal_type_and_message(angles, message):
+    with pytest.raises(NotRealizableError) as exc:
+        OrthoschemeAngles(*angles)
+    assert exc.type is NotRealizableError and str(exc.value) == message
+
+
 def test_delta_is_derived_not_supplied():
     # a fourth angle was once taken as delta unchecked, and gave a wrong volume
     for fn in (volume_angles, angles_to_edges):

@@ -114,6 +114,19 @@ def test_dm_rejects_imaginary_k4():
         dm_coefficients((1.3, 1.6, 1.2, 1.35, 1.45, 1.0))
 
 
+@pytest.mark.parametrize("t, message", [
+    ((1.3, 1.6, 1.2, 1.35, 1.45, 1.0), "k1^2 + k2^2 < k3^2: no real root interval"),
+    ((0.1,) * 6, "the angles at a vertex form no spherical triangle"),
+    ((2.0, 2.1, 1.0, 1.7, 2.0, 1.1),
+     "a Gram cofactor is negative: the faces bound no tetrahedron"),
+])
+def test_dm_refusal_type_and_message(t, message):
+    # one input per reachable refusal of the Gram criterion, with its exact type and text
+    with pytest.raises(NotRealizableError) as exc:
+        dm_coefficients(t)
+    assert exc.type is NotRealizableError and str(exc.value) == message
+
+
 # faces (i, j) meeting at the edges of A..F
 EDGE_FACES = ((0, 1), (0, 2), (1, 2), (2, 3), (1, 3), (0, 3))
 

@@ -66,10 +66,14 @@ two, and whose finite values sum past the float range, which no CLI command
 reaches, and ``mc_oracle.estimate`` on the five region
 builders at 10^5 samples (four chunks) with ``os.sched_getaffinity``
 patched to report 1, 2 and 3 CPUs, so that the strides of uneven worker
-counts are compared whatever the host's core count, and last every route
-of every table shape at the shape's ``VOL_PARAMS`` point, at curvature 1
-and rel 1e-10, so that drift shows in any route, not only in the
-evaluator that ``vol`` runs.  No CLI command
+counts are compared whatever the host's core count, every route of every
+table shape at the shape's ``VOL_PARAMS`` point, at curvature 1 and rel
+1e-10, so that drift shows in any route, not only in the evaluator that
+``vol`` runs, and last the draws of the two crosscheck samplers,
+``sample_valid_angles(40, seed)`` and ``sample_near_ideal(25, seed)`` at
+seeds 20121023, 7 and 123, the fine grid's cases, one draw a line, so that
+a moved draw shows itself and not only through the crosscheck rows built
+from it.  No CLI command
 reaches the chart integrals or most of these edge sets.  Three failure paths
 of the nested quadrature are compared too: the message and best estimate of
 the ConvergenceError of ``coordinate_volume`` on the n = 5 half-space box
@@ -446,10 +450,12 @@ def print_library_results() -> None:
     from hypervol import mc_oracle as mc
     from hypervol.errors import SINH_MAX, ConvergenceError, DomainError
     from hypervol.models import coordinate_volume
-    from hypervol.orthoscheme import (area_right_triangle, volume_angles, volume_edges,
-                                      volume_ndim, volume_one_ideal, volume_two_ideal)
+    from hypervol.orthoscheme import (area_right_triangle, sample_valid_angles, volume_angles,
+                                      volume_edges, volume_ndim, volume_one_ideal,
+                                      volume_two_ideal)
     from hypervol.quadrature import Tolerance, integrate_1d, integrate_region
     from hypervol.shapes import SHAPES, collect_params
+    from hypervol.tetrahedra import sample_near_ideal
 
     boxes = {
         "paracycle": [([(0, 0.0, 0.8), (1, 0.0, 1.1), (2, 0.0, 0.9)], 1.0),
@@ -604,6 +610,13 @@ def print_library_results() -> None:
         values = collect_params(shape, params, False).values()
         for name, route in SHAPES[shape].routes.items():
             print("route", shape, name, repr(route(*values, tol=Tolerance())))
+    # the crosscheck suites' cases: each sampler's fine-grid draws at the three seeds of the
+    # crosscheck commands (a coarse grid takes the first draws of the same stream)
+    for seed in (20121023, 7, 123):
+        for i, ang in enumerate(sample_valid_angles(40, seed)):
+            print("sample_valid_angles", seed, i, repr(ang))
+        for i, t in enumerate(sample_near_ideal(25, seed)):
+            print("sample_near_ideal", seed, i, *t)
 
 
 def line_label(line: str) -> str:
